@@ -9,7 +9,7 @@ BENCH_BASELINE ?= BENCH_2026-08-06.json
 # hardware differs from the baseline machine; locally 10% is realistic.
 BENCH_THRESHOLD ?= 0.10
 
-.PHONY: all build test check race stress vet fmt clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke chaos-smoke benchcheck bench-baseline
+.PHONY: all build test check race stress vet fmt fmtcheck clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke chaos-smoke benchcheck bench-baseline
 
 all: build
 
@@ -23,13 +23,19 @@ test:
 vet:
 	$(GO) vet ./...
 
-# check is the pre-commit gate: vet, build, then the whole suite under the
-# race detector with -short so the internal/sim stress tests run at reduced
-# iteration counts (see stressN in internal/sim/stress_test.go).
+# check is the pre-commit gate: gofmt, vet, build, then the whole suite
+# under the race detector with -short so the internal/sim stress tests run
+# at reduced iteration counts (see stressN in internal/sim/stress_test.go).
 # -shuffle=on randomizes test and subtest order to catch order coupling;
 # a failure prints the shuffle seed for replay (-shuffle=SEED).
-check: vet build
+check: fmtcheck vet build
 	$(GO) test -race -short -shuffle=on ./...
+
+# fmtcheck fails when gofmt would reformat any Go file in the tree
+# (`make fmt` fixes it).
+fmtcheck:
+	@files="$$(gofmt -l .)"; if [ -n "$$files" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$files"; exit 1; fi
 
 # race runs the whole suite under the race detector with -short (stress
 # tests at reduced iteration counts). The adaptive re-planning loop,

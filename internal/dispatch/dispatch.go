@@ -66,18 +66,15 @@ func checkFractions(fractions []float64) ([]float64, error) {
 }
 
 // Random dispatches each job independently at random with probabilities α
-// (§3.1). Selection uses the alias-free inverse-CDF walk over the
-// cumulative vector, O(n) worst case but cache-friendly for the small n of
-// the paper's systems.
+// (§3.1). Selection inverts the cumulative vector by binary search,
+// O(log n).
 type Random struct {
 	fr  []float64
 	cum []float64
 	st  *rng.Stream
 
-	// maskedCum replaces cum while an up-set mask is active (SetUp);
-	// lastUp is the highest selectable index, the rounding fallback.
+	// maskedCum replaces cum while an up-set mask is active (SetUp).
 	maskedCum []float64
-	lastUp    int
 }
 
 // NewRandom returns a random dispatcher over the given fractions using the
@@ -105,16 +102,24 @@ func (r *Random) Next() int {
 	if r.maskedCum != nil {
 		cum = r.maskedCum
 	}
-	u := r.st.Float64()
-	for i, c := range cum {
-		if u < c {
-			return i
+	return searchCum(cum, r.st.Float64())
+}
+
+// searchCum returns the first index i with cum[i] > u, for u in [0, 1) and
+// a cumulative vector whose last entry is pinned to 1. The predicate is
+// monotone even where rounding leaves an entry just above 1 before the
+// pinned tail, so this is the computer a linear inverse-CDF walk picks.
+func searchCum(cum []float64, u float64) int {
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cum[mid] > u {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	if r.maskedCum != nil {
-		return r.lastUp
-	}
-	return len(cum) - 1
+	return lo
 }
 
 // RoundRobin is the paper's Algorithm 2: round-robin based job
@@ -127,15 +132,22 @@ func (r *Random) Next() int {
 //	         next assignment.
 //
 // Every arriving job goes to the computer with minimum next (ties broken
-// by the smaller normalized assignment (assign+1)/α_i); the winner's next
-// is increased by 1/α_i, and next is decremented by 1 for every computer
-// that has already received at least one job. The next fields start at the
-// guard value 1 so lightly weighted computers receive their first jobs
-// spread out over the first cycle rather than in a clump.
+// by the smaller normalized assignment (assign+1)/α_i, then by the lower
+// index); the winner's next is increased by 1/α_i, and next is
+// decremented by 1 for every computer that has already received at least
+// one job. The next fields start at the guard value 1 so lightly weighted
+// computers receive their first jobs spread out over the first cycle
+// rather than in a clump.
+//
+// Each decision costs O(log n). Step 2.h's decrement of every started
+// computer is one increment of a global arrival count: a started, up
+// computer stores its next counter as of an earlier arrival, and the
+// arrivals since are subtracted only when the counter is read. The
+// selectable computers sit in two binary min-heaps in selection order,
+// the started ones and the unstarted ones (whose guard values do not
+// move), so every winner is the root of one of them. See DESIGN.md §9.
 type RoundRobin struct {
 	fractions []float64
-	assign    []int64
-	next      []float64
 
 	// up and eff support failure masking (SetUp): eff holds the
 	// fractions renormalized over the up computers (eff == fractions
@@ -144,6 +156,27 @@ type RoundRobin struct {
 	// computer rejoins the rotation without a burst.
 	up  []bool
 	eff []float64
+
+	// ent holds one entry per computer in three regions: ent[:hs] is the
+	// started heap, ent[len(ent)-hu:] the unstarted heap stored back to
+	// front (its root is the last entry), and the entries in between are
+	// parked: down, or with a zero effective fraction.
+	ent    []rrEntry
+	hs, hu int
+	// arrivals counts the jobs dispatched: step 2.h's clock.
+	arrivals int64
+}
+
+// rrEntry is one computer's Algorithm 2 state. The next counter of a
+// started, up computer is val − (arrivals − at): val is the counter as of
+// arrival at, when it was last selected or the mask last changed. Other
+// computers' counters are frozen and equal val; within the unstarted heap
+// every at is the same.
+type rrEntry struct {
+	val    float64
+	at     int64
+	assign int64
+	i      int
 }
 
 // NewRoundRobin returns a smoothed round-robin dispatcher over the given
@@ -153,15 +186,11 @@ func NewRoundRobin(fractions []float64) (*RoundRobin, error) {
 	if err != nil {
 		return nil, err
 	}
-	rr := &RoundRobin{
-		fractions: fr,
-		assign:    make([]int64, len(fr)),
-		next:      make([]float64, len(fr)),
+	rr := &RoundRobin{fractions: fr, eff: fr, ent: make([]rrEntry, len(fr))}
+	for i := range rr.ent {
+		rr.ent[i] = rrEntry{val: 1, i: i} // guard value (step 1.b)
 	}
-	rr.eff = rr.fractions
-	for i := range rr.next {
-		rr.next[i] = 1 // guard value (step 1.b)
-	}
+	rr.rebuild()
 	return rr, nil
 }
 
@@ -173,46 +202,215 @@ func (rr *RoundRobin) N() int       { return len(rr.fractions) }
 
 func (rr *RoundRobin) Next() int {
 	// Steps 2.b–2.c: select the computer with minimum next, breaking ties
-	// by the smaller normalized assignment count. Down computers are
-	// skipped and their counters frozen.
-	sel := -1
-	minNext := math.Inf(1)
-	norAssign := -1.0
-	for i, f := range rr.eff {
-		if f == 0 || !rr.isUp(i) {
-			continue // step 2.c.1: never select zero-fraction computers
-		}
-		switch {
-		case sel == -1 || minNext > rr.next[i]:
-			minNext = rr.next[i]
-			norAssign = float64(rr.assign[i]+1) / f
-			sel = i
-		case minNext == rr.next[i] && norAssign > float64(rr.assign[i]+1)/f:
-			norAssign = float64(rr.assign[i]+1) / f
-			sel = i
-		}
+	// by the smaller normalized assignment count, from the two heap roots.
+	// Down and zero-fraction computers are in neither heap (step 2.c.1).
+	fromUnstarted := rr.hs == 0
+	if !fromUnstarted && rr.hu > 0 {
+		// An unstarted counter is frozen: anchored at the current arrival
+		// it reads as its guard value.
+		u := rr.ent[len(rr.ent)-1]
+		u.at = rr.arrivals
+		fromUnstarted = rr.before(&u, &rr.ent[0])
 	}
-	if sel < 0 {
-		panic("dispatch: all fractions zero") // impossible: Σα = 1 over the up-set
+	var sel int
+	if fromUnstarted {
+		sel = rr.start()
+	} else {
+		// Steps 2.e–2.f: schedule the winner's next turn 1/α ahead; count
+		// the job.
+		w := &rr.ent[0]
+		sel = w.i
+		w.val = rr.counter(w) + 1/rr.eff[sel]
+		w.at = rr.arrivals
+		w.assign++
+		rr.siftDown(0, 1, rr.hs, 0)
 	}
-	// Step 2.d: a computer's first selection resets its guard value.
-	if rr.assign[sel] == 0 {
-		rr.next[sel] = 0
-	}
-	// Steps 2.e–2.f: schedule its next turn 1/α ahead; count the job.
-	rr.next[sel] += 1 / rr.eff[sel]
-	rr.assign[sel]++
 	// Step 2.h: one system arrival has elapsed for every started computer.
-	for i := range rr.next {
-		if rr.assign[i] != 0 && rr.isUp(i) {
-			rr.next[i]--
-		}
-	}
+	rr.arrivals++
 	return sel
 }
 
+// start selects the unstarted heap's root: step 2.d resets its guard
+// value, steps 2.e–2.f give it its first job, and it moves onto the
+// started heap.
+func (rr *RoundRobin) start() int {
+	if rr.hu == 0 {
+		panic("dispatch: all fractions zero") // impossible: Σα = 1 over the up-set
+	}
+	n := len(rr.ent)
+	w := rr.ent[n-1]
+	// Pop the root; the unstarted region gives up its first slot.
+	last := n - rr.hu
+	rr.ent[n-1] = rr.ent[last]
+	rr.hu--
+	rr.siftDown(n-1, -1, rr.hu, 0)
+	// The first parked entry moves into the freed slot, making room for
+	// the winner at the end of the started heap.
+	rr.ent[last] = rr.ent[rr.hs]
+	w.val = 1 / rr.eff[w.i]
+	w.at = rr.arrivals
+	w.assign = 1
+	rr.hs++
+	rr.siftUp(0, 1, 0, rr.hs-1, w)
+	return w.i
+}
+
+// before is the selection order within one heap: smaller next counter
+// first, then tieBefore. It compares val + at exactly.
+func (rr *RoundRobin) before(a, b *rrEntry) bool {
+	// Rounding is monotone, so the rounded a.val − b.val decides unless it
+	// equals b.at − a.at.
+	s, d := a.val-b.val, float64(b.at-a.at)
+	return s < d || s == d && rr.beforeTied(a, b)
+}
+
+// beforeTied is before where a.val − b.val rounds to b.at − a.at. With
+// equal anchors that means equal counters.
+func (rr *RoundRobin) beforeTied(a, b *rrEntry) bool {
+	if a.at != b.at {
+		if c := cmpSum(a.val, a.at, b.val, b.at); c != 0 {
+			return c < 0
+		}
+	}
+	return rr.tieBefore(a, b)
+}
+
+// cmpSum returns the sign of (x + a) − (y + b), computed exactly for
+// integers a and b less than 2^53 apart.
+func cmpSum(x float64, a int64, y float64, b int64) int {
+	d := float64(b - a)
+	s := x - y // rounding is monotone: s < d implies x − y < d
+	switch {
+	case s < d:
+		return -1
+	case s > d:
+		return 1
+	}
+	// x − y rounded to d: the sign of its rounding error decides (Knuth's
+	// TwoSum gives x − y == s + e exactly).
+	z := s - x
+	e := (x - (s - z)) + (-y - z)
+	switch {
+	case e < 0:
+		return -1
+	case e > 0:
+		return 1
+	}
+	return 0
+}
+
+// tieBefore orders two entries with equal next counters: the smaller
+// normalized assignment (assign+1)/α first, then the lower index.
+func (rr *RoundRobin) tieBefore(a, b *rrEntry) bool {
+	na := float64(a.assign+1) / rr.eff[a.i]
+	nb := float64(b.assign+1) / rr.eff[b.i]
+	if na != nb {
+		return na < nb
+	}
+	return a.i < b.i
+}
+
+// siftDown restores the order below position p of the m-entry heap whose
+// position q is ent[base+dir*q]: dir 1 for the started heap, -1 (with
+// base len(ent)-1) for the unstarted one. It walks the hole at p down to
+// a leaf along the smaller children and then moves the displaced entry
+// back up. A winner's next counter grows by a whole period, so it belongs
+// near the leaves, and this takes about half the comparisons of sifting
+// it down level by level.
+func (rr *RoundRobin) siftDown(base, dir, m, p int) {
+	e := rr.ent
+	x := e[base+dir*p]
+	top := p
+	for {
+		c := 2*p + 1
+		if c >= m {
+			break
+		}
+		if c+1 < m {
+			// rr.before(r, l), written out: the compiler does not inline
+			// before, and this loop is Next's hot path.
+			l, r := &e[base+dir*c], &e[base+dir*(c+1)]
+			if s, d := r.val-l.val, float64(l.at-r.at); s < d || s == d && rr.beforeTied(r, l) {
+				c++
+			}
+		}
+		e[base+dir*p] = e[base+dir*c]
+		p = c
+	}
+	rr.siftUp(base, dir, top, p, x)
+}
+
+// siftUp stores x in the hole at position p of a heap laid out as in
+// siftDown, moving it up toward position top while it precedes its
+// parent.
+func (rr *RoundRobin) siftUp(base, dir, top, p int, x rrEntry) {
+	e := rr.ent
+	for p > top {
+		q := (p - 1) / 2
+		if !rr.before(&x, &e[base+dir*q]) {
+			break
+		}
+		e[base+dir*p] = e[base+dir*q]
+		p = q
+	}
+	e[base+dir*p] = x
+}
+
+// counter returns e's next counter as of the current arrival.
+func (rr *RoundRobin) counter(e *rrEntry) float64 {
+	if e.assign != 0 && rr.isUp(e.i) {
+		return e.val - float64(rr.arrivals-e.at)
+	}
+	return e.val
+}
+
+// settle stores every computer's current next counter in val, as of the
+// current arrival, so the up-set can change without moving any counter.
+func (rr *RoundRobin) settle() {
+	for k := range rr.ent {
+		e := &rr.ent[k]
+		e.val, e.at = rr.counter(e), rr.arrivals
+	}
+}
+
+// rebuild sorts every computer into the started heap, the parked region
+// or the unstarted heap for the current mask, and heapifies both heaps,
+// in O(n).
+func (rr *RoundRobin) rebuild() {
+	e := rr.ent
+	lo, hi := 0, len(e)
+	for k := 0; k < hi; {
+		switch {
+		case rr.eff[e[k].i] == 0 || !rr.isUp(e[k].i):
+			k++
+		case e[k].assign != 0:
+			e[lo], e[k] = e[k], e[lo]
+			lo++
+			k++
+		default:
+			hi--
+			e[k], e[hi] = e[hi], e[k]
+		}
+	}
+	rr.hs, rr.hu = lo, len(e)-hi
+	for p := rr.hs/2 - 1; p >= 0; p-- {
+		rr.siftDown(0, 1, rr.hs, p)
+	}
+	for p := rr.hu/2 - 1; p >= 0; p-- {
+		rr.siftDown(len(e)-1, -1, rr.hu, p)
+	}
+}
+
 // Assigned returns the number of jobs dispatched so far to computer i.
-func (rr *RoundRobin) Assigned(i int) int64 { return rr.assign[i] }
+// It searches the computers, O(n).
+func (rr *RoundRobin) Assigned(i int) int64 {
+	for _, e := range rr.ent {
+		if e.i == i {
+			return e.assign
+		}
+	}
+	panic(fmt.Sprintf("dispatch: computer %d out of range [0,%d)", i, len(rr.ent)))
+}
 
 // CyclicWRR is the classic cyclic weighted round-robin: weights are
 // converted to integer quotas over a cycle and each computer receives its

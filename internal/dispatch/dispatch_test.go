@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -462,27 +463,83 @@ func TestQuickRandomUnbiased(t *testing.T) {
 	}
 }
 
-func BenchmarkRoundRobinNext(b *testing.B) {
-	fr := []float64{0.35, 0.22, 0.15, 0.12, 0.04, 0.04, 0.04, 0.04}
-	rr, err := NewRoundRobin(fr)
-	if err != nil {
-		b.Fatal(err)
+// tiledFractions repeats the 8-entry benchmark vector to n computers (n a
+// multiple of 8) and renormalizes it.
+func tiledFractions(n int) []float64 {
+	base := []float64{0.35, 0.22, 0.15, 0.12, 0.04, 0.04, 0.04, 0.04}
+	fr := make([]float64, n)
+	sum := 0.0
+	for i := range fr {
+		fr[i] = base[i%len(base)]
+		sum += fr[i]
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rr.Next()
+	for i := range fr {
+		fr[i] /= sum
+	}
+	return fr
+}
+
+// benchSizes are the fleet sizes of the dispatch scaling benchmarks: the
+// 8-entry vector itself, and the fleets of the end-to-end benchmark's
+// faulty (200) and fleet (3200) workloads.
+var benchSizes = []int{8, 200, 3200}
+
+// BenchmarkRoundRobinNext times one Algorithm 2 decision as the fleet
+// grows; it should grow as log n.
+func BenchmarkRoundRobinNext(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rr, err := NewRoundRobin(tiledFractions(n))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rr.Next()
+			}
+		})
 	}
 }
 
+// BenchmarkRandomNext times one random dispatch decision as the fleet
+// grows; it should grow as log n.
 func BenchmarkRandomNext(b *testing.B) {
-	fr := []float64{0.35, 0.22, 0.15, 0.12, 0.04, 0.04, 0.04, 0.04}
-	r, err := NewRandom(fr, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			r, err := NewRandom(tiledFractions(n), rng.New(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Next()
+			}
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Next()
+}
+
+// TestRoundRobinNextAllocatesNothing locks Algorithm 2's steady state at
+// zero allocations at n=3200, over a window of 2n decisions in which
+// unstarted computers are still moving onto the started heap.
+func TestRoundRobinNextAllocatesNothing(t *testing.T) {
+	const n = 3200
+	rr, err := NewRoundRobin(tiledFractions(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moved int // unstarted computers that took their first job
+	allocs := testing.AllocsPerRun(1, func() {
+		moved = rr.hu
+		for i := 0; i < 2*n; i++ {
+			rr.Next()
+		}
+		moved -= rr.hu
+	})
+	if allocs != 0 {
+		t.Errorf("RoundRobin.Next allocated %v times over %d calls, want 0", allocs, 2*n)
+	}
+	if moved == 0 {
+		t.Error("no computer took its first job inside the measured window")
 	}
 }
 

@@ -7,13 +7,13 @@ import "math"
 // routed through the inverse CDF of the fraction vector. The Weyl sequence
 // is the classic equidistributed sequence with optimal discrepancy
 // O(log n / n), so realized shares track the targets closely over short
-// windows — an independent alternative to the paper's Algorithm 2 with
-// O(log n) selection instead of O(n).
+// windows — an independent alternative to the paper's Algorithm 2. Both
+// select in O(log n).
 //
 // Compared with Algorithm 2, the golden-ratio dispatcher does not
 // guarantee exact per-cycle counts for rational fraction vectors (its
 // discrepancy is logarithmic, not O(1)), but it needs no per-computer
-// state and its order is oblivious to the fraction values.
+// counters and its order is oblivious to the fraction values.
 type GoldenRatio struct {
 	cum []float64
 	k   uint64
@@ -45,16 +45,5 @@ func (g *GoldenRatio) N() int       { return len(g.cum) }
 // binary search.
 func (g *GoldenRatio) Next() int {
 	g.k++
-	u := math.Mod(float64(g.k)*invPhi, 1)
-	// Binary search for the first cum[i] > u.
-	lo, hi := 0, len(g.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.cum[mid] > u {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
+	return searchCum(g.cum, math.Mod(float64(g.k)*invPhi, 1))
 }

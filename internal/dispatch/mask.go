@@ -97,31 +97,36 @@ func (r *Random) SetUp(up []bool) error {
 		}
 	}
 	// Pin the last up computer (and the flat tail after it) to exactly 1
-	// so the inverse-CDF walk always lands on an up index: a down index j
-	// has cum[j] == cum[j−1], which the strict u < c test never selects.
+	// so the inverse-CDF search always lands on an up index: a down index
+	// j has cum[j] == cum[j−1] (or 0 at j = 0), so it is never the first
+	// entry above u.
 	for i := last; i < len(cum); i++ {
 		cum[i] = 1
 	}
 	r.maskedCum = cum
-	r.lastUp = last
 	return nil
 }
 
 // SetUp installs the availability mask on the smoothed round-robin
 // dispatcher, renormalizing the target fractions over the up computers.
 // Down computers are frozen (skipped in selection, next counters held) so
-// a repaired computer rejoins the rotation smoothly.
+// a repaired computer rejoins the rotation smoothly. The counters are
+// read under the old mask and both heaps rebuilt, O(n).
 func (rr *RoundRobin) SetUp(up []bool) error {
+	if up != nil {
+		if err := checkMask(up, len(rr.fractions)); err != nil {
+			return err
+		}
+	}
+	rr.settle()
 	if up == nil {
 		rr.up = nil
 		rr.eff = rr.fractions
-		return nil
+	} else {
+		rr.up = append([]bool(nil), up...)
+		rr.eff = maskWeights(rr.fractions, up)
 	}
-	if err := checkMask(up, len(rr.fractions)); err != nil {
-		return err
-	}
-	rr.up = append([]bool(nil), up...)
-	rr.eff = maskWeights(rr.fractions, up)
+	rr.rebuild()
 	return nil
 }
 

@@ -64,18 +64,29 @@ type Syncer interface {
 	SyncApply(assign []int64, next []float64)
 }
 
-// SyncShare returns copies of the Algorithm 2 counters.
+// SyncShare returns copies of the Algorithm 2 counters, indexed by
+// computer. It leaves the dispatcher untouched, so reading the counters
+// never changes a later decision.
 func (rr *RoundRobin) SyncShare() ([]int64, []float64) {
-	return append([]int64(nil), rr.assign...), append([]float64(nil), rr.next...)
+	assign := make([]int64, len(rr.ent))
+	next := make([]float64, len(rr.ent))
+	for k := range rr.ent {
+		e := &rr.ent[k]
+		assign[e.i], next[e.i] = e.assign, rr.counter(e)
+	}
+	return assign, next
 }
 
-// SyncApply installs synced Algorithm 2 counters.
+// SyncApply installs synced Algorithm 2 counters, stored exactly as given,
+// and rebuilds both heaps, O(n).
 func (rr *RoundRobin) SyncApply(assign []int64, next []float64) {
-	if len(assign) != len(rr.assign) || len(next) != len(rr.next) {
+	if len(assign) != len(rr.ent) || len(next) != len(rr.ent) {
 		return
 	}
-	copy(rr.assign, assign)
-	copy(rr.next, next)
+	for i := range rr.ent {
+		rr.ent[i] = rrEntry{val: next[i], at: rr.arrivals, assign: assign[i], i: i}
+	}
+	rr.rebuild()
 }
 
 // Sharded is a Dispatcher composed of K replica Dispatchers, each owning

@@ -32,9 +32,9 @@ func TestSpanLifecycleExactDecomposition(t *testing.T) {
 	p := newSpanProbe(t, nil, []float64{1, 2})
 	j := &sim.Job{ID: 7, Size: 4}
 	p.SpanAdmit(j, 0)
-	p.SpanSend(j, 1)      // 1s at the dispatcher → retry
-	p.SpanArrive(0, j, 3) // 2s in transit → net
-	p.SpanServe(0, j, 4)  // 1s held → queue
+	p.SpanSend(j, 1)                   // 1s at the dispatcher → retry
+	p.SpanArrive(0, j, 3)              // 2s in transit → net
+	p.SpanServe(0, j, 4)               // 1s held → queue
 	p.SpanFinal(j, "", true, true, 10) // 6s on server; 4s demand at speed 1
 
 	c, ok := p.LastFinal(7)
@@ -78,8 +78,8 @@ func TestSpanPreemptionAndUncounted(t *testing.T) {
 	p.SpanSend(j, 0)
 	p.SpanArrive(0, j, 0)
 	p.SpanServe(0, j, 0)
-	p.SpanEvict(0, j, 2)  // 2s served
-	p.SpanServe(0, j, 5)  // 3s held through the failure window
+	p.SpanEvict(0, j, 2)                       // 2s served
+	p.SpanServe(0, j, 5)                       // 3s held through the failure window
 	p.SpanFinal(j, "failure", false, false, 6) // killed after 1 more second
 
 	c, ok := p.LastFinal(1)

@@ -46,7 +46,7 @@ import (
 var header = []string{
 	"id", "target", "arrival", "size", "completion", // v0 (original)
 	"outcome", "retries", // v1
-	"resubmits", // v2
+	"resubmits",                        // v2
 	"queue", "service", "net", "retry", // v3 (span decomposition)
 }
 
