@@ -50,81 +50,53 @@ race:
 stress:
 	$(GO) test -race -run 'Stress|Conservation|Randomized|Cancellations|Monotone|Quick' ./internal/sim/ ./internal/cluster/
 
-# probe-smoke runs a short fully instrumented simulation (metrics,
-# cadence samples, lifecycle events, trace, manifest) and validates the
-# artifacts with probecheck. CI runs this and uploads probe-out/.
-probe-smoke:
-	mkdir -p probe-out
-	$(GO) run ./cmd/heterosim -speeds 1,1,2,10 -rho 0.7 -policy ORR \
-		-duration 2e4 -reps 1 -probe -sample-dt 500 \
-		-events probe-out/events.jsonl -manifest probe-out/manifest.json \
-		-trace probe-out/trace.csv > probe-out/report.txt
-	$(GO) run ./cmd/probecheck -manifest probe-out/manifest.json \
-		-events probe-out/events.jsonl -require-terminal
+# The smoke runs: each target NAME-smoke runs one short, fully
+# instrumented heterosim simulation into NAME-out/ (report.txt,
+# events.jsonl, manifest.json) and validates the artifacts with
+# probecheck: exactly-once terminals and the manifest contract must
+# hold whatever layers the run enables. CI runs every one and uploads
+# its NAME-out/. Per run, NAME_SIM are the simulation flags, NAME_LAYERS
+# the layer and instrumentation flags, NAME_OUT extra artifacts and
+# NAME_CHECK extra probecheck flags.
+SMOKES = probe trace netfault shard ctrl
 
-# trace-smoke runs a short span-instrumented simulation (spans, events,
-# trace CSV, manifest) under network faults — the nastiest assembly path:
-# resubmits, duplicate deliveries, dispatcher crashes — and validates the
-# span export, manifest and event stream with probecheck. CI runs this
-# and uploads trace-out/.
-trace-smoke:
-	mkdir -p trace-out
-	$(GO) run ./cmd/heterosim -speeds 1,1,2,10 -rho 0.7 -policy ORR \
-		-duration 2e4 -reps 1 -probe \
-		-netfault loss:0.05,dup:0.05,lat:2,crash:8000:100,down:buffer \
-		-ackto 30 \
-		-spans trace-out/spans.json -events trace-out/events.jsonl \
-		-manifest trace-out/manifest.json -trace trace-out/trace.csv \
-		> trace-out/report.txt
-	$(GO) run ./cmd/probecheck -manifest trace-out/manifest.json \
-		-events trace-out/events.jsonl -require-terminal \
-		-spans trace-out/spans.json
+# probe: metrics, cadence samples, lifecycle events and a job trace.
+probe_SIM = -rho 0.7 -policy ORR -duration 2e4
+probe_LAYERS = -sample-dt 500
+probe_OUT = -trace probe-out/trace.csv
 
-# netfault-smoke runs a short simulation over an unreliable control plane
-# (loss, duplication, latency, dispatcher crashes with checkpoint
-# recovery) with full instrumentation and validates the event stream with
-# probecheck: exactly-once terminals must hold despite resubmission and
-# duplicate delivery.
-netfault-smoke:
-	mkdir -p netfault-out
-	$(GO) run ./cmd/heterosim -speeds 1,1,2,10 -rho 0.7 -policy ORR \
-		-duration 2e4 -reps 1 -probe \
-		-netfault loss:0.05,dup:0.05,lat:2,crash:8000:100,down:buffer \
-		-ackto 30 -dstate ckpt:2500 \
-		-events netfault-out/events.jsonl -manifest netfault-out/manifest.json \
-		> netfault-out/report.txt
-	$(GO) run ./cmd/probecheck -manifest netfault-out/manifest.json \
-		-events netfault-out/events.jsonl -require-terminal
+# trace: spans under network faults (resubmits, duplicate deliveries,
+# dispatcher crashes), the nastiest span-assembly path.
+trace_SIM = -rho 0.7 -policy ORR -duration 2e4
+trace_LAYERS = -netfault loss:0.05,dup:0.05,lat:2,crash:8000:100,down:buffer \
+	-ackto 30 -spans trace-out/spans.json
+trace_OUT = -trace trace-out/trace.csv
+trace_CHECK = -spans trace-out/spans.json
 
-# shard-smoke runs a short simulation of a scaled system (the base speed
-# vector tiled to 200 computers) under K=4 hash-routed dispatcher
-# replicas with the scalable JSQ(2) policy, fully instrumented, and
-# validates the artifacts with probecheck: sharding must not break
-# exactly-once terminals or the manifest contract.
-shard-smoke:
-	mkdir -p shard-out
-	$(GO) run ./cmd/heterosim -speeds 1,1,2,10 -scale 200 -rho 0.7 \
-		-policy 'jsq(2)' -dispatchers 4:hash -duration 2e3 -reps 1 -probe \
-		-events shard-out/events.jsonl -manifest shard-out/manifest.json \
-		> shard-out/report.txt
-	$(GO) run ./cmd/probecheck -manifest shard-out/manifest.json \
-		-events shard-out/events.jsonl -require-terminal
+# netfault: an unreliable dispatch network (loss, duplication, latency,
+# dispatcher crashes with checkpoint recovery); terminals must stay
+# exactly-once despite resubmission and duplicate delivery.
+netfault_SIM = -rho 0.7 -policy ORR -duration 2e4
+netfault_LAYERS = -netfault loss:0.05,dup:0.05,lat:2,crash:8000:100,down:buffer \
+	-ackto 30 -dstate ckpt:2500
 
-# ctrl-smoke runs a short simulation with the JIQ policy's idle-token
-# reports carried over lossy, slow control links (leases and a query
-# timeout active) under K=4 hash-routed dispatcher replicas, fully
-# instrumented, and validates the artifacts with probecheck: control-
-# plane faults must not break exactly-once terminals or the manifest
-# contract.
-ctrl-smoke:
-	mkdir -p ctrl-out
-	$(GO) run ./cmd/heterosim -speeds 1,1,2,10 -rho 0.7 \
-		-policy jiq -dispatchers 4:hash \
-		-ctrl 'loss:0.2,lat:5,lease:200,qto:50' -duration 2e3 -reps 1 -probe \
-		-events ctrl-out/events.jsonl -manifest ctrl-out/manifest.json \
-		> ctrl-out/report.txt
-	$(GO) run ./cmd/probecheck -manifest ctrl-out/manifest.json \
-		-events ctrl-out/events.jsonl -require-terminal
+# shard: the base speeds tiled to 200 computers under K=4 hash-routed
+# dispatcher replicas with the scalable JSQ(2) policy.
+shard_SIM = -scale 200 -rho 0.7 -policy 'jsq(2)' -dispatchers 4:hash -duration 2e3
+
+# ctrl: JIQ idle-token reports over lossy, slow control links (leases
+# and a query timeout active) under K=4 hash-routed dispatcher replicas.
+ctrl_SIM = -rho 0.7 -policy jiq -dispatchers 4:hash \
+	-ctrl 'loss:0.2,lat:5,lease:200,qto:50' -duration 2e3
+
+# A static pattern rule: make skips implicit rules for .PHONY targets.
+$(SMOKES:%=%-smoke): %-smoke:
+	mkdir -p $*-out
+	$(GO) run ./cmd/heterosim -speeds 1,1,2,10 $($*_SIM) -reps 1 -probe $($*_LAYERS) \
+		-events $*-out/events.jsonl -manifest $*-out/manifest.json $($*_OUT) \
+		> $*-out/report.txt
+	$(GO) run ./cmd/probecheck -manifest $*-out/manifest.json \
+		-events $*-out/events.jsonl -require-terminal $($*_CHECK)
 
 # chaos-smoke samples a bounded budget of composed fault scenarios
 # (faults x overload x drift x netfault) and checks every run against the

@@ -43,6 +43,40 @@ func ParseSpeeds(s string) ([]float64, error) {
 	return speeds, nil
 }
 
+// parseFinite parses s, surrounding space trimmed, as a finite number;
+// errors name the value what.
+func parseFinite(s, what string) (float64, error) {
+	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s %q: %v", what, s, err)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%s %v must be finite", what, v)
+	}
+	return v, nil
+}
+
+// specItems calls fn for every non-empty item of a comma-separated spec
+// list, split into its kind and colon-separated parts, and stops at the
+// first error.
+func specItems(s string, fn func(item, kind string, parts []string) error) error {
+	for _, item := range strings.Split(s, ",") {
+		item = strings.TrimSpace(item)
+		if item == "" {
+			continue
+		}
+		kind, rest, _ := strings.Cut(item, ":")
+		var parts []string
+		if rest != "" {
+			parts = strings.Split(rest, ":")
+		}
+		if err := fn(item, strings.TrimSpace(kind), parts); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // MaxRho bounds the utilization the front ends accept. Overload studies
 // need ρ ≥ 1; the cap only rejects typos (an offered load of 10× the
 // system capacity is already far beyond anything the overload mechanisms

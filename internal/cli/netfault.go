@@ -2,7 +2,6 @@ package cli
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -77,10 +76,141 @@ func (p NetfaultParams) Build(computers int) (*netfault.Config, error) {
 	return cfg, nil
 }
 
-// linkPatch is one link's partially-specified override; unset fields
-// inherit the default link model.
-type linkPatch struct {
-	lat, loss, dup *float64
+// linkItems collects the faulty-link items -netfault and -ctrl share:
+// loss|dup|lat:V[:LINK] sets the default link model, or link LINK's
+// override, and part:FROM:TO[:L1+L2+...] adds a partition window. An
+// override inherits every field it does not set from the default,
+// wherever the default's items appear in the list.
+type linkItems struct {
+	links   netfault.Links
+	seen    map[string]bool // "loss" for the default, "loss:3" for link 3
+	perLink map[int][]linkItem
+}
+
+// linkItem is one loss, dup or lat setting.
+type linkItem struct {
+	kind string
+	v    float64
+}
+
+func (it linkItem) apply(l *netfault.Link) {
+	switch it.kind {
+	case "loss":
+		l.Loss = it.v
+	case "dup":
+		l.Dup = it.v
+	default:
+		l.Latency = nil
+		if it.v > 0 {
+			l.Latency = dist.Exponential{MeanVal: it.v}
+		}
+	}
+}
+
+// parse consumes one spec item split into its kind and colon-separated
+// parts; handled is false for an item that is not a link item.
+func (li *linkItems) parse(item, kind string, parts []string) (handled bool, err error) {
+	switch kind {
+	case "loss", "dup", "lat":
+		return true, li.link(item, kind, parts)
+	case "part":
+		p, err := parsePartition(item, kind, parts)
+		if err == nil {
+			li.links.Partitions = append(li.links.Partitions, p)
+		}
+		return true, err
+	}
+	return false, nil
+}
+
+func (li *linkItems) link(item, kind string, parts []string) error {
+	if len(parts) != 1 && len(parts) != 2 {
+		return fmt.Errorf("bad spec %q (want %s:VALUE[:LINK])", item, kind)
+	}
+	v, err := parseFinite(parts[0], kind+" value")
+	if err != nil {
+		return err
+	}
+	if kind == "lat" && v < 0 {
+		return fmt.Errorf("latency mean %g is negative", v)
+	}
+	if kind != "lat" && (v < 0 || v > 1) {
+		return fmt.Errorf("%s probability %g outside [0, 1]", kind, v)
+	}
+	if li.seen == nil {
+		li.seen = map[string]bool{}
+		li.perLink = map[int][]linkItem{}
+	}
+	if len(parts) == 1 {
+		if li.seen[kind] {
+			return fmt.Errorf("duplicate default %s item %q", kind, item)
+		}
+		li.seen[kind] = true
+		linkItem{kind, v}.apply(&li.links.Link)
+		return nil
+	}
+	idx, err := strconv.Atoi(strings.TrimSpace(parts[1]))
+	if err != nil {
+		return fmt.Errorf("bad link index %q: %v", parts[1], err)
+	}
+	if idx < 0 {
+		return fmt.Errorf("link index %d must be >= 0 (omit for all links)", idx)
+	}
+	key := fmt.Sprintf("%s:%d", kind, idx)
+	if li.seen[key] {
+		return fmt.Errorf("duplicate %s item for link %d", kind, idx)
+	}
+	li.seen[key] = true
+	li.perLink[idx] = append(li.perLink[idx], linkItem{kind, v})
+	return nil
+}
+
+// build materializes the per-link overrides over the default model.
+func (li *linkItems) build() netfault.Links {
+	if len(li.perLink) > 0 {
+		li.links.PerLink = make(map[int]netfault.Link, len(li.perLink))
+		for idx, items := range li.perLink {
+			l := li.links.Link
+			for _, it := range items {
+				it.apply(&l)
+			}
+			li.links.PerLink[idx] = l
+		}
+	}
+	return li.links
+}
+
+// parsePartition parses the FROM:TO[:L1+L2+...] parts of a partition
+// item.
+func parsePartition(item, kind string, parts []string) (netfault.Partition, error) {
+	var p netfault.Partition
+	if len(parts) != 2 && len(parts) != 3 {
+		return p, fmt.Errorf("bad spec %q (want %s:FROM:TO[:L1+L2+...])", item, kind)
+	}
+	var err error
+	if p.From, err = parseFinite(parts[0], "partition start"); err != nil {
+		return p, err
+	}
+	if p.To, err = parseFinite(parts[1], "partition end"); err != nil {
+		return p, err
+	}
+	if len(parts) == 3 {
+		for _, tok := range strings.Split(parts[2], "+") {
+			tok = strings.TrimSpace(tok)
+			if tok == "" {
+				return p, fmt.Errorf("bad spec %q: empty link in list", item)
+			}
+			idx, err := strconv.Atoi(tok)
+			if err != nil {
+				return p, fmt.Errorf("bad partition link %q: %v", tok, err)
+			}
+			if idx < 0 {
+				return p, fmt.Errorf("partition link %d must be >= 0", idx)
+			}
+			p.Links = append(p.Links, idx)
+		}
+	}
+	return p, nil
 }
 
 // ParseNetfaultSpec parses a comma-separated network-fault item list:
@@ -94,116 +224,30 @@ func ParseNetfaultSpec(s string) (*netfault.Config, error) {
 		return nil, nil
 	}
 	cfg := &netfault.Config{}
-	patches := map[int]*linkPatch{}
-	patchFor := func(idx int) *linkPatch {
-		p := patches[idx]
-		if p == nil {
-			p = &linkPatch{}
-			patches[idx] = p
-		}
-		return p
-	}
+	var links linkItems
 	haveDown := false
-	haveDefault := map[string]bool{}
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		kind, rest, _ := strings.Cut(item, ":")
-		kind = strings.TrimSpace(kind)
-		parts := []string{}
-		if rest != "" {
-			parts = strings.Split(rest, ":")
-		}
-		num := func(i int, what string) (float64, error) {
-			v, err := strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
-			if err != nil {
-				return 0, fmt.Errorf("bad %s %q: %v", what, parts[i], err)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0, fmt.Errorf("%s %v must be finite", what, v)
-			}
-			return v, nil
-		}
-		linkIdx := func(i int) (int, error) {
-			idx, err := strconv.Atoi(strings.TrimSpace(parts[i]))
-			if err != nil {
-				return 0, fmt.Errorf("bad link index %q: %v", parts[i], err)
-			}
-			if idx < 0 {
-				return 0, fmt.Errorf("link index %d must be >= 0 (omit for all links)", idx)
-			}
-			return idx, nil
+	err := specItems(s, func(item, kind string, parts []string) error {
+		if handled, err := links.parse(item, kind, parts); handled {
+			return err
 		}
 		switch kind {
-		case "loss", "dup", "lat":
-			if len(parts) != 1 && len(parts) != 2 {
-				return nil, fmt.Errorf("bad spec %q (want %s:VALUE[:LINK])", item, kind)
-			}
-			v, err := num(0, kind+" value")
-			if err != nil {
-				return nil, err
-			}
-			if kind == "lat" && v < 0 {
-				return nil, fmt.Errorf("latency mean %g is negative", v)
-			}
-			if kind != "lat" && (v < 0 || v > 1) {
-				return nil, fmt.Errorf("%s probability %g outside [0, 1]", kind, v)
-			}
-			if len(parts) == 2 {
-				idx, err := linkIdx(1)
-				if err != nil {
-					return nil, err
-				}
-				p := patchFor(idx)
-				var field **float64
-				switch kind {
-				case "loss":
-					field = &p.loss
-				case "dup":
-					field = &p.dup
-				default:
-					field = &p.lat
-				}
-				if *field != nil {
-					return nil, fmt.Errorf("duplicate %s item for link %d", kind, idx)
-				}
-				vv := v
-				*field = &vv
-				break
-			}
-			if haveDefault[kind] {
-				return nil, fmt.Errorf("duplicate default %s item %q", kind, item)
-			}
-			haveDefault[kind] = true
-			switch kind {
-			case "loss":
-				cfg.Link.Loss = v
-			case "dup":
-				cfg.Link.Dup = v
-			default:
-				if v > 0 {
-					cfg.Link.Latency = dist.Exponential{MeanVal: v}
-				}
-			}
 		case "crash":
 			if cfg.Dispatcher != nil && cfg.Dispatcher.Uptime != nil {
-				return nil, fmt.Errorf("duplicate crash item %q", item)
+				return fmt.Errorf("duplicate crash item %q", item)
 			}
 			if len(parts) != 2 {
-				return nil, fmt.Errorf("bad spec %q (want crash:MTBF:MTTR)", item)
+				return fmt.Errorf("bad spec %q (want crash:MTBF:MTTR)", item)
 			}
-			mtbf, err := num(0, "crash MTBF")
+			mtbf, err := parseFinite(parts[0], "crash MTBF")
 			if err != nil {
-				return nil, err
+				return err
 			}
-			mttr, err := num(1, "crash MTTR")
+			mttr, err := parseFinite(parts[1], "crash MTTR")
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if mtbf <= 0 || mttr <= 0 {
-				return nil, fmt.Errorf("crash MTBF %g and MTTR %g must be positive", mtbf, mttr)
+				return fmt.Errorf("crash MTBF %g and MTTR %g must be positive", mtbf, mttr)
 			}
 			// A down item earlier in the list may already have created the
 			// dispatcher; fill in the renewal process either way.
@@ -214,26 +258,26 @@ func ParseNetfaultSpec(s string) (*netfault.Config, error) {
 			cfg.Dispatcher.Downtime = dist.Exponential{MeanVal: mttr}
 		case "down":
 			if haveDown {
-				return nil, fmt.Errorf("duplicate down item %q", item)
+				return fmt.Errorf("duplicate down item %q", item)
 			}
 			haveDown = true
 			if len(parts) < 1 || len(parts) > 2 {
-				return nil, fmt.Errorf("bad spec %q (want down:drop, down:buffer[:CAP] or down:failover)", item)
+				return fmt.Errorf("bad spec %q (want down:drop, down:buffer[:CAP] or down:failover)", item)
 			}
 			pol, err := netfault.ParseDownPolicy(strings.TrimSpace(parts[0]))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cap := 0
 			if len(parts) == 2 {
 				if pol != netfault.DownBuffer {
-					return nil, fmt.Errorf("down policy %v takes no capacity (only buffer does)", pol)
+					return fmt.Errorf("down policy %v takes no capacity (only buffer does)", pol)
 				}
 				if cap, err = strconv.Atoi(strings.TrimSpace(parts[1])); err != nil {
-					return nil, fmt.Errorf("bad buffer capacity %q: %v", parts[1], err)
+					return fmt.Errorf("bad buffer capacity %q: %v", parts[1], err)
 				}
 				if cap < 1 {
-					return nil, fmt.Errorf("buffer capacity %d must be at least 1", cap)
+					return fmt.Errorf("buffer capacity %d must be at least 1", cap)
 				}
 			}
 			// The crash item may come later in the list; the placeholder
@@ -243,69 +287,20 @@ func ParseNetfaultSpec(s string) (*netfault.Config, error) {
 			}
 			cfg.Dispatcher.Down = pol
 			cfg.Dispatcher.BufferCap = cap
-		case "part":
-			if len(parts) != 2 && len(parts) != 3 {
-				return nil, fmt.Errorf("bad spec %q (want part:FROM:TO[:L1+L2+...])", item)
-			}
-			from, err := num(0, "partition start")
-			if err != nil {
-				return nil, err
-			}
-			to, err := num(1, "partition end")
-			if err != nil {
-				return nil, err
-			}
-			p := netfault.Partition{From: from, To: to}
-			if len(parts) == 3 {
-				for _, tok := range strings.Split(parts[2], "+") {
-					tok = strings.TrimSpace(tok)
-					if tok == "" {
-						return nil, fmt.Errorf("bad spec %q: empty link in list", item)
-					}
-					idx, err := strconv.Atoi(tok)
-					if err != nil {
-						return nil, fmt.Errorf("bad partition link %q: %v", tok, err)
-					}
-					if idx < 0 {
-						return nil, fmt.Errorf("partition link %d must be >= 0", idx)
-					}
-					p.Links = append(p.Links, idx)
-				}
-			}
-			cfg.Partitions = append(cfg.Partitions, p)
 		default:
-			return nil, fmt.Errorf("unknown netfault spec %q (want loss:P[:LINK], dup:P[:LINK], lat:MEAN[:LINK], crash:MTBF:MTTR, down:..., or part:FROM:TO[:L1+L2+...])", item)
+			return fmt.Errorf("unknown netfault spec %q (want loss:P[:LINK], dup:P[:LINK], lat:MEAN[:LINK], crash:MTBF:MTTR, down:..., or part:FROM:TO[:L1+L2+...])", item)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// A down item without a crash item configures a dispatcher that never
 	// crashes — reject it as almost certainly a mistake.
 	if cfg.Dispatcher != nil && cfg.Dispatcher.Uptime == nil {
 		return nil, fmt.Errorf("down item requires a crash:MTBF:MTTR item")
 	}
-	// Materialize the per-link patches over the default link model.
-	if len(patches) > 0 {
-		cfg.PerLink = make(map[int]netfault.Link, len(patches))
-		for idx, p := range patches {
-			l := cfg.Link
-			if p.lat != nil {
-				if *p.lat < 0 {
-					return nil, fmt.Errorf("link %d latency mean %g is negative", idx, *p.lat)
-				}
-				if *p.lat > 0 {
-					l.Latency = dist.Exponential{MeanVal: *p.lat}
-				} else {
-					l.Latency = nil
-				}
-			}
-			if p.loss != nil {
-				l.Loss = *p.loss
-			}
-			if p.dup != nil {
-				l.Dup = *p.dup
-			}
-			cfg.PerLink[idx] = l
-		}
-	}
+	cfg.Links = links.build()
 	if !cfg.Enabled() {
 		return nil, nil
 	}
@@ -323,17 +318,7 @@ func ParseAckSpec(s string) (ack netfault.Ack, hasSpec bool, err error) {
 	if len(parts) != 1 && len(parts) != 2 && len(parts) != 4 && len(parts) != 5 {
 		return ack, false, fmt.Errorf("bad ack spec %q (want TO[:BUDGET[:BASE:MAX[:JITTER]]])", s)
 	}
-	num := func(i int, what string) (float64, error) {
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad %s %q: %v", what, parts[i], err)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, fmt.Errorf("%s %v must be finite", what, v)
-		}
-		return v, nil
-	}
-	if ack.Timeout, err = num(0, "ack timeout"); err != nil {
+	if ack.Timeout, err = parseFinite(parts[0], "ack timeout"); err != nil {
 		return ack, false, err
 	}
 	if !(ack.Timeout > 0) {
@@ -347,15 +332,15 @@ func ParseAckSpec(s string) (ack netfault.Ack, hasSpec bool, err error) {
 		ack.Budget = budget
 	}
 	if len(parts) >= 4 {
-		if ack.BackoffBase, err = num(2, "backoff base"); err != nil {
+		if ack.BackoffBase, err = parseFinite(parts[2], "backoff base"); err != nil {
 			return ack, false, err
 		}
-		if ack.BackoffMax, err = num(3, "backoff max"); err != nil {
+		if ack.BackoffMax, err = parseFinite(parts[3], "backoff max"); err != nil {
 			return ack, false, err
 		}
 	}
 	if len(parts) == 5 {
-		if ack.Jitter, err = num(4, "backoff jitter"); err != nil {
+		if ack.Jitter, err = parseFinite(parts[4], "backoff jitter"); err != nil {
 			return ack, false, err
 		}
 	}
@@ -386,14 +371,11 @@ func ParseDStateSpec(s string) (*DStateSpec, error) {
 		parts = strings.Split(rest, ":")
 	}
 	num := func(i int, what string) (float64, error) {
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad %s %q: %v", what, parts[i], err)
+		v, err := parseFinite(parts[i], what)
+		if err == nil && v <= 0 {
+			err = fmt.Errorf("%s %v must be positive and finite", what, v)
 		}
-		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-			return 0, fmt.Errorf("%s %v must be positive and finite", what, v)
-		}
-		return v, nil
+		return v, err
 	}
 	ds := &DStateSpec{}
 	var err error

@@ -153,14 +153,11 @@ func ParseDeadlineSpec(s string) (dist.Distribution, cluster.DeadlineAction, err
 		parts = parts[:len(parts)-1]
 	}
 	num := func(i int, what string) (float64, error) {
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad %s %q: %v", what, parts[i], err)
+		v, err := parseFinite(parts[i], what)
+		if err == nil && v <= 0 {
+			err = fmt.Errorf("%s %v must be positive and finite", what, v)
 		}
-		if !(v > 0) || math.IsInf(v, 0) {
-			return 0, fmt.Errorf("%s %v must be positive and finite", what, v)
-		}
-		return v, nil
+		return v, err
 	}
 	if len(parts) == 0 {
 		return nil, 0, fmt.Errorf("bad deadline spec %q (want exp:MEAN, const:V or uni:LO:HI, optional :kill|:mark)", s)

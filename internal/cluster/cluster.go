@@ -898,21 +898,183 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 		devTracker = newDeviationTracker(fp.Fractions(), cfg.DeviationInterval)
 	}
 
-	// sendTo routes a dispatched job towards a computer: straight into
-	// the servers (deliverTo, below) normally, or through the netfault
-	// transit stage when the fault layer is active. Declared ahead of
-	// the failure-injection block because the requeue closure captures
-	// it; assigned once the servers exist.
-	var sendTo func(target int, j *sim.Job)
+	// The fault injector, when failure injection is enabled; built below,
+	// after the dispatch path it requeues into.
+	var inj *faults.Injector
+	// maskFn renders the live availability mask (fault up-state AND
+	// breaker closed AND link uncut) for dispatch events; bound after the
+	// injector exists, and only when events are on.
+	var maskFn func() string
+
+	// detectedUp is the fault injector's up-set as of the last detected
+	// failure or repair; nil (all up) until the first detection.
+	var detectedUp []bool
+	// notifyUp hands a fault-aware policy its availability mask after a
+	// detected failure or repair, a partition edge or a breaker
+	// transition. A computer counts as up when it was up at the last
+	// detection, its dispatch link is uncut and its breaker (if any) is
+	// closed. The fault state is the detected one, never the injector's
+	// live state: the policy cannot know of a failure before
+	// DetectionLag has passed.
+	fa, _ := policy.(FaultAware)
+	notifyUp := func() {
+		if fa == nil {
+			return
+		}
+		up := make([]bool, n)
+		for i := range up {
+			up[i] = (detectedUp == nil || detectedUp[i]) && (nf == nil || nf.linkUp(i)) && ov.breakerClosed(i)
+		}
+		fa.UpSetChanged(up)
+	}
+
+	// deliverTo physically lands a job at computer target: through the
+	// fault injector when one is active, else straight into the server.
+	deliverTo := func(target int, j *sim.Job) {
+		if pb != nil {
+			pb.NoteDelivery(target, en.Now())
+			if spansOn {
+				pb.SpanArrive(target, j, en.Now())
+			}
+		}
+		if inj != nil {
+			inj.Arrive(target, j)
+		} else {
+			if pb != nil && !j.Finalized {
+				pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvServiceStart, Job: j.ID, Target: target})
+			}
+			if spansOn {
+				pb.SpanServe(target, j, en.Now())
+			}
+			servers[target].Arrive(j)
+		}
+		if pb != nil {
+			pb.SetQueueLen(en.Now(), target, servers[target].InService())
+		}
+	}
+	// transit carries a job to computer target: over its faulty dispatch
+	// link when the netfault layer is on, else straight to deliverTo.
+	transit := deliverTo
+	if nf != nil {
+		nf.deliver = deliverTo
+		transit = func(target int, j *sim.Job) { nf.send(target, j, true) }
+	}
+	// dc is the policy's query wait, charged only under an enabled
+	// control plane.
+	var dc DecisionCost
+	if plane != nil {
+		dc, _ = policy.(DecisionCost)
+	}
+	// sendTo moves a routed job from the dispatcher towards computer
+	// target. Every dispatch — first dispatch, overload retry, failure
+	// requeue, netfault resubmission — passes these stages in this order:
+	//
+	//  1. the span's send stamp (spans on), so the query wait of stage 2
+	//     lands in the span's network component;
+	//  2. the decision-cost hold (control plane on): the job leaves the
+	//     dispatcher only once the query round-trips, or their timeout,
+	//     of the decision that routed it are over;
+	//  3. transit.
+	//
+	// Only the netfault failover backup, which makes no policy decision,
+	// skips stage 2 (see failoverSend below).
+	sendTo := func(target int, j *sim.Job) {
+		if spansOn {
+			pb.SpanSend(j, en.Now())
+		}
+		if dc != nil {
+			if d := dc.TakeDecisionCost(); d > 0 {
+				// The job is held across simulated time, where a
+				// deadline or timeout can reach a terminal outcome
+				// first and recycle it — hold a generation-checked
+				// handle and let a dead one drop the delivery (the
+				// job already finished; there is nothing to deliver).
+				ref := arena.Ref(j)
+				en.ScheduleAfter(d, func() {
+					if jj, ok := ref.Load(); ok && !jj.Finalized {
+						transit(target, jj)
+					}
+				})
+				return
+			}
+		}
+		transit(target, j)
+	}
+
+	// firstDispatch books the scheduler's first routing decision for j,
+	// at arrival, at a crashed dispatcher's buffer flush or by the
+	// failover backup: job fractions and deviation tracking count it, the
+	// probe attributes it to the computer's arrival substream and, for a
+	// policy decision, to the deciding replica, and a job routed while a
+	// computer is down counts as degraded.
+	firstDispatch := func(j *sim.Job, target int, byPolicy bool) {
+		if j.Arrival >= warmup {
+			counts[target]++
+			observed++
+		}
+		if devTracker != nil {
+			devTracker.observe(j.Arrival, target)
+		}
+		if pb != nil {
+			pb.NoteSubstream(target, j.Arrival)
+			if byPolicy && shardOf != nil {
+				pb.NoteShard(shardOf(), j.Arrival)
+			}
+		}
+		if inj != nil && inj.AnyDown() {
+			j.Degraded = true
+		}
+	}
+	// emitDispatch records j's routing to j.Target in the event stream
+	// (probe on).
+	emitDispatch := func(j *sim.Job, cause string) {
+		if j.Finalized {
+			return
+		}
+		var mask string
+		if maskFn != nil {
+			mask = maskFn()
+		}
+		pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvDispatch, Job: j.ID, Target: j.Target, Cause: cause, Attempt: j.Attempts + j.Retries, Mask: mask})
+	}
+	// dispatchJob runs a job through the dispatcher and sends it:
+	// through the overload layer's gates when one is active, else by
+	// policy selection. first marks the job's first routing decision, at
+	// arrival or at a crashed dispatcher's buffer flush: the job passes
+	// admission control and enters the system, and statistics key on its
+	// arrival time while events are stamped now. Failure requeues and
+	// netfault resubmissions pass false.
+	dispatchJob := func(j *sim.Job, first bool) {
+		if first {
+			if ov != nil && !ov.admitJob(j) {
+				finalize(j, OutcomeRejectedAdmission)
+				releaseJob(j)
+				return
+			}
+			inSystem++
+			trackSys()
+		}
+		if ov != nil {
+			ov.dispatch(j, first)
+			return
+		}
+		target := policy.Select(j)
+		if target < 0 || target >= n {
+			panic(fmt.Sprintf("cluster: policy %s selected invalid computer %d", policy.Name(), target))
+		}
+		j.Target = target
+		if first {
+			firstDispatch(j, target, true)
+		}
+		if pb != nil {
+			emitDispatch(j, "")
+		}
+		sendTo(target, j)
+	}
 
 	// Failure injection. Everything here is gated on an enabled fault
 	// config so that fault-free runs stay bit-identical: no extra stream
 	// derivation, no extra events, no changed dispatch path.
-	var inj *faults.Injector
-	// maskFn renders the availability mask (fault up-state AND breaker
-	// closed) for dispatch events; bound after the injector exists, and
-	// only when events are on.
-	var maskFn func() string
 	if cfg.Faults.Enabled() {
 		preempt := make([]sim.Preemptable, n)
 		for i, s := range servers {
@@ -922,30 +1084,16 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 			}
 			preempt[i] = p
 		}
-		// notify tells a fault-aware policy the up-set as of detection
-		// time; flaps shorter than the detection lag collapse into one
-		// observation of the final state. With overload protection active
-		// the mask is combined with the breaker states.
+		// A fault-aware policy learns of each failure or repair after the
+		// detection lag, with the up-set as of detection time; flaps
+		// shorter than the lag collapse into one observation of the final
+		// state.
 		notify := func() {
-			if ov != nil {
-				ov.faultsUp = inj.UpSet()
-				ov.notifyUpSet()
-				return
-			}
-			if fa, ok := policy.(FaultAware); ok {
-				up := inj.UpSet()
-				if nf != nil {
-					// A cut link masks its computer just like a failure:
-					// the dispatcher cannot reach it either way.
-					for i := range up {
-						up[i] = up[i] && nf.linkUp(i)
-					}
-				}
-				fa.UpSetChanged(up)
-			}
+			detectedUp = inj.UpSet()
+			notifyUp()
 		}
 		onChange := func(int) {
-			if _, ok := policy.(FaultAware); !ok {
+			if fa == nil {
 				return
 			}
 			if cfg.Faults.DetectionLag > 0 {
@@ -971,24 +1119,8 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 				// computer and close the wrong breaker on completion,
 				// leaving the probed one stuck half-open forever.
 				ov.probeFailed(j)
-				// Route through the overload dispatcher so requeued jobs
-				// respect breakers, rejection and timeouts too.
-				ov.dispatch(j, false)
-				return
 			}
-			target := policy.Select(j)
-			if target < 0 || target >= n {
-				panic(fmt.Sprintf("cluster: policy %s selected invalid computer %d", policy.Name(), target))
-			}
-			j.Target = target
-			if pb != nil && !j.Finalized {
-				var mask string
-				if maskFn != nil {
-					mask = maskFn()
-				}
-				pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvDispatch, Job: j.ID, Target: target, Attempt: j.Attempts + j.Retries, Mask: mask})
-			}
-			sendTo(target, j)
+			dispatchJob(j, false)
 		}
 		hooks := faults.Hooks{
 			OnFail: func(i int) {
@@ -1076,111 +1208,20 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 		}
 	}
 
-	// deliverTo physically lands a job at computer target: through the
-	// fault injector when one is active, else straight into the server.
-	// It is the terminal stage of every dispatch path — sendTo is either
-	// this (reliable network) or the netfault transit stage ending here.
-	deliverTo := func(target int, j *sim.Job) {
-		if pb != nil {
-			pb.NoteDelivery(target, en.Now())
-			if spansOn {
-				pb.SpanArrive(target, j, en.Now())
-			}
-		}
-		if inj != nil {
-			inj.Arrive(target, j)
-		} else {
-			if pb != nil && !j.Finalized {
-				pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvServiceStart, Job: j.ID, Target: target})
-			}
-			if spansOn {
-				pb.SpanServe(target, j, en.Now())
-			}
-			servers[target].Arrive(j)
-		}
-		if pb != nil {
-			pb.SetQueueLen(en.Now(), target, servers[target].InService())
-		}
-	}
-	sendTo = deliverTo
-	if nf != nil {
-		nf.deliver = deliverTo
-		sendTo = func(target int, j *sim.Job) { nf.send(target, j, true) }
-	}
-	if plane != nil {
-		// Query round-trips cost real time: the decision the policy just
-		// made waited for its probes (or their timeout), so the job
-		// leaves the dispatcher that much later. Installed before the
-		// spans wrapper (which ends up outermost), so SpanSend stamps
-		// the pre-wait time and the wait lands in the span's network
-		// component.
-		if dc, ok := policy.(DecisionCost); ok {
-			inner := sendTo
-			sendTo = func(target int, j *sim.Job) {
-				if d := dc.TakeDecisionCost(); d > 0 {
-					// The job is held across simulated time, where a
-					// deadline or timeout can reach a terminal outcome
-					// first and recycle it — hold a generation-checked
-					// handle and let a dead one drop the delivery (the
-					// job already finished; there is nothing to deliver).
-					ref := arena.Ref(j)
-					en.ScheduleAfter(d, func() {
-						if jj, ok := ref.Load(); ok && !jj.Finalized {
-							inner(target, jj)
-						}
-					})
-					return
-				}
-				inner(target, j)
-			}
-		}
-	}
-	if spansOn {
-		// Every dispatch path — first dispatch, overload retry, failure
-		// requeue, netfault redispatch — routes through the sendTo var
-		// (closures capture it by reference), so one wrapper marks the
-		// span's transition onto the network. Installed before the
-		// overload wiring below, which copies the value into ov.arrive.
-		// The netfault failover path calls nf.send directly and hooks the
-		// span explicitly in failoverSend.
-		inner := sendTo
-		sendTo = func(target int, j *sim.Job) {
-			pb.SpanSend(j, en.Now())
-			inner(target, j)
-		}
-	}
-
 	if ov != nil {
 		ov.servers = servers
 		ov.removers = removers
 		ov.pb = pb
-		ov.mask = maskFn
+		ov.emitDispatch = emitDispatch
 		ov.final = finalize
 		ov.onDrop = func(*sim.Job) {
 			inSystem--
 			trackSys()
 		}
-		ov.onFirstDispatch = func(j *sim.Job, target int) {
-			if j.Arrival >= warmup {
-				counts[target]++
-				observed++
-			}
-			if devTracker != nil {
-				devTracker.observe(j.Arrival, target)
-			}
-			if pb != nil {
-				pb.NoteSubstream(target, j.Arrival)
-				if shardOf != nil {
-					pb.NoteShard(shardOf(), j.Arrival)
-				}
-			}
-			if inj != nil && inj.AnyDown() {
-				j.Degraded = true
-			}
-		}
+		ov.onFirstDispatch = func(j *sim.Job, target int) { firstDispatch(j, target, true) }
 		ov.arrive = sendTo
+		ov.notifyUp = notifyUp
 		if nf != nil {
-			ov.netUp = nf.linkUp
 			ov.netReclaim = nf.reclaim
 		}
 	}
@@ -1196,25 +1237,7 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 			}
 			policy.Departed(j)
 		}
-		nf.redispatch = func(j *sim.Job) {
-			if ov != nil {
-				ov.dispatch(j, false)
-				return
-			}
-			target := policy.Select(j)
-			if target < 0 || target >= n {
-				panic(fmt.Sprintf("cluster: policy %s selected invalid computer %d", policy.Name(), target))
-			}
-			j.Target = target
-			if pb != nil {
-				var mask string
-				if maskFn != nil {
-					mask = maskFn()
-				}
-				pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvDispatch, Job: j.ID, Target: target, Attempt: j.Attempts + j.Retries, Mask: mask})
-			}
-			sendTo(target, j)
-		}
+		nf.dispatch = dispatchJob
 		nf.giveUp = func(j *sim.Job) {
 			if ov != nil {
 				ov.jobLost(j)
@@ -1233,45 +1256,20 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 		nf.reachable = func(i int) bool {
 			return nf.linkUp(i) && (inj == nil || inj.Up(i)) && ov.breakerClosed(i)
 		}
-		nf.notifyMask = func() {
-			if ov != nil {
-				ov.notifyUpSet()
-				return
-			}
-			if fa, ok := policy.(FaultAware); ok {
-				up := make([]bool, n)
-				for i := range up {
-					up[i] = (inj == nil || inj.Up(i)) && nf.linkUp(i)
-				}
-				fa.UpSetChanged(up)
-			}
-		}
+		nf.notifyUp = notifyUp
 		nf.failoverSend = func(j *sim.Job, target int) {
 			// The backup's routing decision is the job's first dispatch:
 			// it enters the books like a policy decision, but bypasses
-			// admission control and deadline stamping (the backup is a
-			// last-resort router, not a dispatcher).
-			j.Target = target
-			if j.Arrival >= warmup {
-				counts[target]++
-				observed++
-			}
-			if devTracker != nil {
-				devTracker.observe(j.Arrival, target)
-			}
-			if pb != nil {
-				var mask string
-				if maskFn != nil {
-					mask = maskFn()
-				}
-				pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvDispatch, Job: j.ID, Target: target, Cause: "failover", Mask: mask})
-				pb.NoteSubstream(target, j.Arrival)
-			}
-			if inj != nil && inj.AnyDown() {
-				j.Degraded = true
-			}
+			// admission control, deadline stamping and the decision-cost
+			// hold (the backup is a last-resort router, not a
+			// dispatcher), and the dispatcher does not track it.
 			inSystem++
 			trackSys()
+			j.Target = target
+			firstDispatch(j, target, false)
+			if pb != nil {
+				emitDispatch(j, "failover")
+			}
 			if spansOn {
 				pb.SpanSend(j, en.Now())
 			}
@@ -1294,57 +1292,6 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 	// come from the arena: a recycled Job is field-identical to a freshly
 	// allocated one (Put zeroes every exported field), so reuse cannot
 	// change simulation results.
-	// routeJob runs a job through the dispatcher proper: admission
-	// control, policy selection and delivery. Called at arrival time
-	// normally, and at restart time for jobs buffered while the
-	// dispatcher was down (hence the en.Now()/j.Arrival distinction:
-	// events are stamped now, statistics key on the arrival).
-	routeJob := func(j *sim.Job) {
-		if ov != nil {
-			if !ov.admitJob(j) {
-				finalize(j, OutcomeRejectedAdmission)
-				releaseJob(j)
-				return
-			}
-			inSystem++
-			trackSys()
-			ov.dispatch(j, true)
-			return
-		}
-		target := policy.Select(j)
-		if target < 0 || target >= n {
-			panic(fmt.Sprintf("cluster: policy %s selected invalid computer %d", policy.Name(), target))
-		}
-		j.Target = target
-		if j.Arrival >= warmup {
-			counts[target]++
-			observed++
-		}
-		if devTracker != nil {
-			devTracker.observe(j.Arrival, target)
-		}
-		if pb != nil {
-			var mask string
-			if maskFn != nil {
-				mask = maskFn()
-			}
-			pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvDispatch, Job: j.ID, Target: target, Mask: mask})
-			pb.NoteSubstream(target, j.Arrival)
-			if shardOf != nil {
-				pb.NoteShard(shardOf(), j.Arrival)
-			}
-		}
-		inSystem++
-		trackSys()
-		if inj != nil && inj.AnyDown() {
-			j.Degraded = true
-		}
-		sendTo(target, j)
-	}
-	if nf != nil {
-		nf.routeJob = routeJob
-	}
-
 	admit := func(size float64) {
 		now := en.Now()
 		generated++
@@ -1365,7 +1312,7 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 		if nf != nil && nf.interceptArrival(j) {
 			return // dropped, buffered or failed over while down
 		}
-		routeJob(j)
+		dispatchJob(j, true)
 	}
 
 	if len(cfg.Replay) > 0 {

@@ -45,10 +45,12 @@ func compoundConfig() cluster.Config {
 		},
 		Drift: &drift.Config{Arrival: drift.Step{At: 1.5e4, Factor: 1.3}},
 		Netfault: &netfault.Config{
-			Link: netfault.Link{
-				Latency: dist.NewExponential(5),
-				Loss:    0.05,
-				Dup:     0.02,
+			Links: netfault.Links{
+				Link: netfault.Link{
+					Latency: dist.NewExponential(5),
+					Loss:    0.05,
+					Dup:     0.02,
+				},
 			},
 			Dispatcher: &netfault.Dispatcher{
 				Uptime:   dist.NewExponential(8000),

@@ -24,14 +24,15 @@ import (
 // deliveries are deduplicated at the computer against Job.NetAccepted.
 //
 // Determinism: link i draws from the named substream "netfault.link"/i
-// (dup, per-copy loss, per-copy latency, then ack loss and ack latency,
-// in transmission order); the crash renewal process draws from
-// "netfault.dispatcher". Both are derived only when the layer is
-// enabled. Backoff jitter is a hash of (^job ID, resubmit count) — the
-// complement decorrelates it from the overload layer's retry jitter —
-// so no random stream is consumed. Where restart must walk the
-// outstanding-dispatch map, it sorts the IDs first: map iteration order
-// must never reach the event queue.
+// in transmission order, by the link model's draw rule (netfault.Link
+// Copies, then Transit per copy: loss, and latency only for a copy that
+// survived); an ack is one more Transit on the same link. The crash
+// renewal process draws from "netfault.dispatcher". Both are derived
+// only when the layer is enabled. Backoff jitter is a hash of (^job ID,
+// resubmit count) — the complement decorrelates it from the overload
+// layer's retry jitter — so no random stream is consumed. Where restart
+// must walk the outstanding-dispatch map, it sorts the IDs first: map
+// iteration order must never reach the event queue.
 //
 // Modeling approximations, chosen to keep the layers composable:
 //
@@ -161,24 +162,23 @@ type netfaultRun struct {
 	arena *sim.JobArena
 
 	// deliver physically hands a job to computer target (through the
-	// fault injector when one is active). redispatch re-routes a
-	// resubmitted job through the dispatcher (policy selection, overload
-	// gates). routeJob is the full post-admission dispatch path, used to
-	// flush the downtime buffer. giveUp finalizes OutcomeLostNetwork;
-	// dropDown finalizes OutcomeDroppedDispatcher. departed tells the
-	// policy a dispatched job left its computer (dispatcher's belief).
-	// reachable reports whether the failover backup may route to i.
-	// notifyMask pushes the combined availability mask to a fault-aware
-	// policy after a partition edge. failoverSend does the first-dispatch
-	// bookkeeping for a backup-routed job and transmits it untracked.
+	// fault injector when one is active). dispatch runs a job through
+	// the dispatcher: a first dispatch (admission, policy selection,
+	// overload gates) flushes the downtime buffer, a later one re-routes
+	// a resubmitted job. giveUp finalizes OutcomeLostNetwork; dropDown
+	// finalizes OutcomeDroppedDispatcher. departed tells the policy a
+	// dispatched job left its computer (dispatcher's belief). reachable
+	// reports whether the failover backup may route to i. notifyUp
+	// pushes the run's availability mask to a fault-aware policy after a
+	// partition edge. failoverSend does the first-dispatch bookkeeping
+	// for a backup-routed job and transmits it untracked.
 	deliver      func(target int, j *sim.Job)
-	redispatch   func(j *sim.Job)
-	routeJob     func(j *sim.Job)
+	dispatch     func(j *sim.Job, first bool)
 	giveUp       func(j *sim.Job)
 	dropDown     func(j *sim.Job)
 	departed     func(j *sim.Job)
 	reachable    func(i int) bool
-	notifyMask   func()
+	notifyUp     func()
 	failoverSend func(j *sim.Job, target int)
 	pb           *probe.Probe
 
@@ -276,9 +276,7 @@ func (nf *netfaultRun) shiftPartition(links []int, delta int) {
 			nf.cut[i] += delta
 		}
 	}
-	if nf.notifyMask != nil {
-		nf.notifyMask()
-	}
+	nf.notifyUp()
 }
 
 // send transmits one dispatch of j over link target. tracked engages the
@@ -307,9 +305,8 @@ func (nf *netfaultRun) send(target int, j *sim.Job, tracked bool) {
 	}
 	link := nf.links[target]
 	st := nf.linkStreams[target]
-	copies := 1
-	if link.Dup > 0 && st.Float64() < link.Dup {
-		copies = 2
+	copies := link.Copies(st)
+	if copies > 1 {
 		nf.stats.DupCopies++
 		nf.stats.PerLinkDup[target]++
 		if nf.pb != nil {
@@ -320,7 +317,8 @@ func (nf *netfaultRun) send(target int, j *sim.Job, tracked bool) {
 	ref := nf.arena.Ref(j)
 	epoch := j.NetEpoch
 	for c := 0; c < copies; c++ {
-		if link.Loss > 0 && st.Float64() < link.Loss {
+		delay, ok := link.Transit(st)
+		if !ok {
 			nf.stats.LostCopies++
 			nf.stats.PerLinkLost[target]++
 			if nf.pb != nil {
@@ -330,10 +328,6 @@ func (nf *netfaultRun) send(target int, j *sim.Job, tracked bool) {
 			continue
 		}
 		delivered++
-		delay := 0.0
-		if link.Latency != nil {
-			delay = link.Latency.Sample(st)
-		}
 		if delay > 0 {
 			nf.inFlight[target]++
 			if nf.pb != nil {
@@ -402,17 +396,16 @@ func (nf *netfaultRun) sendAck(target int, id int64, epoch int) {
 		return
 	}
 	now := nf.en.Now()
-	link := nf.links[target]
-	if !nf.linkUp(target) || (link.Loss > 0 && nf.linkStreams[target].Float64() < link.Loss) {
+	delay, ok := 0.0, nf.linkUp(target)
+	if ok {
+		delay, ok = nf.links[target].Transit(nf.linkStreams[target])
+	}
+	if !ok {
 		nf.stats.AckLost++
 		if nf.pb != nil {
 			nf.pb.Emit(probe.Event{T: now, Kind: probe.EvNetLoss, Job: id, Target: target, Cause: "ack-loss"})
 		}
 		return
-	}
-	delay := 0.0
-	if link.Latency != nil {
-		delay = link.Latency.Sample(nf.linkStreams[target])
 	}
 	if delay > 0 {
 		nf.en.ScheduleAfter(delay, func() { nf.onAck(id, epoch) })
@@ -534,7 +527,7 @@ func (nf *netfaultRun) resubmit(j *sim.Job, cause string) {
 			nf.pendingRetry = append(nf.pendingRetry, nfPending{ref: ref, id: jj.ID, epoch: epoch})
 			return
 		}
-		nf.redispatch(jj)
+		nf.dispatch(jj, false)
 	})
 }
 
@@ -770,7 +763,7 @@ func (nf *netfaultRun) restart() {
 	buf := nf.buffer
 	nf.buffer = nil
 	for _, j := range buf {
-		nf.routeJob(j)
+		nf.dispatch(j, true)
 	}
 
 	nf.scheduleCrash()

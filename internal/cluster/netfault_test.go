@@ -8,6 +8,7 @@ import (
 	"heterosched/internal/cluster"
 	"heterosched/internal/dispatch"
 	"heterosched/internal/dist"
+	"heterosched/internal/faults"
 	"heterosched/internal/netfault"
 	"heterosched/internal/sched"
 	"heterosched/internal/sim"
@@ -76,7 +77,7 @@ func TestNetfaultLatencyOnlyCompletesEveryJob(t *testing.T) {
 	}
 	const lat = 5.0
 	cfg := netfaultTestConfig(&netfault.Config{
-		Link: netfault.Link{Latency: dist.Deterministic{Value: lat}},
+		Links: netfault.Links{Link: netfault.Link{Latency: dist.Deterministic{Value: lat}}},
 	})
 	led := attachLedger(t, &cfg)
 	res, err := cluster.Run(cfg, sched.ORR())
@@ -107,10 +108,12 @@ func TestNetfaultLatencyOnlyCompletesEveryJob(t *testing.T) {
 // losses cover everything, and the dedup counters show the loop worked.
 func TestNetfaultExactlyOnceUnderLossDupResubmit(t *testing.T) {
 	cfg := netfaultTestConfig(&netfault.Config{
-		Link: netfault.Link{
-			Latency: dist.Exponential{MeanVal: 2},
-			Loss:    0.10,
-			Dup:     0.10,
+		Links: netfault.Links{
+			Link: netfault.Link{
+				Latency: dist.Exponential{MeanVal: 2},
+				Loss:    0.10,
+				Dup:     0.10,
+			},
 		},
 		Ack: netfault.Ack{Timeout: 30, Budget: 4, BackoffBase: 5, BackoffMax: 60, Jitter: 0.5},
 	})
@@ -162,7 +165,7 @@ func TestNetfaultCrashRecoveryPolicies(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := netfaultTestConfig(&netfault.Config{
-				Link: netfault.Link{Latency: dist.Exponential{MeanVal: 1}, Loss: 0.02},
+				Links: netfault.Links{Link: netfault.Link{Latency: dist.Exponential{MeanVal: 1}, Loss: 0.02}},
 				Dispatcher: &netfault.Dispatcher{
 					Uptime:       dist.Exponential{MeanVal: 6e3},
 					Downtime:     dist.Exponential{MeanVal: 150},
@@ -276,9 +279,11 @@ func TestNetfaultDownDropAndFailover(t *testing.T) {
 // loop must terminate.
 func TestNetfaultFullPartitionBreakerBufferEdge(t *testing.T) {
 	cfg := netfaultTestConfig(&netfault.Config{
-		Link: netfault.Link{Latency: dist.Deterministic{Value: 1}},
-		// One full partition spanning a stretch of the run.
-		Partitions: []netfault.Partition{{From: 8e3, To: 1.4e4}},
+		Links: netfault.Links{
+			Link: netfault.Link{Latency: dist.Deterministic{Value: 1}},
+			// One full partition spanning a stretch of the run.
+			Partitions: []netfault.Partition{{From: 8e3, To: 1.4e4}},
+		},
 		Dispatcher: &netfault.Dispatcher{
 			// Force downtime overlapping the partition window.
 			Uptime:    dist.Deterministic{Value: 9e3},
@@ -352,17 +357,19 @@ func TestNetfaultStress(t *testing.T) {
 			DeadlineAction: cluster.DeadlineMark,
 		},
 		Netfault: &netfault.Config{
-			Link: netfault.Link{
-				Latency: dist.Exponential{MeanVal: 3},
-				Loss:    0.05,
-				Dup:     0.05,
-			},
-			PerLink: map[int]netfault.Link{
-				3: {Latency: dist.Exponential{MeanVal: 1}, Loss: 0.15, Dup: 0.02},
-			},
-			Partitions: []netfault.Partition{
-				{From: 0.2 * duration, To: 0.25 * duration, Links: []int{3}},
-				{From: 0.6 * duration, To: 0.62 * duration},
+			Links: netfault.Links{
+				Link: netfault.Link{
+					Latency: dist.Exponential{MeanVal: 3},
+					Loss:    0.05,
+					Dup:     0.05,
+				},
+				PerLink: map[int]netfault.Link{
+					3: {Latency: dist.Exponential{MeanVal: 1}, Loss: 0.15, Dup: 0.02},
+				},
+				Partitions: []netfault.Partition{
+					{From: 0.2 * duration, To: 0.25 * duration, Links: []int{3}},
+					{From: 0.6 * duration, To: 0.62 * duration},
+				},
 			},
 			Dispatcher: &netfault.Dispatcher{
 				Uptime:   dist.Exponential{MeanVal: duration / 10},
@@ -394,4 +401,78 @@ func TestNetfaultStress(t *testing.T) {
 		t.Errorf("stress run left machinery idle: %+v", nf)
 	}
 	t.Logf("stress: %d jobs, outcomes %v, netfault %+v", led.total, led.counts, nf)
+}
+
+// maskRecorder is a fault-aware policy that routes round-robin,
+// ignoring every mask, and records each availability mask it is handed.
+type maskRecorder struct {
+	en    *sim.Engine
+	n     int
+	next  int
+	calls []maskCall
+}
+
+type maskCall struct {
+	t  float64
+	up []bool
+}
+
+func (p *maskRecorder) Name() string { return "mask-recorder" }
+func (p *maskRecorder) Init(ctx *cluster.Context) error {
+	p.en, p.n = ctx.Engine, len(ctx.Speeds)
+	return nil
+}
+func (p *maskRecorder) Select(*sim.Job) int { p.next = (p.next + 1) % p.n; return p.next }
+func (p *maskRecorder) Departed(*sim.Job)   {}
+func (p *maskRecorder) UpSetChanged(up []bool) {
+	p.calls = append(p.calls, maskCall{p.en.Now(), append([]bool(nil), up...)})
+}
+
+// TestPartitionEdgeMaskUsesDetectedFaults pins the FaultAware contract
+// at a partition edge: the policy is handed the fault state as of the
+// last detection, never the injector's live state. All three computers
+// fail at t=1000 and the 200 s detection lag reveals it at 1200, so the
+// partition of link 2 over [1100,1150) must mask link 2 alone — with or
+// without an overload layer composing its breakers into the same mask.
+func TestPartitionEdgeMaskUsesDetectedFaults(t *testing.T) {
+	want := []maskCall{
+		{1100, []bool{true, true, false}},
+		{1150, []bool{true, true, true}},
+		{1200, []bool{false, false, false}},
+		{1200, []bool{false, false, false}},
+		{1200, []bool{false, false, false}},
+	}
+	for _, overload := range []bool{false, true} {
+		cfg := cluster.Config{
+			Speeds:      []float64{1, 1, 1},
+			Utilization: 0.3,
+			Duration:    3000,
+			Seed:        1,
+			Faults: &faults.Config{
+				Uptime:       dist.Deterministic{Value: 1000},
+				Downtime:     dist.Deterministic{Value: 500},
+				DetectionLag: 200,
+			},
+			Netfault: &netfault.Config{
+				Links: netfault.Links{Partitions: []netfault.Partition{{From: 1100, To: 1150, Links: []int{2}}}},
+				Ack:   netfault.Ack{Timeout: 30},
+			},
+		}
+		if overload {
+			cfg.Overload = &cluster.OverloadConfig{QueueCap: 1000}
+		}
+		p := &maskRecorder{}
+		if _, err := cluster.Run(cfg, p); err != nil {
+			t.Fatal(err)
+		}
+		var got []maskCall
+		for _, c := range p.calls {
+			if c.t < 1300 {
+				got = append(got, c)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("overload layer %v: masks before t=1300 = %v, want %v", overload, got, want)
+		}
+	}
 }

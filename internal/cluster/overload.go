@@ -301,19 +301,22 @@ type overloadRun struct {
 
 	servers  []sim.Server
 	removers []sim.Removable
-	// arrive routes a dispatched job into servers (through the fault
-	// injector when one is active); onFirstDispatch does the per-job
-	// bookkeeping of the scheduler's first dispatch decision; onDrop
-	// reports a job leaving the system without completing.
+	// arrive sends a dispatched job towards its computer (the run's
+	// dispatch stages); onFirstDispatch does the per-job bookkeeping of
+	// the scheduler's first dispatch decision; onDrop reports a job
+	// leaving the system without completing; notifyUp hands a
+	// fault-aware policy the run's availability mask after a breaker
+	// transition.
 	arrive          func(target int, j *sim.Job)
 	onFirstDispatch func(j *sim.Job, target int)
 	onDrop          func(j *sim.Job)
-	// Observability, wired by Run: pb is nil when the probe is off; mask
-	// renders the availability mask for dispatch events (nil when events
-	// are off); final records a job's terminal outcome exactly once.
-	pb    *probe.Probe
-	mask  func() string
-	final func(j *sim.Job, o Outcome)
+	notifyUp        func()
+	// Observability, wired by Run: pb is nil when the probe is off;
+	// emitDispatch records a routing decision in the event stream (probe
+	// on); final records a job's terminal outcome exactly once.
+	pb           *probe.Probe
+	emitDispatch func(j *sim.Job, cause string)
+	final        func(j *sim.Job, o Outcome)
 
 	// arena is the run's job allocator; release recycles a terminally
 	// disposed job into it (both wired by Run). The arena's generation
@@ -322,14 +325,12 @@ type overloadRun struct {
 	arena   *sim.JobArena
 	release func(*sim.Job)
 
-	tb       *dispatch.TokenBucket
-	brk      []*dispatch.Breaker
-	faultsUp []bool // availability mask from the fault injector; nil = all up
-	// netUp reports whether computer i's dispatch link is uncut; nil
-	// without the netfault layer. netReclaim clears a job's network
-	// delivery state when the dispatcher verifiably pulls it back (a
-	// timeout removal), so its re-dispatch is not deduplicated away.
-	netUp      func(i int) bool
+	tb  *dispatch.TokenBucket
+	brk []*dispatch.Breaker
+	// netReclaim clears a job's network delivery state when the
+	// dispatcher verifiably pulls it back (a timeout removal), so its
+	// re-dispatch is not deduplicated away; nil without the netfault
+	// layer.
 	netReclaim func(j *sim.Job)
 	// deadlines is the named random substream for deadline draws; derived
 	// by Run only when a deadline distribution is configured, so runs
@@ -430,11 +431,7 @@ func (ov *overloadRun) dispatch(j *sim.Job, first bool) {
 		ov.onFirstDispatch(j, target)
 	}
 	if ov.pb != nil {
-		var mask string
-		if ov.mask != nil {
-			mask = ov.mask()
-		}
-		ov.pb.Emit(probe.Event{T: ov.en.Now(), Kind: probe.EvDispatch, Job: j.ID, Target: target, Attempt: j.Attempts + j.Retries, Mask: mask})
+		ov.emitDispatch(j, "")
 	}
 	if !j.Probe && ov.brk != nil && !ov.brk[target].Allow() {
 		// The policy could not route around an open breaker (e.g. the
@@ -733,7 +730,7 @@ func (ov *overloadRun) noteFailure(i int) {
 		ov.stats.BreakerTrips++
 		ov.noteBreaker(i)
 		ov.scheduleHalfOpen(i)
-		ov.notifyUpSet()
+		ov.notifyUp()
 	}
 }
 
@@ -749,7 +746,7 @@ func (ov *overloadRun) scheduleHalfOpen(i int) {
 func (ov *overloadRun) probeSucceeded(i int) {
 	ov.brk[i].ProbeSucceeded()
 	ov.noteBreaker(i)
-	ov.notifyUpSet()
+	ov.notifyUp()
 }
 
 // probeFailed re-opens the probed breaker and restarts its cooldown.
@@ -786,32 +783,10 @@ func (ov *overloadRun) noteBreaker(i int) {
 }
 
 // breakerClosed reports whether computer i's breaker (if any) is closed;
-// true on a nil receiver so the availability mask composes without an
+// true on a nil receiver so the availability masks compose without an
 // overload layer.
 func (ov *overloadRun) breakerClosed(i int) bool {
 	return ov == nil || ov.brk == nil || ov.brk[i].State() == dispatch.BreakerClosed
-}
-
-// notifyUpSet hands a fault-aware policy the combined availability mask:
-// a computer counts as up only when the fault injector says so AND its
-// breaker (if any) is closed.
-func (ov *overloadRun) notifyUpSet() {
-	fa, ok := ov.policy.(FaultAware)
-	if !ok {
-		return
-	}
-	up := make([]bool, ov.n)
-	for i := range up {
-		u := ov.faultsUp == nil || ov.faultsUp[i]
-		if u && ov.netUp != nil && !ov.netUp(i) {
-			u = false
-		}
-		if u && ov.brk != nil && ov.brk[i].State() != dispatch.BreakerClosed {
-			u = false
-		}
-		up[i] = u
-	}
-	fa.UpSetChanged(up)
 }
 
 // finish snapshots the counters and percentile estimates.

@@ -81,10 +81,12 @@ func nastySpanConfig(seed uint64) cluster.Config {
 		WarmupFraction: -1,
 		Seed:           seed,
 		Netfault: &netfault.Config{
-			Link: netfault.Link{
-				Latency: dist.Exponential{MeanVal: 2},
-				Loss:    0.05,
-				Dup:     0.05,
+			Links: netfault.Links{
+				Link: netfault.Link{
+					Latency: dist.Exponential{MeanVal: 2},
+					Loss:    0.05,
+					Dup:     0.05,
+				},
 			},
 			Dispatcher: &netfault.Dispatcher{
 				Uptime:   dist.Exponential{MeanVal: 5e3},

@@ -1,10 +1,12 @@
 // Package ctrlplane models a physical control plane for the dispatch
 // tier: the messages that keep dispatchers informed — JIQ idle-token
 // reports, jsq/pod(d) queue-length queries, and inter-dispatcher
-// counter-sync frames — travel over the same kind of faulty links the
-// netfault layer gives dispatch messages (per-link latency, loss,
-// duplication, partitions) instead of being exchanged instantaneously
-// and losslessly.
+// counter-sync frames — travel over faulty links instead of being
+// exchanged instantaneously and losslessly. The links are netfault's
+// model (netfault.Links: per-link latency, loss, duplication,
+// partitions), drawn by its rule: Link.Copies per message, then
+// Link.Transit per copy. A query crosses its link twice, and its reply
+// leg rolls only if the request arrived.
 //
 // PR 9's scalable policies read an oracle cluster.StateView; with this
 // layer enabled they act on stale, lossy state and pay for every query
@@ -26,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"heterosched/internal/netfault"
 )
@@ -36,18 +37,14 @@ import (
 // events are scheduled, and runs are bit-identical to a build without
 // the subsystem.
 type Config struct {
-	// Link is the default fault model for every dispatcher↔computer
-	// control link (token reports travel computer→dispatcher, queries
-	// dispatcher→computer→dispatcher; both directions share the link).
-	// Inter-dispatcher sync frames use the same default model.
-	Link netfault.Link
-	// PerLink overrides the default model for specific computer
-	// indices. Sync frames always use the default Link.
-	PerLink map[int]netfault.Link
-	// Partitions are deterministic windows cutting computer control
-	// links: token reports and queries to/from the listed computers are
-	// blocked. Empty Links means every computer.
-	Partitions []netfault.Partition
+	// Links is the control-link model. The default Link carries every
+	// dispatcher↔computer control message (token reports travel
+	// computer→dispatcher, queries dispatcher→computer→dispatcher; both
+	// directions share the link) and every inter-dispatcher sync frame.
+	// PerLink overrides a computer's link; sync frames always use the
+	// default. Partitions cut computer control links: token reports and
+	// queries to or from the listed computers are blocked.
+	netfault.Links
 	// SyncPartitions are deterministic windows isolating dispatcher
 	// replicas from the sync gossip: frames from or to the listed
 	// replica indices are blocked. Empty Links means every replica (no
@@ -72,34 +69,14 @@ func (c *Config) Enabled() bool {
 	if c == nil {
 		return false
 	}
-	return !c.Link.Perfect() || len(c.PerLink) > 0 || len(c.Partitions) > 0 ||
-		len(c.SyncPartitions) > 0 || c.Lease != 0 || c.QueryTO != 0
-}
-
-// LinkFor returns the resolved fault model for computer i's control
-// link.
-func (c *Config) LinkFor(i int) netfault.Link {
-	if l, ok := c.PerLink[i]; ok {
-		return l
-	}
-	return c.Link
+	return c.Active() || len(c.SyncPartitions) > 0 || c.Lease != 0 || c.QueryTO != 0
 }
 
 // Lossy reports whether any control message can vanish: a positive
-// loss probability on any link, or any partition window.
+// loss probability on any link (the default link carries sync frames),
+// or any partition window.
 func (c *Config) Lossy(computers int) bool {
-	if len(c.Partitions) > 0 || len(c.SyncPartitions) > 0 {
-		return true
-	}
-	if c.Link.Loss > 0 {
-		return true
-	}
-	for i := 0; i < computers; i++ {
-		if c.LinkFor(i).Loss > 0 {
-			return true
-		}
-	}
-	return false
+	return len(c.SyncPartitions) > 0 || c.Link.Loss > 0 || c.Links.Lossy(computers)
 }
 
 // Validate checks the configuration against a cluster of the given
@@ -113,41 +90,11 @@ func (c *Config) Validate(computers, replicas int) error {
 	if computers <= 0 {
 		return errors.New("ctrlplane: validate needs a positive computer count")
 	}
-	if err := c.Link.Validate("default control link"); err != nil {
+	if err := c.ValidateLinks(computers, "control link"); err != nil {
 		return err
 	}
-	idxs := make([]int, 0, len(c.PerLink))
-	for i := range c.PerLink {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		if i < 0 || i >= computers {
-			return fmt.Errorf("ctrlplane: per-link override for computer %d outside [0,%d)", i, computers)
-		}
-		if err := c.PerLink[i].Validate(fmt.Sprintf("control link %d", i)); err != nil {
-			return err
-		}
-	}
-	for k, p := range c.Partitions {
-		if p.From < 0 || p.To <= p.From {
-			return fmt.Errorf("ctrlplane: partition %d window [%g,%g) is not a forward interval", k, p.From, p.To)
-		}
-		for _, i := range p.Links {
-			if i < 0 || i >= computers {
-				return fmt.Errorf("ctrlplane: partition %d cuts control link %d outside [0,%d)", k, i, computers)
-			}
-		}
-	}
-	for k, p := range c.SyncPartitions {
-		if p.From < 0 || p.To <= p.From {
-			return fmt.Errorf("ctrlplane: sync partition %d window [%g,%g) is not a forward interval", k, p.From, p.To)
-		}
-		for _, i := range p.Links {
-			if i < 0 || (replicas > 0 && i >= replicas) {
-				return fmt.Errorf("ctrlplane: sync partition %d isolates replica %d outside [0,%d)", k, i, replicas)
-			}
-		}
+	if err := netfault.ValidatePartitions(c.SyncPartitions, replicas, "replica"); err != nil {
+		return err
 	}
 	if c.Lease < 0 || math.IsNaN(c.Lease) || math.IsInf(c.Lease, 0) {
 		return fmt.Errorf("ctrlplane: token lease %g invalid (must be >= 0 and finite)", c.Lease)

@@ -2,6 +2,8 @@ package ctrlplane
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"heterosched/internal/dist"
@@ -19,11 +21,11 @@ func TestConfigEnabled(t *testing.T) {
 		t.Fatal("zero config must be disabled")
 	}
 	cases := []Config{
-		{Link: netfault.Link{Loss: 0.1}, QueryTO: 5},
+		{Links: netfault.Links{Link: netfault.Link{Loss: 0.1}}, QueryTO: 5},
 		{Lease: 100},
 		{QueryTO: 5},
-		{PerLink: map[int]netfault.Link{0: {}}},
-		{Partitions: []netfault.Partition{{From: 1, To: 2}}},
+		{Links: netfault.Links{PerLink: map[int]netfault.Link{0: {}}}},
+		{Links: netfault.Links{Partitions: []netfault.Partition{{From: 1, To: 2}}}},
 		{SyncPartitions: []netfault.Partition{{From: 1, To: 2}}},
 	}
 	for i, c := range cases {
@@ -34,18 +36,18 @@ func TestConfigEnabled(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := &Config{Link: netfault.Link{Loss: 0.2, Latency: dist.Deterministic{Value: 1}}, QueryTO: 10, Lease: 50}
+	good := &Config{Links: netfault.Links{Link: netfault.Link{Loss: 0.2, Latency: dist.Deterministic{Value: 1}}}, QueryTO: 10, Lease: 50}
 	if err := good.Validate(4, 2); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
 	bad := []*Config{
-		{Link: netfault.Link{Loss: 0.2}},                                                      // lossy without timeout
-		{Partitions: []netfault.Partition{{From: 0, To: 5}}},                                  // partition without timeout
-		{Link: netfault.Link{Loss: 1.5}, QueryTO: 1},                                          // loss out of range
-		{QueryTO: 1, PerLink: map[int]netfault.Link{9: {}}},                                   // per-link index out of range
-		{QueryTO: 1, Partitions: []netfault.Partition{{From: 5, To: 2}}},                      // backwards window
-		{QueryTO: 1, Partitions: []netfault.Partition{{From: 0, To: 1, Links: []int{7}}}},     // link out of range
-		{QueryTO: 1, SyncPartitions: []netfault.Partition{{From: 0, To: 1, Links: []int{5}}}}, // replica out of range
+		{Links: netfault.Links{Link: netfault.Link{Loss: 0.2}}},                                                  // lossy without timeout
+		{Links: netfault.Links{Partitions: []netfault.Partition{{From: 0, To: 5}}}},                              // partition without timeout
+		{Links: netfault.Links{Link: netfault.Link{Loss: 1.5}}, QueryTO: 1},                                      // loss out of range
+		{QueryTO: 1, Links: netfault.Links{PerLink: map[int]netfault.Link{9: {}}}},                               // per-link index out of range
+		{QueryTO: 1, Links: netfault.Links{Partitions: []netfault.Partition{{From: 5, To: 2}}}},                  // backwards window
+		{QueryTO: 1, Links: netfault.Links{Partitions: []netfault.Partition{{From: 0, To: 1, Links: []int{7}}}}}, // link out of range
+		{QueryTO: 1, SyncPartitions: []netfault.Partition{{From: 0, To: 1, Links: []int{5}}}},                    // replica out of range
 		{Lease: math.Inf(1)},
 		{QueryTO: -2},
 	}
@@ -80,7 +82,7 @@ func newPlane(t *testing.T, cfg *Config, n int) (*sim.Engine, *Plane, *fixedSour
 }
 
 func TestTokenDeliveryAndLoss(t *testing.T) {
-	cfg := &Config{Link: netfault.Link{Loss: 0.5, Latency: dist.Deterministic{Value: 2}}, QueryTO: 10}
+	cfg := &Config{Links: netfault.Links{Link: netfault.Link{Loss: 0.5, Latency: dist.Deterministic{Value: 2}}}, QueryTO: 10}
 	en, p, _ := newPlane(t, cfg, 2)
 	delivered := 0
 	for i := 0; i < 200; i++ {
@@ -104,7 +106,7 @@ func TestTokenDeliveryAndLoss(t *testing.T) {
 }
 
 func TestTokenDupAndDedup(t *testing.T) {
-	cfg := &Config{Link: netfault.Link{Dup: 1}, Lease: 0, QueryTO: 0}
+	cfg := &Config{Links: netfault.Links{Link: netfault.Link{Dup: 1}}, Lease: 0, QueryTO: 0}
 	en, p, _ := newPlane(t, cfg, 1)
 	has := false
 	p.SendToken(0, func(expiry float64) bool {
@@ -125,7 +127,7 @@ func TestTokenDupAndDedup(t *testing.T) {
 }
 
 func TestTokenLeaseExpiryStamp(t *testing.T) {
-	cfg := &Config{Link: netfault.Link{Latency: dist.Deterministic{Value: 3}}, Lease: 100}
+	cfg := &Config{Links: netfault.Links{Link: netfault.Link{Latency: dist.Deterministic{Value: 3}}}, Lease: 100}
 	en, p, _ := newPlane(t, cfg, 1)
 	var gotExpiry float64
 	p.SendToken(0, func(expiry float64) bool { gotExpiry = expiry; return true })
@@ -136,7 +138,7 @@ func TestTokenLeaseExpiryStamp(t *testing.T) {
 }
 
 func TestTokenPartitionBlocksSend(t *testing.T) {
-	cfg := &Config{QueryTO: 5, Partitions: []netfault.Partition{{From: 0, To: 10, Links: []int{0}}}}
+	cfg := &Config{QueryTO: 5, Links: netfault.Links{Partitions: []netfault.Partition{{From: 0, To: 10, Links: []int{0}}}}}
 	en, p, _ := newPlane(t, cfg, 2)
 	p.SendToken(0, func(float64) bool { t.Fatal("token crossed a cut link"); return false })
 	ok := false
@@ -151,7 +153,7 @@ func TestTokenPartitionBlocksSend(t *testing.T) {
 }
 
 func TestQueryFreshInTime(t *testing.T) {
-	cfg := &Config{Link: netfault.Link{Latency: dist.Deterministic{Value: 1}}, QueryTO: 10}
+	cfg := &Config{Links: netfault.Links{Link: netfault.Link{Latency: dist.Deterministic{Value: 1}}}, QueryTO: 10}
 	en, p, src := newPlane(t, cfg, 2)
 	src.q[1] = 7
 	v := p.View(0)
@@ -172,8 +174,8 @@ func TestQueryFreshInTime(t *testing.T) {
 func TestQueryFallbackToCacheAndBlind(t *testing.T) {
 	// Partition window [5,20) cuts link 0: probes fall back to cache.
 	cfg := &Config{
-		QueryTO:    4,
-		Partitions: []netfault.Partition{{From: 5, To: 20, Links: []int{0}}},
+		QueryTO: 4,
+		Links:   netfault.Links{Partitions: []netfault.Partition{{From: 5, To: 20, Links: []int{0}}}},
 	}
 	en, p, src := newPlane(t, cfg, 2)
 	src.q[0] = 3
@@ -222,7 +224,7 @@ func TestQueryFallbackToCacheAndBlind(t *testing.T) {
 }
 
 func TestQueryBlindRead(t *testing.T) {
-	cfg := &Config{QueryTO: 2, Partitions: []netfault.Partition{{From: 0, To: 100}}}
+	cfg := &Config{QueryTO: 2, Links: netfault.Links{Partitions: []netfault.Partition{{From: 0, To: 100}}}}
 	en, p, _ := newPlane(t, cfg, 2)
 	v := p.View(0)
 	p.BeginDecision()
@@ -242,7 +244,7 @@ func TestQueryBlindRead(t *testing.T) {
 func TestQueryLateRefreshesCache(t *testing.T) {
 	// RTT 6 > timeout 4: decision uses cache (blind here), reply lands
 	// at +6 and refreshes the cache for the next decision.
-	cfg := &Config{Link: netfault.Link{Latency: dist.Deterministic{Value: 3}}, QueryTO: 4}
+	cfg := &Config{Links: netfault.Links{Link: netfault.Link{Latency: dist.Deterministic{Value: 3}}}, QueryTO: 4}
 	en, p, src := newPlane(t, cfg, 1)
 	src.q[0] = 5
 	v := p.View(0)
@@ -268,7 +270,7 @@ func TestQueryLateRefreshesCache(t *testing.T) {
 
 func TestSyncVersioningAndPartition(t *testing.T) {
 	cfg := &Config{
-		Link:           netfault.Link{Latency: dist.Deterministic{Value: 1}},
+		Links:          netfault.Links{Link: netfault.Link{Latency: dist.Deterministic{Value: 1}}},
 		QueryTO:        5,
 		SyncPartitions: []netfault.Partition{{From: 10, To: 20, Links: []int{1}}},
 	}
@@ -301,7 +303,7 @@ func TestSyncVersioningAndPartition(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() Stats {
-		cfg := &Config{Link: netfault.Link{Loss: 0.3, Dup: 0.2, Latency: dist.Exponential{MeanVal: 2}}, QueryTO: 6, Lease: 40}
+		cfg := &Config{Links: netfault.Links{Link: netfault.Link{Loss: 0.3, Dup: 0.2, Latency: dist.Exponential{MeanVal: 2}}}, QueryTO: 6, Lease: 40}
 		en := &sim.Engine{}
 		p := NewPlane(en, cfg, 3, rng.New(7), 1e6)
 		p.EnsureReplicas(2)
@@ -325,5 +327,55 @@ func TestDeterministicReplay(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("replay diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestDrawsFollowLinkRule pins the control plane to netfault's draw
+// rule: token reports and queue-length probes consume exactly the draws
+// Link.Copies and Link.Transit make on a same-seed stream, including a
+// probe's reply leg, which rolls only when the request arrived. Tokens
+// land at their transit latency; an in-time probe charges its
+// round-trip.
+func TestDrawsFollowLinkRule(t *testing.T) {
+	l := netfault.Link{Loss: 0.3, Dup: 0.3, Latency: dist.Exponential{MeanVal: 2}}
+	cfg := &Config{Links: netfault.Links{Link: l}, QueryTO: 1e9, Lease: 50}
+	en, p, src := newPlane(t, cfg, 1)
+	src.q[0] = 4
+	ref := rng.New(42).DeriveIndexed("ctrl.link", 0)
+	v := p.View(0)
+	for k := 0; k < 300; k++ {
+		var want, got []float64
+		copies := l.Copies(ref)
+		for c := 0; c < copies; c++ {
+			if lat, ok := l.Transit(ref); ok {
+				want = append(want, en.Now()+lat+cfg.Lease)
+			}
+		}
+		p.SendToken(0, func(expiry float64) bool { got = append(got, expiry); return true })
+		en.RunUntil(math.Inf(1))
+		sort.Float64s(got)
+		sort.Float64s(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("token %d: delivered expiries %v, want %v", k, got, want)
+		}
+
+		wantWait, ok := l.Transit(ref)
+		if ok {
+			var rep float64
+			rep, ok = l.Transit(ref)
+			wantWait += rep
+		}
+		if !ok {
+			wantWait = cfg.QueryTO
+		}
+		lostBefore := p.stats.QueriesLost
+		p.BeginDecision()
+		v.QueueLen(0)
+		if wait := p.EndDecision(0); wait != wantWait || (p.stats.QueriesLost == lostBefore) != ok {
+			t.Fatalf("probe %d: wait %g lost %v, want wait %g lost %v", k, wait, p.stats.QueriesLost != lostBefore, wantWait, !ok)
+		}
+		if p.linkSt[0].State() != ref.State() {
+			t.Fatalf("step %d: plane and reference streams diverged", k)
+		}
 	}
 }

@@ -196,16 +196,6 @@ func cutBy(parts []netfault.Partition, idx int, t float64) bool {
 	return false
 }
 
-func drawLatency(l netfault.Link, st *rng.Stream) float64 {
-	if l.Latency == nil {
-		return 0
-	}
-	if d := l.Latency.Sample(st); d > 0 {
-		return d
-	}
-	return 0
-}
-
 // SendToken carries computer i's idle-token report over its control
 // link. Each surviving copy invokes deliver at its arrival time with
 // the token's lease expiry (0 when leases are off); deliver reports
@@ -219,15 +209,13 @@ func (p *Plane) SendToken(i int, deliver func(expiry float64) bool) {
 	}
 	st := p.linkSt[i]
 	l := p.cfg.LinkFor(i)
-	copies := 1
-	if l.Dup > 0 && st.Float64() < l.Dup {
-		copies = 2
+	copies := l.Copies(st)
+	if copies > 1 {
 		p.stats.TokensDup++
 	}
 	for c := 0; c < copies; c++ {
-		lost := l.Loss > 0 && st.Float64() < l.Loss
-		lat := drawLatency(l, st)
-		if lost {
+		lat, ok := l.Transit(st)
+		if !ok {
 			p.stats.TokensLost++
 			continue
 		}
@@ -339,24 +327,19 @@ func (p *Plane) query(k, i int) int {
 	}
 	st := p.linkSt[i]
 	l := p.cfg.LinkFor(i)
-	lost := false
-	if l.Loss > 0 {
-		// Request and reply legs each roll loss; draw both
-		// unconditionally so the stream stays aligned regardless of
-		// the first leg's outcome.
-		reqLost := st.Float64() < l.Loss
-		repLost := st.Float64() < l.Loss
-		lost = reqLost || repLost
+	// The request leg crosses the link first; the reply leg rolls only
+	// if the request arrived.
+	req, ok := l.Transit(st)
+	rep := 0.0
+	if ok {
+		rep, ok = l.Transit(st)
 	}
-	rtt := 0.0
-	if l.Latency != nil {
-		rtt = drawLatency(l, st) + drawLatency(l, st)
-	}
-	if lost {
+	if !ok {
 		p.stats.QueriesLost++
 		p.decDegraded = true
 		return p.cached(k, i, now)
 	}
+	rtt := req + rep
 	// The computer answers with its state as of the probe; an in-time
 	// reply is usable this decision, a late one only refreshes the
 	// cache when it lands.
@@ -409,15 +392,13 @@ func (p *Plane) SendSync(from, to int, deliver func()) {
 	}
 	st := p.syncSt[from]
 	l := p.cfg.Link
-	copies := 1
-	if l.Dup > 0 && st.Float64() < l.Dup {
-		copies = 2
+	copies := l.Copies(st)
+	if copies > 1 {
 		p.stats.SyncDup++
 	}
 	for c := 0; c < copies; c++ {
-		lost := l.Loss > 0 && st.Float64() < l.Loss
-		lat := drawLatency(l, st)
-		if lost {
+		lat, ok := l.Transit(st)
+		if !ok {
 			p.stats.SyncLost++
 			continue
 		}

@@ -83,7 +83,7 @@ func controlCtrl(row, regime string) *ctrlplane.Config {
 		return nil
 	}
 	c := &ctrlplane.Config{
-		Link:    netfault.Link{Latency: dist.Exponential{MeanVal: 1}},
+		Links:   netfault.Links{Link: netfault.Link{Latency: dist.Exponential{MeanVal: 1}}},
 		QueryTO: 8,
 	}
 	if regime == "lat+loss" {

@@ -86,11 +86,11 @@ type NetfaultsResult struct {
 // is measured identically at every level.
 func netfaultLinkConfig(s NetfaultScale) *netfault.Config {
 	if s.Loss == 0 && s.Lat == 0 && s.Dup == 0 {
-		return &netfault.Config{Link: netfault.Link{Latency: dist.Deterministic{Value: 0}}}
+		return &netfault.Config{Links: netfault.Links{Link: netfault.Link{Latency: dist.Deterministic{Value: 0}}}}
 	}
 	return &netfault.Config{
-		Link: netfault.Link{Latency: dist.Exponential{MeanVal: s.Lat}, Loss: s.Loss, Dup: s.Dup},
-		Ack:  netfault.Ack{Timeout: 30},
+		Links: netfault.Links{Link: netfault.Link{Latency: dist.Exponential{MeanVal: s.Lat}, Loss: s.Loss, Dup: s.Dup}},
+		Ack:   netfault.Ack{Timeout: 30},
 	}
 }
 
@@ -185,7 +185,7 @@ func ExtNetfaults(o Options) (*NetfaultsResult, error) {
 
 	for _, rec := range res.Recoveries {
 		nf := &netfault.Config{
-			Link: netfault.Link{Latency: dist.Exponential{MeanVal: 1}, Loss: 0.02},
+			Links: netfault.Links{Link: netfault.Link{Latency: dist.Exponential{MeanVal: 1}, Loss: 0.02}},
 			Dispatcher: &netfault.Dispatcher{
 				// ~25 outages per run at the default scale (duration
 				// 2e5): MTBF 8e3, 60 s repairs, arrivals buffered across

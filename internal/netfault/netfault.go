@@ -13,6 +13,11 @@
 // only when the layer is enabled, so netfault-off runs remain
 // bit-identical to the unmodified engine. The runtime that interprets
 // this configuration lives in internal/cluster.
+//
+// The faulty-link model itself — Link with its draw rule (Copies,
+// Transit) and Links with its overrides and partition windows — is
+// shared with internal/ctrlplane, whose control messages cross links of
+// the same kind.
 package netfault
 
 import (
@@ -21,35 +26,50 @@ import (
 	"sort"
 
 	"heterosched/internal/dist"
+	"heterosched/internal/rng"
 )
 
-// Link is the fault model for one dispatcher→computer link. The zero
-// value is a perfect link: zero latency, no loss, no duplication.
+// Link is the fault model for one link. The zero value is a perfect
+// link: zero latency, no loss, no duplication.
 type Link struct {
-	// Latency is the one-way transit delay distribution for dispatch
-	// messages (and acks, which reuse the same distribution). Nil means
+	// Latency is the one-way transit delay distribution of every copy
+	// (dispatch messages, acks and control messages alike). Nil means
 	// instantaneous delivery.
 	Latency dist.Distribution
-	// Loss is the probability that one transmitted copy of a dispatch
-	// message silently vanishes in transit. Acks are subject to the same
-	// loss probability.
+	// Loss is the probability that one transmitted copy silently
+	// vanishes in transit.
 	Loss float64
-	// Dup is the probability that a dispatch message is duplicated in
-	// transit and delivered twice (each copy subject to Loss and Latency
+	// Dup is the probability that a message is duplicated in transit
+	// and delivered twice (each copy subject to Loss and Latency
 	// independently).
 	Dup float64
 }
 
-// perfect reports whether the link is the zero-value perfect link.
 func (l Link) perfect() bool { return l.Latency == nil && l.Loss == 0 && l.Dup == 0 }
 
-// Perfect reports whether the link is the zero-value perfect link:
-// zero latency, no loss, no duplication. Exported for reuse by the
-// ctrlplane layer, which models control links with the same type.
-func (l Link) Perfect() bool { return l.perfect() }
+// Copies rolls one message's duplication: 2 copies with probability
+// Dup, else 1. It draws from st only when Dup > 0.
+func (l Link) Copies(st *rng.Stream) int {
+	if l.Dup > 0 && st.Float64() < l.Dup {
+		return 2
+	}
+	return 1
+}
 
-// Validate checks the link's parameters, labelling errors with name.
-func (l Link) Validate(name string) error { return l.validate(name) }
+// Transit rolls one copy's fate: loss first (a draw only when Loss > 0),
+// then, only for a copy that survives, its latency (a draw only when
+// Latency is set), clamped at 0. ok is false for a lost copy.
+func (l Link) Transit(st *rng.Stream) (delay float64, ok bool) {
+	if l.Loss > 0 && st.Float64() < l.Loss {
+		return 0, false
+	}
+	if l.Latency != nil {
+		if d := l.Latency.Sample(st); d > 0 {
+			return d, true
+		}
+	}
+	return 0, true
+}
 
 func (l Link) validate(name string) error {
 	if l.Loss < 0 || l.Loss >= 1 {
@@ -69,9 +89,89 @@ func (l Link) validate(name string) error {
 // unaffected) from From until To.
 type Partition struct {
 	From, To float64
-	// Links are the computer indices whose dispatch links are cut. Empty
-	// means every link: a full partition isolating the dispatcher.
+	// Links are the computer indices whose links are cut. Empty means
+	// every link: a full partition isolating the dispatcher.
 	Links []int
+}
+
+// Links is the faulty-link model of one message layer: a default link,
+// per-computer overrides and partition windows. Config embeds it for
+// dispatch messages and ctrlplane.Config for control messages.
+type Links struct {
+	// Link is the default fault model applied to every link.
+	Link Link
+	// PerLink overrides the default model for specific computer indices.
+	PerLink map[int]Link
+	// Partitions are deterministic link-cut windows.
+	Partitions []Partition
+}
+
+// Active reports whether any link is imperfect or any partition window
+// is set.
+func (ls *Links) Active() bool {
+	return !ls.Link.perfect() || len(ls.PerLink) > 0 || len(ls.Partitions) > 0
+}
+
+// LinkFor returns the resolved fault model for link i.
+func (ls *Links) LinkFor(i int) Link {
+	if l, ok := ls.PerLink[i]; ok {
+		return l
+	}
+	return ls.Link
+}
+
+// Lossy reports whether any of the first computers links can lose or
+// block a message: a positive loss probability, or any partition window.
+func (ls *Links) Lossy(computers int) bool {
+	if len(ls.Partitions) > 0 {
+		return true
+	}
+	for i := 0; i < computers; i++ {
+		if ls.LinkFor(i).Loss > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// ValidateLinks checks the link models, the override indices and the
+// partition windows against a cluster of the given size. kind names the
+// links in errors ("link", "control link").
+func (ls *Links) ValidateLinks(computers int, kind string) error {
+	if err := ls.Link.validate("default " + kind); err != nil {
+		return err
+	}
+	idxs := make([]int, 0, len(ls.PerLink))
+	for i := range ls.PerLink {
+		idxs = append(idxs, i)
+	}
+	sort.Ints(idxs)
+	for _, i := range idxs {
+		if i < 0 || i >= computers {
+			return fmt.Errorf("netfault: per-link override for computer %d outside [0,%d)", i, computers)
+		}
+		if err := ls.PerLink[i].validate(fmt.Sprintf("%s %d", kind, i)); err != nil {
+			return err
+		}
+	}
+	return ValidatePartitions(ls.Partitions, computers, kind)
+}
+
+// ValidatePartitions checks that every window is a forward interval
+// cutting indices in [0,n); n <= 0 checks only that indices are
+// non-negative. kind names the cut entities in errors.
+func ValidatePartitions(parts []Partition, n int, kind string) error {
+	for k, p := range parts {
+		if p.From < 0 || p.To <= p.From {
+			return fmt.Errorf("netfault: %s partition %d window [%g,%g) is not a forward interval", kind, k, p.From, p.To)
+		}
+		for _, i := range p.Links {
+			if i < 0 || (n > 0 && i >= n) {
+				return fmt.Errorf("netfault: %s partition %d cuts %s %d outside [0,%d)", kind, k, kind, i, n)
+			}
+		}
+	}
+	return nil
 }
 
 // DownPolicy selects what happens to jobs arriving while the dispatcher
@@ -229,12 +329,9 @@ const (
 // no events are scheduled, and runs are bit-identical to the unmodified
 // engine.
 type Config struct {
-	// Link is the default fault model applied to every link.
-	Link Link
-	// PerLink overrides the default model for specific computer indices.
-	PerLink map[int]Link
-	// Partitions are deterministic link-cut windows.
-	Partitions []Partition
+	// Links is the dispatch-link model: default link, per-link
+	// overrides and partition windows.
+	Links
 	// Dispatcher enables the crash/restart renewal process; nil disables.
 	Dispatcher *Dispatcher
 	// Ack configures the dispatch/ack reliability loop.
@@ -247,30 +344,7 @@ func (c *Config) Enabled() bool {
 	if c == nil {
 		return false
 	}
-	return !c.Link.perfect() || len(c.PerLink) > 0 || len(c.Partitions) > 0 ||
-		c.Dispatcher != nil || c.Ack.Timeout > 0
-}
-
-// LinkFor returns the resolved fault model for link i.
-func (c *Config) LinkFor(i int) Link {
-	if l, ok := c.PerLink[i]; ok {
-		return l
-	}
-	return c.Link
-}
-
-// Lossy reports whether any link can lose or block a dispatch message:
-// a positive loss probability anywhere, or any partition window.
-func (c *Config) Lossy(computers int) bool {
-	if len(c.Partitions) > 0 {
-		return true
-	}
-	for i := 0; i < computers; i++ {
-		if c.LinkFor(i).Loss > 0 {
-			return true
-		}
-	}
-	return false
+	return c.Active() || c.Dispatcher != nil || c.Ack.Timeout > 0
 }
 
 // withDefaults fills zero fields of the dispatcher and ack configs.
@@ -314,31 +388,8 @@ func (c *Config) Validate(computers int) error {
 		return errors.New("netfault: validate needs a positive computer count")
 	}
 	c.withDefaults()
-	if err := c.Link.validate("default link"); err != nil {
+	if err := c.ValidateLinks(computers, "link"); err != nil {
 		return err
-	}
-	idxs := make([]int, 0, len(c.PerLink))
-	for i := range c.PerLink {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		if i < 0 || i >= computers {
-			return fmt.Errorf("netfault: per-link override for computer %d outside [0,%d)", i, computers)
-		}
-		if err := c.PerLink[i].validate(fmt.Sprintf("link %d", i)); err != nil {
-			return err
-		}
-	}
-	for k, p := range c.Partitions {
-		if p.From < 0 || p.To <= p.From {
-			return fmt.Errorf("netfault: partition %d window [%g,%g) is not a forward interval", k, p.From, p.To)
-		}
-		for _, i := range p.Links {
-			if i < 0 || i >= computers {
-				return fmt.Errorf("netfault: partition %d cuts link %d outside [0,%d)", k, i, computers)
-			}
-		}
 	}
 	if d := c.Dispatcher; d != nil {
 		if d.Uptime == nil || d.Downtime == nil {

@@ -192,7 +192,7 @@ func TestStaticSyncMonotonicRejoin(t *testing.T) {
 		Seed:        11,
 	}
 	base.Ctrl = &ctrlplane.Config{
-		Link:           netfault.Link{Dup: 1}, // every frame ships a duplicate copy
+		Links:          netfault.Links{Link: netfault.Link{Dup: 1}}, // every frame ships a duplicate copy
 		SyncPartitions: []netfault.Partition{{From: 2e3, To: 6e3}},
 		QueryTO:        1,
 	}

@@ -12,6 +12,39 @@ import (
 	"heterosched/internal/sim"
 )
 
+// goldenBase is the run TestGoldenDefaults and TestGoldenLayersOff lock:
+// speeds {1,1,2,10} at ρ=0.6, 5·10⁴ s, seed 7.
+func goldenBase() cluster.Config {
+	return cluster.Config{
+		Speeds:      []float64{1, 1, 2, 10},
+		Utilization: 0.6,
+		Duration:    5e4,
+		Seed:        7,
+	}
+}
+
+// golden is one locked run outcome.
+type golden struct {
+	time, ratio, fair   float64
+	jobs, generatedJobs int64
+}
+
+// The golden outcomes of goldenBase under ORR and WRAN.
+var (
+	goldenORR  = golden{80.32010488757426, 0.85354843255027757, 0.76359187852407262, 3741, 5160}
+	goldenWRAN = golden{90.335689256411428, 1.009917972863575, 1.0072099109339594, 3741, 5160}
+)
+
+func (g golden) check(t *testing.T, label string, res *cluster.Result) {
+	t.Helper()
+	if res.MeanResponseTime != g.time || res.MeanResponseRatio != g.ratio ||
+		res.Fairness != g.fair || res.Jobs != g.jobs || res.GeneratedJobs != g.generatedJobs {
+		t.Errorf("%s drifted from golden values:\n got  time=%.17g ratio=%.17g fair=%.17g jobs=%d gen=%d\n want time=%.17g ratio=%.17g fair=%.17g jobs=%d gen=%d",
+			label, res.MeanResponseTime, res.MeanResponseRatio, res.Fairness, res.Jobs, res.GeneratedJobs,
+			g.time, g.ratio, g.fair, g.jobs, g.generatedJobs)
+	}
+}
+
 // TestGoldenDefaults locks the simulator's output bit-for-bit for runs
 // with every optional subsystem (faults, overload protection, sampling)
 // at its defaults. The overload layer is required to be inert when
@@ -20,143 +53,90 @@ import (
 // legitimately alters the core simulation, recapture the constants and
 // say why in the commit.
 func TestGoldenDefaults(t *testing.T) {
-	base := cluster.Config{
-		Speeds:      []float64{1, 1, 2, 10},
-		Utilization: 0.6,
-		Duration:    5e4,
-		Seed:        7,
-	}
 	cases := []struct {
-		label               string
-		policy              cluster.Policy
-		time, ratio, fair   float64
-		jobs, generatedJobs int64
+		label  string
+		policy cluster.Policy
+		want   golden
 	}{
-		{"ORR", ORR(), 80.32010488757426, 0.85354843255027757, 0.76359187852407262, 3741, 5160},
-		{"WRAN", WRAN(), 90.335689256411428, 1.009917972863575, 1.0072099109339594, 3741, 5160},
-		{"LL", NewLeastLoad(), 66.696128653667557, 0.63576168097964592, 0.46118949545857496, 3741, 5160},
+		{"ORR", ORR(), goldenORR},
+		{"WRAN", WRAN(), goldenWRAN},
+		{"LL", NewLeastLoad(), golden{66.696128653667557, 0.63576168097964592, 0.46118949545857496, 3741, 5160}},
 	}
 	for _, c := range cases {
-		res, err := cluster.Run(base, c.policy)
+		res, err := cluster.Run(goldenBase(), c.policy)
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
 		}
-		if res.MeanResponseTime != c.time || res.MeanResponseRatio != c.ratio ||
-			res.Fairness != c.fair || res.Jobs != c.jobs || res.GeneratedJobs != c.generatedJobs {
-			t.Errorf("%s drifted from golden values:\n got  time=%.17g ratio=%.17g fair=%.17g jobs=%d gen=%d\n want time=%.17g ratio=%.17g fair=%.17g jobs=%d gen=%d",
-				c.label, res.MeanResponseTime, res.MeanResponseRatio, res.Fairness, res.Jobs, res.GeneratedJobs,
-				c.time, c.ratio, c.fair, c.jobs, c.generatedJobs)
-		}
+		c.want.check(t, c.label, res)
 		if res.Overload != nil || res.InSystemSeries != nil {
 			t.Errorf("%s: overload fields populated on a default run", c.label)
 		}
 	}
 }
 
-// TestGoldenProbesOff locks the observability layer's inertness promise
-// to the same golden constants: attaching a disabled probe and a
-// terminal-outcome hook must leave the run bit-identical to the default
-// ORR run above. If this drifts while TestGoldenDefaults still passes,
-// the probe wiring leaked into the probes-off path.
-func TestGoldenProbesOff(t *testing.T) {
-	p, err := probe.New(probe.Options{}) // valid, nothing enabled
+// TestGoldenLayersOff locks every optional layer's inertness promise to
+// the TestGoldenDefaults constants: each row attaches one layer in an
+// inert configuration, and the run must stay bit-identical to the
+// default one and report no layer statistics. If a row drifts while
+// TestGoldenDefaults still passes, that layer's wiring leaked into its
+// off path (an extra derived stream or scheduled event).
+func TestGoldenLayersOff(t *testing.T) {
+	inertProbe, err := probe.New(probe.Options{}) // valid, nothing enabled
 	if err != nil {
 		t.Fatal(err)
 	}
-	finals := 0
-	cfg := cluster.Config{
-		Speeds:      []float64{1, 1, 2, 10},
-		Utilization: 0.6,
-		Duration:    5e4,
-		Seed:        7,
-		Probe:       p,
-		OnFinal:     func(*sim.Job, cluster.Outcome) { finals++ },
+	// A K=1 policy takes the original unsharded path — no wrapper, no
+	// sync events, no extra RNG derivations — whatever its sync period.
+	oneDispatcher := func(_ *cluster.Config, p *Static) {
+		p.Dispatchers = 1
+		p.SyncEvery = 25
 	}
-	res, err := cluster.Run(cfg, ORR())
-	if err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name   string
+		policy func() *Static
+		want   golden
+		// finals counts OnFinal calls, which must equal Result.Jobs:
+		// the hook observes exactly the post-warm-up jobs T̄ averages.
+		finals bool
+		layer  func(cfg *cluster.Config, p *Static)
+	}{
+		{"probes", ORR, goldenORR, true, func(cfg *cluster.Config, _ *Static) {
+			cfg.Probe = inertProbe
+		}},
+		{"drift", ORR, goldenORR, false, func(cfg *cluster.Config, _ *Static) {
+			cfg.Drift = &drift.Config{}        // no perturbations scheduled
+			cfg.Adapt = &cluster.AdaptConfig{} // zero CheckInterval = disabled
+		}},
+		{"netfault", ORR, goldenORR, false, func(cfg *cluster.Config, _ *Static) {
+			cfg.Netfault = &netfault.Config{} // zero value = layer disabled
+		}},
+		{"sharding_ORR", ORR, goldenORR, false, oneDispatcher},
+		{"sharding_WRAN", WRAN, goldenWRAN, false, oneDispatcher},
 	}
-	const (
-		wantTime  = 80.32010488757426
-		wantRatio = 0.85354843255027757
-		wantFair  = 0.76359187852407262
-	)
-	if res.MeanResponseTime != wantTime || res.MeanResponseRatio != wantRatio ||
-		res.Fairness != wantFair || res.Jobs != 3741 || res.GeneratedJobs != 5160 {
-		t.Errorf("probes-off run drifted from golden values:\n got  time=%.17g ratio=%.17g fair=%.17g jobs=%d gen=%d\n want time=%.17g ratio=%.17g fair=%.17g jobs=3741 gen=5160",
-			res.MeanResponseTime, res.MeanResponseRatio, res.Fairness, res.Jobs, res.GeneratedJobs,
-			wantTime, wantRatio, wantFair)
-	}
-	// OnFinal observes post-warm-up jobs only — exactly the counted ones.
-	if int64(finals) != res.Jobs {
-		t.Errorf("OnFinal fired %d times, want %d (post-warm-up completions)", finals, res.Jobs)
-	}
-}
-
-// TestGoldenDriftOff locks the drift/adaptation layer's inertness
-// promise: attaching a zero-valued drift schedule and a disabled
-// adaptation config must leave the run bit-identical to the default ORR
-// run above. If this drifts while TestGoldenDefaults still passes, the
-// drift or estimator wiring leaked into the drift-off path.
-func TestGoldenDriftOff(t *testing.T) {
-	cfg := cluster.Config{
-		Speeds:      []float64{1, 1, 2, 10},
-		Utilization: 0.6,
-		Duration:    5e4,
-		Seed:        7,
-		Drift:       &drift.Config{},        // no perturbations scheduled
-		Adapt:       &cluster.AdaptConfig{}, // zero CheckInterval = disabled
-	}
-	res, err := cluster.Run(cfg, ORR())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const (
-		wantTime  = 80.32010488757426
-		wantRatio = 0.85354843255027757
-		wantFair  = 0.76359187852407262
-	)
-	if res.MeanResponseTime != wantTime || res.MeanResponseRatio != wantRatio ||
-		res.Fairness != wantFair || res.Jobs != 3741 || res.GeneratedJobs != 5160 {
-		t.Errorf("drift-off run drifted from golden values:\n got  time=%.17g ratio=%.17g fair=%.17g jobs=%d gen=%d\n want time=%.17g ratio=%.17g fair=%.17g jobs=3741 gen=5160",
-			res.MeanResponseTime, res.MeanResponseRatio, res.Fairness, res.Jobs, res.GeneratedJobs,
-			wantTime, wantRatio, wantFair)
-	}
-	if res.Adaptive != nil {
-		t.Error("Adaptive stats populated on a drift-off run")
-	}
-}
-
-// TestGoldenNetfaultOff locks the network-fault layer's inertness
-// promise: attaching a zero-valued netfault config must leave the run
-// bit-identical to the default ORR run. If this drifts while
-// TestGoldenDefaults still passes, the netfault wiring leaked into the
-// netfault-off path (an extra derived stream or scheduled event).
-func TestGoldenNetfaultOff(t *testing.T) {
-	cfg := cluster.Config{
-		Speeds:      []float64{1, 1, 2, 10},
-		Utilization: 0.6,
-		Duration:    5e4,
-		Seed:        7,
-		Netfault:    &netfault.Config{}, // zero value = layer disabled
-	}
-	res, err := cluster.Run(cfg, ORR())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const (
-		wantTime  = 80.32010488757426
-		wantRatio = 0.85354843255027757
-		wantFair  = 0.76359187852407262
-	)
-	if res.MeanResponseTime != wantTime || res.MeanResponseRatio != wantRatio ||
-		res.Fairness != wantFair || res.Jobs != 3741 || res.GeneratedJobs != 5160 {
-		t.Errorf("netfault-off run drifted from golden values:\n got  time=%.17g ratio=%.17g fair=%.17g jobs=%d gen=%d\n want time=%.17g ratio=%.17g fair=%.17g jobs=3741 gen=5160",
-			res.MeanResponseTime, res.MeanResponseRatio, res.Fairness, res.Jobs, res.GeneratedJobs,
-			wantTime, wantRatio, wantFair)
-	}
-	if res.Netfault != nil {
-		t.Error("Netfault stats populated on a netfault-off run")
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			cfg, p := goldenBase(), r.policy()
+			r.layer(&cfg, p)
+			finals := 0
+			if r.finals {
+				cfg.OnFinal = func(*sim.Job, cluster.Outcome) { finals++ }
+			}
+			res, err := cluster.Run(cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.want.check(t, r.name, res)
+			if r.finals && int64(finals) != res.Jobs {
+				t.Errorf("OnFinal fired %d times, want %d (post-warm-up completions)", finals, res.Jobs)
+			}
+			if res.Adaptive != nil || res.Netfault != nil || res.Overload != nil {
+				t.Errorf("layer stats populated on an inert run: adaptive %v, netfault %v, overload %v",
+					res.Adaptive != nil, res.Netfault != nil, res.Overload != nil)
+			}
+			if p.Syncs() != 0 || p.Shards() != 1 {
+				t.Errorf("%d sync rounds over %d shards, want 0 over 1", p.Syncs(), p.Shards())
+			}
+		})
 	}
 }
 

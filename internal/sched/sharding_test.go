@@ -17,49 +17,6 @@ func (v fakeState) QueueLen(i int) int { return v[i] }
 func (v fakeState) Age(int) float64    { return 0 }
 func (v fakeState) N() int             { return len(v) }
 
-// TestGoldenShardingOff extends the golden lock to the sharding
-// refactor: a policy configured with Dispatchers=1 (and any SyncEvery)
-// takes the original unsharded path — no wrapper, no sync events, no
-// extra RNG derivations — so the full-run results must equal the
-// TestGoldenDefaults constants bit for bit.
-func TestGoldenShardingOff(t *testing.T) {
-	base := cluster.Config{
-		Speeds:      []float64{1, 1, 2, 10},
-		Utilization: 0.6,
-		Duration:    5e4,
-		Seed:        7,
-	}
-	cases := []struct {
-		label             string
-		policy            *Static
-		time, ratio, fair float64
-		jobs              int64
-	}{
-		{"ORR", ORR(), 80.32010488757426, 0.85354843255027757, 0.76359187852407262, 3741},
-		{"WRAN", WRAN(), 90.335689256411428, 1.009917972863575, 1.0072099109339594, 3741},
-	}
-	for _, c := range cases {
-		c.policy.Dispatchers = 1
-		c.policy.SyncEvery = 25 // must be inert at K=1
-		res, err := cluster.Run(base, c.policy)
-		if err != nil {
-			t.Fatalf("%s: %v", c.label, err)
-		}
-		if res.MeanResponseTime != c.time || res.MeanResponseRatio != c.ratio ||
-			res.Fairness != c.fair || res.Jobs != c.jobs {
-			t.Errorf("%s with Dispatchers=1 drifted from the unsharded golden values:\n got  time=%.17g ratio=%.17g fair=%.17g jobs=%d\n want time=%.17g ratio=%.17g fair=%.17g jobs=%d",
-				c.label, res.MeanResponseTime, res.MeanResponseRatio, res.Fairness, res.Jobs,
-				c.time, c.ratio, c.fair, c.jobs)
-		}
-		if c.policy.Syncs() != 0 {
-			t.Errorf("%s: %d sync rounds ran at K=1", c.label, c.policy.Syncs())
-		}
-		if c.policy.Shards() != 1 || c.policy.Name() == "" {
-			t.Errorf("%s: Shards() = %d, want 1", c.label, c.policy.Shards())
-		}
-	}
-}
-
 // TestStaticShardedK1Lockstep checks the Select-level equivalence for
 // all three dispatch kinds: a K=1 sharded Static and an unsharded one
 // seeded identically produce the same selection sequence through an
