@@ -9,7 +9,7 @@ BENCH_BASELINE ?= BENCH_2026-08-06.json
 # hardware differs from the baseline machine; locally 10% is realistic.
 BENCH_THRESHOLD ?= 0.10
 
-.PHONY: all build test check race stress vet fmt fmtcheck clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke chaos-smoke benchcheck bench-baseline
+.PHONY: all build test check race stress vet fmt fmtcheck clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke sweep-smoke chaos-smoke benchcheck bench-baseline
 
 all: build
 
@@ -97,6 +97,24 @@ $(SMOKES:%=%-smoke): %-smoke:
 		> $*-out/report.txt
 	$(GO) run ./cmd/probecheck -manifest $*-out/manifest.json \
 		-events $*-out/events.jsonl -require-terminal $($*_CHECK)
+
+# sweep-smoke runs the sweep binary end to end with the layer flags it
+# shares with heterosim: one rho, ORR and jiq under compute faults,
+# bounded queues with dispatcher timeouts, a lossy dispatch network and
+# a slow control plane. Each cell writes its lifecycle stream to
+# sweep-out/ and probecheck validates every stream against the sweep
+# manifest (exactly-once terminals). CI uploads sweep-out/.
+sweep-smoke:
+	rm -rf sweep-out
+	mkdir -p sweep-out
+	$(GO) run ./cmd/sweep -speeds 1,1,2,10 -policies ORR,jiq -from 0.7 -to 0.7 -step 0.1 \
+		-duration 2e4 -reps 1 -mtbf 8000 -mttr 200 -qcap 20 -timeout 300 -retry 2 \
+		-netfault loss:0.05,lat:2 -ackto 30 -ctrl lat:3,qto:40 -probe \
+		-events sweep-out -manifest sweep-out/manifest.json > sweep-out/report.txt
+	for f in sweep-out/*.jsonl; do \
+		$(GO) run ./cmd/probecheck -manifest sweep-out/manifest.json \
+			-events $$f -require-terminal || exit 1; \
+	done
 
 # chaos-smoke samples a bounded budget of composed fault scenarios
 # (faults x overload x drift x netfault) and checks every run against the

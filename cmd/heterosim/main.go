@@ -70,8 +70,6 @@ func main() {
 	speedsFlag := flag.String("speeds", "1,1,1,1,10,10", "comma-separated relative computer speeds")
 	rho := flag.Float64("rho", 0.7, "offered utilization; >= 1 simulates overload")
 	policyFlag := flag.String("policy", "ORR", "policy: WRAN, ORAN, WRR, ORR, LL, LL*, JSQ2, ORRA, ORRCAPx, ORR±e, jsq(d), pod(d)[:speed|alpha], jiq")
-	dispatchersFlag := flag.String("dispatchers", "1", "dispatcher replicas K[:rr|hash] (1 = the paper's central scheduler)")
-	syncFlag := flag.String("sync", "never", "counter-sync period for sharded Algorithm 2 replicas: never or seconds")
 	scale := flag.Int("scale", 0, "tile -speeds cyclically out to this many computers (0 = use -speeds as given)")
 	duration := flag.Float64("duration", 4e5, "simulated seconds per replication (paper: 4e6)")
 	reps := flag.Int("reps", 3, "independent replications (paper: 10)")
@@ -81,32 +79,16 @@ func main() {
 	meanSize := flag.Float64("meansize", 76.8, "mean job size when -expsizes is set")
 	quantum := flag.Float64("quantum", 0, "if > 0, use quantum round-robin servers instead of PS")
 	traceFile := flag.String("trace", "", "write a per-job CSV trace of replication 0 to this file")
-	mtbf := flag.Float64("mtbf", 0, "mean time between failures per computer (exponential); 0 disables failures")
-	mttr := flag.Float64("mttr", 0, "mean time to repair per computer (exponential)")
-	fate := flag.String("fate", "requeue", "job fate at failure: lost, restart, resume or requeue")
-	retries := flag.Int("retries", 3, "re-dispatch budget per job under -fate requeue")
-	detect := flag.Float64("detect", 0, "failure/repair detection lag in seconds")
-	realloc := flag.String("realloc", "stale", "static policies on failure: stale (keep fractions) or resolve (re-run allocator)")
-	qcap := flag.String("qcap", "", "per-computer queue bound: K or K:oldest|newest (0/empty disables)")
-	admit := flag.String("admit", "none", "admission policy: none, reject-when-full or token-bucket:RATE[:BURST]")
-	deadline := flag.String("deadline", "", "per-job relative deadline: exp:MEAN, const:V or uni:LO:HI, optional :kill|:mark")
-	timeout := flag.Float64("timeout", 0, "dispatcher timeout in seconds before a job is pulled back and retried (0 disables)")
-	retry := flag.Int("retry", 0, "retry budget per job after timeouts and rejections")
-	backoff := flag.String("backoff", "", "retry backoff BASE:MAX[:JITTER] in seconds (default 1:60:0)")
-	breaker := flag.String("breaker", "", "per-computer circuit breaker CONSEC:COOLDOWN[:RATIO:WINDOW] (empty disables)")
 	probeFlag := flag.Bool("probe", false, "instrument replication 0 with the metrics registry and report probe tables")
 	spans := flag.String("spans", "", "write rep-0 per-job span trees as Chrome trace-event JSON to this file (Perfetto-viewable)")
 	events := flag.String("events", "", "write the rep-0 lifecycle event stream to this file (JSONL; .csv selects CSV)")
 	manifestPath := flag.String("manifest", "", "write a run manifest (config, seed, git, wall/sim time, final metrics) to this JSON file")
 	sampleDT := flag.Float64("sample-dt", 0, "also sample probe series every this many simulated seconds (0 = event boundaries only; implies -probe)")
 	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
-	driftFlag := flag.String("drift", "", "ground-truth drift specs, comma-separated: lstep:T:F, lramp:T0:T1:F, lcycle:P:A, sstep:T:F[:IDX], mis:RHOERR[:SPEEDERR]")
-	replan := flag.String("replan", "", "adaptive re-planning CHECK:TRIP:COOLDOWN[:BAND[:MINN]] (watchdog period, rho trip threshold, cooldown; empty disables)")
-	estimator := flag.String("estimator", "", "online estimator win:N or ewma:ALPHA (default win:256; needs -replan)")
-	netfaultFlag := flag.String("netfault", "", "network-fault specs, comma-separated: loss:P[:LINK], dup:P[:LINK], lat:MEAN[:LINK], crash:MTBF:MTTR, down:drop|buffer[:CAP]|failover, part:FROM:TO[:L1+L2+...]")
-	ackto := flag.String("ackto", "", "dispatch ack timeout TO[:BUDGET[:BASE:MAX[:JITTER]]]; required when the network can lose messages")
-	dstate := flag.String("dstate", "", "dispatcher state recovery after a crash: acks, ckpt:DT[:CLIENTTO] or cold[:RELEARN[:CLIENTTO]] (needs a crash item)")
-	ctrlFlag := flag.String("ctrl", "", "control-plane fault specs, comma-separated: loss:P[:LINK], dup:P[:LINK], lat:MEAN[:LINK], lease:T, qto:T, part:FROM:TO[:L1+L2+...], dpart:FROM:TO[:K1+K2+...]")
+	// The layer flags (-dispatchers, -mtbf, -qcap, -drift, -netfault,
+	// -ctrl and the rest) are declared once, in internal/cli.
+	var lf cli.LayerFlags
+	lf.Register(flag.CommandLine)
 	flag.Parse()
 	start := time.Now()
 
@@ -115,10 +97,6 @@ func main() {
 		fatal(err)
 	}
 	if speeds, err = cli.ScaleSpeeds(speeds, *scale); err != nil {
-		fatal(err)
-	}
-	sharding, err := cli.ParseShardingSpecs(*dispatchersFlag, *syncFlag)
-	if err != nil {
 		fatal(err)
 	}
 	params := cli.RunParams{Rho: *rho, Duration: *duration, Reps: *reps, CV: *cv, Quantum: *quantum, MeanSize: *meanSize}
@@ -144,41 +122,11 @@ func main() {
 		}()
 		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/vars\n", addr)
 	}
-	faultCfg, mode, err := cli.FaultParams{
-		MTBF: *mtbf, MTTR: *mttr, Fate: *fate, Retries: *retries, Detect: *detect, Realloc: *realloc,
-	}.Build()
+	layers, err := lf.Build(len(speeds))
 	if err != nil {
 		fatal(err)
 	}
-	ovCfg, err := cli.OverloadParams{
-		QCap: *qcap, Admit: *admit, Deadline: *deadline,
-		Timeout: *timeout, Retry: *retry, Backoff: *backoff, Breaker: *breaker,
-	}.Build()
-	if err != nil {
-		fatal(err)
-	}
-	driftCfg, adaptCfg, err := cli.DriftParams{
-		Drift: *driftFlag, Replan: *replan, Estimator: *estimator,
-	}.Build(len(speeds))
-	if err != nil {
-		fatal(err)
-	}
-	netfaultCfg, err := cli.NetfaultParams{
-		Netfault: *netfaultFlag, AckTO: *ackto, DState: *dstate,
-	}.Build(len(speeds))
-	if err != nil {
-		fatal(err)
-	}
-	ctrlCfg, err := cli.CtrlParams{Ctrl: *ctrlFlag}.Build(len(speeds), sharding.Dispatchers)
-	if err != nil {
-		fatal(err)
-	}
-	factory, err := cli.ParsePolicy(*policyFlag, cli.PolicyOptions{
-		Realloc:   mode,
-		Faults:    faultCfg,
-		Computers: len(speeds),
-		Sharding:  sharding,
-	})
+	factory, err := cli.ParsePolicy(*policyFlag, layers.Policy)
 	if err != nil {
 		fatal(err)
 	}
@@ -189,13 +137,8 @@ func main() {
 		Duration:    *duration,
 		Seed:        *seed,
 		ArrivalCV:   *cv,
-		Faults:      faultCfg,
-		Overload:    ovCfg,
-		Drift:       driftCfg,
-		Adapt:       adaptCfg,
-		Netfault:    netfaultCfg,
-		Ctrl:        ctrlCfg,
 	}
+	layers.Apply(&cfg)
 	if *cv == 1 {
 		cfg.ExponentialArrivals = true
 	}
@@ -462,7 +405,7 @@ func main() {
 				kt.AddRow(strconv.Itoa(k+1), strconv.FormatInt(pb.ShardJobs(k), 10),
 					report.F(kcv), strconv.FormatInt(gaps, 10))
 			}
-			kt.AddNote("each replica owns the arrival substream routed to it (%s sharding)", sharding.ShardBy)
+			kt.AddNote("each replica owns the arrival substream routed to it (%s sharding)", layers.Policy.Sharding.ShardBy)
 			if _, err := kt.WriteTo(os.Stdout); err != nil {
 				fatal(err)
 			}
@@ -536,45 +479,9 @@ func main() {
 		m.Config["duration"] = *duration
 		m.Config["reps"] = *reps
 		m.Config["cv"] = *cv
-		if faultCfg != nil {
-			m.Config["mtbf"] = *mtbf
-			m.Config["mttr"] = *mttr
-			m.Config["fate"] = *fate
-		}
-		if ovCfg != nil {
-			m.Config["qcap"] = *qcap
-			m.Config["admit"] = *admit
-			m.Config["deadline"] = *deadline
-			m.Config["timeout"] = *timeout
-			m.Config["retry"] = *retry
-		}
-		if driftCfg != nil {
-			m.Config["drift"] = *driftFlag
-		}
-		if sharding.Enabled() {
-			m.Config["dispatchers"] = *dispatchersFlag
-			m.Config["sync"] = *syncFlag
-		}
+		lf.Record(flag.CommandLine, m.Config)
 		if *scale > 0 {
 			m.Config["scale"] = *scale
-		}
-		if netfaultCfg != nil {
-			m.Config["netfault"] = *netfaultFlag
-			if *ackto != "" {
-				m.Config["ackto"] = *ackto
-			}
-			if *dstate != "" {
-				m.Config["dstate"] = *dstate
-			}
-		}
-		if ctrlCfg != nil {
-			m.Config["ctrl"] = *ctrlFlag
-		}
-		if adaptCfg != nil {
-			m.Config["replan"] = *replan
-			if *estimator != "" {
-				m.Config["estimator"] = *estimator
-			}
 		}
 		if pp.SampleDT > 0 {
 			m.Config["sample_dt"] = pp.SampleDT

@@ -51,9 +51,6 @@ import (
 	"heterosched/internal/cli"
 	"heterosched/internal/cluster"
 	"heterosched/internal/ctrlplane"
-	"heterosched/internal/drift"
-	"heterosched/internal/faults"
-	"heterosched/internal/netfault"
 	"heterosched/internal/probe"
 	"heterosched/internal/report"
 	"heterosched/internal/stats"
@@ -62,8 +59,6 @@ import (
 func main() {
 	speedsFlag := flag.String("speeds", "1,1,2,10", "comma-separated relative computer speeds")
 	policiesFlag := flag.String("policies", "WRAN,ORAN,WRR,ORR,LL", "comma-separated policies")
-	dispatchersFlag := flag.String("dispatchers", "1", "dispatcher replicas K[:rr|hash] applied to every policy (1 = central scheduler)")
-	syncFlag := flag.String("sync", "never", "counter-sync period for sharded Algorithm 2 replicas: never or seconds")
 	scale := flag.Int("scale", 0, "tile -speeds cyclically out to this many computers (0 = use -speeds as given)")
 	from := flag.Float64("from", 0.3, "first utilization")
 	to := flag.Float64("to", 0.9, "last utilization (inclusive)")
@@ -73,31 +68,15 @@ func main() {
 	seed := flag.Uint64("seed", 1, "root seed")
 	cv := flag.Float64("cv", 3.0, "arrival CV (1 = Poisson)")
 	csvPath := flag.String("csv", "", "also write the response-ratio table as CSV")
-	mtbf := flag.Float64("mtbf", 0, "mean time between failures per computer (exponential); 0 disables failures")
-	mttr := flag.Float64("mttr", 0, "mean time to repair per computer (exponential)")
-	fate := flag.String("fate", "requeue", "job fate at failure: lost, restart, resume or requeue")
-	retries := flag.Int("retries", 3, "re-dispatch budget per job under -fate requeue")
-	detect := flag.Float64("detect", 0, "failure/repair detection lag in seconds")
-	realloc := flag.String("realloc", "stale", "static policies on failure: stale (keep fractions) or resolve (re-run allocator)")
-	qcap := flag.String("qcap", "", "per-computer queue bound: K or K:oldest|newest (0/empty disables)")
-	admit := flag.String("admit", "none", "admission policy: none, reject-when-full or token-bucket:RATE[:BURST]")
-	deadline := flag.String("deadline", "", "per-job relative deadline: exp:MEAN, const:V or uni:LO:HI, optional :kill|:mark")
-	timeout := flag.Float64("timeout", 0, "dispatcher timeout in seconds before a job is pulled back and retried (0 disables)")
-	retry := flag.Int("retry", 0, "retry budget per job after timeouts and rejections")
-	backoff := flag.String("backoff", "", "retry backoff BASE:MAX[:JITTER] in seconds (default 1:60:0)")
-	breaker := flag.String("breaker", "", "per-computer circuit breaker CONSEC:COOLDOWN[:RATIO:WINDOW] (empty disables)")
 	probeFlag := flag.Bool("probe", false, "instrument one extra pass per cell and report interarrival CVs")
 	events := flag.String("events", "", "directory receiving one JSONL lifecycle event stream per sweep cell")
 	manifestPath := flag.String("manifest", "", "write a sweep manifest (config, seed, git, wall/sim time, metrics) to this JSON file")
 	sampleDT := flag.Float64("sample-dt", 0, "also sample probe series every this many simulated seconds (implies -probe)")
 	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
-	driftFlag := flag.String("drift", "", "ground-truth drift specs, comma-separated: lstep:T:F, lramp:T0:T1:F, lcycle:P:A, sstep:T:F[:IDX], mis:RHOERR[:SPEEDERR]")
-	replan := flag.String("replan", "", "adaptive re-planning CHECK:TRIP:COOLDOWN[:BAND[:MINN]] (empty disables)")
-	estimator := flag.String("estimator", "", "online estimator win:N or ewma:ALPHA (default win:256; needs -replan)")
-	netfaultFlag := flag.String("netfault", "", "network-fault specs, comma-separated: loss:P[:LINK], dup:P[:LINK], lat:MEAN[:LINK], crash:MTBF:MTTR, down:drop|buffer[:CAP]|failover, part:FROM:TO[:L1+L2+...]")
-	ackto := flag.String("ackto", "", "dispatch ack timeout TO[:BUDGET[:BASE:MAX[:JITTER]]]; required when the network can lose messages")
-	dstate := flag.String("dstate", "", "dispatcher state recovery after a crash: acks, ckpt:DT[:CLIENTTO] or cold[:RELEARN[:CLIENTTO]] (needs a crash item)")
-	ctrlFlag := flag.String("ctrl", "", "control-plane fault specs, comma-separated: loss:P[:LINK], dup:P[:LINK], lat:MEAN[:LINK], lease:T, qto:T, part:FROM:TO[:L1+L2+...], dpart:FROM:TO[:K1+K2+...]")
+	// The layer flags, applied to every cell, are declared once in
+	// internal/cli and shared with heterosim.
+	var lf cli.LayerFlags
+	lf.Register(flag.CommandLine)
 	flag.Parse()
 	start := time.Now()
 
@@ -106,10 +85,6 @@ func main() {
 		fatal(err)
 	}
 	if speeds, err = cli.ScaleSpeeds(speeds, *scale); err != nil {
-		fatal(err)
-	}
-	sharding, err := cli.ParseShardingSpecs(*dispatchersFlag, *syncFlag)
-	if err != nil {
 		fatal(err)
 	}
 	if err := cli.ValidateSweepRange(*from, *to, *step); err != nil {
@@ -143,41 +118,11 @@ func main() {
 		}()
 		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/vars\n", addr)
 	}
-	faultCfg, mode, err := cli.FaultParams{
-		MTBF: *mtbf, MTTR: *mttr, Fate: *fate, Retries: *retries, Detect: *detect, Realloc: *realloc,
-	}.Build()
+	layers, err := lf.Build(len(speeds))
 	if err != nil {
 		fatal(err)
 	}
-	ovCfg, err := cli.OverloadParams{
-		QCap: *qcap, Admit: *admit, Deadline: *deadline,
-		Timeout: *timeout, Retry: *retry, Backoff: *backoff, Breaker: *breaker,
-	}.Build()
-	if err != nil {
-		fatal(err)
-	}
-	driftCfg, adaptCfg, err := cli.DriftParams{
-		Drift: *driftFlag, Replan: *replan, Estimator: *estimator,
-	}.Build(len(speeds))
-	if err != nil {
-		fatal(err)
-	}
-	netfaultCfg, err := cli.NetfaultParams{
-		Netfault: *netfaultFlag, AckTO: *ackto, DState: *dstate,
-	}.Build(len(speeds))
-	if err != nil {
-		fatal(err)
-	}
-	ctrlCfg, err := cli.CtrlParams{Ctrl: *ctrlFlag}.Build(len(speeds), sharding.Dispatchers)
-	if err != nil {
-		fatal(err)
-	}
-	names, factories, err := cli.ParsePolicies(*policiesFlag, cli.PolicyOptions{
-		Realloc:   mode,
-		Faults:    faultCfg,
-		Computers: len(speeds),
-		Sharding:  sharding,
-	})
+	names, factories, err := cli.ParsePolicies(*policiesFlag, layers.Policy)
 	if err != nil {
 		fatal(err)
 	}
@@ -187,7 +132,7 @@ func main() {
 		fatal(fmt.Errorf("empty sweep: from=%v to=%v step=%v", *from, *to, *step))
 	}
 
-	tables, csvTable, probeMetrics, err := runSweep(speeds, rhos, names, factories, *duration, *reps, *seed, *cv, faultCfg, ovCfg, driftCfg, adaptCfg, netfaultCfg, ctrlCfg, pp, sharding.Enabled())
+	tables, csvTable, probeMetrics, err := runSweep(speeds, rhos, names, factories, *duration, *reps, *seed, *cv, layers, pp)
 	if err != nil {
 		fatal(err)
 	}
@@ -219,30 +164,9 @@ func main() {
 		m.Config["duration"] = *duration
 		m.Config["reps"] = *reps
 		m.Config["cv"] = *cv
-		if driftCfg != nil {
-			m.Config["drift"] = *driftFlag
-		}
-		if adaptCfg != nil {
-			m.Config["replan"] = *replan
-		}
-		if sharding.Enabled() {
-			m.Config["dispatchers"] = *dispatchersFlag
-			m.Config["sync"] = *syncFlag
-		}
+		lf.Record(flag.CommandLine, m.Config)
 		if *scale > 0 {
 			m.Config["scale"] = *scale
-		}
-		if netfaultCfg != nil {
-			m.Config["netfault"] = *netfaultFlag
-			if *ackto != "" {
-				m.Config["ackto"] = *ackto
-			}
-			if *dstate != "" {
-				m.Config["dstate"] = *dstate
-			}
-		}
-		if ctrlCfg != nil {
-			m.Config["ctrl"] = *ctrlFlag
 		}
 		if pp.SampleDT > 0 {
 			m.Config["sample_dt"] = pp.SampleDT
@@ -278,287 +202,206 @@ func sweepValues(from, to, step float64) []float64 {
 }
 
 // runSweep executes the sweep and renders the metric tables; the second
-// return is the response-ratio table (for CSV output). With a fault
-// config, two extra tables report jobs lost and the degraded-window mean
-// response time per point; with an overload config, three more report
-// goodput, drops and deadline misses. With probe instrumentation active,
-// one extra uninstrumented-identical pass runs per cell and the third
-// return carries per-cell probe metrics for the manifest.
+// return is the response-ratio table (for CSV output). Each enabled
+// layer adds its own tables: faults the jobs lost and the
+// degraded-window response time, overload protection goodput, drops,
+// deadline misses and percentiles, network faults the network losses
+// and resubmissions, the control plane its lost messages and query
+// wait. With probe instrumentation active, one extra
+// uninstrumented-identical pass runs per cell and the third return
+// carries per-cell probe metrics for the manifest.
 //
 // A cell whose run fails — typically an infeasible allocation
 // (alloc.ErrBadInput) at extreme rho or degenerate speeds — is skipped:
 // its cells render as "-" and a table note names the cell and the
 // error, instead of aborting the whole sweep.
 func runSweep(speeds, rhos []float64, names []string, factories []cluster.PolicyFactory,
-	duration float64, reps int, seed uint64, cv float64, faultCfg *faults.Config,
-	ovCfg *cluster.OverloadConfig, driftCfg *drift.Config, adaptCfg *cluster.AdaptConfig,
-	nfCfg *netfault.Config, ctrlCfg *ctrlplane.Config, pp cli.ProbeParams, sharded bool,
+	duration float64, reps int, seed uint64, cv float64, layers cli.Layers, pp cli.ProbeParams,
 ) ([]*report.Table, *report.Table, map[string]float64, error) {
 	headers := append([]string{"rho"}, names...)
-	ratio := report.NewTable("mean response ratio", headers...)
-	timeT := report.NewTable("mean response time (s)", headers...)
-	fair := report.NewTable("fairness (sd of response ratio)", headers...)
-	withFaults := faultCfg.Enabled()
-	var lostT, degT *report.Table
-	if withFaults {
-		lostT = report.NewTable("jobs lost (mean per replication)", headers...)
-		degT = report.NewTable("mean response time in degraded windows (s)", headers...)
+	probeMetrics := map[string]float64{}
+	var cols []column
+	add := func(title string, instrumented bool, cell func(c *sweepCell) string) *report.Table {
+		t := report.NewTable(title, headers...)
+		cols = append(cols, column{t: t, instrumented: instrumented, cell: cell})
+		return t
 	}
-	withOverload := ovCfg.Enabled()
-	var goodT, dropT, missT, pctT *report.Table
-	if withOverload {
-		goodT = report.NewTable("goodput (jobs completed in time, sum across replications)", headers...)
-		dropT = report.NewTable("jobs dropped (shed + retry budget + deadline kills)", headers...)
-		missT = report.NewTable("deadline misses (killed + late)", headers...)
-		pctT = report.NewTable("resp time p50/p90/p99/p999 (s, streaming histograms merged across replications)", headers...)
-		pctT.AddNote("log-bucketed bins (no retained samples): each quantile carries relative error at most the bin-edge ratio minus one, ~6%% for the 400-bin [1e-3,1e7) geometry")
+	add("mean response time (s)", false, func(c *sweepCell) string { return report.F(c.res.MeanResponseTime.Mean) })
+	ratio := add("mean response ratio", false, func(c *sweepCell) string { return report.F(c.res.MeanResponseRatio.Mean) })
+	add("fairness (sd of response ratio)", false, func(c *sweepCell) string { return report.F(c.res.Fairness.Mean) })
+	if layers.Faults.Enabled() {
+		add("jobs lost (mean per replication)", false, func(c *sweepCell) string { return report.F(c.res.JobsLost.Mean) })
+		add("mean response time in degraded windows (s)", false, func(c *sweepCell) string {
+			return report.F(c.res.MeanResponseTimeDegraded.Mean)
+		})
 	}
-	withNetfault := nfCfg.Enabled()
-	var netT, resubT *report.Table
-	if withNetfault {
-		netT = report.NewTable("jobs lost to the network + dropped by the dispatcher (sum across replications)", headers...)
-		resubT = report.NewTable("network resubmissions (sum across replications)", headers...)
+	if layers.Overload.Enabled() {
+		add("goodput (jobs completed in time, sum across replications)", false, func(c *sweepCell) string {
+			return strconv.FormatInt(c.ov.Goodput, 10)
+		})
+		add("jobs dropped (shed + retry budget + deadline kills)", false, func(c *sweepCell) string {
+			return strconv.FormatInt(c.ov.Dropped(), 10)
+		})
+		add("deadline misses (killed + late)", false, func(c *sweepCell) string {
+			return strconv.FormatInt(c.ov.DeadlineMisses, 10)
+		})
+		add("resp time p50/p90/p99/p999 (s, streaming histograms merged across replications)", false, func(c *sweepCell) string {
+			return mergedPercentiles(c.res.Runs)
+		}).AddNote("log-bucketed bins (no retained samples): each quantile carries relative error at most the bin-edge ratio minus one, ~6%% for the 400-bin [1e-3,1e7) geometry")
 	}
-	withCtrl := ctrlCfg.Enabled()
-	var ctrlLostT, ctrlWaitT *report.Table
-	if withCtrl {
-		ctrlLostT = report.NewTable("control messages lost (tokens + queries + sync frames, sum across replications)", headers...)
-		ctrlWaitT = report.NewTable("query wait charged to dispatch latency (s, sum across replications)", headers...)
-		ctrlWaitT.AddNote("\"-\" for policies that issue no queue-length probes (the layer still carries their tokens or sync frames)")
+	if layers.Netfault.Enabled() {
+		add("jobs lost to the network + dropped by the dispatcher (sum across replications)", false, func(c *sweepCell) string {
+			return strconv.FormatInt(c.nf.LostNetwork+c.nf.DownDropped, 10)
+		})
+		add("network resubmissions (sum across replications)", false, func(c *sweepCell) string {
+			return strconv.FormatInt(c.nf.Resubmits, 10)
+		})
+	}
+	if layers.Ctrl.Enabled() {
+		add("control messages lost (tokens + queries + sync frames, sum across replications)", false, func(c *sweepCell) string {
+			return strconv.FormatInt(c.cp.TokensLost+c.cp.QueriesLost+c.cp.SyncLost, 10)
+		})
+		add("query wait charged to dispatch latency (s, sum across replications)", false, func(c *sweepCell) string {
+			if c.cp.Decisions == 0 {
+				return "-"
+			}
+			return report.F(c.cp.QueryWait)
+		}).AddNote("\"-\" for policies that issue no queue-length probes (the layer still carries their tokens or sync frames)")
+	}
+	if pp.Probe || pp.SampleDT > 0 {
+		add("interarrival CV (mean across computers, instrumented pass)", true, func(c *sweepCell) string {
+			probeMetrics[c.key("interarrival_cv")] = c.meanCV
+			return report.F(c.meanCV)
+		}).AddNote("the paper's §3 burstiness measurement: round-robin splitting smooths each computer's arrival substream, probabilistic splitting does not")
+		if layers.Policy.Sharding.Enabled() {
+			add("per-dispatcher interarrival CV (mean across replicas, instrumented pass)", true, func(c *sweepCell) string {
+				if math.IsNaN(c.shardCV) {
+					return "-"
+				}
+				probeMetrics[c.key("shard_cv")] = c.shardCV
+				return report.F(c.shardCV)
+			}).AddNote("each dispatcher replica's private arrival substream; \"-\" for policies that ran unsharded")
+		}
 	}
 	withProbe := pp.Active()
-	probeMetrics := map[string]float64{}
-	var skipped []string
-	var cvT *report.Table
-	if pp.Probe || pp.SampleDT > 0 {
-		cvT = report.NewTable("interarrival CV (mean across computers, instrumented pass)", headers...)
-		cvT.AddNote("the paper's §3 burstiness measurement: round-robin splitting smooths each computer's arrival substream, probabilistic splitting does not")
-	}
-	var shardT *report.Table
-	if cvT != nil && sharded {
-		shardT = report.NewTable("per-dispatcher interarrival CV (mean across replicas, instrumented pass)", headers...)
-		shardT.AddNote("each dispatcher replica's private arrival substream; \"-\" for policies that ran unsharded")
-	}
-	var decompT *report.Table
 	if withProbe {
-		decompT = report.NewTable("T̄ decomposition (% queue / service / net / retry, instrumented pass)", headers...)
-		decompT.AddNote("per-component share of mean response time from the probe span layer; components sum to T̄ per job")
-	}
-	for _, rho := range rhos {
-		rowR := []string{report.F(rho)}
-		rowT := []string{report.F(rho)}
-		rowF := []string{report.F(rho)}
-		rowL := []string{report.F(rho)}
-		rowD := []string{report.F(rho)}
-		rowG := []string{report.F(rho)}
-		rowX := []string{report.F(rho)}
-		rowM := []string{report.F(rho)}
-		rowN := []string{report.F(rho)}
-		rowS := []string{report.F(rho)}
-		rowC := []string{report.F(rho)}
-		rowP := []string{report.F(rho)}
-		rowDC := []string{report.F(rho)}
-		rowK := []string{report.F(rho)}
-		rowCL := []string{report.F(rho)}
-		rowCW := []string{report.F(rho)}
-		for k, f := range factories {
-			cfg := cluster.Config{
-				Speeds:      speeds,
-				Utilization: rho,
-				Duration:    duration,
-				Seed:        seed,
-				ArrivalCV:   cv,
-				Faults:      faultCfg,
-				Overload:    ovCfg,
-				Drift:       driftCfg,
-				Adapt:       adaptCfg,
-				Netfault:    nfCfg,
-				Ctrl:        ctrlCfg,
+		add("T̄ decomposition (% queue / service / net / retry, instrumented pass)", true, func(c *sweepCell) string {
+			if c.tot.N > 0 {
+				probeMetrics[c.key("queue_share")] = c.tot.Queue / c.tot.Total()
 			}
+			return decompCell(c.tot)
+		}).AddNote("per-component share of mean response time from the probe span layer; components sum to T̄ per job")
+	}
+
+	var skipped []string
+	for _, rho := range rhos {
+		rows := make([][]string, len(cols))
+		for i := range rows {
+			rows[i] = []string{report.F(rho)}
+		}
+		// fill appends a cell to every column fed by the instrumented
+		// pass or by the replications; a nil cell is "-".
+		fill := func(instrumented bool, c *sweepCell) {
+			for i, col := range cols {
+				if col.instrumented != instrumented {
+					continue
+				}
+				v := "-"
+				if c != nil {
+					v = col.cell(c)
+				}
+				rows[i] = append(rows[i], v)
+			}
+		}
+		for k, f := range factories {
+			cfg := cluster.Config{Speeds: speeds, Utilization: rho, Duration: duration, Seed: seed, ArrivalCV: cv}
+			layers.Apply(&cfg)
 			if cv == 1 {
 				cfg.ExponentialArrivals = true
 			}
-			res, err := cluster.RunReplications(cfg, f, reps)
-			if err != nil {
+			c := &sweepCell{name: names[k], rho: rho}
+			var err error
+			if c.res, err = cluster.RunReplications(cfg, f, reps); err != nil {
 				// Skip the bad cell instead of aborting the sweep: fill
 				// every table with "-" and report the reason in a note.
 				skipped = append(skipped, fmt.Sprintf("%s at rho=%s: %v", names[k], report.F(rho), err))
-				rowR = append(rowR, "-")
-				rowT = append(rowT, "-")
-				rowF = append(rowF, "-")
-				if withFaults {
-					rowL = append(rowL, "-")
-					rowD = append(rowD, "-")
-				}
-				if withOverload {
-					rowG = append(rowG, "-")
-					rowX = append(rowX, "-")
-					rowM = append(rowM, "-")
-					rowP = append(rowP, "-")
-				}
-				if withNetfault {
-					rowN = append(rowN, "-")
-					rowS = append(rowS, "-")
-				}
-				if withCtrl {
-					rowCL = append(rowCL, "-")
-					rowCW = append(rowCW, "-")
-				}
-				if cvT != nil {
-					rowC = append(rowC, "-")
-				}
-				if shardT != nil {
-					rowK = append(rowK, "-")
-				}
-				if decompT != nil {
-					rowDC = append(rowDC, "-")
-				}
+				fill(false, nil)
+				fill(true, nil)
 				continue
 			}
-			rowR = append(rowR, report.F(res.MeanResponseRatio.Mean))
-			rowT = append(rowT, report.F(res.MeanResponseTime.Mean))
-			rowF = append(rowF, report.F(res.Fairness.Mean))
-			if withFaults {
-				rowL = append(rowL, report.F(res.JobsLost.Mean))
-				rowD = append(rowD, report.F(res.MeanResponseTimeDegraded.Mean))
+			for _, run := range c.res.Runs {
+				c.ov.AddCounters(run.Overload)
+				c.nf.AddCounters(run.Netfault)
+				c.cp.Add(run.Ctrl)
 			}
-			if withOverload {
-				var ov cluster.OverloadStats
-				for _, run := range res.Runs {
-					ov.AddCounters(run.Overload)
-				}
-				rowG = append(rowG, strconv.FormatInt(ov.Goodput, 10))
-				rowX = append(rowX, strconv.FormatInt(ov.Dropped(), 10))
-				rowM = append(rowM, strconv.FormatInt(ov.DeadlineMisses, 10))
-				rowP = append(rowP, mergedPercentiles(res.Runs))
+			fill(false, c)
+			if !withProbe {
+				continue
 			}
-			if withNetfault {
-				var nf cluster.NetfaultStats
-				for _, run := range res.Runs {
-					nf.AddCounters(run.Netfault)
-				}
-				rowN = append(rowN, strconv.FormatInt(nf.LostNetwork+nf.DownDropped, 10))
-				rowS = append(rowS, strconv.FormatInt(nf.Resubmits, 10))
+			if c.meanCV, c.shardCV, c.tot, err = probeCell(cfg, f, names[k], rho, pp); err != nil {
+				skipped = append(skipped, fmt.Sprintf("%s at rho=%s (probe pass): %v", names[k], report.F(rho), err))
+				c = nil
 			}
-			if withCtrl {
-				var cp ctrlplane.Stats
-				for _, run := range res.Runs {
-					cp.Add(run.Ctrl)
-				}
-				rowCL = append(rowCL, strconv.FormatInt(cp.TokensLost+cp.QueriesLost+cp.SyncLost, 10))
-				if cp.Decisions > 0 {
-					rowCW = append(rowCW, report.F(cp.QueryWait))
-				} else {
-					rowCW = append(rowCW, "-")
-				}
-			}
-			if withProbe {
-				meanCV, shardCV, tot, err := probeCell(cfg, f, names[k], rho, pp)
-				if err != nil {
-					skipped = append(skipped, fmt.Sprintf("%s at rho=%s (probe pass): %v", names[k], report.F(rho), err))
-					if cvT != nil {
-						rowC = append(rowC, "-")
-					}
-					if shardT != nil {
-						rowK = append(rowK, "-")
-					}
-					if decompT != nil {
-						rowDC = append(rowDC, "-")
-					}
-				} else {
-					if cvT != nil {
-						rowC = append(rowC, report.F(meanCV))
-						probeMetrics[fmt.Sprintf("interarrival_cv.%s.rho%s", names[k], report.F(rho))] = meanCV
-					}
-					if shardT != nil {
-						if math.IsNaN(shardCV) {
-							rowK = append(rowK, "-")
-						} else {
-							rowK = append(rowK, report.F(shardCV))
-							probeMetrics[fmt.Sprintf("shard_cv.%s.rho%s", names[k], report.F(rho))] = shardCV
-						}
-					}
-					if decompT != nil {
-						rowDC = append(rowDC, decompCell(tot))
-						if tot.N > 0 {
-							probeMetrics[fmt.Sprintf("queue_share.%s.rho%s", names[k], report.F(rho))] = tot.Queue / tot.Total()
-						}
-					}
-				}
-			}
+			fill(true, c)
 		}
-		ratio.AddRow(rowR...)
-		timeT.AddRow(rowT...)
-		fair.AddRow(rowF...)
-		if withFaults {
-			lostT.AddRow(rowL...)
-			degT.AddRow(rowD...)
-		}
-		if withOverload {
-			goodT.AddRow(rowG...)
-			dropT.AddRow(rowX...)
-			missT.AddRow(rowM...)
-			pctT.AddRow(rowP...)
-		}
-		if withNetfault {
-			netT.AddRow(rowN...)
-			resubT.AddRow(rowS...)
-		}
-		if withCtrl {
-			ctrlLostT.AddRow(rowCL...)
-			ctrlWaitT.AddRow(rowCW...)
-		}
-		if cvT != nil {
-			cvT.AddRow(rowC...)
-		}
-		if shardT != nil {
-			shardT.AddRow(rowK...)
-		}
-		if decompT != nil {
-			decompT.AddRow(rowDC...)
+		for i, col := range cols {
+			col.t.AddRow(rows[i]...)
 		}
 	}
 	note := fmt.Sprintf("%d replications × %.3g s per point, arrival CV %.3g", reps, duration, cv)
-	if withFaults {
-		note += fmt.Sprintf("; failures MTBF %s, MTTR %s, fate %s",
-			faultCfg.Uptime, faultCfg.Downtime, faultCfg.Fate)
+	if fc := layers.Faults; fc.Enabled() {
+		note += fmt.Sprintf("; failures MTBF %s, MTTR %s, fate %s", fc.Uptime, fc.Downtime, fc.Fate)
 	}
-	if withOverload {
-		note += fmt.Sprintf("; overload protection: admission %s, queue cap %d", ovCfg.Admission, ovCfg.QueueCap)
+	if oc := layers.Overload; oc.Enabled() {
+		note += fmt.Sprintf("; overload protection: admission %s, queue cap %d", oc.Admission, oc.QueueCap)
 	}
-	if withNetfault {
+	if layers.Netfault.Enabled() {
 		note += "; network faults enabled (see the netfault tables)"
 	}
-	if withCtrl {
+	if layers.Ctrl.Enabled() {
 		note += "; control-plane faults enabled (see the control-plane tables)"
 	}
 	ratio.AddNote("%s", note)
 	for _, s := range skipped {
 		ratio.AddNote("skipped cell %s", s)
 	}
-	tables := []*report.Table{timeT, ratio, fair}
-	if withFaults {
-		tables = append(tables, lostT, degT)
-	}
-	if withOverload {
-		tables = append(tables, goodT, dropT, missT, pctT)
-	}
-	if withNetfault {
-		tables = append(tables, netT, resubT)
-	}
-	if withCtrl {
-		tables = append(tables, ctrlLostT, ctrlWaitT)
-	}
-	if cvT != nil {
-		tables = append(tables, cvT)
-	}
-	if shardT != nil {
-		tables = append(tables, shardT)
-	}
-	if decompT != nil {
-		tables = append(tables, decompT)
+	tables := make([]*report.Table, len(cols))
+	for i, col := range cols {
+		tables[i] = col.t
 	}
 	return tables, ratio, probeMetrics, nil
+}
+
+// column is one sweep table and the function filling its cells.
+type column struct {
+	t *report.Table
+	// instrumented marks tables whose cells come from the instrumented
+	// pass.
+	instrumented bool
+	// cell formats one cell; the probe tables also record the cell's
+	// manifest metric.
+	cell func(c *sweepCell) string
+}
+
+// sweepCell is one policy at one rho: the replications, their summed
+// layer counters and, with probes on, the instrumented pass.
+type sweepCell struct {
+	name string
+	rho  float64
+	res  *cluster.ReplicatedResult
+	ov   cluster.OverloadStats
+	nf   cluster.NetfaultStats
+	cp   ctrlplane.Stats
+	// meanCV and shardCV are the gap-weighted interarrival CVs across
+	// computers and across dispatcher replicas (NaN when unsharded);
+	// tot is the span layer's T̄ decomposition.
+	meanCV, shardCV float64
+	tot             probe.SpanStats
+}
+
+// key names the cell's manifest metric of the given kind.
+func (c *sweepCell) key(kind string) string {
+	return fmt.Sprintf("%s.%s.rho%s", kind, c.name, report.F(c.rho))
 }
 
 // mergedPercentiles merges the replications' streaming response-time

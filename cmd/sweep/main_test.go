@@ -67,7 +67,7 @@ func TestRunSweepSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	tables, csvT, _, err := runSweep([]float64{1, 2}, []float64{0.4, 0.6}, names, factories,
-		5000, 2, 1, 1, nil, nil, nil, nil, nil, nil, cli.ProbeParams{}, false)
+		5000, 2, 1, 1, cli.Layers{}, cli.ProbeParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRunSweepWithFaults(t *testing.T) {
 	}
 	factories = append(factories, f)
 	tables, _, _, err := runSweep([]float64{1, 2}, []float64{0.3}, names, factories,
-		1e4, 2, 1, 1, fc, nil, nil, nil, nil, nil, cli.ProbeParams{}, false)
+		1e4, 2, 1, 1, cli.Layers{Faults: fc}, cli.ProbeParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRunSweepWithOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	tables, _, _, err := runSweep([]float64{1, 2}, []float64{0.8, 1.2}, names, factories,
-		1e4, 2, 1, 1, nil, ovCfg, nil, nil, nil, nil, cli.ProbeParams{}, false)
+		1e4, 2, 1, 1, cli.Layers{Overload: ovCfg}, cli.ProbeParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRunSweepWithProbe(t *testing.T) {
 	}
 	pp := cli.ProbeParams{Probe: true, Events: dir}
 	tables, _, metrics, err := runSweep([]float64{1, 2}, []float64{0.5}, names, factories,
-		1e4, 1, 1, 1, nil, nil, nil, nil, nil, nil, pp, false)
+		1e4, 1, 1, 1, cli.Layers{}, pp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestRunSweepSkipsBadCells(t *testing.T) {
 	names = append(names, "BAD")
 	factories = append(factories, func() cluster.Policy { return badInitPolicy{} })
 	tables, csvT, _, err := runSweep([]float64{1, 2}, []float64{0.4, 0.6}, names, factories,
-		5000, 2, 1, 1, nil, nil, nil, nil, nil, nil, cli.ProbeParams{}, false)
+		5000, 2, 1, 1, cli.Layers{}, cli.ProbeParams{})
 	if err != nil {
 		t.Fatalf("sweep aborted on a bad cell: %v", err)
 	}
@@ -241,7 +241,7 @@ func TestRunSweepWithDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	tables, _, _, err := runSweep([]float64{1, 2}, []float64{0.4}, names, factories,
-		1e4, 2, 1, 1, nil, nil, driftCfg, adaptCfg, nil, nil, cli.ProbeParams{}, false)
+		1e4, 2, 1, 1, cli.Layers{Drift: driftCfg, Adapt: adaptCfg}, cli.ProbeParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestRunSweepWithNetfault(t *testing.T) {
 		t.Fatal(err)
 	}
 	tables, _, _, err := runSweep([]float64{1, 2}, []float64{0.4}, names, factories,
-		1e4, 2, 1, 1, nil, nil, nil, nil, nfCfg, nil, cli.ProbeParams{}, false)
+		1e4, 2, 1, 1, cli.Layers{Netfault: nfCfg}, cli.ProbeParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestRunSweepWithCtrl(t *testing.T) {
 		t.Fatal(err)
 	}
 	tables, _, _, err := runSweep([]float64{1, 2}, []float64{0.4}, names, factories,
-		1e4, 2, 1, 1, nil, nil, nil, nil, nil, ctrlCfg, cli.ProbeParams{}, false)
+		1e4, 2, 1, 1, cli.Layers{Ctrl: ctrlCfg}, cli.ProbeParams{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -422,10 +422,8 @@ func TestGeneratorSamplesDispatchPlane(t *testing.T) {
 // or the queue invariants, for both a static sharded plan with counter
 // sync and a scalable JIQ fleet.
 func TestCompoundDispatcherCrashSharded(t *testing.T) {
-	base := Spec{
-		Seed:     11,
-		Rho:      0.6,
-		Duration: 20000,
+	base := Spec{Seed: 11, Rho: 0.6, Duration: 20000}
+	base.NetfaultParams = cli.NetfaultParams{
 		Netfault: "loss:0.05,lat:5,crash:5000:200,down:buffer",
 		AckTO:    "60:4",
 		DState:   "acks",

@@ -23,13 +23,14 @@ import (
 )
 
 // Spec is one fully-determined chaos scenario. The workload fields are
-// typed; the four fault layers are carried in the exact spec-string
-// grammars of the front-end flags (-mtbf/-fate, -qcap/-admit/...,
-// -drift, -netfault/-ackto/-dstate) and parsed by the same
-// internal/cli parsers, so a scenario is trivially reproducible from
-// the command line and the shrinker can drop grammar items
-// one by one. The zero value of a layer ("" or 0) means the layer is
-// off; an all-off spec runs the pristine paper model.
+// typed; the layers are the embedded cli.LayerFlags, the raw values of
+// the front ends' layer flags (-dispatchers, -mtbf, -qcap, -drift,
+// -netfault, -ctrl, ...). A scenario string names each set layer flag
+// as a key with its value in the flag's own grammar, and Build runs
+// the same internal/cli build chain as heterosim, so a scenario is
+// trivially reproducible from the command line and the shrinker can
+// drop grammar items one by one. A zero layer field is unset and means
+// the flag's default; an all-unset spec runs the pristine paper model.
 type Spec struct {
 	// Seed drives every random stream of the run.
 	Seed uint64
@@ -42,34 +43,8 @@ type Spec struct {
 	Duration float64
 	// Policy is the dispatch policy mnemonic (default ORR).
 	Policy string
-	// Dispatchers is the replica spec in the -dispatchers grammar
-	// ("K[:rr|hash]"); empty means the single central dispatcher.
-	Dispatchers string
-	// Sync is the counter-sync period in the -sync grammar ("never" or
-	// seconds); empty means never.
-	Sync string
 
-	// Compute-fault layer (cli.FaultParams grammar).
-	MTBF, MTTR float64
-	Fate       string
-	Retries    int
-	Detect     float64
-
-	// Overload-protection layer (cli.OverloadParams grammar).
-	QCap, Admit, Deadline, Backoff, Breaker string
-	Timeout                                 float64
-	Retry                                   int
-
-	// Parameter-drift layer (cli.DriftParams grammar).
-	Drift string
-
-	// Network-fault layer (cli.NetfaultParams grammar).
-	Netfault, AckTO, DState string
-
-	// Control-plane layer (cli.CtrlParams grammar): faults on the
-	// token/query/sync message paths of the scalable policies and the
-	// sharded counter-sync.
-	Ctrl string
+	cli.LayerFlags
 
 	// Watchdog bounds, serialized so a reproducer is self-contained.
 	// Stall 0 and MaxInSystem 0 pick defaults at Execute time.
@@ -83,7 +58,7 @@ func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // String serializes the spec as ";"-separated key=value pairs, layer
 // values verbatim in their flag grammars (they may themselves contain
 // commas and colons, which is why the item separator is ";"). Only
-// non-default fields are emitted; ParseSpec(s.String()) reproduces s.
+// non-zero fields are emitted; ParseSpec(s.String()) reproduces s.
 func (s Spec) String() string {
 	var items []string
 	add := func(k, v string) { items = append(items, k+"="+v) }
@@ -100,59 +75,7 @@ func (s Spec) String() string {
 	if s.Policy != "" {
 		add("policy", s.Policy)
 	}
-	if s.Dispatchers != "" {
-		add("dispatchers", s.Dispatchers)
-	}
-	if s.Sync != "" {
-		add("sync", s.Sync)
-	}
-	if s.MTBF > 0 {
-		add("mtbf", fnum(s.MTBF))
-		add("mttr", fnum(s.MTTR))
-		if s.Fate != "" {
-			add("fate", s.Fate)
-		}
-		add("retries", strconv.Itoa(s.Retries))
-		if s.Detect > 0 {
-			add("detect", fnum(s.Detect))
-		}
-	}
-	if s.QCap != "" {
-		add("qcap", s.QCap)
-	}
-	if s.Admit != "" {
-		add("admit", s.Admit)
-	}
-	if s.Deadline != "" {
-		add("deadline", s.Deadline)
-	}
-	if s.Timeout > 0 {
-		add("timeout", fnum(s.Timeout))
-	}
-	if s.Retry > 0 {
-		add("retry", strconv.Itoa(s.Retry))
-	}
-	if s.Backoff != "" {
-		add("backoff", s.Backoff)
-	}
-	if s.Breaker != "" {
-		add("breaker", s.Breaker)
-	}
-	if s.Drift != "" {
-		add("drift", s.Drift)
-	}
-	if s.Netfault != "" {
-		add("netfault", s.Netfault)
-	}
-	if s.AckTO != "" {
-		add("ackto", s.AckTO)
-	}
-	if s.DState != "" {
-		add("dstate", s.DState)
-	}
-	if s.Ctrl != "" {
-		add("ctrl", s.Ctrl)
-	}
+	items = append(items, s.LayerFlags.Items()...)
 	if s.Stall > 0 {
 		add("stall", fnum(s.Stall))
 	}
@@ -217,56 +140,6 @@ func ParseSpec(s string) (Spec, error) {
 			}
 		case "policy":
 			sp.Policy = val
-		case "dispatchers":
-			sp.Dispatchers = val
-		case "sync":
-			sp.Sync = val
-		case "mtbf":
-			if sp.MTBF, err = num("mtbf"); err != nil {
-				return sp, err
-			}
-		case "mttr":
-			if sp.MTTR, err = num("mttr"); err != nil {
-				return sp, err
-			}
-		case "fate":
-			sp.Fate = val
-		case "retries":
-			if sp.Retries, err = strconv.Atoi(val); err != nil {
-				return sp, fmt.Errorf("bad retries %q: %v", val, err)
-			}
-		case "detect":
-			if sp.Detect, err = num("detect"); err != nil {
-				return sp, err
-			}
-		case "qcap":
-			sp.QCap = val
-		case "admit":
-			sp.Admit = val
-		case "deadline":
-			sp.Deadline = val
-		case "timeout":
-			if sp.Timeout, err = num("timeout"); err != nil {
-				return sp, err
-			}
-		case "retry":
-			if sp.Retry, err = strconv.Atoi(val); err != nil {
-				return sp, fmt.Errorf("bad retry budget %q: %v", val, err)
-			}
-		case "backoff":
-			sp.Backoff = val
-		case "breaker":
-			sp.Breaker = val
-		case "drift":
-			sp.Drift = val
-		case "netfault":
-			sp.Netfault = val
-		case "ackto":
-			sp.AckTO = val
-		case "dstate":
-			sp.DState = val
-		case "ctrl":
-			sp.Ctrl = val
 		case "stall":
 			if sp.Stall, err = num("stall horizon"); err != nil {
 				return sp, err
@@ -282,7 +155,13 @@ func ParseSpec(s string) (Spec, error) {
 				return sp, fmt.Errorf("in-system cap %d must be >= 0", sp.MaxInSystem)
 			}
 		default:
-			return sp, fmt.Errorf("unknown scenario key %q", key)
+			var known bool
+			if known, err = sp.LayerFlags.Set(key, val); !known {
+				return sp, fmt.Errorf("unknown scenario key %q", key)
+			}
+			if err != nil {
+				return sp, err
+			}
 		}
 	}
 	return sp, nil
@@ -311,10 +190,10 @@ func (s Spec) Layers() []string {
 }
 
 // Build assembles the cluster configuration and policy factory for this
-// scenario, running every layer through the shared cli parsers and
-// validators — a spec that Builds is a spec the front ends would
-// accept. The run drains (conservation needs every arrival to resolve)
-// and skips warm-up (the OnFinal ledger must cover every job).
+// scenario through the front ends' layer build chain — a spec that
+// Builds is a spec the front ends would accept. The run drains
+// (conservation needs every arrival to resolve) and skips warm-up (the
+// OnFinal ledger must cover every job).
 func (s Spec) Build() (cluster.Config, cluster.PolicyFactory, error) {
 	var cfg cluster.Config
 	speeds := s.Speeds
@@ -327,53 +206,15 @@ func (s Spec) Build() (cluster.Config, cluster.PolicyFactory, error) {
 	if !(s.Duration > 0) || math.IsInf(s.Duration, 0) {
 		return cfg, nil, fmt.Errorf("duration %v must be positive and finite", s.Duration)
 	}
-
-	fate := s.Fate
-	if fate == "" {
-		fate = "requeue"
-	}
-	fc, realloc, err := cli.FaultParams{
-		MTBF: s.MTBF, MTTR: s.MTTR, Fate: fate, Retries: s.Retries,
-		Detect: s.Detect, Realloc: "stale",
-	}.Build()
+	layers, err := s.LayerFlags.WithDefaults().Build(len(speeds))
 	if err != nil {
 		return cfg, nil, err
 	}
-	oc, err := cli.OverloadParams{
-		QCap: s.QCap, Admit: s.Admit, Deadline: s.Deadline,
-		Timeout: s.Timeout, Retry: s.Retry, Backoff: s.Backoff, Breaker: s.Breaker,
-	}.Build()
-	if err != nil {
-		return cfg, nil, err
-	}
-	dc, _, err := cli.DriftParams{Drift: s.Drift}.Build(len(speeds))
-	if err != nil {
-		return cfg, nil, err
-	}
-	nc, err := cli.NetfaultParams{Netfault: s.Netfault, AckTO: s.AckTO, DState: s.DState}.Build(len(speeds))
-	if err != nil {
-		return cfg, nil, err
-	}
-
 	policyName := s.Policy
 	if policyName == "" {
 		policyName = "ORR"
 	}
-	sharding, err := cli.ParseShardingSpecs(s.Dispatchers, s.Sync)
-	if err != nil {
-		return cfg, nil, err
-	}
-	pf, err := cli.ParsePolicy(policyName, cli.PolicyOptions{
-		Realloc: realloc, Faults: fc, Computers: len(speeds), Sharding: sharding,
-	})
-	if err != nil {
-		return cfg, nil, err
-	}
-	replicas := sharding.Dispatchers
-	if replicas < 1 {
-		replicas = 1
-	}
-	cc, err := cli.CtrlParams{Ctrl: s.Ctrl}.Build(len(speeds), replicas)
+	pf, err := cli.ParsePolicy(policyName, layers.Policy)
 	if err != nil {
 		return cfg, nil, err
 	}
@@ -386,12 +227,8 @@ func (s Spec) Build() (cluster.Config, cluster.PolicyFactory, error) {
 		Seed:           s.Seed,
 		WarmupFraction: -1,
 		Drain:          &drain,
-		Faults:         fc,
-		Overload:       oc,
-		Drift:          dc,
-		Netfault:       nc,
-		Ctrl:           cc,
 	}
+	layers.Apply(&cfg)
 	return cfg, pf, nil
 }
 

@@ -8,10 +8,10 @@ import (
 
 // This file parses the -chaos flag shared by the chaos front end: the
 // search-space specification the scenario generator samples from. The
-// sampled scenarios themselves serialize through internal/chaos (which
-// reuses the other parsers in this package for its layer grammars); the
-// search spec stays here so every front-end grammar lives in one
-// package, fuzzed the same way (FuzzChaosSpecs in fuzz_test.go).
+// sampled scenarios themselves serialize through internal/chaos (whose
+// layer keys are the LayerFlags of layers.go); the search spec stays
+// here so every front-end grammar lives in one package, fuzzed the same
+// way (FuzzChaosSpecs in fuzz_test.go).
 
 // ChaosParams are the raw chaos-search flag values.
 type ChaosParams struct {

@@ -1,8 +1,10 @@
 // Package cli holds the input parsing and validation shared by the
-// command-line front ends (cmd/heterosim, cmd/sweep): speed lists, run
-// parameters, the policy-mnemonic parser, and the failure-model flags.
-// Everything is validated up front with actionable messages, so bad
-// flags never reach the panicking constructors deeper in the stack.
+// command-line front ends (cmd/heterosim, cmd/sweep) and the chaos
+// scenarios (internal/chaos): speed lists, run parameters, the
+// policy-mnemonic parser, and the layer flags (LayerFlags), declared
+// once for all of them. Everything is validated up front with
+// actionable messages, so bad flags never reach the panicking
+// constructors deeper in the stack.
 package cli
 
 import (
@@ -139,7 +141,7 @@ type FaultParams struct {
 	MTBF    float64 // mean time between failures; 0 disables injection
 	MTTR    float64 // mean time to repair
 	Fate    string  // lost | restart | resume | requeue
-	Retries int     // requeue budget
+	Retries int     // requeue budget, >= 1 under requeue
 	Detect  float64 // detection lag in seconds
 	Realloc string  // stale | resolve
 }
@@ -167,6 +169,11 @@ func (p FaultParams) Build() (*faults.Config, sched.ReallocMode, error) {
 	}
 	if p.Retries < 0 {
 		return nil, 0, fmt.Errorf("-retries %d: must be >= 0", p.Retries)
+	}
+	// faults.Config reads a zero MaxRetries as DefaultMaxRetries, so a
+	// zero budget would silently run as 3.
+	if p.Retries == 0 && fate == faults.RequeueToDispatcher {
+		return nil, 0, fmt.Errorf("-retries 0: -fate requeue needs a budget of at least 1 (a zero budget loses every interrupted job, which is -fate lost)")
 	}
 	if p.Detect < 0 || math.IsNaN(p.Detect) || math.IsInf(p.Detect, 0) {
 		return nil, 0, fmt.Errorf("-detect %v: must be >= 0 and finite", p.Detect)

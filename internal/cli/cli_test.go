@@ -93,6 +93,7 @@ func TestFaultParamsBuild(t *testing.T) {
 		{FaultParams{MTBF: 1, MTTR: 0, Fate: "lost", Realloc: "stale"}, "-mttr"},
 		{FaultParams{MTBF: 1, MTTR: 1, Fate: "evaporate", Realloc: "stale"}, "-fate"},
 		{FaultParams{MTBF: 1, MTTR: 1, Fate: "lost", Retries: -1, Realloc: "stale"}, "-retries"},
+		{FaultParams{MTBF: 1, MTTR: 1, Fate: "requeue", Retries: 0, Realloc: "stale"}, "-fate lost"},
 		{FaultParams{MTBF: 1, MTTR: 1, Fate: "lost", Detect: -1, Realloc: "stale"}, "-detect"},
 		{FaultParams{MTBF: 1, MTTR: 1, Fate: "lost", Realloc: "often"}, "-realloc"},
 	}

@@ -92,10 +92,6 @@ type Config struct {
 	Discipline Discipline
 	// Quantum is the RR slice length in seconds (required for RR).
 	Quantum float64
-	// DeviationInterval, when positive, records the workload allocation
-	// deviation (Figure 2) over consecutive intervals of this many
-	// seconds, starting at time 0.
-	DeviationInterval float64
 	// Drain, when true, keeps the simulation running after Duration until
 	// all admitted jobs complete, so no job's response time is lost. When
 	// false, jobs still in service at Duration are discarded (the paper's
@@ -450,11 +446,6 @@ type Result struct {
 	// response ratio distribution, from a log-binned histogram (an
 	// extension beyond the paper's mean-based metrics).
 	RatioP50, RatioP95, RatioP99 float64
-	// Deviations holds the per-interval workload allocation deviations
-	// when Config.DeviationInterval was set (Figure 2), measured against
-	// the policy's own realized overall fractions unless the policy
-	// provides target fractions.
-	Deviations []float64
 	// GeneratedJobs counts all arrivals, including warm-up.
 	GeneratedJobs int64
 	// Outcomes[o] counts every finalized job by terminal Outcome,
@@ -510,9 +501,8 @@ type Result struct {
 }
 
 // FractionProvider is implemented by policies that know their target
-// allocation fractions (static policies); the deviation tracker uses them
-// as the expected vector. Policies without it (e.g. dynamic least-load)
-// cannot be deviation-tracked.
+// allocation fractions (static policies); the adaptive re-planning loop
+// uses them for per-computer utilization estimates.
 type FractionProvider interface {
 	Fractions() []float64
 }
@@ -889,15 +879,6 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 		}
 	}
 
-	var devTracker *deviationTracker
-	if cfg.DeviationInterval > 0 {
-		fp, ok := policy.(FractionProvider)
-		if !ok {
-			return nil, fmt.Errorf("cluster: policy %s cannot provide fractions for deviation tracking", policy.Name())
-		}
-		devTracker = newDeviationTracker(fp.Fractions(), cfg.DeviationInterval)
-	}
-
 	// The fault injector, when failure injection is enabled; built below,
 	// after the dispatch path it requeues into.
 	var inj *faults.Injector
@@ -1003,17 +984,14 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 
 	// firstDispatch books the scheduler's first routing decision for j,
 	// at arrival, at a crashed dispatcher's buffer flush or by the
-	// failover backup: job fractions and deviation tracking count it, the
-	// probe attributes it to the computer's arrival substream and, for a
-	// policy decision, to the deciding replica, and a job routed while a
-	// computer is down counts as degraded.
+	// failover backup: the job fractions count it, the probe attributes
+	// it to the computer's arrival substream and, for a policy decision,
+	// to the deciding replica, and a job routed while a computer is down
+	// counts as degraded.
 	firstDispatch := func(j *sim.Job, target int, byPolicy bool) {
 		if j.Arrival >= warmup {
 			counts[target]++
 			observed++
-		}
-		if devTracker != nil {
-			devTracker.observe(j.Arrival, target)
 		}
 		if pb != nil {
 			pb.NoteSubstream(target, j.Arrival)
@@ -1103,8 +1081,8 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 			}
 		}
 		// Requeued jobs are re-dispatched through the policy but do not
-		// re-enter the job-fraction, deviation, or arrival counts: those
-		// track the scheduler's first dispatch decision per job.
+		// re-enter the job-fraction or arrival counts: those track the
+		// scheduler's first dispatch decision per job.
 		requeue := func(j *sim.Job) {
 			if nf != nil {
 				// The job verifiably left its failed computer: clear the
@@ -1426,9 +1404,6 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 		}
 		res.Utilizations[i] = servers[i].BusyTime() / endTime
 	}
-	if devTracker != nil {
-		res.Deviations = devTracker.deviations(cfg.Duration)
-	}
 	if ov != nil {
 		res.Overload = ov.finish()
 	}
@@ -1462,62 +1437,6 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 		res.MeanResponseRatioDegraded = respRatioDeg.Mean()
 	}
 	return res, nil
-}
-
-// deviationTracker implements the Figure 2 measurement: per-interval
-// workload allocation deviation Σ(α_i − α'_i)².
-type deviationTracker struct {
-	expected []float64
-	length   float64
-	counts   []int64
-	boundary float64
-	devs     []float64
-}
-
-func newDeviationTracker(expected []float64, length float64) *deviationTracker {
-	cp := make([]float64, len(expected))
-	copy(cp, expected)
-	return &deviationTracker{
-		expected: cp,
-		length:   length,
-		counts:   make([]int64, len(expected)),
-		boundary: length,
-	}
-}
-
-func (d *deviationTracker) observe(t float64, target int) {
-	for t >= d.boundary {
-		d.close()
-	}
-	d.counts[target]++
-}
-
-func (d *deviationTracker) close() {
-	total := int64(0)
-	for _, c := range d.counts {
-		total += c
-	}
-	dev := 0.0
-	if total > 0 {
-		for i, c := range d.counts {
-			diff := d.expected[i] - float64(c)/float64(total)
-			dev += diff * diff
-		}
-	}
-	d.devs = append(d.devs, dev)
-	for i := range d.counts {
-		d.counts[i] = 0
-	}
-	d.boundary += d.length
-}
-
-func (d *deviationTracker) deviations(horizon float64) []float64 {
-	for d.boundary <= horizon {
-		d.close()
-	}
-	out := make([]float64, len(d.devs))
-	copy(out, d.devs)
-	return out
 }
 
 // Summary aggregates a metric across replications.
@@ -1585,7 +1504,7 @@ func RunReplications(cfg Config, factory PolicyFactory, reps int) (*ReplicatedRe
 }
 
 // MaxParallel, when positive, caps the number of replications executing
-// concurrently in RunReplications and RunUntilPrecision; zero (the
+// concurrently in RunReplications; zero (the
 // default) means GOMAXPROCS. Each replication is fully deterministic in
 // its seed, so results are independent of this setting — the golden
 // tests pin it to several values to prove exactly that.
@@ -1601,71 +1520,6 @@ func maxParallel() int {
 		p = 1
 	}
 	return p
-}
-
-// RunUntilPrecision runs replications in batches until the 95% confidence
-// interval of the mean response ratio is within relCI of its mean
-// (relative half-width), or maxReps replications have run. It returns the
-// aggregated result; Converged on the return reports whether the target
-// was met. A minimum of 3 replications always runs.
-//
-// This is the sequential-stopping alternative to the paper's fixed 10
-// replications: cheap cells stop early, noisy ones (heavy-tailed
-// workloads at high load) get more repetitions.
-func RunUntilPrecision(cfg Config, factory PolicyFactory, relCI float64, maxReps int) (*ReplicatedResult, bool, error) {
-	if relCI <= 0 {
-		return nil, false, fmt.Errorf("cluster: relCI %v must be positive", relCI)
-	}
-	if maxReps < 3 {
-		return nil, false, fmt.Errorf("cluster: maxReps %d must be at least 3", maxReps)
-	}
-	var runs []*Result
-	for rep := 0; rep < maxReps; {
-		batch := maxParallel()
-		if rep+batch > maxReps {
-			batch = maxReps - rep
-		}
-		if rep == 0 && batch < 3 {
-			batch = 3
-		}
-		results := make([]*Result, batch)
-		errs := make([]error, batch)
-		var wg sync.WaitGroup
-		for k := 0; k < batch; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				c := cfg
-				c.Seed = cfg.Seed + uint64(rep+k)
-				results[k], errs[k] = Run(c, factory())
-			}(k)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, false, err
-			}
-		}
-		runs = append(runs, results...)
-		rep += batch
-		if rep < 3 {
-			continue
-		}
-		agg, err := Aggregate(runs)
-		if err != nil {
-			return nil, false, err
-		}
-		m := agg.MeanResponseRatio
-		if m.Mean != 0 && m.CI95/math.Abs(m.Mean) <= relCI {
-			return agg, true, nil
-		}
-	}
-	agg, err := Aggregate(runs)
-	if err != nil {
-		return nil, false, err
-	}
-	m := agg.MeanResponseRatio
-	return agg, m.Mean != 0 && m.CI95/math.Abs(m.Mean) <= relCI, nil
 }
 
 // Aggregate combines per-run results into a ReplicatedResult. All runs

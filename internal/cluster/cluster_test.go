@@ -256,52 +256,6 @@ func TestNoDrainDiscardsInFlight(t *testing.T) {
 	}
 }
 
-func TestDeviationTracking(t *testing.T) {
-	cfg := Config{
-		Speeds:              []float64{1, 1},
-		Utilization:         0.4,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            1200,
-		DeviationInterval:   120,
-		Seed:                8,
-	}
-	res, err := Run(cfg, &splitPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Deviations) != 10 {
-		t.Fatalf("got %d deviation intervals, want 10", len(res.Deviations))
-	}
-	// A strict alternator has near-zero deviation in every interval.
-	for i, d := range res.Deviations {
-		if d > 0.001 {
-			t.Errorf("interval %d deviation = %v, want ~0", i, d)
-		}
-	}
-}
-
-func TestDeviationRequiresFractions(t *testing.T) {
-	cfg := Config{
-		Speeds:            []float64{1},
-		Utilization:       0.4,
-		Duration:          1000,
-		DeviationInterval: 100,
-	}
-	// leastLoadLike policy without FractionProvider.
-	p := &noFractions{}
-	if _, err := Run(cfg, p); err == nil {
-		t.Error("deviation tracking accepted a policy without fractions")
-	}
-}
-
-type noFractions struct{}
-
-func (*noFractions) Name() string        { return "nf" }
-func (*noFractions) Init(*Context) error { return nil }
-func (*noFractions) Select(*sim.Job) int { return 0 }
-func (*noFractions) Departed(*sim.Job)   {}
-
 func TestRunReplications(t *testing.T) {
 	cfg := Config{
 		Speeds:              []float64{1, 1},
@@ -427,52 +381,6 @@ func TestRatioPercentiles(t *testing.T) {
 	}
 	if res.RatioP99 < 2*res.MeanResponseRatio {
 		t.Errorf("p99 %v suspiciously close to mean %v", res.RatioP99, res.MeanResponseRatio)
-	}
-}
-
-func TestRunUntilPrecision(t *testing.T) {
-	cfg := Config{
-		Speeds:              []float64{1, 1},
-		Utilization:         0.4,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            50000,
-		Seed:                200,
-	}
-	// Loose target: should converge quickly with few reps.
-	res, ok, err := RunUntilPrecision(cfg, func() Policy { return &splitPolicy{} }, 0.10, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Errorf("did not reach 10%% precision in %d reps", len(res.Runs))
-	}
-	if len(res.Runs) < 3 {
-		t.Errorf("ran %d reps, minimum is 3", len(res.Runs))
-	}
-	if got := res.MeanResponseRatio.CI95 / res.MeanResponseRatio.Mean; got > 0.10 {
-		t.Errorf("relative CI %v above target", got)
-	}
-	// Impossibly tight target: must stop at maxReps and report failure.
-	res2, ok2, err := RunUntilPrecision(cfg, func() Policy { return &splitPolicy{} }, 1e-9, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok2 {
-		t.Error("claimed convergence at 1e-9 relative CI")
-	}
-	if len(res2.Runs) != 4 {
-		t.Errorf("ran %d reps, want maxReps=4", len(res2.Runs))
-	}
-}
-
-func TestRunUntilPrecisionValidation(t *testing.T) {
-	cfg := Config{Speeds: []float64{1}, Utilization: 0.5}
-	if _, _, err := RunUntilPrecision(cfg, func() Policy { return &fixedPolicy{} }, 0, 10); err == nil {
-		t.Error("relCI=0 accepted")
-	}
-	if _, _, err := RunUntilPrecision(cfg, func() Policy { return &fixedPolicy{} }, 0.1, 2); err == nil {
-		t.Error("maxReps=2 accepted")
 	}
 }
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"sort"
 
 	"heterosched/internal/netfault"
@@ -503,7 +502,8 @@ func (nf *netfaultRun) resubmit(j *sim.Job, cause string) {
 	}
 	j.Resubmits++
 	nf.stats.Resubmits++
-	d := nf.backoff(j)
+	a := nf.cfg.Ack
+	d := backoff(a.BackoffBase, a.BackoffMax, a.Jitter, ^uint64(j.ID), j.Resubmits)
 	if nf.pb != nil {
 		nf.pb.Emit(probe.Event{T: nf.en.Now(), Kind: probe.EvResubmit, Job: j.ID, Target: j.Target, Cause: cause, Attempt: j.Resubmits, Value: d})
 		// Span: the in-flight copy is presumed lost; the job is back at
@@ -529,22 +529,6 @@ func (nf *netfaultRun) resubmit(j *sim.Job, cause string) {
 		}
 		nf.dispatch(jj, false)
 	})
-}
-
-// backoff returns resubmission k's delay min(base·2^(k−1), max) with
-// deterministic jitter. The job-ID complement decorrelates the hash from
-// the overload layer's retry jitter without consuming any stream.
-func (nf *netfaultRun) backoff(j *sim.Job) float64 {
-	a := nf.cfg.Ack
-	d := a.BackoffBase * math.Pow(2, float64(j.Resubmits-1))
-	if d > a.BackoffMax {
-		d = a.BackoffMax
-	}
-	if a.Jitter > 0 {
-		u := float64(mixHash(^uint64(j.ID), uint64(j.Resubmits))>>11) / (1 << 53)
-		d *= 1 + a.Jitter*(u-0.5)
-	}
-	return d
 }
 
 // forget drops an outstanding entry and disarms its ack timer.

@@ -399,7 +399,7 @@ func (ov *overloadRun) admitJob(j *sim.Job) bool {
 // dispatch routes one job: probe-target override, policy selection,
 // breaker gate, reject-when-full check, timeout arming, then arrival.
 // first marks the scheduler's first dispatch decision for this job
-// (counted in job fractions and deviation tracking); retries and
+// (counted in the job fractions); retries and
 // fault-requeues pass false.
 func (ov *overloadRun) dispatch(j *sim.Job, first bool) {
 	if j.Killed {
@@ -523,7 +523,7 @@ func (ov *overloadRun) retryOrDrop(j *sim.Job) {
 	if j.Attempts < ov.cfg.RetryBudget {
 		j.Attempts++
 		ov.stats.Retries++
-		d := ov.backoffDelay(j)
+		d := backoff(ov.cfg.backoffBase(), ov.cfg.backoffMax(), ov.cfg.BackoffJitter, uint64(j.ID), j.Attempts)
 		if ov.pb != nil {
 			ov.pb.Emit(probe.Event{T: ov.en.Now(), Kind: probe.EvRetry, Job: j.ID, Target: j.Target, Cause: "backoff", Attempt: j.Attempts, Value: d})
 		}
@@ -548,21 +548,6 @@ func (ov *overloadRun) retryOrDrop(j *sim.Job) {
 	}
 	ov.drop(j)
 	ov.freeJob(j)
-}
-
-// backoffDelay returns attempt j.Attempts' backoff with deterministic
-// jitter: a hash of (job ID, attempt) spreads retry instants without
-// consuming any random stream.
-func (ov *overloadRun) backoffDelay(j *sim.Job) float64 {
-	d := ov.cfg.backoffBase() * math.Pow(2, float64(j.Attempts-1))
-	if max := ov.cfg.backoffMax(); d > max {
-		d = max
-	}
-	if jit := ov.cfg.BackoffJitter; jit > 0 {
-		u := float64(mixHash(uint64(j.ID), uint64(j.Attempts))>>11) / (1 << 53)
-		d *= 1 + jit*(u-0.5)
-	}
-	return d
 }
 
 // deadlineExpire kills a job at its deadline, wherever it is.
@@ -809,6 +794,24 @@ func (ov *overloadRun) finish() *OverloadStats {
 		}
 	}
 	return &s
+}
+
+// backoff returns retry attempt's delay min(base·2^(attempt−1), max)
+// with deterministic jitter: a hash of (key, attempt) scales it by
+// 1 + jitter·(u − 0.5), u in [0, 1), without consuming any random
+// stream. The overload layer keys its retries on the job ID and the
+// netfault layer its resubmissions on the ID's complement, which
+// decorrelates the two layers' jitter.
+func backoff(base, max, jitter float64, key uint64, attempt int) float64 {
+	d := base * math.Pow(2, float64(attempt-1))
+	if d > max {
+		d = max
+	}
+	if jitter > 0 {
+		u := float64(mixHash(key, uint64(attempt))>>11) / (1 << 53)
+		d *= 1 + jitter*(u-0.5)
+	}
+	return d
 }
 
 // mixHash is a SplitMix64-style finalizer over two words, used for

@@ -110,21 +110,11 @@ func ExtChaos(o Options) (*ChaosResult, error) {
 
 	// Part B: one fixed composed scenario, ORR vs ORAN, each against its
 	// own clean baseline on the same seeds.
-	fixed := chaos.Spec{
-		Speeds:   []float64{1, 1, 2, 10},
-		Rho:      0.7,
-		Duration: dur,
-		MTBF:     dur / 5,
-		MTTR:     dur / 60,
-		Fate:     "requeue",
-		Retries:  3,
-		Timeout:  300,
-		Retry:    2,
-		Breaker:  "5:400",
-		Drift:    fmt.Sprintf("lcycle:%g:0.25", dur/3),
-		Netfault: "loss:0.05,dup:0.02,lat:5",
-		AckTO:    "60:4",
-	}
+	fixed := chaos.Spec{Speeds: []float64{1, 1, 2, 10}, Rho: 0.7, Duration: dur}
+	fixed.FaultParams = cli.FaultParams{MTBF: dur / 5, MTTR: dur / 60, Fate: "requeue", Retries: 3}
+	fixed.OverloadParams = cli.OverloadParams{Timeout: 300, Retry: 2, Breaker: "5:400"}
+	fixed.Drift = fmt.Sprintf("lcycle:%g:0.25", dur/3)
+	fixed.NetfaultParams = cli.NetfaultParams{Netfault: "loss:0.05,dup:0.02,lat:5", AckTO: "60:4"}
 	res.FixedLayer = "faults+overload+drift+netfault"
 	for _, pol := range ChaosPolicies {
 		var clean, chaotic stats.Sample
