@@ -9,7 +9,7 @@ BENCH_BASELINE ?= BENCH_2026-08-06.json
 # hardware differs from the baseline machine; locally 10% is realistic.
 BENCH_THRESHOLD ?= 0.10
 
-.PHONY: all build test check race stress vet fmt fmtcheck clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke sweep-smoke chaos-smoke benchcheck bench-baseline
+.PHONY: all build test check race stress vet fmt fmtcheck clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke sweep-smoke chaos-smoke perfbench-check benchcheck bench-baseline
 
 all: build
 
@@ -30,6 +30,15 @@ vet:
 # a failure prints the shuffle seed for replay (-shuffle=SEED).
 check: fmtcheck vet build
 	$(GO) test -race -short -shuffle=on ./...
+
+# perfbench-check vets and tests the end-to-end benchmark (perfbench/),
+# a Go module of its own that the root `go test ./...` never compiles.
+# It links against the internal packages, and its tests check that the
+# traced run's policy wrappers still see the interfaces each policy
+# implements.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # fmtcheck fails when gofmt would reformat any Go file in the tree
 # (`make fmt` fixes it).

@@ -720,7 +720,7 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 		j.Finalized = true
 		outcomes[o]++
 		if nf != nil {
-			nf.jobDone(j)
+			nf.untrack(j)
 		}
 		if pb != nil {
 			kind, cause := o.probeEvent()
@@ -941,10 +941,17 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 		transit = func(target int, j *sim.Job) { nf.send(target, j, true) }
 	}
 	// dc is the policy's query wait, charged only under an enabled
-	// control plane.
+	// control plane. A held job waits in a typed engine event (payload:
+	// the job and A = its target) whose handler is bound here, once.
 	var dc DecisionCost
+	var onHeld func(sim.Msg)
 	if plane != nil {
 		dc, _ = policy.(DecisionCost)
+		onHeld = func(m sim.Msg) {
+			if j, ok := m.Ref.Load(); ok && !j.Finalized {
+				transit(m.A, j)
+			}
+		}
 	}
 	// sendTo moves a routed job from the dispatcher towards computer
 	// target. Every dispatch — first dispatch, overload retry, failure
@@ -970,12 +977,7 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 				// first and recycle it — hold a generation-checked
 				// handle and let a dead one drop the delivery (the
 				// job already finished; there is nothing to deliver).
-				ref := arena.Ref(j)
-				en.ScheduleAfter(d, func() {
-					if jj, ok := ref.Load(); ok && !jj.Finalized {
-						transit(target, jj)
-					}
-				})
+				en.ScheduleMsg(en.Now()+d, onHeld, sim.Msg{Ref: arena.Ref(j), A: target})
 				return
 			}
 		}

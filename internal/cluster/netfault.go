@@ -29,9 +29,16 @@ import (
 // renewal process draws from "netfault.dispatcher". Both are derived
 // only when the layer is enabled. Backoff jitter is a hash of (^job ID,
 // resubmit count) — the complement decorrelates it from the overload
-// layer's retry jitter — so no random stream is consumed. Where restart
-// must walk the outstanding-dispatch map, it sorts the IDs first: map
-// iteration order must never reach the event queue.
+// layer's retry jitter — so no random stream is consumed.
+//
+// Outstanding (sent, not yet acked) dispatches live in a slab with a free
+// list, indexed by sim.Job.NetSlot the way the span layer's slab is
+// indexed by SpanSlot. Slab order is allocation order, not job order, and
+// restart's recovery schedules client rescues, so restart walks the live
+// entries in ascending job ID. Every per-message timer (copy delivery,
+// ack, ack timeout, resubmission backoff, client rescue) is a typed
+// engine event (sim.Engine.ScheduleMsg) whose handler is bound once at
+// construction: the layer allocates nothing per job or per message.
 //
 // Modeling approximations, chosen to keep the layers composable:
 //
@@ -132,9 +139,12 @@ func (s *NetfaultStats) AddCounters(o *NetfaultStats) {
 	s.PlanRestores += o.PlanRestores
 }
 
-// nfEntry is one outstanding (sent, not yet acked) dispatch.
+// nfEntry is one outstanding (sent, not yet acked) dispatch: a slot of
+// netfaultRun.out.
 type nfEntry struct {
-	ref    sim.JobRef
+	ref sim.JobRef
+	// id is the job's ID; 0 marks a free slot (job IDs start at 1).
+	id     int64
 	sentAt float64
 	// epoch is the job's delivery epoch when the tracked dispatch was
 	// sent; an ack stamped with an older epoch belongs to a superseded
@@ -148,7 +158,6 @@ type nfEntry struct {
 // requeue) while parked supersedes the retransmit.
 type nfPending struct {
 	ref   sim.JobRef
-	id    int64
 	epoch int
 }
 
@@ -202,11 +211,20 @@ type netfaultRun struct {
 	lastCkptT float64
 	downStart float64
 
-	outstanding   map[int64]*nfEntry
+	// out is the outstanding-dispatch slab (indexed by Job.NetSlot-1)
+	// and outFree its free list.
+	out           []nfEntry
+	outFree       []int32
 	pendingRetry  []nfPending
 	pendingRescue []nfPending
 	buffer        []*sim.Job
 	failCount     []int64
+
+	// Handlers of the layer's typed engine events, bound once in
+	// newNetfaultRun. Payloads: a transit copy carries (Ref, A = target
+	// link, B = delivery epoch); an ack (Ref, B = epoch); a resubmission
+	// backoff and a client rescue (Ref, B = epoch); an ack timeout Ref.
+	onCopy, onAck, onAckTimeout, onBackoff, onRescue func(sim.Msg)
 
 	stats NetfaultStats
 }
@@ -222,8 +240,16 @@ func newNetfaultRun(en *sim.Engine, cfg *netfault.Config, n int, root *rng.Strea
 		cut:         make([]int, n),
 		inFlight:    make([]int, n),
 		up:          true,
-		outstanding: map[int64]*nfEntry{},
 	}
+	nf.onCopy = func(m sim.Msg) { nf.deliverCopy(m.A, m.Ref, m.B, true) }
+	nf.onAck = func(m sim.Msg) { nf.ack(m.Ref, m.B) }
+	nf.onAckTimeout = func(m sim.Msg) {
+		if j, ok := m.Ref.Load(); ok {
+			nf.ackTimeout(j)
+		}
+	}
+	nf.onBackoff = nf.backoffDone
+	nf.onRescue = nf.rescue
 	for i := 0; i < n; i++ {
 		nf.links[i] = cfg.LinkFor(i)
 		nf.linkStreams[i] = root.DeriveIndexed("netfault.link", i)
@@ -332,8 +358,7 @@ func (nf *netfaultRun) send(target int, j *sim.Job, tracked bool) {
 			if nf.pb != nil {
 				nf.pb.SetLinkInFlight(now, target, nf.inFlight[target])
 			}
-			tgt := target
-			nf.en.ScheduleAfter(delay, func() { nf.deliverCopy(tgt, ref, epoch, true) })
+			nf.en.ScheduleMsg(now+delay, nf.onCopy, sim.Msg{Ref: ref, A: target, B: epoch})
 		} else {
 			nf.deliverCopy(target, ref, epoch, false)
 		}
@@ -378,19 +403,19 @@ func (nf *netfaultRun) deliverCopy(target int, ref sim.JobRef, epoch int, wasInF
 		}
 		// The computer re-acks duplicates: an earlier ack may have been
 		// the lost one.
-		nf.sendAck(target, j.ID, j.NetEpoch)
+		nf.sendAck(target, j)
 		return
 	}
 	j.NetAccepted = true
 	j.Target = target
-	nf.sendAck(target, j.ID, j.NetEpoch)
+	nf.sendAck(target, j)
 	nf.deliver(target, j)
 }
 
-// sendAck returns the computer's acceptance ack over the same link,
-// subject to the same partition, loss and latency. epoch stamps the
-// ack with the delivery epoch it acknowledges.
-func (nf *netfaultRun) sendAck(target int, id int64, epoch int) {
+// sendAck returns the computer's acceptance ack for j over the same
+// link, subject to the same partition, loss and latency. The ack is
+// stamped with j's current delivery epoch, the one it acknowledges.
+func (nf *netfaultRun) sendAck(target int, j *sim.Job) {
 	if nf.cfg.Ack.Timeout <= 0 {
 		return
 	}
@@ -402,43 +427,41 @@ func (nf *netfaultRun) sendAck(target int, id int64, epoch int) {
 	if !ok {
 		nf.stats.AckLost++
 		if nf.pb != nil {
-			nf.pb.Emit(probe.Event{T: now, Kind: probe.EvNetLoss, Job: id, Target: target, Cause: "ack-loss"})
+			nf.pb.Emit(probe.Event{T: now, Kind: probe.EvNetLoss, Job: j.ID, Target: target, Cause: "ack-loss"})
 		}
 		return
 	}
+	ref := nf.arena.Ref(j)
 	if delay > 0 {
-		nf.en.ScheduleAfter(delay, func() { nf.onAck(id, epoch) })
+		nf.en.ScheduleMsg(now+delay, nf.onAck, sim.Msg{Ref: ref, B: j.NetEpoch})
 	} else {
-		nf.onAck(id, epoch)
+		nf.ack(ref, j.NetEpoch)
 	}
 }
 
-// onAck resolves an outstanding dispatch. A crashed dispatcher misses
-// the ack; the restart recovery decides the entry's fate instead. An
-// ack from a superseded delivery epoch is ignored: it acknowledged a
-// dispatch that was since reclaimed (failure requeue, overload
-// timeout), and letting it resolve the entry would strand the current
-// dispatch's retransmission loop — a lost copy would never be
-// resubmitted.
-func (nf *netfaultRun) onAck(id int64, epoch int) {
+// ack resolves the outstanding dispatch of the job ref names. A crashed
+// dispatcher misses the ack; the restart recovery decides the entry's
+// fate instead. An ack from a superseded delivery epoch is ignored: it
+// acknowledged a dispatch that was since reclaimed (failure requeue,
+// overload timeout), and letting it resolve the entry would strand the
+// current dispatch's retransmission loop — a lost copy would never be
+// resubmitted. A job recycled since the ack was sent has no entry: it
+// was finalized first, and finalization drops the entry.
+func (nf *netfaultRun) ack(ref sim.JobRef, epoch int) {
 	if !nf.up {
 		nf.stats.AckLost++
 		return
 	}
-	e, ok := nf.outstanding[id]
-	if !ok {
+	j, ok := ref.Load()
+	if !ok || j.NetSlot == 0 {
 		return
 	}
-	if e.epoch != epoch {
+	if nf.out[j.NetSlot-1].epoch != epoch {
 		nf.stats.AckLost++
 		return
 	}
-	delete(nf.outstanding, id)
+	nf.forget(j.NetSlot)
 	nf.stats.Acked++
-	if j, ok := e.ref.Load(); ok && j.AckEvent.Active() {
-		j.AckEvent.Cancel()
-		j.AckEvent = sim.Event{}
-	}
 }
 
 // track upserts j's outstanding entry and (re-)arms its ack timer.
@@ -446,26 +469,27 @@ func (nf *netfaultRun) track(j *sim.Job, now float64) {
 	if j.AckEvent.Active() {
 		j.AckEvent.Cancel()
 	}
-	e, ok := nf.outstanding[j.ID]
-	if !ok {
-		e = &nfEntry{}
-		nf.outstanding[j.ID] = e
+	if j.NetSlot == 0 {
+		if k := len(nf.outFree); k > 0 {
+			j.NetSlot = nf.outFree[k-1]
+			nf.outFree = nf.outFree[:k-1]
+		} else {
+			nf.out = append(nf.out, nfEntry{})
+			j.NetSlot = int32(len(nf.out))
+		}
 	}
+	e := &nf.out[j.NetSlot-1]
 	e.ref = nf.arena.Ref(j)
+	e.id = j.ID
 	e.sentAt = now
 	e.epoch = j.NetEpoch
-	ref := e.ref
-	j.AckEvent = nf.en.ScheduleAfter(nf.cfg.Ack.Timeout, func() {
-		if jj, ok := ref.Load(); ok {
-			nf.ackTimeout(jj)
-		}
-	})
+	j.AckEvent = nf.en.ScheduleMsg(now+nf.cfg.Ack.Timeout, nf.onAckTimeout, sim.Msg{Ref: e.ref})
 }
 
 // ackTimeout fires when a tracked dispatch was not acked in time.
 func (nf *netfaultRun) ackTimeout(j *sim.Job) {
 	j.AckEvent = sim.Event{}
-	if _, ok := nf.outstanding[j.ID]; !ok {
+	if j.NetSlot == 0 {
 		return
 	}
 	nf.stats.AckTimeouts++
@@ -473,7 +497,7 @@ func (nf *netfaultRun) ackTimeout(j *sim.Job) {
 		// The dispatcher-side timer fired while the process was dead;
 		// park it. The restart recovery decides whether the entry (and
 		// hence this retransmit) survives.
-		nf.pendingRetry = append(nf.pendingRetry, nfPending{ref: nf.arena.Ref(j), id: j.ID, epoch: j.NetEpoch})
+		nf.pendingRetry = append(nf.pendingRetry, nfPending{ref: nf.arena.Ref(j), epoch: j.NetEpoch})
 		return
 	}
 	nf.resubmit(j, "ack-timeout")
@@ -486,9 +510,7 @@ func (nf *netfaultRun) resubmit(j *sim.Job, cause string) {
 		return
 	}
 	if j.Resubmits >= nf.cfg.Ack.Budget {
-		if e, ok := nf.outstanding[j.ID]; ok {
-			nf.forget(j.ID, e)
-		}
+		nf.untrack(j)
 		if j.NetAccepted {
 			// A computer holds the job; only the acks kept vanishing.
 			// Stop tracking — the job completes through the normal path.
@@ -513,30 +535,46 @@ func (nf *netfaultRun) resubmit(j *sim.Job, cause string) {
 	// The dispatcher believes the job never reached (or left) its
 	// computer: release the policy's load accounting before re-selecting.
 	nf.departed(j)
-	ref := nf.arena.Ref(j)
-	epoch := j.NetEpoch
-	nf.en.ScheduleAfter(d, func() {
-		jj, ok := ref.Load()
-		if !ok || jj.Finalized || jj.Killed || jj.NetEpoch != epoch {
-			// Epoch moved: the job was reclaimed from its server while
-			// this backoff was pending — the overload/fault machinery
-			// owns its re-dispatch now, a second loop would double it.
-			return
-		}
-		if !nf.up {
-			nf.pendingRetry = append(nf.pendingRetry, nfPending{ref: ref, id: jj.ID, epoch: epoch})
-			return
-		}
-		nf.dispatch(jj, false)
-	})
+	nf.en.ScheduleMsg(nf.en.Now()+d, nf.onBackoff, sim.Msg{Ref: nf.arena.Ref(j), B: j.NetEpoch})
 }
 
-// forget drops an outstanding entry and disarms its ack timer.
-func (nf *netfaultRun) forget(id int64, e *nfEntry) {
-	delete(nf.outstanding, id)
-	if j, ok := e.ref.Load(); ok && j.AckEvent.Active() {
-		j.AckEvent.Cancel()
-		j.AckEvent = sim.Event{}
+// backoffDone re-dispatches a resubmitted job once its backoff is over.
+func (nf *netfaultRun) backoffDone(m sim.Msg) {
+	jj, ok := m.Ref.Load()
+	if !ok || jj.Finalized || jj.Killed || jj.NetEpoch != m.B {
+		// Epoch moved: the job was reclaimed from its server while
+		// this backoff was pending — the overload/fault machinery
+		// owns its re-dispatch now, a second loop would double it.
+		return
+	}
+	if !nf.up {
+		nf.pendingRetry = append(nf.pendingRetry, nfPending{ref: m.Ref, epoch: m.B})
+		return
+	}
+	nf.dispatch(jj, false)
+}
+
+// forget frees outstanding slot (1-based) and disarms the ack timer of
+// its job, unless the job was already recycled.
+func (nf *netfaultRun) forget(slot int32) {
+	e := &nf.out[slot-1]
+	if j, ok := e.ref.Load(); ok {
+		j.NetSlot = 0
+		if j.AckEvent.Active() {
+			j.AckEvent.Cancel()
+			j.AckEvent = sim.Event{}
+		}
+	}
+	*e = nfEntry{}
+	nf.outFree = append(nf.outFree, slot)
+}
+
+// untrack drops j's outstanding entry, if any, and disarms its ack
+// timer (only a tracked job has one armed). The run calls it at j's
+// terminal event, so the arena can recycle the job.
+func (nf *netfaultRun) untrack(j *sim.Job) {
+	if j.NetSlot != 0 {
+		nf.forget(j.NetSlot)
 	}
 }
 
@@ -553,32 +591,24 @@ func (nf *netfaultRun) scheduleRescue(j *sim.Job) {
 	if now := nf.en.Now(); t < now {
 		t = now
 	}
-	ref := nf.arena.Ref(j)
-	epoch := j.NetEpoch
-	nf.en.Schedule(t, func() {
-		jj, ok := ref.Load()
-		if !ok || jj.Finalized || jj.Killed || jj.NetAccepted || jj.NetEpoch != epoch {
-			return
-		}
-		if !nf.up {
-			// The client keeps retrying regardless of dispatcher state;
-			// its retransmit lands once the dispatcher is back.
-			nf.pendingRescue = append(nf.pendingRescue, nfPending{ref: ref, id: jj.ID, epoch: epoch})
-			return
-		}
-		nf.stats.ClientRescues++
-		nf.resubmit(jj, "client")
-	})
+	nf.en.ScheduleMsg(t, nf.onRescue, sim.Msg{Ref: nf.arena.Ref(j), B: j.NetEpoch})
 }
 
-// jobDone clears the job's netfault state at its terminal event so the
-// arena can recycle it.
-func (nf *netfaultRun) jobDone(j *sim.Job) {
-	if j.AckEvent.Active() {
-		j.AckEvent.Cancel()
-		j.AckEvent = sim.Event{}
+// rescue fires a client timeout: the client retransmits unless a
+// computer accepted the job meanwhile.
+func (nf *netfaultRun) rescue(m sim.Msg) {
+	jj, ok := m.Ref.Load()
+	if !ok || jj.Finalized || jj.Killed || jj.NetAccepted || jj.NetEpoch != m.B {
+		return
 	}
-	delete(nf.outstanding, j.ID)
+	if !nf.up {
+		// The client keeps retrying regardless of dispatcher state;
+		// its retransmit lands once the dispatcher is back.
+		nf.pendingRescue = append(nf.pendingRescue, nfPending{ref: m.Ref, epoch: m.B})
+		return
+	}
+	nf.stats.ClientRescues++
+	nf.resubmit(jj, "client")
 }
 
 // reclaim clears delivery state when the job verifiably left its server
@@ -587,11 +617,7 @@ func (nf *netfaultRun) jobDone(j *sim.Job) {
 func (nf *netfaultRun) reclaim(j *sim.Job) {
 	j.NetAccepted = false
 	j.NetEpoch++ // invalidate copies of the superseded dispatch still in transit
-	if j.AckEvent.Active() {
-		j.AckEvent.Cancel()
-		j.AckEvent = sim.Event{}
-	}
-	delete(nf.outstanding, j.ID)
+	nf.untrack(j)
 }
 
 // scheduleCrash arms the next dispatcher crash; the renewal chain stops
@@ -679,36 +705,39 @@ func (nf *netfaultRun) restart() {
 		nf.pb.Emit(probe.Event{T: now, Kind: probe.EvDispatcherUp, Target: -1, Cause: d.Recovery.String(), Value: age})
 	}
 
-	// Resolve the outstanding table in sorted ID order: rescues schedule
-	// events, and map iteration order must not reach the event queue.
-	ids := make([]int64, 0, len(nf.outstanding))
-	for id := range nf.outstanding {
-		ids = append(ids, id)
+	// Resolve the outstanding slab in ascending job ID: rescues schedule
+	// events, and slab order (allocation order) must not reach the event
+	// queue. The walk only frees slots, so the snapshot stays valid.
+	live := make([]int32, 0, len(nf.out)-len(nf.outFree))
+	for i := range nf.out {
+		if nf.out[i].id != 0 {
+			live = append(live, int32(i+1))
+		}
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id := range ids {
-		e := nf.outstanding[id]
+	sort.Slice(live, func(a, b int) bool { return nf.out[live[a]-1].id < nf.out[live[b]-1].id })
+	for _, slot := range live {
+		e := &nf.out[slot-1]
 		jj, ok := e.ref.Load()
 		if !ok || jj.Finalized || jj.Killed {
-			nf.forget(id, e)
+			nf.forget(slot)
 			continue
 		}
 		switch d.Recovery {
 		case netfault.RecoverAcks:
 			if jj.NetAccepted {
 				// The reconstruction replayed the computer's ack.
-				nf.forget(id, e)
+				nf.forget(slot)
 			}
 			// Unaccepted entries stay tracked with their timers running.
 		case netfault.RecoverCheckpoint:
 			if e.sentAt > nf.lastCkptT {
-				nf.forget(id, e)
+				nf.forget(slot)
 				if !jj.NetAccepted {
 					nf.scheduleRescue(jj)
 				}
 			}
 		case netfault.RecoverCold:
-			nf.forget(id, e)
+			nf.forget(slot)
 			if !jj.NetAccepted {
 				nf.scheduleRescue(jj)
 			}
@@ -725,7 +754,7 @@ func (nf *netfaultRun) restart() {
 		if !ok || jj.Finalized || jj.Killed || jj.NetEpoch != p.epoch {
 			continue
 		}
-		if _, tracked := nf.outstanding[p.id]; tracked {
+		if jj.NetSlot != 0 {
 			nf.resubmit(jj, "ack-timeout")
 		}
 	}

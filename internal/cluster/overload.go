@@ -338,6 +338,10 @@ type overloadRun struct {
 	deadlines *rng.Stream
 	timeHist  *stats.Histogram
 	stats     OverloadStats
+
+	// Handlers of the per-job timers (typed engine events carrying the
+	// job's handle), bound once in newOverloadRun.
+	onDeadline, onTimeout, onRetry func(sim.Msg)
 }
 
 func newOverloadRun(en *sim.Engine, cfg *OverloadConfig, n int, policy Policy, warmup float64) (*overloadRun, error) {
@@ -346,6 +350,22 @@ func newOverloadRun(en *sim.Engine, cfg *OverloadConfig, n int, policy Policy, w
 		// Response times span from sub-second (a small job on the
 		// fastest computer) to the timeout/deadline horizon.
 		timeHist: stats.NewLogHistogram(1e-3, 1e7, 400),
+	}
+	// A timer that outlives its job loads a dead handle and does nothing.
+	ov.onDeadline = func(m sim.Msg) {
+		if j, ok := m.Ref.Load(); ok {
+			ov.deadlineExpire(j)
+		}
+	}
+	ov.onTimeout = func(m sim.Msg) {
+		if j, ok := m.Ref.Load(); ok {
+			ov.timeout(j)
+		}
+	}
+	ov.onRetry = func(m sim.Msg) {
+		if j, ok := m.Ref.Load(); ok {
+			ov.dispatch(j, false)
+		}
 	}
 	if cfg.Admission == TokenBucketAdmission {
 		tb, err := dispatch.NewTokenBucket(cfg.TokenRate, cfg.TokenBurst)
@@ -378,7 +398,6 @@ func (ov *overloadRun) admitJob(j *sim.Job) bool {
 		}
 		j.Deadline = j.Arrival + rel
 		if ov.cfg.DeadlineAction == DeadlineKill {
-			ref := ov.arena.Ref(j)
 			// Jobs flushed from a crashed dispatcher's buffer are admitted
 			// after their arrival; a deadline that lapsed while buffered
 			// fires immediately rather than scheduling into the past.
@@ -386,11 +405,7 @@ func (ov *overloadRun) admitJob(j *sim.Job) bool {
 			if now := ov.en.Now(); t < now {
 				t = now
 			}
-			j.DeadlineEvent = ov.en.Schedule(t, func() {
-				if jj, ok := ref.Load(); ok {
-					ov.deadlineExpire(jj)
-				}
-			})
+			j.DeadlineEvent = ov.en.ScheduleMsg(t, ov.onDeadline, sim.Msg{Ref: ov.arena.Ref(j)})
 		}
 	}
 	return true
@@ -467,12 +482,7 @@ func (ov *overloadRun) dispatch(j *sim.Job, first bool) {
 			// nothing can cancel later.
 			j.TimeoutEvent.Cancel()
 		}
-		ref := ov.arena.Ref(j)
-		j.TimeoutEvent = ov.en.ScheduleAfter(ov.cfg.Timeout, func() {
-			if jj, ok := ref.Load(); ok {
-				ov.timeout(jj)
-			}
-		})
+		j.TimeoutEvent = ov.en.ScheduleMsg(ov.en.Now()+ov.cfg.Timeout, ov.onTimeout, sim.Msg{Ref: ov.arena.Ref(j)})
 	}
 	ov.arrive(target, j)
 }
@@ -527,12 +537,7 @@ func (ov *overloadRun) retryOrDrop(j *sim.Job) {
 		if ov.pb != nil {
 			ov.pb.Emit(probe.Event{T: ov.en.Now(), Kind: probe.EvRetry, Job: j.ID, Target: j.Target, Cause: "backoff", Attempt: j.Attempts, Value: d})
 		}
-		ref := ov.arena.Ref(j)
-		ov.en.ScheduleAfter(d, func() {
-			if jj, ok := ref.Load(); ok {
-				ov.dispatch(jj, false)
-			}
-		})
+		ov.en.ScheduleMsg(ov.en.Now()+d, ov.onRetry, sim.Msg{Ref: ov.arena.Ref(j)})
 		return
 	}
 	if j.NetAccepted {

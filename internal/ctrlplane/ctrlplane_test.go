@@ -85,8 +85,9 @@ func TestTokenDeliveryAndLoss(t *testing.T) {
 	cfg := &Config{Links: netfault.Links{Link: netfault.Link{Loss: 0.5, Latency: dist.Deterministic{Value: 2}}}, QueryTO: 10}
 	en, p, _ := newPlane(t, cfg, 2)
 	delivered := 0
+	p.SetTokenSink(func(i, k int, expiry float64) bool { delivered++; return true })
 	for i := 0; i < 200; i++ {
-		p.SendToken(0, func(expiry float64) bool { delivered++; return true })
+		p.SendToken(0, 0)
 	}
 	en.RunUntil(1e5)
 	st := p.Finish()
@@ -109,13 +110,14 @@ func TestTokenDupAndDedup(t *testing.T) {
 	cfg := &Config{Links: netfault.Links{Link: netfault.Link{Dup: 1}}, Lease: 0, QueryTO: 0}
 	en, p, _ := newPlane(t, cfg, 1)
 	has := false
-	p.SendToken(0, func(expiry float64) bool {
+	p.SetTokenSink(func(i, k int, expiry float64) bool {
 		if has {
 			return false
 		}
 		has = true
 		return true
 	})
+	p.SendToken(0, 0)
 	en.RunUntil(10)
 	st := p.Finish()
 	if st.TokensDup != 1 || st.TokensDelivered != 2 {
@@ -130,7 +132,8 @@ func TestTokenLeaseExpiryStamp(t *testing.T) {
 	cfg := &Config{Links: netfault.Links{Link: netfault.Link{Latency: dist.Deterministic{Value: 3}}}, Lease: 100}
 	en, p, _ := newPlane(t, cfg, 1)
 	var gotExpiry float64
-	p.SendToken(0, func(expiry float64) bool { gotExpiry = expiry; return true })
+	p.SetTokenSink(func(i, k int, expiry float64) bool { gotExpiry = expiry; return true })
+	p.SendToken(0, 0)
 	en.RunUntil(10)
 	if gotExpiry != 103 {
 		t.Fatalf("expiry = %g, want delivery(3) + lease(100) = 103", gotExpiry)
@@ -140,9 +143,16 @@ func TestTokenLeaseExpiryStamp(t *testing.T) {
 func TestTokenPartitionBlocksSend(t *testing.T) {
 	cfg := &Config{QueryTO: 5, Links: netfault.Links{Partitions: []netfault.Partition{{From: 0, To: 10, Links: []int{0}}}}}
 	en, p, _ := newPlane(t, cfg, 2)
-	p.SendToken(0, func(float64) bool { t.Fatal("token crossed a cut link"); return false })
 	ok := false
-	p.SendToken(1, func(float64) bool { ok = true; return true })
+	p.SetTokenSink(func(i, k int, expiry float64) bool {
+		if i == 0 {
+			t.Fatal("token crossed a cut link")
+		}
+		ok = true
+		return true
+	})
+	p.SendToken(0, 0)
+	p.SendToken(1, 0)
 	en.RunUntil(1)
 	if !ok {
 		t.Fatal("uncut link must deliver")
@@ -310,8 +320,10 @@ func TestDeterministicReplay(t *testing.T) {
 		src := &fixedSource{q: []int{1, 2, 3}}
 		p.BindSource(src)
 		v0, v1 := p.View(0), p.View(1)
+		// Replica 0 accepts every token, replica 1 dedups every one.
+		p.SetTokenSink(func(i, k int, expiry float64) bool { return k == 0 })
 		for i := 0; i < 50; i++ {
-			p.SendToken(i%3, func(float64) bool { return i%2 == 0 })
+			p.SendToken(i%3, i%2)
 			p.BeginDecision()
 			v0.QueueLen(i % 3)
 			p.EndDecision(0)
@@ -343,15 +355,18 @@ func TestDrawsFollowLinkRule(t *testing.T) {
 	src.q[0] = 4
 	ref := rng.New(42).DeriveIndexed("ctrl.link", 0)
 	v := p.View(0)
+	var got []float64
+	p.SetTokenSink(func(i, k int, expiry float64) bool { got = append(got, expiry); return true })
 	for k := 0; k < 300; k++ {
-		var want, got []float64
+		var want []float64
+		got = nil
 		copies := l.Copies(ref)
 		for c := 0; c < copies; c++ {
 			if lat, ok := l.Transit(ref); ok {
 				want = append(want, en.Now()+lat+cfg.Lease)
 			}
 		}
-		p.SendToken(0, func(expiry float64) bool { got = append(got, expiry); return true })
+		p.SendToken(0, 0)
 		en.RunUntil(math.Inf(1))
 		sort.Float64s(got)
 		sort.Float64s(want)

@@ -87,7 +87,21 @@ type Plane struct {
 	inFlight int
 	extant   func() int64
 	stats    Stats
+
+	// sink receives delivered token copies (SetTokenSink). onToken and
+	// onReply are the handlers of the plane's typed engine events, bound
+	// once in NewPlane: a token copy carries (A = computer, B = replica,
+	// X = lease expiry), a late query reply (A = replica, B = computer,
+	// ID = the queue length answered, X = the probe time).
+	sink             TokenSink
+	onToken, onReply func(sim.Msg)
 }
+
+// TokenSink receives one delivered idle-token copy: computer i's report
+// arriving at replica k with the given lease expiry (0 when leases are
+// off). It reports whether the replica accepted the token (false =
+// dedup).
+type TokenSink func(i, k int, expiry float64) bool
 
 // NewPlane builds the runtime for an enabled config. Substreams for the
 // computer control links are derived from root here ("ctrl.link"/i);
@@ -101,6 +115,8 @@ func NewPlane(en *sim.Engine, cfg *Config, computers int, root *rng.Stream, hori
 		root:    root,
 		linkSt:  make([]*rng.Stream, computers),
 	}
+	p.onToken = p.deliverToken
+	p.onReply = p.lateReply
 	for i := 0; i < computers; i++ {
 		p.linkSt[i] = root.DeriveIndexed("ctrl.link", i)
 	}
@@ -109,6 +125,10 @@ func NewPlane(en *sim.Engine, cfg *Config, computers int, root *rng.Stream, hori
 
 // BindSource installs the ground-truth reader probes consult.
 func (p *Plane) BindSource(src Source) { p.src = src }
+
+// SetTokenSink installs the receiver of delivered token copies (bound
+// once by the token-reporting policy, before the first SendToken).
+func (p *Plane) SetTokenSink(fn TokenSink) { p.sink = fn }
 
 // SetHooks installs the observability callbacks.
 func (p *Plane) SetHooks(h Hooks) { p.hooks = h }
@@ -196,11 +216,10 @@ func cutBy(parts []netfault.Partition, idx int, t float64) bool {
 	return false
 }
 
-// SendToken carries computer i's idle-token report over its control
-// link. Each surviving copy invokes deliver at its arrival time with
-// the token's lease expiry (0 when leases are off); deliver reports
-// whether the receiving replica accepted the token (false = dedup).
-func (p *Plane) SendToken(i int, deliver func(expiry float64) bool) {
+// SendToken carries computer i's idle-token report to replica k over
+// i's control link. Each surviving copy reaches the token sink at its
+// arrival time with the token's lease expiry (0 when leases are off).
+func (p *Plane) SendToken(i, k int) {
 	p.stats.TokensSent++
 	now := p.en.Now()
 	if p.linkCut(i, now) {
@@ -224,18 +243,22 @@ func (p *Plane) SendToken(i int, deliver func(expiry float64) bool) {
 			expiry = now + lat + p.cfg.Lease
 		}
 		p.addInFlight(now, 1)
-		p.en.ScheduleAfter(lat, func() {
-			t := p.en.Now()
-			p.addInFlight(t, -1)
-			p.stats.TokensDelivered++
-			if deliver(expiry) {
-				p.stats.TokensAccepted++
-				p.event(t, MsgTokenReport, i, "accept", expiry)
-			} else {
-				p.stats.TokensDeduped++
-				p.event(t, MsgTokenReport, i, "dedup", expiry)
-			}
-		})
+		p.en.ScheduleMsg(now+lat, p.onToken, sim.Msg{A: i, B: k, X: expiry})
+	}
+}
+
+// deliverToken lands one token copy at its replica.
+func (p *Plane) deliverToken(m sim.Msg) {
+	t := p.en.Now()
+	i, expiry := m.A, m.X
+	p.addInFlight(t, -1)
+	p.stats.TokensDelivered++
+	if p.sink(i, m.B, expiry) {
+		p.stats.TokensAccepted++
+		p.event(t, MsgTokenReport, i, "accept", expiry)
+	} else {
+		p.stats.TokensDeduped++
+		p.event(t, MsgTokenReport, i, "dedup", expiry)
 	}
 }
 
@@ -348,14 +371,7 @@ func (p *Plane) query(k, i int) int {
 		p.stats.QueriesLate++
 		p.decDegraded = true
 		p.addInFlight(now, 1)
-		p.en.ScheduleAfter(rtt, func() {
-			t := p.en.Now()
-			p.addInFlight(t, -1)
-			if stamp := p.qstamp[k][i]; math.IsNaN(stamp) || now > stamp {
-				p.qlen[k][i] = val
-				p.qstamp[k][i] = now
-			}
-		})
+		p.en.ScheduleMsg(now+rtt, p.onReply, sim.Msg{A: k, B: i, ID: int64(val), X: now})
 		return p.cached(k, i, now)
 	}
 	p.qlen[k][i] = val
@@ -364,6 +380,17 @@ func (p *Plane) query(k, i int) int {
 		p.decWait = rtt
 	}
 	return val
+}
+
+// lateReply lands a query reply that missed its decision's timeout: it
+// only refreshes replica k's cache, and only if nothing newer arrived.
+func (p *Plane) lateReply(m sim.Msg) {
+	k, i, sent := m.A, m.B, m.X
+	p.addInFlight(p.en.Now(), -1)
+	if stamp := p.qstamp[k][i]; math.IsNaN(stamp) || sent > stamp {
+		p.qlen[k][i] = int(m.ID)
+		p.qstamp[k][i] = sent
+	}
 }
 
 func (p *Plane) cached(k, i int, now float64) int {

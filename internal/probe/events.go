@@ -1,10 +1,13 @@
 package probe
 
 import (
-	"encoding/csv"
+	"bufio"
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // EventKind classifies one job-lifecycle or system event. The stream for
@@ -154,7 +157,9 @@ type Event struct {
 }
 
 // EventWriter receives the event stream. Writers are invoked from the
-// simulation goroutine in event order; they must not retain the event.
+// simulation goroutine in event order. The pointer is valid only during
+// Write: the probe reuses one Event for every call, so a writer must copy
+// what it keeps and never retain the pointer.
 type EventWriter interface {
 	Write(e *Event) error
 	// Flush drains any buffering to the underlying sink.
@@ -224,42 +229,82 @@ func (jw *JSONLWriter) Flush() error {
 }
 
 // CSVWriter exports events as CSV with a fixed column set:
-// t,kind,job,target,cause,attempt,value,mask.
+// t,kind,job,target,cause,attempt,value,mask. Like JSONLWriter it encodes
+// each row over a reused buffer, so a long run does not allocate per
+// event; the output is byte-for-byte what encoding/csv writes for the
+// same fields (quoting as csvNeedsQuotes decides).
 type CSVWriter struct {
-	cw          *csv.Writer
+	w           *bufio.Writer
+	buf         []byte
 	wroteHeader bool
-	row         [8]string
 }
 
-// NewCSVWriter returns a CSV exporter writing to w.
+// NewCSVWriter returns a CSV exporter writing to w through a buffer;
+// Flush drains it.
 func NewCSVWriter(w io.Writer) *CSVWriter {
-	return &CSVWriter{cw: csv.NewWriter(w)}
+	return &CSVWriter{w: bufio.NewWriter(w), buf: make([]byte, 0, 256)}
 }
 
 // eventCSVHeader is the exported column layout.
-var eventCSVHeader = []string{"t", "kind", "job", "target", "cause", "attempt", "value", "mask"}
+const eventCSVHeader = "t,kind,job,target,cause,attempt,value,mask\n"
 
 // Write encodes one event as a CSV row (header emitted lazily).
 func (cw *CSVWriter) Write(e *Event) error {
 	if !cw.wroteHeader {
-		if err := cw.cw.Write(eventCSVHeader); err != nil {
+		if _, err := cw.w.WriteString(eventCSVHeader); err != nil {
 			return err
 		}
 		cw.wroteHeader = true
 	}
-	cw.row[0] = strconv.FormatFloat(e.T, 'g', -1, 64)
-	cw.row[1] = e.Kind.String()
-	cw.row[2] = strconv.FormatInt(e.Job, 10)
-	cw.row[3] = strconv.Itoa(e.Target)
-	cw.row[4] = e.Cause
-	cw.row[5] = strconv.Itoa(e.Attempt)
-	cw.row[6] = strconv.FormatFloat(e.Value, 'g', -1, 64)
-	cw.row[7] = e.Mask
-	return cw.cw.Write(cw.row[:])
+	b := strconv.AppendFloat(cw.buf[:0], e.T, 'g', -1, 64)
+	b = append(b, ',')
+	b = appendCSVField(b, e.Kind.String())
+	b = append(b, ',')
+	b = strconv.AppendInt(b, e.Job, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(e.Target), 10)
+	b = append(b, ',')
+	b = appendCSVField(b, e.Cause)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(e.Attempt), 10)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, e.Value, 'g', -1, 64)
+	b = append(b, ',')
+	b = appendCSVField(b, e.Mask)
+	b = append(b, '\n')
+	cw.buf = b
+	_, err := cw.w.Write(b)
+	return err
 }
 
 // Flush drains the CSV buffer.
-func (cw *CSVWriter) Flush() error {
-	cw.cw.Flush()
-	return cw.cw.Error()
+func (cw *CSVWriter) Flush() error { return cw.w.Flush() }
+
+// appendCSVField appends s as one CSV field, quoted (with inner quotes
+// doubled) exactly when encoding/csv would quote it.
+func appendCSVField(b []byte, s string) []byte {
+	if !csvNeedsQuotes(s) {
+		return append(b, s...)
+	}
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' {
+			b = append(b, '"')
+		}
+		b = append(b, s[i])
+	}
+	return append(b, '"')
+}
+
+// csvNeedsQuotes is encoding/csv's rule for a comma-separated field: a
+// comma, quote, CR or LF anywhere, a leading space, or the field `\.`.
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` || strings.ContainsAny(s, ",\"\r\n") {
+		return true
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
 }

@@ -109,6 +109,10 @@ type Probe struct {
 	lastFinalID    int64
 	lastFinalComps SpanComponents
 
+	// ev is the one Event that Emit hands to the writer, overwritten on
+	// every call (writers must not retain it), so emitting allocates
+	// nothing.
+	ev  Event
 	err error
 }
 
@@ -302,14 +306,16 @@ func (p *Probe) NoteCtrlStaleness(t, age float64) {
 }
 
 // Emit records one lifecycle event: the per-kind counter always, the
-// stream when a writer is attached. The first writer error is latched and
-// stops further writes.
+// stream when a writer is attached. The writer receives a pointer to the
+// probe's one reused Event, so Emit allocates nothing with or without a
+// writer. The first writer error is latched and stops further writes.
 func (p *Probe) Emit(e Event) {
 	p.counts[e.Kind].Inc()
 	if p.opts.Events == nil || p.err != nil {
 		return
 	}
-	if err := p.opts.Events.Write(&e); err != nil {
+	p.ev = e
+	if err := p.opts.Events.Write(&p.ev); err != nil {
 		p.err = err
 	}
 }

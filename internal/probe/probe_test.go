@@ -2,8 +2,11 @@ package probe
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -130,6 +133,79 @@ func TestCSVWriter(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "1,arrival,1,-1") {
 		t.Errorf("row = %q", lines[1])
+	}
+}
+
+// TestCSVWriterMatchesEncodingCSV pins the hand-rolled CSV rows to what
+// encoding/csv writes for the same fields, quoting rules included.
+func TestCSVWriterMatchesEncodingCSV(t *testing.T) {
+	events := []Event{
+		{T: 0.1, Kind: EvDispatch, Job: 7, Target: 2, Attempt: 1, Mask: "1011"},
+		{T: math.Inf(1), Kind: EvSample, Target: -1, Cause: "in_system", Value: math.NaN()},
+		{T: 3e-9, Kind: EvDrop, Job: 1 << 40, Cause: `say "hi", twice`},
+		{T: 4, Kind: EvRetry, Cause: "line\nbreak\r"},
+		{T: 5, Kind: EvBreaker, Cause: " leading space"},
+		{T: 6, Kind: EvBreaker, Cause: `\.`},
+		{T: 7, Kind: EventKind(200), Value: -1.5e300},
+	}
+	var got, want bytes.Buffer
+	w := NewCSVWriter(&got)
+	ref := csv.NewWriter(&want)
+	if err := ref.Write([]string{"t", "kind", "job", "target", "cause", "attempt", "value", "mask"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range events {
+		e := &events[i]
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+		row := []string{
+			strconv.FormatFloat(e.T, 'g', -1, 64), e.Kind.String(), strconv.FormatInt(e.Job, 10),
+			strconv.Itoa(e.Target), e.Cause, strconv.Itoa(e.Attempt),
+			strconv.FormatFloat(e.Value, 'g', -1, 64), e.Mask,
+		}
+		if err := ref.Write(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ref.Flush()
+	if got.String() != want.String() {
+		t.Errorf("CSV rows differ from encoding/csv:\n got %q\nwant %q", got.String(), want.String())
+	}
+}
+
+// TestEmitZeroAlloc locks Emit at zero allocations per event: the probe
+// hands the writer its one reused Event, and neither exporter allocates
+// per row once its buffer has grown.
+func TestEmitZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		w    EventWriter
+	}{
+		{"no writer", nil},
+		{"jsonl", NewJSONLWriter(io.Discard)},
+		{"csv", NewCSVWriter(io.Discard)},
+	} {
+		p, err := New(Options{Events: tc.w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := Event{T: 12.5, Kind: EvDispatch, Job: 42, Target: 3, Cause: "failover", Attempt: 2, Value: 0.25, Mask: "1101"}
+		p.Emit(ev) // warm-up: grows the row buffer, writes the CSV header
+		allocs := testing.AllocsPerRun(1000, func() {
+			ev.T++
+			ev.Job++
+			p.Emit(ev)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Emit allocates %v/op, want 0", tc.name, allocs)
+		}
+		if err := p.Flush(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

@@ -29,6 +29,9 @@ type PowerOfD struct {
 
 	ctx  *cluster.Context
 	load []int64
+	// onDecrement is the delayed decrement's handler (a typed engine
+	// event), bound once in Init.
+	onDecrement func(sim.Msg)
 }
 
 var _ cluster.Policy = (*PowerOfD)(nil)
@@ -60,6 +63,7 @@ func (p *PowerOfD) Init(ctx *cluster.Context) error {
 	}
 	p.ctx = ctx
 	p.load = make([]int64, len(ctx.Speeds))
+	p.onDecrement = p.decrement
 	return nil
 }
 
@@ -98,7 +102,9 @@ func (p *PowerOfD) Select(*sim.Job) int {
 func (p *PowerOfD) Departed(j *sim.Job) {
 	target := j.Target
 	delay := p.ctx.RNG.Uniform(0, p.DetectMax) + p.ctx.RNG.Exp(p.MessageDelay)
-	p.ctx.Engine.ScheduleAfter(delay, func() {
-		p.load[target]--
-	})
+	en := p.ctx.Engine
+	en.ScheduleMsg(en.Now()+delay, p.onDecrement, sim.Msg{A: target})
 }
+
+// decrement applies one delayed load-index decrement (computer m.A).
+func (p *PowerOfD) decrement(m sim.Msg) { p.load[m.A]-- }

@@ -66,7 +66,10 @@ type Scalable struct {
 	// renewPending[i] guards against stacking renewal chains for one
 	// computer (a Departed re-report while a chain is live).
 	renewPending []bool
-	pendingCost  float64
+	// onRenew is the lease-renewal handler (a typed engine event whose
+	// payload A is the computer), bound once in BindCtrl.
+	onRenew     func(sim.Msg)
+	pendingCost float64
 }
 
 var (
@@ -209,6 +212,10 @@ func (s *Scalable) BindCtrl(p *ctrlplane.Plane) {
 			q.SetClock(p.Now)
 			q.SetTokenHooks(p.NoteTokenSpend, p.NoteTokenExpire, p.NoteTokenDiscard)
 		}
+		p.SetTokenSink(func(i, k int, expiry float64) bool {
+			return s.jiqs[k].ReportIdleLease(i, expiry)
+		})
+		s.onRenew = s.renew
 		p.SetExtantFn(func() int64 {
 			var total int64
 			for _, q := range s.jiqs {
@@ -265,10 +272,7 @@ func (s *Scalable) reportIdle(i int) {
 // sendToken ships computer i's idle report to replica k over the
 // control plane and arms the lease-renewal chain.
 func (s *Scalable) sendToken(i, k int) {
-	q := s.jiqs[k]
-	s.plane.SendToken(i, func(expiry float64) bool {
-		return q.ReportIdleLease(i, expiry)
-	})
+	s.plane.SendToken(i, k)
 	lease := s.plane.Lease()
 	if lease <= 0 || s.renewPending[i] {
 		return
@@ -278,16 +282,20 @@ func (s *Scalable) sendToken(i, k int) {
 		return
 	}
 	s.renewPending[i] = true
-	en.ScheduleAfter(lease, func() {
-		s.renewPending[i] = false
-		// Re-report only while the computer is still idle (its own
-		// ground truth, not the dispatcher's view) and to the same
-		// replica, so an undelivered or expired token is replaced and a
-		// live one merely has its lease refreshed by the dedup.
-		if s.view != nil && s.view.QueueLen(i) == 0 {
-			s.sendToken(i, s.tokenHome[i])
-		}
-	})
+	en.ScheduleMsg(en.Now()+lease, s.onRenew, sim.Msg{A: i})
+}
+
+// renew fires computer i's lease renewal (i = m.A).
+func (s *Scalable) renew(m sim.Msg) {
+	i := m.A
+	s.renewPending[i] = false
+	// Re-report only while the computer is still idle (its own ground
+	// truth, not the dispatcher's view) and to the same replica, so an
+	// undelivered or expired token is replaced and a live one merely has
+	// its lease refreshed by the dedup.
+	if s.view != nil && s.view.QueueLen(i) == 0 {
+		s.sendToken(i, s.tokenHome[i])
+	}
 }
 
 // Select routes the arrival to a dispatcher replica and delegates the

@@ -664,6 +664,9 @@ type LeastLoad struct {
 	ctx  *cluster.Context
 	load []int64
 	up   []bool
+	// onDecrement is the delayed decrement's handler (a typed engine
+	// event), bound once in Init.
+	onDecrement func(sim.Msg)
 }
 
 var _ cluster.Policy = (*LeastLoad)(nil)
@@ -690,6 +693,7 @@ func (l *LeastLoad) Init(ctx *cluster.Context) error {
 	}
 	l.ctx = ctx
 	l.load = make([]int64, len(ctx.Speeds))
+	l.onDecrement = l.decrement
 	return nil
 }
 
@@ -737,10 +741,12 @@ func (l *LeastLoad) Departed(j *sim.Job) {
 		return
 	}
 	delay := l.ctx.RNG.Uniform(0, l.DetectMax) + l.ctx.RNG.Exp(l.MessageDelay)
-	l.ctx.Engine.ScheduleAfter(delay, func() {
-		l.load[target]--
-	})
+	en := l.ctx.Engine
+	en.ScheduleMsg(en.Now()+delay, l.onDecrement, sim.Msg{A: target})
 }
+
+// decrement applies one delayed load-index decrement (computer m.A).
+func (l *LeastLoad) decrement(m sim.Msg) { l.load[m.A]-- }
 
 // StaticFractions wraps a fixed fraction vector with a dispatch kind, for
 // experiments (like Figure 2) that specify fractions directly.

@@ -18,6 +18,15 @@
 // use-after-free: acting on a handle whose slot has been recycled is
 // either a safe no-op (Cancel) or a generation-mismatch panic
 // (Reschedule).
+//
+// Beside Schedule(t, fn) the engine has one typed form, ScheduleMsg(t, h,
+// m): a handler bound once by its caller plus a small fixed payload (a
+// Msg), stored in a side array parallel to the slab. A layer that fires
+// one event per job or per message schedules it this way and so
+// allocates no closure per event. Typed events share the heap, the
+// sequence numbers and Step with closure events; the side array is grown
+// on the first typed schedule only, so an engine that never schedules one
+// pays nothing for it.
 package sim
 
 import (
@@ -27,7 +36,9 @@ import (
 
 // eventSlot is one slab entry: the scheduled callback plus the heap
 // bookkeeping. Slots are recycled through the engine's free list; gen
-// increments at every release so stale Event handles are detectable.
+// increments at every release so stale Event handles are detectable. A
+// nil fn marks a typed event, whose handler and payload live in
+// Engine.msgs at the same index.
 type eventSlot struct {
 	time float64
 	seq  uint64
@@ -91,6 +102,25 @@ type Engine struct {
 	free   []int32     // released slots available for reuse
 	fired  uint64
 	popped uint64
+	// msgs holds the handler and payload of typed events, indexed like
+	// events; nil until the first ScheduleMsg.
+	msgs []msgSlot
+}
+
+// Msg is the fixed payload of a typed event (see ScheduleMsg): a job
+// handle and a few scalars whose meaning belongs to the handler, e.g. a
+// transit copy's (job, target link, delivery epoch).
+type Msg struct {
+	Ref  JobRef
+	ID   int64
+	A, B int
+	X    float64
+}
+
+// msgSlot is a typed event's side-array entry.
+type msgSlot struct {
+	h func(Msg)
+	m Msg
 }
 
 // Now returns the current simulation time.
@@ -128,6 +158,30 @@ func (en *Engine) release(idx int32) {
 // Schedule registers fn to run at absolute time t, which must not precede
 // the current time. It returns the Event handle for cancellation.
 func (en *Engine) Schedule(t float64, fn func()) Event {
+	if fn == nil {
+		panic("sim: Schedule of a nil callback")
+	}
+	return en.schedule(t, fn)
+}
+
+// ScheduleMsg registers h(m) to run at absolute time t: the closure-free
+// form of Schedule for events that fire once per job or per message. h
+// should be bound once by its owner (like PSServer's departure method
+// value), so the call allocates nothing once the slab has grown. The
+// event orders, cancels and reschedules exactly like a Schedule'd one and
+// consumes one sequence number.
+func (en *Engine) ScheduleMsg(t float64, h func(Msg), m Msg) Event {
+	e := en.schedule(t, nil)
+	idx := int(e.slot - 1)
+	if idx >= len(en.msgs) {
+		en.msgs = append(en.msgs, make([]msgSlot, len(en.events)-len(en.msgs))...)
+	}
+	en.msgs[idx] = msgSlot{h: h, m: m}
+	return e
+}
+
+// schedule pushes a slot firing fn (nil for a typed event) at time t.
+func (en *Engine) schedule(t float64, fn func()) Event {
 	if t < en.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (t=%v, now=%v)", t, en.now))
 	}
@@ -196,7 +250,15 @@ func (en *Engine) Step() bool {
 	en.release(idx)
 	en.popped++
 	en.fired++
-	fn()
+	if fn != nil {
+		fn()
+		return true
+	}
+	// A typed event: copy the payload out before the handler runs, since
+	// it may schedule into the slot just released (release leaves msgs
+	// untouched).
+	ms := en.msgs[idx]
+	ms.h(ms.m)
 	return true
 }
 

@@ -10,19 +10,30 @@ import (
 // slice scanned for the minimum (time, seq) key. The byte-derived times
 // are coarse (multiples of 0.5) so timestamp collisions are common and
 // FIFO tie-breaking is constantly exercised across slab-slot reuse.
+// Closure events and typed events (ScheduleMsg) mix in one sequence; a
+// typed event's payload names its reference item, so a handler handed
+// another event's payload fails the firing-order check, and some typed
+// handlers schedule a follow-up into the slot they just vacated.
 func FuzzEngineOps(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 10, 3, 0, 1, 0, 3, 0})
 	f.Add([]byte{0, 4, 0, 4, 0, 4, 2, 1, 8, 3, 0, 3, 0, 3, 0})
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 2, 0, 0, 3, 0, 0, 1, 1, 2, 2, 3, 3})
+	f.Add([]byte{4, 3, 4, 4, 0, 2, 3, 0, 4, 1, 3, 0, 3, 0, 3, 0})
+	f.Add([]byte{4, 7, 4, 7, 4, 6, 2, 9, 1, 1, 3, 0, 4, 0, 3, 0, 3, 0, 3, 0})
+	f.Add([]byte{4, 1, 3, 0, 4, 5, 0, 5, 3, 0, 3, 0, 1, 3, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var en Engine
+		arena := NewJobArena()
 
 		// Reference state: one item per scheduled event, keyed exactly
-		// like the engine orders its heap.
+		// like the engine orders its heap. chain > 0 marks a typed event
+		// whose handler schedules a follow-up typed event (chain-1)/2
+		// seconds after it fires.
 		type item struct {
 			time  float64
 			seq   uint64
 			id    int
+			chain int
 			state int // 0 pending, 1 fired, 2 cancelled
 		}
 		var items []*item
@@ -32,6 +43,28 @@ func FuzzEngineOps(f *testing.F) {
 		var gotFired []int
 		var handles []Event
 		var refs []*item
+
+		// chainID is the follow-up item refStep created for the typed
+		// event about to fire, read by its handler.
+		chainID := 0
+		payload := func(id, chain int) Msg {
+			j := arena.Get()
+			j.ID = int64(id)
+			return Msg{Ref: arena.Ref(j), ID: int64(id), A: chain, B: -id, X: float64(id) / 4}
+		}
+		// onMsg is bound once, like a layer's handler.
+		var onMsg func(Msg)
+		onMsg = func(m Msg) {
+			j, ok := m.Ref.Load()
+			if !ok || j.ID != m.ID || m.B != -int(m.ID) || m.X != float64(m.ID)/4 {
+				t.Fatalf("typed event %d fired with a mixed payload %+v", m.ID, m)
+			}
+			arena.Put(j)
+			gotFired = append(gotFired, int(m.ID))
+			if m.A > 0 {
+				en.ScheduleMsg(en.Now()+float64(m.A-1)*0.5, onMsg, payload(chainID, 0))
+			}
+		}
 
 		refStep := func() (int, float64, bool) {
 			var best *item
@@ -48,6 +81,11 @@ func FuzzEngineOps(f *testing.F) {
 				return 0, 0, false
 			}
 			best.state = 1
+			if best.chain > 0 {
+				chainID = len(items) + 1
+				items = append(items, &item{time: best.time + float64(best.chain-1)*0.5, seq: seq, id: chainID})
+				seq++
+			}
 			return best.id, best.time, true
 		}
 		pendingRef := func() int {
@@ -61,7 +99,7 @@ func FuzzEngineOps(f *testing.F) {
 		}
 
 		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i]%4, data[i+1]
+			op, arg := data[i]%5, data[i+1]
 			switch op {
 			case 0: // schedule at now + arg/2
 				tt := now + float64(arg)*0.5
@@ -73,6 +111,18 @@ func FuzzEngineOps(f *testing.F) {
 				handles = append(handles, en.Schedule(tt, func() {
 					gotFired = append(gotFired, id)
 				}))
+			case 4: // typed schedule at now + (arg>>1)/2, chaining when arg is odd
+				tt := now + float64(arg>>1)*0.5
+				id := len(items) + 1
+				chain := 0
+				if arg&1 == 1 {
+					chain = 1 + int(arg>>1)%4
+				}
+				it := &item{time: tt, seq: seq, id: id, chain: chain}
+				seq++
+				items = append(items, it)
+				refs = append(refs, it)
+				handles = append(handles, en.ScheduleMsg(tt, onMsg, payload(id, chain)))
 			case 1: // cancel handle arg (possibly stale: must be a no-op)
 				if len(handles) == 0 {
 					continue

@@ -85,6 +85,12 @@ type Job struct {
 	// reset with the rest of the exported fields when the arena recycles
 	// the job.
 	SpanSlot int32
+	// NetSlot is the network-fault layer's outstanding-dispatch slab
+	// slot for this job, offset by one like SpanSlot (0 = not tracked).
+	// It is owned by internal/cluster: set when a dispatch is tracked,
+	// cleared when the entry is freed (ack, reclaim, resubmission budget
+	// spent, terminal outcome).
+	NetSlot int32
 
 	// attained is the virtual-time target used internally by PS servers,
 	// or the remaining work for quantum/FCFS servers.

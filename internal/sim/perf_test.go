@@ -14,6 +14,9 @@ import (
 // nop is a non-capturing callback for allocation-free scheduling in tests.
 func nop() {}
 
+// nopMsg is nop's typed-event counterpart.
+func nopMsg(Msg) {}
+
 // steadyStateArrivalRate yields ρ ≈ 0.7 on a speed-1 server with unit
 // mean job sizes (mean inter-arrival 1.43 s).
 const steadyStateGap = 1.43
@@ -146,7 +149,7 @@ func BenchmarkPSServerUpdate(b *testing.B) {
 
 // TestScheduleCancelZeroAlloc locks in the engine's core performance
 // contract: once the slab has grown to the working-set size, Schedule,
-// Cancel, Reschedule and Step perform zero heap allocations.
+// ScheduleMsg, Cancel, Reschedule and Step perform zero heap allocations.
 func TestScheduleCancelZeroAlloc(t *testing.T) {
 	var en Engine
 	warm := make([]Event, 64)
@@ -178,6 +181,24 @@ func TestScheduleCancelZeroAlloc(t *testing.T) {
 		t.Errorf("Reschedule allocates %v/op, want 0", allocs)
 	}
 	ev.Cancel()
+
+	// The typed form, after its side array has grown once.
+	arena := NewJobArena()
+	m := Msg{Ref: arena.Ref(arena.Get()), ID: 7, A: 1, B: 2, X: 0.5}
+	h := nopMsg
+	en.ScheduleMsg(en.Now()+1, h, m).Cancel()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		ev := en.ScheduleMsg(en.Now()+1, h, m)
+		ev.Cancel()
+	}); allocs != 0 {
+		t.Errorf("ScheduleMsg+Cancel allocates %v/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		en.ScheduleMsg(en.Now()+1, h, m)
+		en.Step()
+	}); allocs != 0 {
+		t.Errorf("ScheduleMsg+Step allocates %v/op, want 0", allocs)
+	}
 }
 
 // TestPSServerSteadyStateZeroAlloc drives the full arrival/departure cycle
