@@ -9,7 +9,7 @@ BENCH_BASELINE ?= BENCH_2026-08-06.json
 # hardware differs from the baseline machine; locally 10% is realistic.
 BENCH_THRESHOLD ?= 0.10
 
-.PHONY: all build test check race stress vet fmt fmtcheck clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke sweep-smoke chaos-smoke perfbench-check benchcheck bench-baseline
+.PHONY: all build test check race stress vet fmt fmtcheck clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke sweep-smoke chaos-smoke perfbench-check fuzz-engine benchcheck bench-baseline
 
 all: build
 
@@ -39,6 +39,13 @@ check: fmtcheck vet build
 perfbench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
+
+# fuzz-engine fuzzes the event engine's firing order (heap, typed events
+# and FIFO lanes) against a naive reference for 20 s. `go test` only
+# replays the seed inputs; a crasher is written under
+# internal/sim/testdata/fuzz/, which CI uploads.
+fuzz-engine:
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOps$$' -fuzztime 20s ./internal/sim
 
 # fmtcheck fails when gofmt would reformat any Go file in the tree
 # (`make fmt` fixes it).

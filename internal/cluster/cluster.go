@@ -1295,10 +1295,15 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 		dispatchJob(j, true)
 	}
 
+	// The arrival chain schedules each arrival when the previous one
+	// fires, so its times arrive in push order: it runs on a FIFO lane
+	// beside the engine's heap.
+	arrLane := en.NewLane()
 	if len(cfg.Replay) > 0 {
 		// Trace-driven arrivals: schedule each recorded job at its
-		// recorded time, one event ahead to keep the heap small. A single
-		// closure walks the trace so the chain allocates nothing per job.
+		// recorded time, one event ahead. A single closure walks the
+		// trace so the chain allocates nothing per job; validate has
+		// rejected decreasing arrival times.
 		idx := 0
 		var fire func()
 		fire = func() {
@@ -1306,11 +1311,11 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 			idx++
 			admit(r.Size)
 			if idx < len(cfg.Replay) && cfg.Replay[idx].Arrival <= cfg.Duration {
-				en.Schedule(cfg.Replay[idx].Arrival, fire)
+				arrLane.Schedule(cfg.Replay[idx].Arrival, fire)
 			}
 		}
 		if cfg.Replay[0].Arrival <= cfg.Duration {
-			en.Schedule(cfg.Replay[0].Arrival, fire)
+			arrLane.Schedule(cfg.Replay[0].Arrival, fire)
 		}
 	} else {
 		// Synthetic arrivals: the arrival process (default: a renewal
@@ -1325,9 +1330,9 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 				return // admission closes at the horizon
 			}
 			admit(cfg.JobSize.Sample(sizeStream))
-			en.Schedule(arrivals.Next(en.Now(), arrStream), onArrival)
+			arrLane.Schedule(arrivals.Next(en.Now(), arrStream), onArrival)
 		}
-		en.Schedule(arrivals.Next(en.Now(), arrStream), onArrival)
+		arrLane.Schedule(arrivals.Next(en.Now(), arrStream), onArrival)
 	}
 
 	// Cadence sampling: read queue lengths, utilization deltas and the

@@ -225,6 +225,9 @@ type netfaultRun struct {
 	// link, B = delivery epoch); an ack (Ref, B = epoch); a resubmission
 	// backoff and a client rescue (Ref, B = epoch); an ack timeout Ref.
 	onCopy, onAck, onAckTimeout, onBackoff, onRescue func(sim.Msg)
+	// ackLane holds the ack timers: each is armed at now + Ack.Timeout,
+	// so they fall due in arming order (nil without ack tracking).
+	ackLane *sim.Lane
 
 	stats NetfaultStats
 }
@@ -250,6 +253,9 @@ func newNetfaultRun(en *sim.Engine, cfg *netfault.Config, n int, root *rng.Strea
 	}
 	nf.onBackoff = nf.backoffDone
 	nf.onRescue = nf.rescue
+	if cfg.Ack.Timeout > 0 {
+		nf.ackLane = en.NewLane()
+	}
 	for i := 0; i < n; i++ {
 		nf.links[i] = cfg.LinkFor(i)
 		nf.linkStreams[i] = root.DeriveIndexed("netfault.link", i)
@@ -483,7 +489,7 @@ func (nf *netfaultRun) track(j *sim.Job, now float64) {
 	e.id = j.ID
 	e.sentAt = now
 	e.epoch = j.NetEpoch
-	j.AckEvent = nf.en.ScheduleMsg(now+nf.cfg.Ack.Timeout, nf.onAckTimeout, sim.Msg{Ref: e.ref})
+	j.AckEvent = nf.ackLane.ScheduleMsg(now+nf.cfg.Ack.Timeout, nf.onAckTimeout, sim.Msg{Ref: e.ref})
 }
 
 // ackTimeout fires when a tracked dispatch was not acked in time.

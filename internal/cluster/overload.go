@@ -342,6 +342,9 @@ type overloadRun struct {
 	// Handlers of the per-job timers (typed engine events carrying the
 	// job's handle), bound once in newOverloadRun.
 	onDeadline, onTimeout, onRetry func(sim.Msg)
+	// timeoutLane holds the dispatcher timeouts: each is armed at now +
+	// Timeout, so they fall due in arming order (nil when Timeout is 0).
+	timeoutLane *sim.Lane
 }
 
 func newOverloadRun(en *sim.Engine, cfg *OverloadConfig, n int, policy Policy, warmup float64) (*overloadRun, error) {
@@ -366,6 +369,9 @@ func newOverloadRun(en *sim.Engine, cfg *OverloadConfig, n int, policy Policy, w
 		if j, ok := m.Ref.Load(); ok {
 			ov.dispatch(j, false)
 		}
+	}
+	if cfg.Timeout > 0 {
+		ov.timeoutLane = en.NewLane()
 	}
 	if cfg.Admission == TokenBucketAdmission {
 		tb, err := dispatch.NewTokenBucket(cfg.TokenRate, cfg.TokenBurst)
@@ -482,7 +488,7 @@ func (ov *overloadRun) dispatch(j *sim.Job, first bool) {
 			// nothing can cancel later.
 			j.TimeoutEvent.Cancel()
 		}
-		j.TimeoutEvent = ov.en.ScheduleMsg(ov.en.Now()+ov.cfg.Timeout, ov.onTimeout, sim.Msg{Ref: ov.arena.Ref(j)})
+		j.TimeoutEvent = ov.timeoutLane.ScheduleMsg(ov.en.Now()+ov.cfg.Timeout, ov.onTimeout, sim.Msg{Ref: ov.arena.Ref(j)})
 	}
 	ov.arrive(target, j)
 }

@@ -68,7 +68,10 @@ type Scalable struct {
 	renewPending []bool
 	// onRenew is the lease-renewal handler (a typed engine event whose
 	// payload A is the computer), bound once in BindCtrl.
-	onRenew     func(sim.Msg)
+	onRenew func(sim.Msg)
+	// renewLane holds the lease renewals: each is armed at now + Lease,
+	// so they fall due in arming order (nil without leases).
+	renewLane   *sim.Lane
 	pendingCost float64
 }
 
@@ -216,6 +219,9 @@ func (s *Scalable) BindCtrl(p *ctrlplane.Plane) {
 			return s.jiqs[k].ReportIdleLease(i, expiry)
 		})
 		s.onRenew = s.renew
+		if en := s.ctx.Engine; en != nil && p.Lease() > 0 {
+			s.renewLane = en.NewLane()
+		}
 		p.SetExtantFn(func() int64 {
 			var total int64
 			for _, q := range s.jiqs {
@@ -282,7 +288,7 @@ func (s *Scalable) sendToken(i, k int) {
 		return
 	}
 	s.renewPending[i] = true
-	en.ScheduleMsg(en.Now()+lease, s.onRenew, sim.Msg{A: i})
+	s.renewLane.ScheduleMsg(en.Now()+lease, s.onRenew, sim.Msg{A: i})
 }
 
 // renew fires computer i's lease renewal (i = m.A).

@@ -66,6 +66,34 @@ func TestEngineFIFOAcrossSlabReuse(t *testing.T) {
 	}
 }
 
+// TestRescheduleSameTimeGoesBehindTies: Reschedule takes a fresh
+// sequence number, so an event moved to its own time fires after every
+// event already tied with it. Reschedule sifts one way only, and a move
+// to the same time is the case that must sift down, below the root's
+// tied children.
+func TestRescheduleSameTimeGoesBehindTies(t *testing.T) {
+	var en Engine
+	var fired []int
+	record := func(id int) func() {
+		return func() { fired = append(fired, id) }
+	}
+	a := en.Schedule(5, record(1))
+	for id := 2; id <= 6; id++ {
+		en.Schedule(5, record(id))
+	}
+	en.Reschedule(a, 5)
+	en.RunUntil(math.Inf(1))
+	want := []int{2, 3, 4, 5, 6, 1}
+	if len(fired) != len(want) {
+		t.Fatalf("firing order %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("firing order %v, want %v", fired, want)
+		}
+	}
+}
+
 // mustPanicContaining runs fn and asserts it panics with a message
 // containing substr.
 func mustPanicContaining(t *testing.T, substr string, fn func()) {
@@ -225,43 +253,56 @@ func TestArenaPutAtServerPanics(t *testing.T) {
 // reference engine (refengine_test.go) with an identical randomized
 // schedule/cancel/reschedule/step workload and requires bit-identical
 // clocks and firing sequences — the old-vs-new equivalence proof at the
-// engine level (the sched golden tests prove it end-to-end).
+// engine level (the sched golden tests prove it end-to-end). Two
+// constant-delay timer streams run on FIFO lanes in the new engine and on
+// the reference's heap, like the ack timers and lease renewals of a run.
 func TestEngineMatchesReferenceEngine(t *testing.T) {
 	st := rng.New(41)
 	trials := stressN(30)
+	delays := [2]float64{20, 35}
 	for trial := 0; trial < trials; trial++ {
 		var neu Engine
 		var ref refEngine
+		lanes := [2]*Lane{neu.NewLane(), neu.NewLane()}
 		var logNew, logRef []int
 		type pair struct {
-			n Event
-			r *refEvent
+			n    Event
+			r    *refEvent
+			lane bool
 		}
 		var handles []pair
 		label := 0
-		schedule := func(tt float64) {
+		schedule := func(tt float64, lane *Lane) {
 			label++
 			l := label
-			handles = append(handles, pair{
-				n: neu.Schedule(tt, func() { logNew = append(logNew, l) }),
-				r: ref.Schedule(tt, func() { logRef = append(logRef, l) }),
-			})
+			p := pair{r: ref.Schedule(tt, func() { logRef = append(logRef, l) }), lane: lane != nil}
+			if lane != nil {
+				p.n = lane.Schedule(tt, func() { logNew = append(logNew, l) })
+			} else {
+				p.n = neu.Schedule(tt, func() { logNew = append(logNew, l) })
+			}
+			handles = append(handles, p)
 		}
 		ops := 500 + st.Intn(1500)
 		for op := 0; op < ops; op++ {
 			switch r := st.Float64(); {
-			case r < 0.40:
+			case r < 0.30:
 				// Coarse times force timestamp ties, stressing FIFO.
-				schedule(neu.Now() + float64(st.Intn(50)))
+				schedule(neu.Now()+float64(st.Intn(50)), nil)
+			case r < 0.40:
+				// A timer armed at now plus its stream's delay.
+				k := st.Intn(2)
+				schedule(neu.Now()+delays[k], lanes[k])
 			case r < 0.55 && len(handles) > 0:
-				// Cancel in lockstep: eager removal in the new engine,
-				// lazy marking in the reference.
+				// Cancel in lockstep: eager removal on the new engine's
+				// heap, a stale ring entry on its lanes, lazy marking in
+				// the reference.
 				k := st.Intn(len(handles))
 				handles[k].n.Cancel()
 				handles[k].r.Cancel()
 			case r < 0.70 && len(handles) > 0:
 				k := st.Intn(len(handles))
-				if handles[k].n.Active() {
+				if handles[k].n.Active() && !handles[k].lane {
 					tt := neu.Now() + float64(st.Intn(50))
 					handles[k].n = neu.Reschedule(handles[k].n, tt)
 					handles[k].r = ref.Reschedule(handles[k].r, tt)
@@ -271,6 +312,9 @@ func TestEngineMatchesReferenceEngine(t *testing.T) {
 				ref.Step()
 				if neu.Now() != ref.Now() {
 					t.Fatalf("trial %d: clocks diverged: %v vs %v", trial, neu.Now(), ref.Now())
+				}
+				if neu.Fired() != ref.Fired() {
+					t.Fatalf("trial %d: fired %d vs reference %d", trial, neu.Fired(), ref.Fired())
 				}
 			}
 		}
@@ -289,4 +333,91 @@ func TestEngineMatchesReferenceEngine(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLaneEdges pins the FIFO lane's contract at its edges: the push
+// order is checked, a lane event cannot be moved, cancelled lane events
+// leave Pending and AdvanceTo at once although their ring entries go
+// lazily, and a long delay under constant cancellation keeps the ring
+// O(live).
+func TestLaneEdges(t *testing.T) {
+	t.Run("push-before-last-panics", func(t *testing.T) {
+		var en Engine
+		l := en.NewLane()
+		l.Schedule(5, nop).Cancel() // a cancelled push still sets the floor
+		l.Schedule(5, nop)
+		mustPanicContaining(t, "lane push out of order", func() { l.Schedule(4, nop) })
+		mustPanicContaining(t, "lane push out of order", func() { l.ScheduleMsg(4.5, nopMsg, Msg{}) })
+		en.Schedule(3, nop) // the heap takes any time from now on
+	})
+	t.Run("reschedule-lane-event-panics", func(t *testing.T) {
+		var en Engine
+		ev := en.NewLane().Schedule(5, nop)
+		mustPanicContaining(t, "Reschedule of a lane event", func() { en.Reschedule(ev, 6) })
+		if !ev.Active() {
+			t.Fatal("the refused Reschedule deactivated the lane event")
+		}
+	})
+	t.Run("pending-skips-cancelled", func(t *testing.T) {
+		var en Engine
+		l := en.NewLane()
+		a := l.Schedule(1, nop)
+		b := l.ScheduleMsg(2, nopMsg, Msg{})
+		en.Schedule(3, nop)
+		if got := en.Pending(); got != 3 {
+			t.Fatalf("Pending() = %d, want 3", got)
+		}
+		a.Cancel()
+		a.Cancel() // stale: a no-op that must not count twice
+		if got := en.Pending(); got != 2 {
+			t.Fatalf("after one cancel Pending() = %d, want 2", got)
+		}
+		b.Cancel()
+		if got := en.Pending(); got != 1 {
+			t.Fatalf("after two cancels Pending() = %d, want 1", got)
+		}
+		if !en.Step() || en.Now() != 3 || en.Pending() != 0 || en.Step() {
+			t.Fatalf("the heap event did not fire alone: now %v, pending %d", en.Now(), en.Pending())
+		}
+	})
+	t.Run("advance-refuses-lane-head", func(t *testing.T) {
+		var en Engine
+		l := en.NewLane()
+		l.Schedule(4, nop).Cancel() // a stale head must not block the clock
+		l.Schedule(7, nop)
+		en.Schedule(9, nop)
+		en.AdvanceTo(6)
+		mustPanicContaining(t, "would skip event at 7", func() { en.AdvanceTo(8) })
+		en.AdvanceTo(7)
+		if !en.Step() || en.Now() != 7 {
+			t.Fatalf("lane head did not fire at 7: now %v", en.Now())
+		}
+	})
+	t.Run("ring-stays-O(live)", func(t *testing.T) {
+		// An ack timer per dispatch with a delay far beyond the run: the
+		// timers never fire, each is cancelled by its ack, and the ack
+		// order is scrambled so stale entries pile up mid-ring, not only
+		// at the head.
+		var en Engine
+		l := en.NewLane()
+		st := rng.New(7)
+		const window = 8
+		var live []Event
+		for i := 0; i < 100000; i++ {
+			live = append(live, l.Schedule(en.Now()+1e6, nop))
+			if len(live) > window {
+				k := st.Intn(len(live))
+				live[k].Cancel()
+				live = append(live[:k], live[k+1:]...)
+			}
+			en.Schedule(en.Now()+1, nop)
+			en.Step()
+		}
+		if got := en.Pending(); got != window {
+			t.Fatalf("Pending() = %d, want %d", got, window)
+		}
+		if len(l.ring) > 4*(window+1) || l.n > 2*window+1 {
+			t.Fatalf("ring holds %d entries in %d slots for %d live events", l.n, len(l.ring), window)
+		}
+	})
 }

@@ -11,13 +11,14 @@
 // a contrast discipline.
 //
 // The engine stores its pending events in a slab: a flat []eventSlot
-// indexed by a 4-ary min-heap of slot indices, with freed slots kept on a
-// free list for reuse. Steady-state Schedule/Cancel/Reschedule therefore
-// perform no heap allocations (see TestScheduleCancelZeroAlloc), and event
-// handles are small values carrying a generation number that detects
-// use-after-free: acting on a handle whose slot has been recycled is
-// either a safe no-op (Cancel) or a generation-mismatch panic
-// (Reschedule).
+// with freed slots kept on a free list for reuse, ordered by a 4-ary
+// min-heap whose entries carry each event's time beside its slot index,
+// so a sift reads the slab only to break a tie between equal times.
+// Steady-state Schedule/Cancel/Reschedule therefore perform no heap
+// allocations (see TestScheduleCancelZeroAlloc), and event handles are
+// small values carrying a generation number that detects use-after-free:
+// acting on a handle whose slot has been recycled is either a safe no-op
+// (Cancel) or a generation-mismatch panic (Reschedule).
 //
 // Beside Schedule(t, fn) the engine has one typed form, ScheduleMsg(t, h,
 // m): a handler bound once by its caller plus a small fixed payload (a
@@ -27,6 +28,14 @@
 // sequence numbers and Step with closure events; the side array is grown
 // on the first typed schedule only, so an engine that never schedules one
 // pays nothing for it.
+//
+// A stream whose events are pushed in time order — an arrival chain, or
+// timers armed at now plus a per-run constant — can bypass the heap on a
+// FIFO Lane (NewLane): an O(1) ring beside the heap, merged with the
+// heap root by (time, seq) at every step, so the firing order is exactly
+// the one-heap order. A cancelled lane event releases its slot at once
+// and leaves a stale ring entry that a step skips; it is not counted by
+// Pending.
 package sim
 
 import (
@@ -34,16 +43,35 @@ import (
 	"math"
 )
 
-// eventSlot is one slab entry: the scheduled callback plus the heap
+// eventSlot is one slab entry: the scheduled callback plus the queue
 // bookkeeping. Slots are recycled through the engine's free list; gen
 // increments at every release so stale Event handles are detectable. A
 // nil fn marks a typed event, whose handler and payload live in
-// Engine.msgs at the same index.
+// Engine.msgs at the same index. The event's time lives in its heap or
+// lane entry, not here.
 type eventSlot struct {
+	seq uint64
+	fn  func()
+	pos int32 // index in Engine.heap; slotFree when free; laneMark(k) on lane k
+	gen uint32
+}
+
+// slotFree is eventSlot.pos of a released slot. Lane k's events hold
+// laneMark(k), below it.
+const slotFree = -1
+
+// laneMark is eventSlot.pos of an event on lane k. It is its own
+// inverse: laneMark(pos) is the lane of a slot whose pos is a mark.
+func laneMark(k int32) int32 { return -2 - k }
+
+// entry is one future-event-list entry: an event's time beside its slab
+// slot, so ordering two entries reads the slab only when their times are
+// equal. A lane entry also records the generation it was pushed under,
+// which tells a live entry from one whose event was cancelled; the heap
+// leaves gen zero (a heap entry is removed when its event is cancelled).
+type entry struct {
 	time float64
-	seq  uint64
-	fn   func()
-	pos  int32 // index in Engine.heap, -1 when free
+	slot int32
 	gen  uint32
 }
 
@@ -70,7 +98,7 @@ func (e Event) Active() bool {
 		return false
 	}
 	sl := &e.en.events[e.slot-1]
-	return sl.gen == e.gen && sl.pos >= 0
+	return sl.gen == e.gen && sl.pos != slotFree
 }
 
 // Cancel removes the event from the queue so it never fires. Cancelling
@@ -82,12 +110,19 @@ func (e Event) Cancel() {
 		return
 	}
 	en := e.en
-	sl := &en.events[e.slot-1]
-	if sl.gen != e.gen || sl.pos < 0 {
+	idx := e.slot - 1
+	sl := &en.events[idx]
+	if sl.gen != e.gen || sl.pos == slotFree {
 		return // fired, cancelled, or slot recycled
 	}
-	en.heapRemove(sl.pos)
-	en.release(e.slot - 1)
+	if pos := sl.pos; pos >= 0 {
+		en.heapRemove(pos)
+		en.release(idx)
+	} else {
+		// The release makes the lane's ring entry stale.
+		en.release(idx)
+		en.lanes[laneMark(pos)].cancelled()
+	}
 }
 
 // Engine is a sequential discrete-event engine: a clock plus a future
@@ -97,14 +132,18 @@ func (e Event) Cancel() {
 type Engine struct {
 	now    float64
 	seq    uint64
-	events []eventSlot // slab; heap and free hold indices into it
-	heap   []int32     // 4-ary min-heap on (time, seq)
+	events []eventSlot // slab; heap, free and the lanes index into it
+	heap   []entry     // 4-ary min-heap on (time, seq)
 	free   []int32     // released slots available for reuse
 	fired  uint64
-	popped uint64
 	// msgs holds the handler and payload of typed events, indexed like
 	// events; nil until the first ScheduleMsg.
 	msgs []msgSlot
+	// lanes are the engine's FIFO lanes (NewLane) and laneLive their
+	// live events: with none live, a step costs one branch more than a
+	// heap-only engine.
+	lanes    []*Lane
+	laneLive int
 }
 
 // Msg is the fixed payload of a typed event (see ScheduleMsg): a job
@@ -129,20 +168,39 @@ func (en *Engine) Now() float64 { return en.now }
 // Fired returns the number of events executed so far.
 func (en *Engine) Fired() uint64 { return en.fired }
 
-// Pending returns the number of events in the queue. Cancelled events are
-// removed eagerly and do not count.
-func (en *Engine) Pending() int { return len(en.heap) }
+// Pending returns the number of events in the queue, on the heap and on
+// the lanes. Cancelled events do not count: a heap event is removed
+// eagerly, and a lane event's stale ring entry, dropped lazily, is not
+// counted.
+func (en *Engine) Pending() int { return len(en.heap) + en.laneLive }
 
-// alloc returns a free slab slot, growing the slab when the free list is
-// empty. The returned index is NOT on the heap yet.
-func (en *Engine) alloc() int32 {
+// alloc takes a free slab slot (growing the slab when the free list is
+// empty) and stamps it with fn and the next sequence number. The returned
+// slot is on neither the heap nor a lane yet.
+func (en *Engine) alloc(fn func()) int32 {
+	var idx int32
 	if n := len(en.free); n > 0 {
-		idx := en.free[n-1]
+		idx = en.free[n-1]
 		en.free = en.free[:n-1]
-		return idx
+	} else {
+		en.events = append(en.events, eventSlot{pos: slotFree})
+		idx = int32(len(en.events) - 1)
 	}
-	en.events = append(en.events, eventSlot{pos: -1})
-	return int32(len(en.events) - 1)
+	sl := &en.events[idx]
+	sl.seq = en.seq
+	sl.fn = fn
+	en.seq++
+	return idx
+}
+
+// badTime panics on an event time t that is NaN or earlier than now; op
+// names the operation. It is kept out of line so the checks that call it
+// stay cheap.
+func (en *Engine) badTime(op string, t float64) {
+	if math.IsNaN(t) {
+		panic("sim: " + op + " at NaN time")
+	}
+	panic(fmt.Sprintf("sim: %s into the past (t=%v, now=%v)", op, t, en.now))
 }
 
 // release recycles slot idx: the generation bump invalidates outstanding
@@ -150,9 +208,18 @@ func (en *Engine) alloc() int32 {
 func (en *Engine) release(idx int32) {
 	sl := &en.events[idx]
 	sl.fn = nil
-	sl.pos = -1
+	sl.pos = slotFree
 	sl.gen++
 	en.free = append(en.free, idx)
+}
+
+// setMsg stores typed event idx's handler and payload, growing the side
+// array to the slab's length when idx is beyond it.
+func (en *Engine) setMsg(idx int32, h func(Msg), m Msg) {
+	if int(idx) >= len(en.msgs) {
+		en.msgs = append(en.msgs, make([]msgSlot, len(en.events)-len(en.msgs))...)
+	}
+	en.msgs[idx] = msgSlot{h: h, m: m}
 }
 
 // Schedule registers fn to run at absolute time t, which must not precede
@@ -172,30 +239,19 @@ func (en *Engine) Schedule(t float64, fn func()) Event {
 // consumes one sequence number.
 func (en *Engine) ScheduleMsg(t float64, h func(Msg), m Msg) Event {
 	e := en.schedule(t, nil)
-	idx := int(e.slot - 1)
-	if idx >= len(en.msgs) {
-		en.msgs = append(en.msgs, make([]msgSlot, len(en.events)-len(en.msgs))...)
-	}
-	en.msgs[idx] = msgSlot{h: h, m: m}
+	en.setMsg(e.slot-1, h, m)
 	return e
 }
 
 // schedule pushes a slot firing fn (nil for a typed event) at time t.
 func (en *Engine) schedule(t float64, fn func()) Event {
-	if t < en.now {
-		panic(fmt.Sprintf("sim: scheduling into the past (t=%v, now=%v)", t, en.now))
+	if !(t >= en.now) {
+		en.badTime("scheduling", t)
 	}
-	if math.IsNaN(t) {
-		panic("sim: scheduling at NaN time")
-	}
-	idx := en.alloc()
-	sl := &en.events[idx]
-	sl.time = t
-	sl.seq = en.seq
-	sl.fn = fn
-	en.seq++
-	en.heapPush(idx)
-	return Event{en: en, slot: idx + 1, gen: sl.gen, time: t}
+	idx := en.alloc(fn)
+	en.heap = append(en.heap, entry{time: t, slot: idx})
+	en.up(int32(len(en.heap) - 1))
+	return Event{en: en, slot: idx + 1, gen: en.events[idx].gen, time: t}
 }
 
 // ScheduleAfter registers fn to run delay seconds from now.
@@ -209,46 +265,80 @@ func (en *Engine) ScheduleAfter(delay float64, fn func()) Event {
 // cancel-and-reschedule idiom it replaces — but without releasing and
 // re-acquiring the slot. It panics if the handle is stale (the event
 // already fired or was cancelled): rescheduling a dead event would
-// silently act on whatever reused its slot.
+// silently act on whatever reused its slot. It panics on a lane event
+// too: a lane holds its events in push order.
 func (en *Engine) Reschedule(e Event, t float64) Event {
 	if e.slot == 0 {
 		panic("sim: Reschedule of a zero event handle")
 	}
 	sl := &en.events[e.slot-1]
 	if sl.gen != e.gen || sl.pos < 0 {
+		if sl.gen == e.gen && sl.pos != slotFree {
+			panic("sim: Reschedule of a lane event")
+		}
 		panic(fmt.Sprintf("sim: Reschedule of a dead event handle (generation mismatch: handle gen %d, slot gen %d)", e.gen, sl.gen))
 	}
-	if t < en.now {
-		panic(fmt.Sprintf("sim: rescheduling into the past (t=%v, now=%v)", t, en.now))
+	if !(t >= en.now) {
+		en.badTime("rescheduling", t)
 	}
-	if math.IsNaN(t) {
-		panic("sim: rescheduling at NaN time")
-	}
-	sl.time = t
 	sl.seq = en.seq
 	en.seq++
-	// The new (time, seq) may order either way relative to the old key;
-	// restore heap order from the event's current position.
-	en.down(sl.pos)
-	en.up(sl.pos)
+	// The new key takes the largest seq yet, so it orders after the old
+	// key exactly when t is not earlier: one sift direction suffices.
+	i := sl.pos
+	old := en.heap[i].time
+	en.heap[i].time = t
+	if t >= old {
+		en.down(i)
+	} else {
+		en.up(i)
+	}
 	e.time = t
 	return e
 }
 
 // Step fires the next event. It returns false if the queue is empty.
-func (en *Engine) Step() bool {
-	if len(en.heap) == 0 {
-		return false
+func (en *Engine) Step() bool { return en.stepUntil(posInf) }
+
+// posInf is Step's horizon: every event is due by it.
+var posInf = math.Inf(1)
+
+// RunUntil fires events in order until the clock would pass the horizon or
+// the queue empties. Events scheduled exactly at the horizon still fire.
+// The clock finishes at min(horizon, last event time); callers that need
+// the clock parked exactly at the horizon can call AdvanceTo.
+func (en *Engine) RunUntil(horizon float64) {
+	for en.stepUntil(horizon) {
 	}
-	idx := en.heap[0]
-	sl := &en.events[idx]
-	en.now = sl.time
-	fn := sl.fn
-	en.heapRemove(0)
-	// Release before the callback: the slot is reusable by anything fn
-	// schedules, and the handle held by fn's owner is already stale.
-	en.release(idx)
-	en.popped++
+}
+
+// stepUntil fires the next event if it is due no later than horizon and
+// reports whether it fired one.
+func (en *Engine) stepUntil(horizon float64) bool {
+	var l *Lane
+	if en.laneLive > 0 {
+		l = en.laneFront()
+	}
+	var e entry
+	if l != nil {
+		e = l.ring[l.head]
+		if e.time > horizon {
+			return false
+		}
+		l.pop()
+	} else {
+		if len(en.heap) == 0 || en.heap[0].time > horizon {
+			return false
+		}
+		e = en.heap[0]
+		en.popRoot()
+	}
+	en.now = e.time
+	fn := en.events[e.slot].fn
+	// Release before the callback: the slot is reusable by anything the
+	// callback schedules, and the handle held by the event's owner is
+	// already stale.
+	en.release(e.slot)
 	en.fired++
 	if fn != nil {
 		fn()
@@ -257,22 +347,9 @@ func (en *Engine) Step() bool {
 	// A typed event: copy the payload out before the handler runs, since
 	// it may schedule into the slot just released (release leaves msgs
 	// untouched).
-	ms := en.msgs[idx]
+	ms := en.msgs[e.slot]
 	ms.h(ms.m)
 	return true
-}
-
-// RunUntil fires events in order until the clock would pass the horizon or
-// the queue empties. Events scheduled exactly at the horizon still fire.
-// The clock finishes at min(horizon, last event time); callers that need
-// the clock parked exactly at the horizon can call AdvanceTo.
-func (en *Engine) RunUntil(horizon float64) {
-	for len(en.heap) > 0 {
-		if en.events[en.heap[0]].time > horizon {
-			return
-		}
-		en.Step()
-	}
 }
 
 // AdvanceTo moves the clock forward to t without firing events. It panics
@@ -281,87 +358,129 @@ func (en *Engine) AdvanceTo(t float64) {
 	if t < en.now {
 		panic(fmt.Sprintf("sim: AdvanceTo into the past (t=%v, now=%v)", t, en.now))
 	}
-	if len(en.heap) > 0 && en.events[en.heap[0]].time < t {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) would skip event at %v", t, en.events[en.heap[0]].time))
+	next := math.Inf(1)
+	if len(en.heap) > 0 {
+		next = en.heap[0].time
+	}
+	if en.laneLive > 0 {
+		if l := en.laneFront(); l != nil {
+			next = l.ring[l.head].time
+		}
+	}
+	if next < t {
+		panic(fmt.Sprintf("sim: AdvanceTo(%v) would skip event at %v", t, next))
 	}
 	en.now = t
 }
 
-// less orders slab slots by time, then schedule order (FIFO among ties).
-func (en *Engine) less(a, b int32) bool {
-	sa, sb := &en.events[a], &en.events[b]
-	if sa.time != sb.time {
-		return sa.time < sb.time
+// less orders entries by time, then schedule order (FIFO among ties).
+func (en *Engine) less(a, b entry) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return sa.seq < sb.seq
+	return en.events[a.slot].seq < en.events[b.slot].seq
 }
 
-// The pending-event set is a 4-ary implicit heap over slab indices. A
-// wider node costs more comparisons per level but halves the depth and
-// touches fewer cache lines than the classic binary heap — the standard
-// trade for DES future-event lists, where Schedule (sift-up) dominates
-// and most events fire near the front.
+// The pending-event set is a 4-ary implicit heap of entries. A wider node
+// costs more comparisons per level but halves the depth and touches fewer
+// cache lines than the classic binary heap — the standard trade for DES
+// future-event lists, where Schedule (sift-up) dominates and most events
+// fire near the front. The sifts move a hole rather than swapping, and
+// every entry stores its own position in its slot.
 
-func (en *Engine) heapPush(idx int32) {
-	i := int32(len(en.heap))
-	en.heap = append(en.heap, idx)
-	en.events[idx].pos = i
+// popRoot removes the heap's root. It walks the hole at the root down to
+// a leaf along the smaller children, then moves the last entry up from
+// there: the last entry is usually a late event that belongs near the
+// leaves, so this takes fewer comparisons than sifting it down level by
+// level.
+func (en *Engine) popRoot() {
+	h := en.heap
+	n := int32(len(h) - 1)
+	x := h[n]
+	h = h[:n]
+	en.heap = h
+	if n == 0 {
+		return
+	}
+	var i int32
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := min(c+4, n)
+		for k := c + 1; k < end; k++ {
+			if en.less(h[k], h[c]) {
+				c = k
+			}
+		}
+		h[i] = h[c]
+		en.events[h[i].slot].pos = i
+		i = c
+	}
+	h[i] = x
 	en.up(i)
 }
 
-// heapRemove deletes the element at heap position i.
+// heapRemove deletes the entry at heap position i.
 func (en *Engine) heapRemove(i int32) {
 	h := en.heap
-	last := int32(len(h) - 1)
-	if i != last {
-		h[i] = h[last]
-		en.events[h[i]].pos = i
+	n := int32(len(h) - 1)
+	x := h[n]
+	en.heap = h[:n]
+	if i == n {
+		return
 	}
-	en.heap = h[:last]
-	if i < last {
-		en.down(i)
+	h[i] = x
+	if i > 0 && en.less(x, h[(i-1)/4]) {
 		en.up(i)
+	} else {
+		en.down(i)
 	}
 }
 
+// up moves the entry at position i toward the root while it precedes its
+// parent.
 func (en *Engine) up(i int32) {
 	h := en.heap
+	x := h[i]
 	for i > 0 {
-		parent := (i - 1) / 4
-		if !en.less(h[i], h[parent]) {
+		p := (i - 1) / 4
+		if !en.less(x, h[p]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
-		en.events[h[i]].pos = i
-		en.events[h[parent]].pos = parent
-		i = parent
+		h[i] = h[p]
+		en.events[h[i].slot].pos = i
+		i = p
 	}
+	h[i] = x
+	en.events[x.slot].pos = i
 }
 
+// down moves the entry at position i toward the leaves while a child
+// precedes it.
 func (en *Engine) down(i int32) {
 	h := en.heap
 	n := int32(len(h))
+	x := h[i]
 	for {
-		first := 4*i + 1
-		if first >= n {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		small := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if en.less(h[c], h[small]) {
-				small = c
+		end := min(c+4, n)
+		for k := c + 1; k < end; k++ {
+			if en.less(h[k], h[c]) {
+				c = k
 			}
 		}
-		if !en.less(h[small], h[i]) {
+		if !en.less(h[c], x) {
 			break
 		}
-		h[i], h[small] = h[small], h[i]
-		en.events[h[i]].pos = i
-		en.events[h[small]].pos = small
-		i = small
+		h[i] = h[c]
+		en.events[h[i].slot].pos = i
+		i = c
 	}
+	h[i] = x
+	en.events[x.slot].pos = i
 }

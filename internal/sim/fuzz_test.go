@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -13,7 +14,11 @@ import (
 // Closure events and typed events (ScheduleMsg) mix in one sequence; a
 // typed event's payload names its reference item, so a handler handed
 // another event's payload fails the firing-order check, and some typed
-// handlers schedule a follow-up into the slot they just vacated.
+// handlers schedule a follow-up into the slot they just vacated. Two
+// FIFO lanes take pushes at their previous push time or later (closure
+// events on lane 0, typed events on lane 1, whose chained follow-ups go
+// back on lane 1 like an arrival chain); the reference does not know
+// lanes exist, so their merge with the heap must reproduce its order.
 func FuzzEngineOps(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 10, 3, 0, 1, 0, 3, 0})
 	f.Add([]byte{0, 4, 0, 4, 0, 4, 2, 1, 8, 3, 0, 3, 0, 3, 0})
@@ -21,19 +26,26 @@ func FuzzEngineOps(f *testing.F) {
 	f.Add([]byte{4, 3, 4, 4, 0, 2, 3, 0, 4, 1, 3, 0, 3, 0, 3, 0})
 	f.Add([]byte{4, 7, 4, 7, 4, 6, 2, 9, 1, 1, 3, 0, 4, 0, 3, 0, 3, 0, 3, 0})
 	f.Add([]byte{4, 1, 3, 0, 4, 5, 0, 5, 3, 0, 3, 0, 1, 3, 3, 0})
+	f.Add([]byte{5, 4, 0, 2, 5, 5, 5, 0, 6, 1, 3, 0, 5, 2, 3, 0, 2, 0, 3, 0, 3, 0})
+	f.Add([]byte{5, 7, 5, 3, 5, 6, 0, 3, 6, 0, 3, 0, 5, 11, 3, 0, 6, 2, 3, 0, 3, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var en Engine
 		arena := NewJobArena()
+		lanes := [2]*Lane{en.NewLane(), en.NewLane()}
+		var laneLast [2]float64 // each lane's previous push time
 
 		// Reference state: one item per scheduled event, keyed exactly
 		// like the engine orders its heap. chain > 0 marks a typed event
 		// whose handler schedules a follow-up typed event (chain-1)/2
-		// seconds after it fires.
+		// seconds after it fires (on lane 1, that long after the lane's
+		// previous push if it is later). lane is 1 + the lane an event
+		// was pushed on, 0 for the heap; only the harness reads it.
 		type item struct {
 			time  float64
 			seq   uint64
 			id    int
 			chain int
+			lane  int
 			state int // 0 pending, 1 fired, 2 cancelled
 		}
 		var items []*item
@@ -43,26 +55,37 @@ func FuzzEngineOps(f *testing.F) {
 		var gotFired []int
 		var handles []Event
 		var refs []*item
+		var laneHandles []int // indices into handles of lane events
 
-		// chainID is the follow-up item refStep created for the typed
-		// event about to fire, read by its handler.
-		chainID := 0
+		// chainID and chainTime are the follow-up item refStep created
+		// for the typed event about to fire, read by its handler.
+		chainID, chainTime := 0, 0.0
 		payload := func(id, chain int) Msg {
 			j := arena.Get()
 			j.ID = int64(id)
 			return Msg{Ref: arena.Ref(j), ID: int64(id), A: chain, B: -id, X: float64(id) / 4}
 		}
-		// onMsg is bound once, like a layer's handler.
-		var onMsg func(Msg)
-		onMsg = func(m Msg) {
+		// fireMsg checks and records a typed event's payload and reports
+		// whether it asks for a follow-up.
+		fireMsg := func(m Msg) bool {
 			j, ok := m.Ref.Load()
 			if !ok || j.ID != m.ID || m.B != -int(m.ID) || m.X != float64(m.ID)/4 {
 				t.Fatalf("typed event %d fired with a mixed payload %+v", m.ID, m)
 			}
 			arena.Put(j)
 			gotFired = append(gotFired, int(m.ID))
-			if m.A > 0 {
-				en.ScheduleMsg(en.Now()+float64(m.A-1)*0.5, onMsg, payload(chainID, 0))
+			return m.A > 0
+		}
+		// onMsg and onLaneMsg are bound once, like a layer's handlers.
+		var onMsg, onLaneMsg func(Msg)
+		onMsg = func(m Msg) {
+			if fireMsg(m) {
+				en.ScheduleMsg(chainTime, onMsg, payload(chainID, 0))
+			}
+		}
+		onLaneMsg = func(m Msg) {
+			if fireMsg(m) {
+				lanes[1].ScheduleMsg(chainTime, onLaneMsg, payload(chainID, 0))
 			}
 		}
 
@@ -83,7 +106,13 @@ func FuzzEngineOps(f *testing.F) {
 			best.state = 1
 			if best.chain > 0 {
 				chainID = len(items) + 1
-				items = append(items, &item{time: best.time + float64(best.chain-1)*0.5, seq: seq, id: chainID})
+				chainTime = best.time + float64(best.chain-1)*0.5
+				if best.lane > 0 {
+					k := best.lane - 1
+					chainTime = math.Max(best.time, laneLast[k]) + float64(best.chain-1)*0.5
+					laneLast[k] = chainTime
+				}
+				items = append(items, &item{time: chainTime, seq: seq, id: chainID, lane: best.lane})
 				seq++
 			}
 			return best.id, best.time, true
@@ -99,7 +128,7 @@ func FuzzEngineOps(f *testing.F) {
 		}
 
 		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i]%5, data[i+1]
+			op, arg := data[i]%7, data[i+1]
 			switch op {
 			case 0: // schedule at now + arg/2
 				tt := now + float64(arg)*0.5
@@ -132,12 +161,42 @@ func FuzzEngineOps(f *testing.F) {
 				if refs[k].state == 0 {
 					refs[k].state = 2
 				}
-			case 2: // reschedule handle arg if still pending
+			case 5: // lane push on lane arg&1 at max(now, its last push) + (arg>>1)/2
+				lane := int(arg & 1)
+				tt := math.Max(now, laneLast[lane]) + float64(arg>>1)*0.5
+				laneLast[lane] = tt
+				id := len(items) + 1
+				it := &item{time: tt, seq: seq, id: id, lane: lane + 1}
+				seq++
+				items = append(items, it)
+				refs = append(refs, it)
+				laneHandles = append(laneHandles, len(handles))
+				if lane == 0 {
+					handles = append(handles, lanes[0].Schedule(tt, func() {
+						gotFired = append(gotFired, id)
+					}))
+				} else {
+					// Typed, chaining when bit 1 of arg is set.
+					if arg&2 != 0 {
+						it.chain = 1 + int(arg>>2)%4
+					}
+					handles = append(handles, lanes[1].ScheduleMsg(tt, onLaneMsg, payload(id, it.chain)))
+				}
+			case 6: // cancel lane handle arg (possibly stale: must be a no-op)
+				if len(laneHandles) == 0 {
+					continue
+				}
+				k := laneHandles[int(arg)%len(laneHandles)]
+				handles[k].Cancel()
+				if refs[k].state == 0 {
+					refs[k].state = 2
+				}
+			case 2: // reschedule handle arg if still pending and on the heap
 				if len(handles) == 0 {
 					continue
 				}
 				k := int(arg) % len(handles)
-				if !handles[k].Active() {
+				if !handles[k].Active() || refs[k].lane > 0 {
 					continue
 				}
 				tt := now + float64(arg)*0.5

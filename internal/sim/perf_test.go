@@ -149,7 +149,8 @@ func BenchmarkPSServerUpdate(b *testing.B) {
 
 // TestScheduleCancelZeroAlloc locks in the engine's core performance
 // contract: once the slab has grown to the working-set size, Schedule,
-// ScheduleMsg, Cancel, Reschedule and Step perform zero heap allocations.
+// ScheduleMsg, Cancel, Reschedule and Step perform zero heap allocations,
+// on the heap and on a FIFO lane.
 func TestScheduleCancelZeroAlloc(t *testing.T) {
 	var en Engine
 	warm := make([]Event, 64)
@@ -198,6 +199,22 @@ func TestScheduleCancelZeroAlloc(t *testing.T) {
 		en.Step()
 	}); allocs != 0 {
 		t.Errorf("ScheduleMsg+Step allocates %v/op, want 0", allocs)
+	}
+
+	// A FIFO lane, after its ring has grown once.
+	l := en.NewLane()
+	l.Schedule(en.Now()+1, nop).Cancel()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		l.Schedule(en.Now()+1, nop)
+		en.Step()
+	}); allocs != 0 {
+		t.Errorf("Lane.Schedule+Step allocates %v/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		ev := l.ScheduleMsg(en.Now()+1, h, m)
+		ev.Cancel()
+	}); allocs != 0 {
+		t.Errorf("Lane.ScheduleMsg+Cancel allocates %v/op, want 0", allocs)
 	}
 }
 
