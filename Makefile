@@ -9,7 +9,7 @@ BENCH_BASELINE ?= BENCH_2026-08-06.json
 # hardware differs from the baseline machine; locally 10% is realistic.
 BENCH_THRESHOLD ?= 0.10
 
-.PHONY: all build test check race stress vet fmt fmtcheck clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke sweep-smoke chaos-smoke perfbench-check fuzz-engine benchcheck bench-baseline
+.PHONY: all build test check race stress vet fmt fmtcheck clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke sweep-smoke chaos-smoke perfbench-check fuzz-engine lockstep benchcheck bench-baseline
 
 all: build
 
@@ -46,6 +46,13 @@ perfbench-check:
 # internal/sim/testdata/fuzz/, which CI uploads.
 fuzz-engine:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOps$$' -fuzztime 20s ./internal/sim
+
+# lockstep runs the order contracts at full length, which check and race
+# shorten under -short: the engine's firing order against its references
+# at full trial counts, the 1000-trial randomized Algorithm 2 lockstep and
+# the 4M-arrival Table 3 lockstep against the O(n) scan.
+lockstep:
+	$(GO) test -count=1 ./internal/sim ./internal/dispatch
 
 # fmtcheck fails when gofmt would reformat any Go file in the tree
 # (`make fmt` fixes it).

@@ -250,6 +250,7 @@ type Thresholds struct {
 var DefaultHotPrefixes = []string{
 	"EngineSteadyState",
 	"EngineHeapOps",
+	"EngineHold",
 	"EngineReschedule",
 	"EngineScheduleStep",
 	"PSServerUpdate",

@@ -328,9 +328,13 @@ func (rr *RoundRobin) siftDown(base, dir, m, p int) {
 		}
 		if c+1 < m {
 			// rr.before(r, l), written out: the compiler does not inline
-			// before, and this loop is Next's hot path.
+			// before, and this loop is Next's hot path. Adding the
+			// comparison's result takes no branch on the counters; only an
+			// exact tie jumps to beforeTied.
 			l, r := &e[base+dir*c], &e[base+dir*(c+1)]
-			if s, d := r.val-l.val, float64(l.at-r.at); s < d || s == d && rr.beforeTied(r, l) {
+			if s, d := r.val-l.val, float64(l.at-r.at); s != d {
+				c += b2i(s < d)
+			} else if rr.beforeTied(r, l) {
 				c++
 			}
 		}
@@ -338,6 +342,14 @@ func (rr *RoundRobin) siftDown(base, dir, m, p int) {
 		p = c
 	}
 	rr.siftUp(base, dir, top, p, x)
+}
+
+// b2i is 1 for true and 0 for false; it compiles to a SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // siftUp stores x in the hole at position p of a heap laid out as in

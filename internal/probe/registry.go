@@ -9,10 +9,13 @@
 // derived, no simulation events are scheduled, and no hot-path work is
 // done. The internal/sched golden tests lock that promise.
 //
-// The hot path (counter increments, gauge sets, series updates) performs
-// no allocations: metric handles are created once at registration and
-// mutated in place with atomics, so live readers (the -debug-addr expvar
-// endpoint) can snapshot a running simulation without a lock.
+// The hot path (counter increments, gauge sets, series updates,
+// histogram adds) performs no allocations and takes no lock: metric
+// handles are created once at registration and mutated in place, with
+// atomics for every value the live snapshot reads, so live readers (the
+// -debug-addr expvar endpoint) can snapshot a running simulation without
+// a lock. Histograms are not in that snapshot: each has a single writer
+// and is read after the run.
 package probe
 
 import (
@@ -123,11 +126,15 @@ func (s *Series) Mean() float64 { return s.tw.Mean() }
 // Hist is a streaming latency histogram metric: log-bucketed bins that
 // answer p50/p90/p99/p999 queries without retaining samples (see
 // stats.Histogram for the one-bin-width error bound). Add is
-// allocation-free; the mutex only guards against concurrent snapshot
-// readers and is uncontended on the simulation goroutine.
+// allocation-free.
+//
+// A Hist has a single writer and no lock: it belongs to one run's probe
+// (a probe serves exactly one run), which adds to it from the simulation
+// goroutine. Read N and Quantiles from that goroutine or after the run;
+// the live Snapshot skips histograms, and FinalSnapshot runs after the
+// run.
 type Hist struct {
 	name string
-	mu   sync.Mutex
 	h    *stats.Histogram
 }
 
@@ -136,25 +143,13 @@ func (h *Hist) Name() string { return h.name }
 
 // Add records one observation. Values below the histogram floor land in
 // the underflow bucket (reported as the floor by quantile queries).
-func (h *Hist) Add(x float64) {
-	h.mu.Lock()
-	h.h.Add(x)
-	h.mu.Unlock()
-}
+func (h *Hist) Add(x float64) { h.h.Add(x) }
 
 // N returns the number of observations.
-func (h *Hist) N() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.N()
-}
+func (h *Hist) N() int64 { return h.h.N() }
 
 // Quantiles estimates the given quantiles (ascending) from the bins.
-func (h *Hist) Quantiles(qs ...float64) []float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.Quantiles(qs...)
-}
+func (h *Hist) Quantiles(qs ...float64) []float64 { return h.h.Quantiles(qs...) }
 
 // Registry holds a run's metrics by name. Registration (Counter, Gauge,
 // Series, Hist) is get-or-create and intended for setup time; the

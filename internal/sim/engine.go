@@ -18,7 +18,10 @@
 // allocations (see TestScheduleCancelZeroAlloc), and event handles are
 // small values carrying a generation number that detects use-after-free:
 // acting on a handle whose slot has been recycled is either a safe no-op
-// (Cancel) or a generation-mismatch panic (Reschedule).
+// (Cancel) or a generation-mismatch panic (Reschedule). The least of a
+// full node's four children is chosen without branching on their times
+// (minOf4: conditional moves on the times' bits); only a tie for the
+// least time falls back to the exact (time, seq) scan.
 //
 // Beside Schedule(t, fn) the engine has one typed form, ScheduleMsg(t, h,
 // m): a handler bound once by its caller plus a small fixed payload (a
@@ -388,6 +391,59 @@ func (en *Engine) less(a, b entry) bool {
 // fire near the front. The sifts move a hole rather than swapping, and
 // every entry stores its own position in its slot.
 
+// minOf4 returns the position of the least of the four entries h[c:c+4]
+// by (time, seq). Heap times are never NaN and never below now, which is
+// at least 0, so with the sign of −0 cleared their bits order as
+// unsigned integers exactly like the floats (−0 equal to +0, +Inf last).
+// A two-round tournament on those keys compiles to conditional moves,
+// and the count of keys equal to the least is the one branch, taken only
+// when two children tie and their seqs must decide. Kept out of line:
+// the compiler keeps a branch where the selected value feeds a load
+// address, as the chosen child does in popRoot, so inlined there the
+// tournament compiles to jumps again.
+func (en *Engine) minOf4(h []entry, c int32) int32 {
+	q := (*[4]entry)(h[c : c+4])
+	const sign = 1 << 63
+	k0 := math.Float64bits(q[0].time) &^ sign
+	k1 := math.Float64bits(q[1].time) &^ sign
+	k2 := math.Float64bits(q[2].time) &^ sign
+	k3 := math.Float64bits(q[3].time) &^ sign
+	a, ka := c, k0
+	if k1 < ka {
+		a, ka = c+1, k1
+	}
+	b, kb := c+2, k2
+	if k3 < kb {
+		b, kb = c+3, k3
+	}
+	if kb < ka {
+		a, ka = b, kb
+	}
+	if b2i(k0 == ka)+b2i(k1 == ka)+b2i(k2 == ka)+b2i(k3 == ka) > 1 {
+		return en.minScan(h, c, c+4)
+	}
+	return a
+}
+
+// minScan returns the position of the least of the entries h[c:end] by
+// (time, seq).
+func (en *Engine) minScan(h []entry, c, end int32) int32 {
+	for k := c + 1; k < end; k++ {
+		if en.less(h[k], h[c]) {
+			c = k
+		}
+	}
+	return c
+}
+
+// b2i is 1 for true and 0 for false; it compiles to a SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // popRoot removes the heap's root. It walks the hole at the root down to
 // a leaf along the smaller children, then moves the last entry up from
 // there: the last entry is usually a late event that belongs near the
@@ -408,11 +464,10 @@ func (en *Engine) popRoot() {
 		if c >= n {
 			break
 		}
-		end := min(c+4, n)
-		for k := c + 1; k < end; k++ {
-			if en.less(h[k], h[c]) {
-				c = k
-			}
+		if c+3 < n {
+			c = en.minOf4(h, c)
+		} else {
+			c = en.minScan(h, c, n)
 		}
 		h[i] = h[c]
 		en.events[h[i].slot].pos = i
@@ -468,11 +523,10 @@ func (en *Engine) down(i int32) {
 		if c >= n {
 			break
 		}
-		end := min(c+4, n)
-		for k := c + 1; k < end; k++ {
-			if en.less(h[k], h[c]) {
-				c = k
-			}
+		if c+3 < n {
+			c = en.minOf4(h, c)
+		} else {
+			c = en.minScan(h, c, n)
 		}
 		if !en.less(h[c], x) {
 			break

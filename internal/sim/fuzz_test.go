@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -28,6 +29,11 @@ func FuzzEngineOps(f *testing.F) {
 	f.Add([]byte{4, 1, 3, 0, 4, 5, 0, 5, 3, 0, 3, 0, 1, 3, 3, 0})
 	f.Add([]byte{5, 4, 0, 2, 5, 5, 5, 0, 6, 1, 3, 0, 5, 2, 3, 0, 2, 0, 3, 0, 3, 0})
 	f.Add([]byte{5, 7, 5, 3, 5, 6, 0, 3, 6, 0, 3, 0, 5, 11, 3, 0, 6, 2, 3, 0, 3, 0, 3, 0})
+	// 25 events pending at one time, more than the 21 of three full heap
+	// levels, so plain go test replays ties among four full siblings in
+	// popRoot, in a same-time Reschedule and in a Cancel.
+	ties := bytes.Repeat([]byte{0, 4}, 24)
+	f.Add(append(ties, 4, 8, 2, 4, 1, 9, 3, 0, 3, 0, 1, 13, 2, 4, 3, 0, 3, 0, 3, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var en Engine
 		arena := NewJobArena()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"heterosched/internal/rng"
@@ -106,6 +107,37 @@ func BenchmarkEngineHeapOps(b *testing.B) {
 			handles[k] = en.Schedule(en.Now()+st.Float64()*1000, nop)
 		}
 		en.Step()
+	}
+}
+
+// BenchmarkEngineHold is the classic hold model of a future-event list:
+// each iteration fires the earliest of n pending events and schedules one
+// at now + Exp(n), so the list holds n events throughout, and ns/op is
+// the heap's cost per event at that size. The sizes cover paper's pending
+// set (at most 15), faulty's (mean 425) and a 3200-event list like a
+// 3200-computer fleet's.
+func BenchmarkEngineHold(b *testing.B) {
+	for _, n := range []int{16, 425, 3200} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var en Engine
+			st := rng.New(13)
+			mean := float64(n)
+			for i := 0; i < n; i++ {
+				en.Schedule(st.Exp(mean), nop)
+			}
+			hold := func() {
+				en.Step()
+				en.Schedule(en.Now()+st.Exp(mean), nop)
+			}
+			for i := 0; i < 10*n; i++ { // reach the hold model's steady state
+				hold()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hold()
+			}
+		})
 	}
 }
 

@@ -76,6 +76,98 @@ func TestEngineHeapOrderingRandomized(t *testing.T) {
 	}
 }
 
+// TestEngineFullNodeTiesAndSigns drives the heap's full-node child
+// selection through its exact cases. At least 341 events stay pending,
+// enough for four full levels below the root. Their times come from
+// {−0, +0, 5e-324, 1, 1, 2, +Inf}, so siblings often tie for the least
+// time or differ only in the sign of zero. Schedules, steps, Reschedules
+// (later and earlier) and Cancels interleave, and every step must fire
+// the least pending event by (time, seq), with −0 equal to +0.
+func TestEngineFullNodeTiesAndSigns(t *testing.T) {
+	times := []float64{math.Copysign(0, -1), 0, 5e-324, 1, 1, 2, math.Inf(1)}
+	const keep = 341
+	st := rng.New(61)
+	trials := stressN(20)
+	for trial := 0; trial < trials; trial++ {
+		var en Engine
+		type item struct {
+			time    float64
+			seq     int
+			pending bool
+		}
+		var items []*item
+		var handles []Event
+		var fired []int
+		seq := 0
+		draw := func() float64 {
+			for {
+				if tt := times[st.Intn(len(times))]; tt >= en.Now() {
+					return tt
+				}
+			}
+		}
+		schedule := func() {
+			tt, id := draw(), len(items)
+			items = append(items, &item{time: tt, seq: seq, pending: true})
+			seq++
+			handles = append(handles, en.Schedule(tt, func() { fired = append(fired, id) }))
+		}
+		// step fires one event and checks it against the least pending
+		// item; it reports false once both are empty.
+		step := func(op int) bool {
+			want, w := -1, (*item)(nil)
+			for k, it := range items {
+				if it.pending && (w == nil || it.time < w.time || it.time == w.time && it.seq < w.seq) {
+					want, w = k, it
+				}
+			}
+			if !en.Step() {
+				if want >= 0 {
+					t.Fatalf("trial %d op %d: engine empty, reference still has event %d", trial, op, want)
+				}
+				return false
+			}
+			if want < 0 || fired[len(fired)-1] != want {
+				t.Fatalf("trial %d op %d: fired event %d, want %d", trial, op, fired[len(fired)-1], want)
+			}
+			if en.Now() != items[want].time {
+				t.Fatalf("trial %d op %d: clock %v, want %v", trial, op, en.Now(), items[want].time)
+			}
+			items[want].pending = false
+			return true
+		}
+		for i := 0; i < keep+64; i++ {
+			schedule()
+		}
+		for op := 0; op < 4000; op++ {
+			k := st.Intn(len(handles))
+			switch r := st.Float64(); {
+			case r < 0.3:
+				schedule()
+			case r < 0.45:
+				handles[k].Cancel()
+				items[k].pending = false
+			case r < 0.7:
+				if items[k].pending {
+					tt := draw()
+					handles[k] = en.Reschedule(handles[k], tt)
+					items[k].time, items[k].seq = tt, seq
+					seq++
+				}
+			default:
+				if en.Pending() > keep {
+					step(op)
+				}
+			}
+		}
+		if en.Pending() < keep {
+			t.Fatalf("trial %d: %d events pending before the drain, want at least %d", trial, en.Pending(), keep)
+		}
+		for step(-1) {
+		}
+	}
+}
+
 // TestEngineClockMonotone verifies the clock never goes backwards across a
 // randomized schedule, including events scheduled from within events.
 func TestEngineClockMonotone(t *testing.T) {
