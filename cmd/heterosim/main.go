@@ -139,9 +139,6 @@ func main() {
 		ArrivalCV:   *cv,
 	}
 	layers.Apply(&cfg)
-	if *cv == 1 {
-		cfg.ExponentialArrivals = true
-	}
 	if *expSizes {
 		cfg.JobSize = dist.NewExponential(*meanSize)
 	}

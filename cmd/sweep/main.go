@@ -316,9 +316,6 @@ func runSweep(speeds, rhos []float64, names []string, factories []cluster.Policy
 		for k, f := range factories {
 			cfg := cluster.Config{Speeds: speeds, Utilization: rho, Duration: duration, Seed: seed, ArrivalCV: cv}
 			layers.Apply(&cfg)
-			if cv == 1 {
-				cfg.ExponentialArrivals = true
-			}
 			c := &sweepCell{name: names[k], rho: rho}
 			var err error
 			if c.res, err = cluster.RunReplications(cfg, f, reps); err != nil {

@@ -38,7 +38,11 @@ func main() {
 		Duration:       100000,
 		WarmupFraction: -1, // trace everything so the replay is complete
 		Seed:           42,
-		OnDeparture:    func(j *sim.Job) { _ = w.Record(j) },
+		OnFinal: func(j *sim.Job, o cluster.Outcome) {
+			if o.Completed() {
+				_ = w.Record(j)
+			}
+		},
 	}
 	base, err := cluster.Run(recordCfg, sched.WRAN())
 	if err != nil {

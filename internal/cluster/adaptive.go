@@ -237,13 +237,13 @@ type AdaptiveStats struct {
 	SpeedHat []float64
 }
 
-// adaptiveRun is one run's adaptive-control state.
+// adaptiveRun is one run's adaptive-control state; it reads the run's
+// servers and in-system count through r.
 type adaptiveRun struct {
-	cfg     AdaptConfig
-	en      *sim.Engine
-	servers []sim.Server
-	rp      Replannable
-	fp      FractionProvider // nil when the policy has no fractions
+	r   *run
+	cfg AdaptConfig
+	rp  Replannable
+	fp  FractionProvider // nil when the policy has no fractions
 
 	arrivals *stats.RateEstimator
 	sizes    *stats.MeanEstimator
@@ -269,7 +269,6 @@ type adaptiveRun struct {
 	inFallback   bool
 	growthRun    int
 	lastInSystem int64
-	inSystem     func() int64
 
 	// Optional probe series, bound once at setup (nil without a probe).
 	lambdaSeries, rhoSeries *probe.Series
@@ -277,20 +276,20 @@ type adaptiveRun struct {
 	st AdaptiveStats
 }
 
-// newAdaptiveRun wires the control loop for one run. The policy must be
-// Replannable; a FractionProvider is used when available for
-// per-computer utilization estimates.
-func newAdaptiveRun(cfg *AdaptConfig, en *sim.Engine, speeds []float64, servers []sim.Server, policy Policy, utilization float64, inSystem func() int64) (*adaptiveRun, error) {
-	rp, ok := policy.(Replannable)
+// newAdaptiveRun wires the control loop for one run and registers its
+// estimate series on an enabled probe. The policy must be Replannable; a
+// FractionProvider is used when available for per-computer utilization
+// estimates.
+func newAdaptiveRun(r *run) (*adaptiveRun, error) {
+	rp, ok := r.policy.(Replannable)
 	if !ok {
-		return nil, fmt.Errorf("cluster: policy %s does not support re-planning (want a static allocator policy)", policy.Name())
+		return nil, fmt.Errorf("cluster: policy %s does not support re-planning (want a static allocator policy)", r.policy.Name())
 	}
-	c := cfg.withDefaults()
-	n := len(speeds)
+	c := r.cfg.Adapt.withDefaults()
+	n := r.n
 	ad := &adaptiveRun{
+		r:              r,
 		cfg:            c,
-		en:             en,
-		servers:        servers,
 		rp:             rp,
 		arrivals:       c.Estimator.newRate(),
 		sizes:          c.Estimator.newMean(),
@@ -300,25 +299,17 @@ func newAdaptiveRun(cfg *AdaptConfig, en *sim.Engine, speeds []float64, servers 
 		lastBusy:       make([]float64, n),
 		accW:           make([]float64, n),
 		accB:           make([]float64, n),
-		lastPlannedRho: utilization,
-		rhoU:           utilization,
-		inSystem:       inSystem,
+		lastPlannedRho: r.ctx.Utilization,
+		rhoU:           r.ctx.Utilization,
 	}
-	copy(ad.speedHat, speeds)
-	if fp, ok := policy.(FractionProvider); ok {
-		ad.fp = fp
+	copy(ad.speedHat, r.cfg.Speeds)
+	ad.fp, _ = r.policy.(FractionProvider)
+	if r.pb != nil {
+		reg := r.pb.Registry()
+		ad.lambdaSeries = reg.Series("adapt.lambda_hat")
+		ad.rhoSeries = reg.Series("adapt.rho_hat")
 	}
 	return ad, nil
-}
-
-// bindProbe registers the estimate series on an enabled probe.
-func (ad *adaptiveRun) bindProbe(pb *probe.Probe) {
-	if pb == nil {
-		return
-	}
-	reg := pb.Registry()
-	ad.lambdaSeries = reg.Series("adapt.lambda_hat")
-	ad.rhoSeries = reg.Series("adapt.rho_hat")
 }
 
 // noteArrival feeds the arrival-rate and service-demand estimators.
@@ -340,15 +331,16 @@ func (ad *adaptiveRun) noteCompletion(j *sim.Job) {
 }
 
 // start schedules the self-rescheduling watchdog until the horizon.
-func (ad *adaptiveRun) start(horizon float64) {
+func (ad *adaptiveRun) start() {
+	en, horizon := ad.r.en, ad.r.cfg.Duration
 	var tick func()
 	tick = func() {
-		ad.check(ad.en.Now())
-		if ad.en.Now()+ad.cfg.CheckInterval <= horizon {
-			ad.en.ScheduleAfter(ad.cfg.CheckInterval, tick)
+		ad.check(en.Now())
+		if en.Now()+ad.cfg.CheckInterval <= horizon {
+			en.ScheduleAfter(ad.cfg.CheckInterval, tick)
 		}
 	}
-	ad.en.ScheduleAfter(ad.cfg.CheckInterval, tick)
+	en.ScheduleAfter(ad.cfg.CheckInterval, tick)
 }
 
 // check is one watchdog evaluation: refresh estimates, detect a breach,
@@ -359,7 +351,7 @@ func (ad *adaptiveRun) check(now float64) {
 	// Sustained queue growth: the in-system count rose across
 	// GrowthChecks consecutive checks while clearly above the trivial
 	// occupancy of one job per computer.
-	cur := ad.inSystem()
+	cur := ad.r.inSystem
 	if cur > ad.lastInSystem && cur > int64(2*len(ad.speedHat)) {
 		ad.growthRun++
 	} else {
@@ -383,7 +375,7 @@ func (ad *adaptiveRun) check(now float64) {
 	const gammaSpeed = 0.98
 	usedCap := 0.0
 	for i := range ad.speedHat {
-		busy := ad.servers[i].BusyTime()
+		busy := ad.r.servers[i].BusyTime()
 		dW := ad.work[i] - ad.lastWork[i]
 		dB := busy - ad.lastBusy[i]
 		ad.accW[i] = gammaSpeed*ad.accW[i] + dW

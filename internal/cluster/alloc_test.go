@@ -54,38 +54,55 @@ func composedLayersConfig(duration float64, withOverload bool) cluster.Config {
 }
 
 // TestComposedLayersSteadyStateAllocs locks the per-job and per-message
-// paths of the network-fault, control-plane, span and overload layers at
-// zero allocations: copies, acks, ack timeouts, resubmission backoffs,
-// token copies, lease renewals, late query replies, decision-cost holds
-// and overload timers all schedule closure-free, outstanding dispatches
-// live in a slab, and spans recycle their slots. Each configuration runs
-// at a duration D and at 4D; per-run set-up cancels in the difference,
-// which must stay under 0.05 allocations per extra job (slab and arena
-// growth is logarithmic in the run length).
+// paths at zero allocations. The first row is the path with every layer
+// off (ORR on the same fleet): arrivals, dispatch and departures reuse
+// arena jobs and engine slots. The other rows add the network-fault,
+// control-plane, span and overload layers: copies, acks, ack timeouts,
+// resubmission backoffs, token copies, lease renewals, late query
+// replies, decision-cost holds and overload timers all schedule
+// closure-free, outstanding dispatches live in a slab, and spans recycle
+// their slots. Each row runs at a duration D and at 4D; per-run set-up
+// cancels in the difference, which must stay under 0.05 allocations per
+// extra job (slab and arena growth is logarithmic in the run length).
 func TestComposedLayersSteadyStateAllocs(t *testing.T) {
 	const d = 2000.0
-	for _, withOverload := range []bool{false, true} {
+	for _, row := range []struct {
+		name             string
+		layers, overload bool
+	}{
+		{"no layers (ORR)", false, false},
+		{"layers", true, false},
+		{"layers+overload", true, true},
+	} {
 		run := func(duration float64) (allocs float64, jobs int64) {
 			allocs = testing.AllocsPerRun(1, func() {
-				pol := sched.JIQ()
-				pol.Dispatchers = 4
-				pol.ShardBy = dispatch.ShardHash
-				cfg := composedLayersConfig(duration, withOverload)
+				cfg := composedLayersConfig(duration, row.overload)
+				var pol cluster.Policy = sched.ORR()
+				if row.layers {
+					jiq := sched.JIQ()
+					jiq.Dispatchers = 4
+					jiq.ShardBy = dispatch.ShardHash
+					pol = jiq
+				} else {
+					cfg.Probe, cfg.Netfault, cfg.Ctrl = nil, nil, nil
+				}
 				res, err := cluster.Run(cfg, pol)
 				if err != nil {
 					t.Fatal(err)
 				}
 				jobs = res.GeneratedJobs
-				requireLayersFired(t, res, cfg.Probe.SpanCount(), withOverload)
+				if row.layers {
+					requireLayersFired(t, res, cfg.Probe.SpanCount(), row.overload)
+				}
 			})
 			return allocs, jobs
 		}
 		a1, j1 := run(d)
 		a4, j4 := run(4 * d)
 		perJob := (a4 - a1) / float64(j4-j1)
-		t.Logf("overload=%v: %.0f allocs for %d jobs, %.0f for %d: %.4f per extra job", withOverload, a1, j1, a4, j4, perJob)
+		t.Logf("%s: %.0f allocs for %d jobs, %.0f for %d: %.4f per extra job", row.name, a1, j1, a4, j4, perJob)
 		if perJob >= 0.05 {
-			t.Errorf("overload=%v: %.3f allocations per extra job (%.0f at D, %.0f at 4D), want < 0.05", withOverload, perJob, a1, a4)
+			t.Errorf("%s: %.3f allocations per extra job (%.0f at D, %.0f at 4D), want < 0.05", row.name, perJob, a1, a4)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"heterosched/internal/dist"
@@ -27,6 +28,30 @@ func TestRenewalProcess(t *testing.T) {
 	}
 	if math.Abs(acc.Mean()-2.0)/2.0 > 0.02 {
 		t.Errorf("mean gap = %v, want 2", acc.Mean())
+	}
+}
+
+// TestArrivalCVOneIsPoisson: ArrivalCV 1 selects the Poisson process,
+// exactly as ExponentialArrivals does, and not the default CV of 3.
+func TestArrivalCVOneIsPoisson(t *testing.T) {
+	run := func(cfg Config) *Result {
+		t.Helper()
+		cfg.Speeds = []float64{1, 2}
+		cfg.Utilization = 0.7
+		cfg.Duration = 2e4
+		cfg.Seed = 9
+		res, err := Run(cfg, &splitPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cv1 := run(Config{ArrivalCV: 1})
+	if poisson := run(Config{ExponentialArrivals: true}); !reflect.DeepEqual(cv1, poisson) {
+		t.Errorf("ArrivalCV 1 differs from ExponentialArrivals:\n%+v\nvs\n%+v", cv1, poisson)
+	}
+	if def := run(Config{}); reflect.DeepEqual(cv1, def) {
+		t.Error("ArrivalCV 1 reproduces the default CV 3 run")
 	}
 }
 

@@ -71,9 +71,9 @@ type Config struct {
 	// default Bounded Pareto B(10, 21600, 1.0), mean 76.8 s.
 	JobSize dist.Distribution
 	// ArrivalCV is the coefficient of variation of inter-arrival times.
-	// Values > 1 use a balanced-means two-stage hyperexponential; exactly
-	// 1 (or 0, meaning "default") uses the paper default CV of 3.0. Set
-	// ExponentialArrivals for a Poisson process.
+	// Values > 1 use a balanced-means two-stage hyperexponential, exactly
+	// 1 a Poisson process (as ExponentialArrivals does), and 0 the paper
+	// default CV of 3.0.
 	ArrivalCV float64
 	// ExponentialArrivals forces a Poisson arrival process (CV = 1).
 	ExponentialArrivals bool
@@ -97,17 +97,13 @@ type Config struct {
 	// false, jobs still in service at Duration are discarded (the paper's
 	// approach is immaterial at its run lengths; Drain defaults to true).
 	Drain *bool
-	// OnDeparture, when non-nil, is invoked for every post-warm-up job at
-	// its completion time (e.g. to write a job trace). The callback must
-	// not retain the job past the call. It fires only for completed jobs;
-	// use OnFinal to observe every terminal outcome.
-	OnDeparture func(*sim.Job)
 	// OnFinal, when non-nil, is invoked exactly once for every
 	// post-warm-up job at its terminal event, whatever the outcome:
 	// completion (possibly late), deadline kill, queue shed, retry-budget
-	// drop, admission rejection, or loss to a failure. The callback must
-	// not retain the job past the call. With Drain false, jobs still in
-	// flight at the horizon never reach a terminal event and are not
+	// drop, admission rejection, or loss to a failure. o.Completed()
+	// selects the completions, e.g. to write a job trace. The callback
+	// must not retain the job past the call. With Drain false, jobs still
+	// in flight at the horizon never reach a terminal event and are not
 	// reported.
 	OnFinal func(*sim.Job, Outcome)
 	// Probe, when non-nil and enabled, attaches the observability layer
@@ -418,7 +414,7 @@ type ShardedPolicy interface {
 }
 
 // serverStateView adapts the run's servers to the StateView queries.
-type serverStateView []sim.Server
+type serverStateView []server
 
 func (v serverStateView) QueueLen(i int) int { return v[i].InService() }
 func (v serverStateView) Age(int) float64    { return 0 }
@@ -509,47 +505,145 @@ type FractionProvider interface {
 
 // Run executes one simulation run of cfg under the given policy.
 func Run(cfg Config, policy Policy) (*Result, error) {
+	r, err := newRun(cfg, policy)
+	if err != nil {
+		return nil, err
+	}
+	return r.simulate(), nil
+}
+
+// server is what the run needs from a computer: eviction for the fault
+// injector and single-job removal for the overload layer. Every
+// discipline and sim.Bounded implement both.
+type server interface {
+	sim.Preemptable
+	sim.Removable
+}
+
+// run is one simulation of the Figure 1 model. newRun builds the
+// engine, the servers and every enabled layer and schedules their first
+// events; simulate runs the engine and collects the Result. Each stage a
+// job passes through is one method: admit, dispatchJob, sendTo, held,
+// transit, deliverTo, depart, finalize and release, with the arrival
+// chains syntheticArrival and replayArrival. The overload, netfault and
+// adaptive layers hold the run and call its stages directly.
+type run struct {
+	cfg     Config
+	policy  Policy
+	ctx     *Context
+	en      *sim.Engine
+	arena   *sim.JobArena
+	servers []server
+	n       int
+	warmup  float64
+
+	// The layers, each nil when off. The probe counts as off unless it
+	// does something, and every probe touch is gated on pb != nil, so
+	// probe-less runs stay bit-identical; spansOn gates the span hooks
+	// the same way.
+	ov      *overloadRun
+	nf      *netfaultRun
+	plane   *ctrlplane.Plane
+	inj     *faults.Injector
+	ad      *adaptiveRun
+	pb      *probe.Probe
+	spansOn bool
+
+	// Policy facets: fa learns availability changes; dc is the policy's
+	// query wait, charged only under an enabled control plane; shardOf
+	// names the replica of the last decision (probe on, K > 1).
+	fa      FaultAware
+	dc      DecisionCost
+	shardOf func() int
+
+	generated, inSystem, observed                  int64
+	counts, outcomes                               []int64
+	respTime, respRatio, respTimeDeg, respRatioDeg stats.Accumulator
+	// ratioHist bins response ratios, which range from 1/maxSpeed (an
+	// undisturbed job on the fastest computer) to arbitrarily large
+	// under congestion; log bins cover the practical range for
+	// percentile estimates.
+	ratioHist *stats.Histogram
+	samples   []int64
+	// detectedUp is the fault injector's up-set as of the last detected
+	// failure or repair; nil (all up) until the first detection.
+	detectedUp []bool
+	// maskBuf renders the live availability mask of dispatch events; nil
+	// unless events are on.
+	maskBuf []byte
+
+	// The arrival chain schedules each arrival when the previous one
+	// fires, so its times arrive in push order: it runs on a FIFO lane
+	// beside the engine's heap. replayNext indexes the next trace job.
+	arrivals              ArrivalProcess
+	arrStream, sizeStream *rng.Stream
+	arrLane               *sim.Lane
+	replayNext            int
+
+	// Handlers the engine or a server stores, bound once: a method value
+	// evaluated per event would allocate.
+	onArrival, onDetect func()
+	onHeld              func(sim.Msg)
+	onDepart            func(*sim.Job)
+}
+
+// newRun validates cfg, builds the run and schedules its first events.
+// Random streams are derived by name, so their order is free; events
+// are not, because ties fire in scheduling order. The set-up therefore
+// keeps this order: policy Init, overload, probe, netfault, control
+// plane, servers, speed drift, the policy's bindings, the fault
+// injector, netfault's own events, the adaptive watchdog, the first
+// arrival, then the two sampling chains.
+func newRun(cfg Config, policy Policy) (*run, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-
 	n := len(cfg.Speeds)
 	root := rng.New(cfg.Seed)
-	arrStream := root.Derive("arrivals")
-	sizeStream := root.Derive("sizes")
-	policyStream := root.Derive("policy")
+	r := &run{
+		cfg:        cfg,
+		policy:     policy,
+		en:         &sim.Engine{},
+		arena:      sim.NewJobArena(),
+		n:          n,
+		warmup:     cfg.Duration * cfg.WarmupFraction,
+		counts:     make([]int64, n),
+		outcomes:   make([]int64, numOutcomes),
+		ratioHist:  stats.NewLogHistogram(1e-3, 1e6, 360),
+		arrStream:  root.Derive("arrivals"),
+		sizeStream: root.Derive("sizes"),
+	}
+	r.fa, _ = policy.(FaultAware)
 
-	meanSize := cfg.JobSize.Mean()
 	lambda := cfg.Lambda()
-	mu := 1 / meanSize
+	mu := 1 / cfg.JobSize.Mean()
 	if len(cfg.Replay) > 0 && cfg.Duration > 0 {
 		// Trace-driven runs: report the trace's empirical rates to the
 		// policy.
 		lambda = float64(len(cfg.Replay)) / cfg.Duration
 		var total float64
-		for _, r := range cfg.Replay {
-			total += r.Size
+		for _, rj := range cfg.Replay {
+			total += rj.Size
 		}
 		mu = 1 / (total / float64(len(cfg.Replay)))
 	}
-
-	arrivals := cfg.Arrivals
-	if arrivals == nil {
+	r.arrivals = cfg.Arrivals
+	if r.arrivals == nil {
 		var interArrival dist.Distribution
 		if cfg.ExponentialArrivals || cfg.ArrivalCV == 1 {
 			interArrival = dist.NewExponential(1 / lambda)
 		} else {
 			interArrival = dist.FitHyperExp2(1/lambda, cfg.ArrivalCV)
 		}
-		arrivals = RenewalProcess{Gap: interArrival}
+		r.arrivals = RenewalProcess{Gap: interArrival}
 	} else if len(cfg.Replay) == 0 {
-		if v, ok := arrivals.(interface{ Validate() error }); ok {
+		if v, ok := r.arrivals.(interface{ Validate() error }); ok {
 			if err := v.Validate(); err != nil {
 				return nil, err
 			}
 		}
-		lambda = arrivals.MeanRate()
+		lambda = r.arrivals.MeanRate()
 	}
 
 	// Parameter drift. Everything is gated on an enabled drift config so
@@ -562,18 +656,17 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 			// The schedule changes the truth the run evolves under;
 			// lambda (the belief reported to the policy) stays the base
 			// rate the plan would be built from.
-			arrivals = drift.Modulated{Base: arrivals, Schedule: dr.Arrival}
+			r.arrivals = drift.Modulated{Base: r.arrivals, Schedule: dr.Arrival}
 		}
 	}
 
-	en := &sim.Engine{}
-	ctx := &Context{
-		Engine:      en,
+	r.ctx = &Context{
+		Engine:      r.en,
 		Speeds:      cfg.Speeds,
 		Utilization: cfg.Utilization,
 		Lambda:      lambda,
 		Mu:          mu,
-		RNG:         policyStream,
+		RNG:         root.Derive("policy"),
 		Horizon:     cfg.Duration,
 	}
 	if dr != nil && dr.Misest.Enabled() {
@@ -582,215 +675,64 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 		// stream is derived only here, so runs without misestimation are
 		// unaffected.
 		rhoHat, speedsHat := dr.Misest.Apply(cfg.Utilization, cfg.Speeds, root.Derive("drift.misest"))
-		ctx.Utilization = rhoHat
-		ctx.Speeds = speedsHat
+		r.ctx.Utilization = rhoHat
+		r.ctx.Speeds = speedsHat
 		sumHat := 0.0
 		for _, s := range speedsHat {
 			sumHat += s
 		}
-		ctx.Lambda = rhoHat * sumHat * mu
+		r.ctx.Lambda = rhoHat * sumHat * mu
 	}
-	if err := policy.Init(ctx); err != nil {
+	if err := policy.Init(r.ctx); err != nil {
 		return nil, fmt.Errorf("cluster: policy %s init: %w", policy.Name(), err)
 	}
 
-	warmup := cfg.Duration * cfg.WarmupFraction
-
-	// The run's job allocator: every Job comes from the arena and is
-	// recycled at its terminal event (completion, shed, drop, loss), so
-	// the steady-state arrival/departure cycle performs no heap
-	// allocation. releaseJob is the single recycling gate; the timer check
-	// is a belt-and-braces guard — every terminal path cancels the job's
-	// timers first, and a job with a live timer must not be recycled.
-	arena := sim.NewJobArena()
-	releaseJob := func(j *sim.Job) {
-		if j.TimeoutEvent.Active() || j.DeadlineEvent.Active() || j.AckEvent.Active() {
-			return // a pending timer still references the job
-		}
-		arena.Put(j)
-	}
-
-	// Overload protection. Like faults, everything is gated on an enabled
-	// config so that unprotected runs stay bit-identical: no extra stream
-	// derivation, no extra events, no changed dispatch path.
-	var ov *overloadRun
+	// Each layer below is gated on an enabled config, so a run without it
+	// stays bit-identical: no extra stream derivation, no extra events,
+	// no changed dispatch path.
 	if cfg.Overload.Enabled() {
 		var err error
-		ov, err = newOverloadRun(en, cfg.Overload, n, policy, warmup)
-		if err != nil {
+		if r.ov, err = newOverloadRun(r, root); err != nil {
 			return nil, err
 		}
-		ov.arena = arena
-		ov.release = releaseJob
-		if cfg.Overload.Deadline != nil {
-			ov.deadlines = root.Derive("overload.deadline")
+	}
+	if cfg.Probe.Enabled() {
+		r.pb = cfg.Probe
+		r.pb.Start(n, 0)
+		// Span layer: per-job response-time decomposition.
+		if r.spansOn = r.pb.SpansOn(); r.spansOn {
+			r.pb.StartSpans(cfg.Speeds, terminalCauses())
+		}
+		if r.pb.EventsOn() {
+			r.maskBuf = make([]byte, n)
 		}
 	}
-
-	// Observability. The probe is treated as nil unless it actually does
-	// something; every probe touch below is gated on pb != nil, so
-	// probe-less runs stay bit-identical: no extra random stream is
-	// derived and no extra events are scheduled.
-	pb := cfg.Probe
-	if !pb.Enabled() {
-		pb = nil
-	}
-	if pb != nil {
-		pb.Start(n, 0)
-	}
-	// Span layer (tracing v2): per-job response-time decomposition. Like
-	// every probe facility it is gated — spans-off runs make none of the
-	// span hook calls below, so they stay bit-identical and pay nothing.
-	spansOn := pb != nil && pb.SpansOn()
-	if spansOn {
-		pb.StartSpans(cfg.Speeds, terminalCauses())
-	}
-
-	// Network/control-plane faults. Gated on an enabled config like
-	// every other subsystem: a disabled config derives no substreams,
-	// schedules no events and leaves the dispatch path untouched, so
-	// netfault-off runs stay bit-identical. Construction happens here
-	// (stream derivation is order-independent); the closures are wired
-	// below once the servers and the other layers exist.
-	var nf *netfaultRun
 	if cfg.Netfault.Enabled() {
-		nf = newNetfaultRun(en, cfg.Netfault, n, root, cfg.Duration)
-		nf.arena = arena
-		nf.speeds = ctx.Speeds
-		nf.rho = ctx.Utilization
-		if rp, ok := policy.(Replannable); ok {
-			nf.replan = rp
-		}
-		if pb != nil {
-			nf.pb = pb
-			pb.StartNetfault(0)
+		r.nf = newNetfaultRun(r, root)
+		if r.pb != nil {
+			r.pb.StartNetfault(0)
 		}
 	}
-
-	// Physical control plane. Same gating discipline: a disabled config
-	// derives no "ctrl.*" substreams and the policies keep the oracle
-	// StateView, so ctrl-off runs stay bit-identical. The plane is bound
-	// to the policy and the servers below, once both exist.
-	var plane *ctrlplane.Plane
 	if cfg.Ctrl.Enabled() {
-		plane = ctrlplane.NewPlane(en, cfg.Ctrl, n, root, cfg.Duration)
-		if pb != nil {
+		// The physical control plane; the policy keeps the oracle
+		// StateView without it. The plane is bound to the policy and the
+		// servers below, once both exist.
+		r.plane = ctrlplane.NewPlane(r.en, cfg.Ctrl, n, root, cfg.Duration)
+		r.dc, _ = policy.(DecisionCost)
+		r.onHeld = r.held
+		if pb := r.pb; pb != nil {
 			pb.StartCtrl(0)
-			plane.SetHooks(ctrlplane.Hooks{
-				Event: func(t float64, kind ctrlplane.MsgEvent, target int, cause string, value float64) {
-					pb.Emit(probe.Event{T: t, Kind: ctrlEventKind(kind), Target: target, Cause: cause, Value: value})
-				},
+			r.plane.SetHooks(ctrlplane.Hooks{
+				Event:     r.ctrlEvent,
 				InFlight:  pb.SetCtrlInFlight,
 				Staleness: pb.NoteCtrlStaleness,
 			})
 		}
 	}
 
-	var respTime, respRatio stats.Accumulator
-	var respTimeDeg, respRatioDeg stats.Accumulator
-	// Response ratios range from 1/maxSpeed (an undisturbed job on the
-	// fastest computer) to arbitrarily large under congestion; log bins
-	// cover the practical range for percentile estimates.
-	ratioHist := stats.NewLogHistogram(1e-3, 1e6, 360)
-	counts := make([]int64, n)
-	var observed int64
-	var generated, inSystem int64
-
-	servers := make([]sim.Server, n)
-
-	// trackSys mirrors the in-system count into the probe's series after
-	// every change.
-	trackSys := func() {
-		if pb != nil {
-			pb.SetInSystem(en.Now(), inSystem)
-		}
-	}
-
-	// finalize records a job's terminal outcome exactly once: the probe's
-	// terminal lifecycle event (every job) and cfg.OnFinal (post-warm-up
-	// jobs, consistent with OnDeparture). Overlapping subsystems may race
-	// to a job's end — a deadline kill followed by the held job's eventual
-	// completion, a shed of an already-condemned job — so the Finalized
-	// flag arbitrates.
-	outcomes := make([]int64, numOutcomes)
-	finalize := func(j *sim.Job, o Outcome) {
-		if j.Finalized {
-			return
-		}
-		j.Finalized = true
-		outcomes[o]++
-		if nf != nil {
-			nf.untrack(j)
-		}
-		if pb != nil {
-			kind, cause := o.probeEvent()
-			pb.Emit(probe.Event{T: en.Now(), Kind: kind, Job: j.ID, Target: j.Target, Cause: cause, Attempt: j.Attempts + j.Retries})
-			if spansOn {
-				// Close the job's span before OnFinal so the callback can
-				// fetch the decomposition via LastFinal. counted mirrors
-				// the respTime filter exactly: completed jobs arriving
-				// after warmup are the ones T̄ averages.
-				pb.SpanFinal(j, cause, o.Completed(), o.Completed() && j.Arrival >= warmup, en.Now())
-			}
-		}
-		if cfg.OnFinal != nil && j.Arrival >= warmup {
-			cfg.OnFinal(j, o)
-		}
-	}
-
-	// Adaptive re-planning; constructed after the servers exist, but
-	// declared here so the dispatch closures below can hook it.
-	var ad *adaptiveRun
-
-	onDepart := func(j *sim.Job) {
-		if pb != nil && j.Target >= 0 {
-			pb.SetQueueLen(en.Now(), j.Target, servers[j.Target].InService())
-		}
-		if ov != nil {
-			if !ov.preDepart(j) {
-				// A condemned job's completion: the deadline kill already
-				// counted it out of the system and the statistics.
-				releaseJob(j)
-				return
-			}
-		} else {
-			policy.Departed(j)
-		}
-		if ad != nil {
-			ad.noteCompletion(j)
-		}
-		inSystem--
-		trackSys()
-		outcome := OutcomeCompleted
-		if j.Deadline > 0 && j.Completion > j.Deadline {
-			outcome = OutcomeLate
-		}
-		finalize(j, outcome)
-		if j.Arrival >= warmup {
-			respTime.Add(j.ResponseTime())
-			respRatio.Add(j.ResponseRatio())
-			ratioHist.Add(j.ResponseRatio())
-			if j.Degraded {
-				respTimeDeg.Add(j.ResponseTime())
-				respRatioDeg.Add(j.ResponseRatio())
-			}
-			if cfg.OnDeparture != nil {
-				cfg.OnDeparture(j)
-			}
-		}
-		releaseJob(j)
-	}
-
-	// overloadServer is what the overload layer needs from a server:
-	// eviction (shared with the fault injector) and single-job removal.
-	type overloadServer interface {
-		sim.Preemptable
-		sim.Removable
-	}
-	var removers []sim.Removable
-	if ov != nil {
-		removers = make([]sim.Removable, n)
-	}
+	r.onDepart = r.depart
+	r.servers = make([]server, n)
+	bounded := r.ov != nil && cfg.Overload.QueueCap > 0
 	// Speed drift needs the underlying PS servers (validate enforces the
 	// PS discipline when steps are configured).
 	var psBases []*sim.PSServer
@@ -798,49 +740,38 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 		psBases = make([]*sim.PSServer, n)
 	}
 	for i, s := range cfg.Speeds {
-		dep := onDepart
-		var bptr *sim.Bounded
-		if ov != nil && cfg.Overload.QueueCap > 0 {
+		dep := r.onDepart
+		var b *sim.Bounded
+		if bounded {
 			// The bounded wrapper must see the departure before the run
 			// statistics so its occupancy is current.
 			dep = func(j *sim.Job) {
-				bptr.NoteDeparture(j)
-				onDepart(j)
+				b.NoteDeparture(j)
+				r.depart(j)
 			}
 		}
-		var base overloadServer
 		switch cfg.Discipline {
 		case PS:
-			base = sim.NewPSServer(en, s, dep)
+			r.servers[i] = sim.NewPSServer(r.en, s, dep)
 		case RR:
-			base = sim.NewRRServer(en, s, cfg.Quantum, dep)
+			r.servers[i] = sim.NewRRServer(r.en, s, cfg.Quantum, dep)
 		case FCFS:
-			base = sim.NewFCFSServer(en, s, dep)
+			r.servers[i] = sim.NewFCFSServer(r.en, s, dep)
 		default:
 			return nil, fmt.Errorf("cluster: unknown discipline %v", cfg.Discipline)
 		}
 		if psBases != nil {
-			psBases[i] = base.(*sim.PSServer)
+			psBases[i] = r.servers[i].(*sim.PSServer)
 		}
-		if ov != nil && cfg.Overload.QueueCap > 0 {
-			idx := i
-			b := sim.NewBounded(base, cfg.Overload.QueueCap, cfg.Overload.Drop,
-				func(j *sim.Job) { ov.shed(idx, j) })
-			bptr = b
-			servers[i] = b
-			removers[i] = b
-		} else {
-			servers[i] = base
-			if ov != nil {
-				removers[i] = base
-			}
+		if bounded {
+			b = sim.NewBounded(r.servers[i], cfg.Overload.QueueCap, cfg.Overload.Drop,
+				func(j *sim.Job) { r.ov.shed(i, j) })
+			r.servers[i] = b
 		}
 	}
-
 	if psBases != nil {
 		for _, step := range dr.SpeedSteps {
-			step := step
-			en.Schedule(step.At, func() {
+			r.en.Schedule(step.At, func() {
 				if step.Computer >= 0 {
 					psBases[step.Computer].SetSpeed(cfg.Speeds[step.Computer] * step.Factor)
 					return
@@ -856,10 +787,10 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 	// re-routes its token traffic and replaces its replicas' oracle
 	// views with the plane's probing views during BindState. The plane
 	// answers probes that physically arrive from the live servers.
-	if plane != nil {
-		plane.BindSource(serverStateView(servers))
+	if r.plane != nil {
+		r.plane.BindSource(serverStateView(r.servers))
 		if ca, ok := policy.(CtrlAware); ok {
-			ca.BindCtrl(plane)
+			ca.BindCtrl(r.plane)
 		}
 	}
 	// Bind the queue-state view for state-aware policies (the scalable-
@@ -867,568 +798,165 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 	// before the first arrival; Init runs too early. Stateless policies
 	// don't implement StateAware, so their path is untouched.
 	if sa, ok := policy.(StateAware); ok {
-		sa.BindState(serverStateView(servers))
+		sa.BindState(serverStateView(r.servers))
 	}
-	// Per-dispatcher probe attribution, gated on the probe like every
-	// other instrumentation path so probe-off runs stay bit-identical.
-	var shardOf func() int
-	if pb != nil {
+	if r.pb != nil {
 		if sp, ok := policy.(ShardedPolicy); ok && sp.Shards() > 1 {
-			pb.StartShards(sp.Shards())
-			shardOf = sp.LastShard
+			r.pb.StartShards(sp.Shards())
+			r.shardOf = sp.LastShard
 		}
 	}
 
-	// The fault injector, when failure injection is enabled; built below,
-	// after the dispatch path it requeues into.
-	var inj *faults.Injector
-	// maskFn renders the live availability mask (fault up-state AND
-	// breaker closed AND link uncut) for dispatch events; bound after the
-	// injector exists, and only when events are on.
-	var maskFn func() string
-
-	// detectedUp is the fault injector's up-set as of the last detected
-	// failure or repair; nil (all up) until the first detection.
-	var detectedUp []bool
-	// notifyUp hands a fault-aware policy its availability mask after a
-	// detected failure or repair, a partition edge or a breaker
-	// transition. A computer counts as up when it was up at the last
-	// detection, its dispatch link is uncut and its breaker (if any) is
-	// closed. The fault state is the detected one, never the injector's
-	// live state: the policy cannot know of a failure before
-	// DetectionLag has passed.
-	fa, _ := policy.(FaultAware)
-	notifyUp := func() {
-		if fa == nil {
-			return
-		}
-		up := make([]bool, n)
-		for i := range up {
-			up[i] = (detectedUp == nil || detectedUp[i]) && (nf == nil || nf.linkUp(i)) && ov.breakerClosed(i)
-		}
-		fa.UpSetChanged(up)
-	}
-
-	// deliverTo physically lands a job at computer target: through the
-	// fault injector when one is active, else straight into the server.
-	deliverTo := func(target int, j *sim.Job) {
-		if pb != nil {
-			pb.NoteDelivery(target, en.Now())
-			if spansOn {
-				pb.SpanArrive(target, j, en.Now())
-			}
-		}
-		if inj != nil {
-			inj.Arrive(target, j)
-		} else {
-			if pb != nil && !j.Finalized {
-				pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvServiceStart, Job: j.ID, Target: target})
-			}
-			if spansOn {
-				pb.SpanServe(target, j, en.Now())
-			}
-			servers[target].Arrive(j)
-		}
-		if pb != nil {
-			pb.SetQueueLen(en.Now(), target, servers[target].InService())
-		}
-	}
-	// transit carries a job to computer target: over its faulty dispatch
-	// link when the netfault layer is on, else straight to deliverTo.
-	transit := deliverTo
-	if nf != nil {
-		nf.deliver = deliverTo
-		transit = func(target int, j *sim.Job) { nf.send(target, j, true) }
-	}
-	// dc is the policy's query wait, charged only under an enabled
-	// control plane. A held job waits in a typed engine event (payload:
-	// the job and A = its target) whose handler is bound here, once.
-	var dc DecisionCost
-	var onHeld func(sim.Msg)
-	if plane != nil {
-		dc, _ = policy.(DecisionCost)
-		onHeld = func(m sim.Msg) {
-			if j, ok := m.Ref.Load(); ok && !j.Finalized {
-				transit(m.A, j)
-			}
-		}
-	}
-	// sendTo moves a routed job from the dispatcher towards computer
-	// target. Every dispatch — first dispatch, overload retry, failure
-	// requeue, netfault resubmission — passes these stages in this order:
-	//
-	//  1. the span's send stamp (spans on), so the query wait of stage 2
-	//     lands in the span's network component;
-	//  2. the decision-cost hold (control plane on): the job leaves the
-	//     dispatcher only once the query round-trips, or their timeout,
-	//     of the decision that routed it are over;
-	//  3. transit.
-	//
-	// Only the netfault failover backup, which makes no policy decision,
-	// skips stage 2 (see failoverSend below).
-	sendTo := func(target int, j *sim.Job) {
-		if spansOn {
-			pb.SpanSend(j, en.Now())
-		}
-		if dc != nil {
-			if d := dc.TakeDecisionCost(); d > 0 {
-				// The job is held across simulated time, where a
-				// deadline or timeout can reach a terminal outcome
-				// first and recycle it — hold a generation-checked
-				// handle and let a dead one drop the delivery (the
-				// job already finished; there is nothing to deliver).
-				en.ScheduleMsg(en.Now()+d, onHeld, sim.Msg{Ref: arena.Ref(j), A: target})
-				return
-			}
-		}
-		transit(target, j)
-	}
-
-	// firstDispatch books the scheduler's first routing decision for j,
-	// at arrival, at a crashed dispatcher's buffer flush or by the
-	// failover backup: the job fractions count it, the probe attributes
-	// it to the computer's arrival substream and, for a policy decision,
-	// to the deciding replica, and a job routed while a computer is down
-	// counts as degraded.
-	firstDispatch := func(j *sim.Job, target int, byPolicy bool) {
-		if j.Arrival >= warmup {
-			counts[target]++
-			observed++
-		}
-		if pb != nil {
-			pb.NoteSubstream(target, j.Arrival)
-			if byPolicy && shardOf != nil {
-				pb.NoteShard(shardOf(), j.Arrival)
-			}
-		}
-		if inj != nil && inj.AnyDown() {
-			j.Degraded = true
-		}
-	}
-	// emitDispatch records j's routing to j.Target in the event stream
-	// (probe on).
-	emitDispatch := func(j *sim.Job, cause string) {
-		if j.Finalized {
-			return
-		}
-		var mask string
-		if maskFn != nil {
-			mask = maskFn()
-		}
-		pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvDispatch, Job: j.ID, Target: j.Target, Cause: cause, Attempt: j.Attempts + j.Retries, Mask: mask})
-	}
-	// dispatchJob runs a job through the dispatcher and sends it:
-	// through the overload layer's gates when one is active, else by
-	// policy selection. first marks the job's first routing decision, at
-	// arrival or at a crashed dispatcher's buffer flush: the job passes
-	// admission control and enters the system, and statistics key on its
-	// arrival time while events are stamped now. Failure requeues and
-	// netfault resubmissions pass false.
-	dispatchJob := func(j *sim.Job, first bool) {
-		if first {
-			if ov != nil && !ov.admitJob(j) {
-				finalize(j, OutcomeRejectedAdmission)
-				releaseJob(j)
-				return
-			}
-			inSystem++
-			trackSys()
-		}
-		if ov != nil {
-			ov.dispatch(j, first)
-			return
-		}
-		target := policy.Select(j)
-		if target < 0 || target >= n {
-			panic(fmt.Sprintf("cluster: policy %s selected invalid computer %d", policy.Name(), target))
-		}
-		j.Target = target
-		if first {
-			firstDispatch(j, target, true)
-		}
-		if pb != nil {
-			emitDispatch(j, "")
-		}
-		sendTo(target, j)
-	}
-
-	// Failure injection. Everything here is gated on an enabled fault
-	// config so that fault-free runs stay bit-identical: no extra stream
-	// derivation, no extra events, no changed dispatch path.
 	if cfg.Faults.Enabled() {
-		preempt := make([]sim.Preemptable, n)
-		for i, s := range servers {
-			p, ok := s.(sim.Preemptable)
-			if !ok {
-				return nil, fmt.Errorf("cluster: %v servers do not support eviction", cfg.Discipline)
-			}
-			preempt[i] = p
-		}
-		// A fault-aware policy learns of each failure or repair after the
-		// detection lag, with the up-set as of detection time; flaps
-		// shorter than the lag collapse into one observation of the final
-		// state.
-		notify := func() {
-			detectedUp = inj.UpSet()
-			notifyUp()
-		}
-		onChange := func(int) {
-			if fa == nil {
-				return
-			}
-			if cfg.Faults.DetectionLag > 0 {
-				en.ScheduleAfter(cfg.Faults.DetectionLag, notify)
-			} else {
-				notify()
-			}
-		}
-		// Requeued jobs are re-dispatched through the policy but do not
-		// re-enter the job-fraction or arrival counts: those track the
-		// scheduler's first dispatch decision per job.
-		requeue := func(j *sim.Job) {
-			if nf != nil {
-				// The job verifiably left its failed computer: clear the
-				// delivery state so its re-dispatch is not deduplicated.
-				nf.reclaim(j)
-			}
-			if ov != nil {
-				// A half-open probe evicted by its computer's failure is a
-				// failed probe: record the outcome against the probed
-				// breaker before the job re-enters the pool as a normal
-				// job — otherwise it would carry its probe mark to another
-				// computer and close the wrong breaker on completion,
-				// leaving the probed one stuck half-open forever.
-				ov.probeFailed(j)
-			}
-			dispatchJob(j, false)
-		}
-		hooks := faults.Hooks{
-			OnFail: func(i int) {
-				if pb != nil {
-					now := en.Now()
-					pb.SetUp(now, i, false)
-					pb.SetQueueLen(now, i, servers[i].InService())
-					pb.Emit(probe.Event{T: now, Kind: probe.EvFail, Target: i})
-				}
-				onChange(i)
-			},
-			OnRepair: func(i int) {
-				if pb != nil {
-					now := en.Now()
-					pb.SetUp(now, i, true)
-					pb.SetQueueLen(now, i, servers[i].InService())
-					pb.Emit(probe.Event{T: now, Kind: probe.EvRepair, Target: i})
-				}
-				onChange(i)
-			},
-			Requeue: requeue,
-			OnLost: func(j *sim.Job) {
-				if ov != nil {
-					ov.jobLost(j)
-				}
-				// A job the deadline already condemned was finalized and
-				// counted out of the system by deadlineExpire; the fault
-				// layer surfacing it later only hands back the Job for
-				// recycling — decrementing again would drive the
-				// in-system ledger negative.
-				if !j.Finalized {
-					inSystem--
-					trackSys()
-					finalize(j, OutcomeLostFailure)
-				}
-				releaseJob(j)
-			},
-		}
-		if pb != nil {
-			hooks.OnEnterService = func(i int, j *sim.Job) {
-				if !j.Finalized {
-					pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvServiceStart, Job: j.ID, Target: i})
-				}
-				if spansOn {
-					pb.SpanServe(i, j, en.Now())
-				}
-			}
-			hooks.OnEvict = func(i int, j *sim.Job) {
-				if !j.Finalized {
-					pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvEvict, Job: j.ID, Target: i})
-				}
-				if spansOn {
-					pb.SpanEvict(i, j, en.Now())
-				}
-			}
-			hooks.OnResume = func(i int, j *sim.Job) {
-				if !j.Finalized {
-					pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvResume, Job: j.ID, Target: i})
-				}
-				if spansOn {
-					pb.SpanServe(i, j, en.Now())
-				}
-			}
-		}
-		var err error
-		inj, err = faults.NewInjector(en, cfg.Faults, preempt, root.Derive("faults"), cfg.Duration, hooks)
-		if err != nil {
+		if err := r.startFaults(root); err != nil {
 			return nil, err
 		}
-		inj.Start()
 	}
-	if pb != nil && pb.EventsOn() {
-		maskBuf := make([]byte, n)
-		maskFn = func() string {
-			for i := range maskBuf {
-				up := (inj == nil || inj.Up(i)) && ov.breakerClosed(i) &&
-					(nf == nil || nf.linkUp(i))
-				if up {
-					maskBuf[i] = '1'
-				} else {
-					maskBuf[i] = '0'
-				}
-			}
-			return string(maskBuf)
-		}
+	if r.nf != nil {
+		r.nf.start()
 	}
-
-	if ov != nil {
-		ov.servers = servers
-		ov.removers = removers
-		ov.pb = pb
-		ov.emitDispatch = emitDispatch
-		ov.final = finalize
-		ov.onDrop = func(*sim.Job) {
-			inSystem--
-			trackSys()
-		}
-		ov.onFirstDispatch = func(j *sim.Job, target int) { firstDispatch(j, target, true) }
-		ov.arrive = sendTo
-		ov.notifyUp = notifyUp
-		if nf != nil {
-			ov.netReclaim = nf.reclaim
-		}
-	}
-
-	// Wire the netfault layer's remaining closures now that the servers
-	// and the other layers exist, and schedule its autonomous events.
-	if nf != nil {
-		nf.departed = func(j *sim.Job) {
-			if ov != nil && j.Probe {
-				// An unacked breaker probe counts as a failed probe.
-				ov.probeFailed(j)
-				return
-			}
-			policy.Departed(j)
-		}
-		nf.dispatch = dispatchJob
-		nf.giveUp = func(j *sim.Job) {
-			if ov != nil {
-				ov.jobLost(j)
-			}
-			inSystem--
-			trackSys()
-			finalize(j, OutcomeLostNetwork)
-			releaseJob(j)
-		}
-		nf.dropDown = func(j *sim.Job) {
-			// Rejected before entering the system: no in-system charge,
-			// no timers armed.
-			finalize(j, OutcomeDroppedDispatcher)
-			releaseJob(j)
-		}
-		nf.reachable = func(i int) bool {
-			return nf.linkUp(i) && (inj == nil || inj.Up(i)) && ov.breakerClosed(i)
-		}
-		nf.notifyUp = notifyUp
-		nf.failoverSend = func(j *sim.Job, target int) {
-			// The backup's routing decision is the job's first dispatch:
-			// it enters the books like a policy decision, but bypasses
-			// admission control, deadline stamping and the decision-cost
-			// hold (the backup is a last-resort router, not a
-			// dispatcher), and the dispatcher does not track it.
-			inSystem++
-			trackSys()
-			j.Target = target
-			firstDispatch(j, target, false)
-			if pb != nil {
-				emitDispatch(j, "failover")
-			}
-			if spansOn {
-				pb.SpanSend(j, en.Now())
-			}
-			nf.send(target, j, false)
-		}
-		nf.start()
-	}
-
 	if cfg.Adapt.Enabled() {
 		var err error
-		ad, err = newAdaptiveRun(cfg.Adapt, en, cfg.Speeds, servers, policy, ctx.Utilization, func() int64 { return inSystem })
-		if err != nil {
+		if r.ad, err = newAdaptiveRun(r); err != nil {
 			return nil, err
 		}
-		ad.bindProbe(pb)
-		ad.start(cfg.Duration)
+		r.ad.start()
 	}
 
-	// admit dispatches one job of the given size at the current time. Jobs
-	// come from the arena: a recycled Job is field-identical to a freshly
-	// allocated one (Put zeroes every exported field), so reuse cannot
-	// change simulation results.
-	admit := func(size float64) {
-		now := en.Now()
-		generated++
-		if ad != nil {
-			ad.noteArrival(now, size)
-		}
-		j := arena.Get()
-		j.ID = generated
-		j.Size = size
-		j.Arrival = now
-		j.Target = -1
-		if pb != nil {
-			pb.Emit(probe.Event{T: now, Kind: probe.EvArrival, Job: j.ID, Target: -1})
-			if spansOn {
-				pb.SpanAdmit(j, now)
-			}
-		}
-		if nf != nil && nf.interceptArrival(j) {
-			return // dropped, buffered or failed over while down
-		}
-		dispatchJob(j, true)
-	}
-
-	// The arrival chain schedules each arrival when the previous one
-	// fires, so its times arrive in push order: it runs on a FIFO lane
-	// beside the engine's heap.
-	arrLane := en.NewLane()
+	r.arrLane = r.en.NewLane()
 	if len(cfg.Replay) > 0 {
-		// Trace-driven arrivals: schedule each recorded job at its
-		// recorded time, one event ahead. A single closure walks the
-		// trace so the chain allocates nothing per job; validate has
-		// rejected decreasing arrival times.
-		idx := 0
-		var fire func()
-		fire = func() {
-			r := cfg.Replay[idx]
-			idx++
-			admit(r.Size)
-			if idx < len(cfg.Replay) && cfg.Replay[idx].Arrival <= cfg.Duration {
-				arrLane.Schedule(cfg.Replay[idx].Arrival, fire)
-			}
-		}
+		r.onArrival = r.replayArrival
 		if cfg.Replay[0].Arrival <= cfg.Duration {
-			arrLane.Schedule(cfg.Replay[0].Arrival, fire)
+			r.arrLane.Schedule(cfg.Replay[0].Arrival, r.onArrival)
 		}
 	} else {
-		// Synthetic arrivals: the arrival process (default: a renewal
-		// process with the configured inter-arrival distribution) with
-		// sampled sizes. One closure reschedules itself, so the
-		// steady-state arrival chain allocates nothing: together with the
-		// arena and the engine's slab storage this keeps the whole
-		// unprotected hot path allocation-free.
-		var onArrival func()
-		onArrival = func() {
-			if en.Now() > cfg.Duration {
-				return // admission closes at the horizon
-			}
-			admit(cfg.JobSize.Sample(sizeStream))
-			arrLane.Schedule(arrivals.Next(en.Now(), arrStream), onArrival)
-		}
-		arrLane.Schedule(arrivals.Next(en.Now(), arrStream), onArrival)
+		r.onArrival = r.syntheticArrival
+		r.arrLane.Schedule(r.arrivals.Next(r.en.Now(), r.arrStream), r.onArrival)
 	}
 
 	// Cadence sampling: read queue lengths, utilization deltas and the
-	// in-system count every SampleDT. The chain self-terminates at the
-	// horizon so the drain completes.
-	if pb != nil && pb.SampleDT() > 0 {
+	// in-system count every SampleDT.
+	if r.pb != nil && r.pb.SampleDT() > 0 {
 		qls := make([]int, n)
 		busy := make([]float64, n)
-		var psample func(k int)
-		psample = func(k int) {
-			t := float64(k) * pb.SampleDT()
-			if t > cfg.Duration {
-				return
+		every(r.en, r.pb.SampleDT(), cfg.Duration, func() {
+			for i, s := range r.servers {
+				qls[i] = s.InService()
+				busy[i] = s.BusyTime()
 			}
-			en.Schedule(t, func() {
-				for i := range servers {
-					qls[i] = servers[i].InService()
-					busy[i] = servers[i].BusyTime()
-				}
-				pb.Sample(en.Now(), qls, busy, inSystem)
-				psample(k + 1)
-			})
-		}
-		psample(1)
+			r.pb.Sample(r.en.Now(), qls, busy, r.inSystem)
+		})
 	}
-
-	var samples []int64
 	if cfg.SampleInterval > 0 {
-		var sample func(k int)
-		sample = func(k int) {
-			t := float64(k) * cfg.SampleInterval
-			if t > cfg.Duration {
-				return
-			}
-			en.Schedule(t, func() {
-				samples = append(samples, inSystem)
-				sample(k + 1)
-			})
-		}
-		sample(1)
+		every(r.en, cfg.SampleInterval, cfg.Duration, func() {
+			r.samples = append(r.samples, r.inSystem)
+		})
 	}
+	return r, nil
+}
 
-	if *cfg.Drain {
-		// Run to the horizon, then let in-flight jobs finish. The pending
-		// arrival event beyond the horizon self-cancels via the time
-		// check.
-		en.RunUntil(cfg.Duration)
-		en.RunUntil(math.Inf(1))
-	} else {
-		en.RunUntil(cfg.Duration)
+// ctrlEvent records a control-plane message event in the probe's stream.
+func (r *run) ctrlEvent(t float64, kind ctrlplane.MsgEvent, target int, cause string, value float64) {
+	r.pb.Emit(probe.Event{T: t, Kind: ctrlEventKind(kind), Target: target, Cause: cause, Value: value})
+}
+
+// every calls fn at k·dt for k = 1, 2, … while k·dt ≤ horizon. Each tick
+// schedules the next once fn returns, so the chain ends at the horizon
+// and a draining run completes.
+func every(en *sim.Engine, dt, horizon float64, fn func()) {
+	var tick func(k int)
+	tick = func(k int) {
+		t := float64(k) * dt
+		if t > horizon {
+			return
+		}
+		en.Schedule(t, func() {
+			fn()
+			tick(k + 1)
+		})
 	}
-	endTime := math.Max(en.Now(), cfg.Duration)
-	if pb != nil {
-		pb.FinishRun(endTime)
+	tick(1)
+}
+
+// startFaults builds the failure injector over the servers and starts
+// its renewal processes.
+func (r *run) startFaults(root *rng.Stream) error {
+	hooks := faults.Hooks{
+		OnFail:   func(i int) { r.faultEdge(i, false) },
+		OnRepair: func(i int) { r.faultEdge(i, true) },
+		Requeue:  r.requeue,
+		OnLost:   func(j *sim.Job) { r.lose(j, OutcomeLostFailure) },
+	}
+	if r.pb != nil {
+		hooks.OnEnterService = r.serviceStart
+		hooks.OnEvict = r.evicted
+		hooks.OnResume = r.resumed
+	}
+	preempt := make([]sim.Preemptable, r.n)
+	for i, s := range r.servers {
+		preempt[i] = s
+	}
+	r.onDetect = r.detect
+	var err error
+	r.inj, err = faults.NewInjector(r.en, r.cfg.Faults, preempt, root.Derive("faults"), r.cfg.Duration, hooks)
+	if err != nil {
+		return err
+	}
+	r.inj.Start()
+	return nil
+}
+
+// simulate runs the engine to the horizon, then, with Drain set, until
+// every in-flight job has finished (the arrival pending beyond the
+// horizon does nothing when it fires), and collects the Result.
+func (r *run) simulate() *Result {
+	r.en.RunUntil(r.cfg.Duration)
+	if *r.cfg.Drain {
+		r.en.RunUntil(math.Inf(1))
+	}
+	endTime := math.Max(r.en.Now(), r.cfg.Duration)
+	if r.pb != nil {
+		r.pb.FinishRun(endTime)
 	}
 
 	res := &Result{
-		Policy:            policy.Name(),
-		MeanResponseTime:  respTime.Mean(),
-		MeanResponseRatio: respRatio.Mean(),
-		Fairness:          respRatio.PopStdDev(),
-		Jobs:              respTime.N(),
-		JobFractions:      make([]float64, n),
-		Utilizations:      make([]float64, n),
-		RatioP50:          ratioHist.Quantile(0.50),
-		RatioP95:          ratioHist.Quantile(0.95),
-		RatioP99:          ratioHist.Quantile(0.99),
-		GeneratedJobs:     generated,
-		Outcomes:          outcomes,
-		FinalInSystem:     inSystem,
+		Policy:            r.policy.Name(),
+		MeanResponseTime:  r.respTime.Mean(),
+		MeanResponseRatio: r.respRatio.Mean(),
+		Fairness:          r.respRatio.PopStdDev(),
+		Jobs:              r.respTime.N(),
+		JobFractions:      make([]float64, r.n),
+		Utilizations:      make([]float64, r.n),
+		RatioP50:          r.ratioHist.Quantile(0.50),
+		RatioP95:          r.ratioHist.Quantile(0.95),
+		RatioP99:          r.ratioHist.Quantile(0.99),
+		GeneratedJobs:     r.generated,
+		Outcomes:          r.outcomes,
+		FinalInSystem:     r.inSystem,
 		SimulatedTime:     endTime,
+		InSystemSeries:    r.samples,
 	}
-	for i := range cfg.Speeds {
-		if observed > 0 {
-			res.JobFractions[i] = float64(counts[i]) / float64(observed)
+	for i, s := range r.servers {
+		if r.observed > 0 {
+			res.JobFractions[i] = float64(r.counts[i]) / float64(r.observed)
 		}
-		res.Utilizations[i] = servers[i].BusyTime() / endTime
+		res.Utilizations[i] = s.BusyTime() / endTime
 	}
-	if ov != nil {
-		res.Overload = ov.finish()
+	if r.ov != nil {
+		res.Overload = r.ov.finish()
 	}
-	if cfg.SampleInterval > 0 {
-		res.InSystemSeries = samples
+	if r.ad != nil {
+		res.Adaptive = r.ad.finish()
 	}
-	if ad != nil {
-		res.Adaptive = ad.finish()
+	if r.nf != nil {
+		res.Netfault = r.nf.finish()
 	}
-	if nf != nil {
-		res.Netfault = nf.finish()
+	if r.plane != nil {
+		res.Ctrl = r.plane.Finish()
 	}
-	if plane != nil {
-		res.Ctrl = plane.Finish()
-	}
-	if inj != nil {
+	if inj := r.inj; inj != nil {
 		inj.Finish(endTime)
-		res.Availability = make([]float64, n)
+		res.Availability = make([]float64, r.n)
 		for i := range res.Availability {
 			res.Availability[i] = inj.Availability(i)
 		}
@@ -1439,11 +967,427 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 		res.JobsRestarted = inj.JobsRestarted()
 		res.JobsResumed = inj.JobsResumed()
 		res.DegradedTime = inj.DegradedTime()
-		res.DegradedJobs = respTimeDeg.N()
-		res.MeanResponseTimeDegraded = respTimeDeg.Mean()
-		res.MeanResponseRatioDegraded = respRatioDeg.Mean()
+		res.DegradedJobs = r.respTimeDeg.N()
+		res.MeanResponseTimeDegraded = r.respTimeDeg.Mean()
+		res.MeanResponseRatioDegraded = r.respRatioDeg.Mean()
 	}
-	return res, nil
+	return res
+}
+
+// syntheticArrival is the arrival chain of the arrival process (default:
+// a renewal process with the configured inter-arrival distribution) with
+// sampled sizes. Each arrival schedules the next, and admission closes
+// at the horizon.
+func (r *run) syntheticArrival() {
+	if r.en.Now() > r.cfg.Duration {
+		return
+	}
+	r.admit(r.cfg.JobSize.Sample(r.sizeStream))
+	r.arrLane.Schedule(r.arrivals.Next(r.en.Now(), r.arrStream), r.onArrival)
+}
+
+// replayArrival is the arrival chain of a trace: each recorded job
+// arrives at its recorded time and schedules the next one that falls
+// inside the horizon (validate has rejected decreasing arrival times).
+func (r *run) replayArrival() {
+	rj := r.cfg.Replay[r.replayNext]
+	r.replayNext++
+	r.admit(rj.Size)
+	if r.replayNext < len(r.cfg.Replay) && r.cfg.Replay[r.replayNext].Arrival <= r.cfg.Duration {
+		r.arrLane.Schedule(r.cfg.Replay[r.replayNext].Arrival, r.onArrival)
+	}
+}
+
+// admit brings one job of the given size into the run at the current
+// time. Jobs come from the arena: a recycled Job is field-identical to a
+// freshly allocated one (Put zeroes every exported field), so reuse
+// cannot change simulation results.
+func (r *run) admit(size float64) {
+	now := r.en.Now()
+	r.generated++
+	if r.ad != nil {
+		r.ad.noteArrival(now, size)
+	}
+	j := r.arena.Get()
+	j.ID = r.generated
+	j.Size = size
+	j.Arrival = now
+	j.Target = -1
+	if r.pb != nil {
+		r.pb.Emit(probe.Event{T: now, Kind: probe.EvArrival, Job: j.ID, Target: -1})
+		if r.spansOn {
+			r.pb.SpanAdmit(j, now)
+		}
+	}
+	if r.nf != nil && r.nf.interceptArrival(j) {
+		return // dropped, buffered or failed over while down
+	}
+	r.dispatchJob(j, true)
+}
+
+// dispatchJob runs a job through the dispatcher and sends it: through
+// the overload layer's gates when one is active, else by policy
+// selection. first marks the job's first routing decision, at arrival or
+// at a crashed dispatcher's buffer flush: the job passes admission
+// control and enters the system, and statistics key on its arrival time
+// while events are stamped now. Failure requeues and netfault
+// resubmissions pass false.
+func (r *run) dispatchJob(j *sim.Job, first bool) {
+	if first {
+		if r.ov != nil && !r.ov.admitJob(j) {
+			r.reject(j, OutcomeRejectedAdmission)
+			return
+		}
+		r.addInSystem(1)
+	}
+	if r.ov != nil {
+		r.ov.dispatch(j, first)
+		return
+	}
+	target := r.policy.Select(j)
+	if target < 0 || target >= r.n {
+		panic(fmt.Sprintf("cluster: policy %s selected invalid computer %d", r.policy.Name(), target))
+	}
+	j.Target = target
+	if first {
+		r.firstDispatch(j, target, true)
+	}
+	if r.pb != nil {
+		r.emitDispatch(j, "")
+	}
+	r.sendTo(target, j)
+}
+
+// firstDispatch books the scheduler's first routing decision for j, at
+// arrival, at a crashed dispatcher's buffer flush or by the failover
+// backup: the job fractions count it, the probe attributes it to the
+// computer's arrival substream and, for a policy decision, to the
+// deciding replica, and a job routed while a computer is down counts as
+// degraded.
+func (r *run) firstDispatch(j *sim.Job, target int, byPolicy bool) {
+	if j.Arrival >= r.warmup {
+		r.counts[target]++
+		r.observed++
+	}
+	if r.pb != nil {
+		r.pb.NoteSubstream(target, j.Arrival)
+		if byPolicy && r.shardOf != nil {
+			r.pb.NoteShard(r.shardOf(), j.Arrival)
+		}
+	}
+	if r.inj != nil && r.inj.AnyDown() {
+		j.Degraded = true
+	}
+}
+
+// emitDispatch records j's routing to j.Target in the event stream
+// (probe on), with the live availability mask when events are on.
+func (r *run) emitDispatch(j *sim.Job, cause string) {
+	if j.Finalized {
+		return
+	}
+	var mask string
+	if r.maskBuf != nil {
+		for i := range r.maskBuf {
+			if r.available(i, r.inj == nil || r.inj.Up(i)) {
+				r.maskBuf[i] = '1'
+			} else {
+				r.maskBuf[i] = '0'
+			}
+		}
+		mask = string(r.maskBuf)
+	}
+	r.pb.Emit(probe.Event{T: r.en.Now(), Kind: probe.EvDispatch, Job: j.ID, Target: j.Target, Cause: cause, Attempt: j.Attempts + j.Retries, Mask: mask})
+}
+
+// sendTo moves a routed job from the dispatcher towards computer target.
+// Every dispatch — first dispatch, overload retry, failure requeue,
+// netfault resubmission — passes these stages in this order:
+//
+//  1. the span's send stamp (spans on), so the query wait of stage 2
+//     lands in the span's network component;
+//  2. the decision-cost hold (control plane on): the job leaves the
+//     dispatcher only once the query round-trips, or their timeout, of
+//     the decision that routed it are over;
+//  3. transit.
+//
+// Only the netfault failover backup, which makes no policy decision,
+// skips stage 2 (see netfaultRun.failover).
+func (r *run) sendTo(target int, j *sim.Job) {
+	if r.spansOn {
+		r.pb.SpanSend(j, r.en.Now())
+	}
+	if r.dc != nil {
+		if d := r.dc.TakeDecisionCost(); d > 0 {
+			// The job is held across simulated time, where a deadline or
+			// timeout can reach a terminal outcome first and recycle it —
+			// hold a generation-checked handle and let a dead one drop
+			// the delivery (the job already finished; there is nothing
+			// to deliver).
+			r.en.ScheduleMsg(r.en.Now()+d, r.onHeld, sim.Msg{Ref: r.arena.Ref(j), A: target})
+			return
+		}
+	}
+	r.transit(target, j)
+}
+
+// held ends a decision-cost hold: a typed event carrying the job and
+// A = its target.
+func (r *run) held(m sim.Msg) {
+	if j, ok := m.Ref.Load(); ok && !j.Finalized {
+		r.transit(m.A, j)
+	}
+}
+
+// transit carries a job to computer target: over its faulty dispatch
+// link when the netfault layer is on, else straight to deliverTo.
+func (r *run) transit(target int, j *sim.Job) {
+	if r.nf != nil {
+		r.nf.send(target, j, true)
+		return
+	}
+	r.deliverTo(target, j)
+}
+
+// deliverTo physically lands a job at computer target: through the
+// fault injector when one is active, else straight into the server.
+func (r *run) deliverTo(target int, j *sim.Job) {
+	if r.pb != nil {
+		r.pb.NoteDelivery(target, r.en.Now())
+		if r.spansOn {
+			r.pb.SpanArrive(target, j, r.en.Now())
+		}
+	}
+	if r.inj != nil {
+		r.inj.Arrive(target, j)
+	} else {
+		r.serviceStart(target, j)
+		r.servers[target].Arrive(j)
+	}
+	if r.pb != nil {
+		r.pb.SetQueueLen(r.en.Now(), target, r.servers[target].InService())
+	}
+}
+
+// serviceStart books j entering service at computer i (probe on).
+func (r *run) serviceStart(i int, j *sim.Job) {
+	if r.pb == nil {
+		return
+	}
+	if !j.Finalized {
+		r.pb.Emit(probe.Event{T: r.en.Now(), Kind: probe.EvServiceStart, Job: j.ID, Target: i})
+	}
+	if r.spansOn {
+		r.pb.SpanServe(i, j, r.en.Now())
+	}
+}
+
+// evicted books j leaving service at computer i on its failure (probe
+// on).
+func (r *run) evicted(i int, j *sim.Job) {
+	if !j.Finalized {
+		r.pb.Emit(probe.Event{T: r.en.Now(), Kind: probe.EvEvict, Job: j.ID, Target: i})
+	}
+	if r.spansOn {
+		r.pb.SpanEvict(i, j, r.en.Now())
+	}
+}
+
+// resumed books a held j re-entering service at repaired computer i
+// (probe on).
+func (r *run) resumed(i int, j *sim.Job) {
+	if !j.Finalized {
+		r.pb.Emit(probe.Event{T: r.en.Now(), Kind: probe.EvResume, Job: j.ID, Target: i})
+	}
+	if r.spansOn {
+		r.pb.SpanServe(i, j, r.en.Now())
+	}
+}
+
+// depart is every server's departure callback: j completed at its
+// computer.
+func (r *run) depart(j *sim.Job) {
+	if r.pb != nil && j.Target >= 0 {
+		r.pb.SetQueueLen(r.en.Now(), j.Target, r.servers[j.Target].InService())
+	}
+	if r.ov != nil {
+		if !r.ov.preDepart(j) {
+			// A condemned job's completion: the deadline kill already
+			// counted it out of the system and the statistics.
+			r.release(j)
+			return
+		}
+	} else {
+		r.policy.Departed(j)
+	}
+	if r.ad != nil {
+		r.ad.noteCompletion(j)
+	}
+	r.addInSystem(-1)
+	outcome := OutcomeCompleted
+	if j.Deadline > 0 && j.Completion > j.Deadline {
+		outcome = OutcomeLate
+	}
+	r.finalize(j, outcome)
+	if j.Arrival >= r.warmup {
+		rt, rr := j.ResponseTime(), j.ResponseRatio()
+		r.respTime.Add(rt)
+		r.respRatio.Add(rr)
+		r.ratioHist.Add(rr)
+		if j.Degraded {
+			r.respTimeDeg.Add(rt)
+			r.respRatioDeg.Add(rr)
+		}
+	}
+	r.release(j)
+}
+
+// finalize records a job's terminal outcome exactly once: the probe's
+// terminal lifecycle event (every job) and cfg.OnFinal (post-warm-up
+// jobs). Overlapping layers may race to a job's end — a deadline kill
+// followed by the held job's eventual completion, a shed of an
+// already-condemned job — so the Finalized flag arbitrates.
+func (r *run) finalize(j *sim.Job, o Outcome) {
+	if j.Finalized {
+		return
+	}
+	j.Finalized = true
+	r.outcomes[o]++
+	if r.nf != nil {
+		r.nf.untrack(j)
+	}
+	if r.pb != nil {
+		kind, cause := o.probeEvent()
+		r.pb.Emit(probe.Event{T: r.en.Now(), Kind: kind, Job: j.ID, Target: j.Target, Cause: cause, Attempt: j.Attempts + j.Retries})
+		if r.spansOn {
+			// Close the job's span before OnFinal so the callback can
+			// fetch the decomposition via LastFinal. counted mirrors the
+			// respTime filter exactly: completed jobs arriving after
+			// warmup are the ones T̄ averages.
+			r.pb.SpanFinal(j, cause, o.Completed(), o.Completed() && j.Arrival >= r.warmup, r.en.Now())
+		}
+	}
+	if r.cfg.OnFinal != nil && j.Arrival >= r.warmup {
+		r.cfg.OnFinal(j, o)
+	}
+}
+
+// release recycles j into the arena at its terminal event (completion,
+// shed, drop, loss). Every terminal path cancels the job's timers first;
+// the check guards the rule that a job a pending timer still references
+// is never recycled.
+func (r *run) release(j *sim.Job) {
+	if j.TimeoutEvent.Active() || j.DeadlineEvent.Active() || j.AckEvent.Active() {
+		return
+	}
+	r.arena.Put(j)
+}
+
+// reject ends a job turned away before it entered the system (admission
+// control, a down dispatcher's drop): no in-system charge, no timers
+// armed.
+func (r *run) reject(j *sim.Job, o Outcome) {
+	r.finalize(j, o)
+	r.release(j)
+}
+
+// lose ends a job the fault layer (OutcomeLostFailure) or the network
+// layer (OutcomeLostNetwork) discarded. A job the deadline already
+// condemned was finalized and counted out of the system by the kill;
+// the fault layer surfacing it later only hands it back for recycling,
+// and counting it out again would drive the in-system ledger negative.
+func (r *run) lose(j *sim.Job, o Outcome) {
+	if r.ov != nil {
+		r.ov.jobLost(j)
+	}
+	if !j.Finalized {
+		r.addInSystem(-1)
+		r.finalize(j, o)
+	}
+	r.release(j)
+}
+
+// addInSystem moves the in-system count by d and mirrors it into the
+// probe's series.
+func (r *run) addInSystem(d int64) {
+	r.inSystem += d
+	if r.pb != nil {
+		r.pb.SetInSystem(r.en.Now(), r.inSystem)
+	}
+}
+
+// requeue re-dispatches a job whose computer failed. It goes through the
+// policy again but does not re-enter the job-fraction or arrival counts:
+// those track the scheduler's first decision per job.
+func (r *run) requeue(j *sim.Job) {
+	if r.nf != nil {
+		// The job verifiably left its failed computer: clear the
+		// delivery state so its re-dispatch is not deduplicated.
+		r.nf.reclaim(j)
+	}
+	if r.ov != nil {
+		// A half-open probe evicted by its computer's failure is a
+		// failed probe: record the outcome against the probed breaker
+		// before the job re-enters the pool as a normal job — otherwise
+		// it would carry its probe mark to another computer and close
+		// the wrong breaker on completion, leaving the probed one stuck
+		// half-open forever.
+		r.ov.probeFailed(j)
+	}
+	r.dispatchJob(j, false)
+}
+
+// faultEdge books computer i failing (up false) or coming back up: the
+// probe's series and event, then the fault-aware policy's update after
+// the detection lag. Flaps shorter than the lag collapse into one
+// observation of the final state.
+func (r *run) faultEdge(i int, up bool) {
+	if r.pb != nil {
+		now := r.en.Now()
+		kind := probe.EvFail
+		if up {
+			kind = probe.EvRepair
+		}
+		r.pb.SetUp(now, i, up)
+		r.pb.SetQueueLen(now, i, r.servers[i].InService())
+		r.pb.Emit(probe.Event{T: now, Kind: kind, Target: i})
+	}
+	if r.fa == nil {
+		return
+	}
+	if lag := r.cfg.Faults.DetectionLag; lag > 0 {
+		r.en.ScheduleAfter(lag, r.onDetect)
+	} else {
+		r.detect()
+	}
+}
+
+// detect hands a fault-aware policy the injector's up-set as of now.
+func (r *run) detect() {
+	r.detectedUp = r.inj.UpSet()
+	r.notifyUp()
+}
+
+// notifyUp hands a fault-aware policy its availability mask after a
+// detected failure or repair, a partition edge or a breaker transition.
+// The fault state is the detected one, never the injector's live state:
+// the policy cannot know of a failure before DetectionLag has passed.
+func (r *run) notifyUp() {
+	if r.fa == nil {
+		return
+	}
+	up := make([]bool, r.n)
+	for i := range up {
+		up[i] = r.available(i, r.detectedUp == nil || r.detectedUp[i])
+	}
+	r.fa.UpSetChanged(up)
+}
+
+// available reports whether computer i can take a dispatch: its fault
+// state faultUp (as detected, or live) is up, its dispatch link is uncut
+// and its breaker, if any, is closed.
+func (r *run) available(i int, faultUp bool) bool {
+	return faultUp && (r.nf == nil || r.nf.linkUp(i)) && r.ov.breakerClosed(i)
 }
 
 // Summary aggregates a metric across replications.

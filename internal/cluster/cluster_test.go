@@ -399,7 +399,11 @@ func TestMSERAgreesWithPaperWarmup(t *testing.T) {
 		Duration:            50000,
 		WarmupFraction:      -1,
 		Seed:                77,
-		OnDeparture:         func(j *sim.Job) { ratios = append(ratios, j.ResponseRatio()) },
+		OnFinal: func(j *sim.Job, o Outcome) {
+			if o.Completed() {
+				ratios = append(ratios, j.ResponseRatio())
+			}
+		},
 	}
 	if _, err := Run(cfg, &splitPolicy{}); err != nil {
 		t.Fatal(err)
@@ -427,7 +431,11 @@ func TestResponseTimeDistributionMatchesMM1(t *testing.T) {
 		Duration:            400000,
 		Discipline:          FCFS,
 		Seed:                31,
-		OnDeparture:         func(j *sim.Job) { times = append(times, j.ResponseTime()) },
+		OnFinal: func(j *sim.Job, o Outcome) {
+			if o.Completed() {
+				times = append(times, j.ResponseTime())
+			}
+		},
 	}
 	if _, err := Run(cfg, &fixedPolicy{}); err != nil {
 		t.Fatal(err)

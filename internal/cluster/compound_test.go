@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"heterosched/internal/cluster"
+	"heterosched/internal/ctrlplane"
 	"heterosched/internal/dispatch"
 	"heterosched/internal/dist"
 	"heterosched/internal/drift"
@@ -63,59 +64,129 @@ func compoundConfig() cluster.Config {
 	}
 }
 
-// TestCompoundAllLayersExactLedger pins the terminal-outcome ledger of
-// the four-layer compound run exactly. Every generated job must reach
-// exactly one terminal event (the ledger errors on a double OnFinal),
-// the drained run must leave nothing in the system, and the per-outcome
-// counts are golden-locked: any change to how the layers hand jobs to
-// each other shows up here as a diff, not as a silent leak.
+// layersOnGolden is the exact result of a run with layers on: the
+// layer-off goldens pin nothing the layers compute. Overload and netfault
+// hold only the counters (what AddCounters copies); ctrl is nil when the
+// run has no control plane.
+type layersOnGolden struct {
+	meanT, meanR, fairness float64
+	jobs, generated        int64
+	outcomes               map[cluster.Outcome]int64
+	overload               cluster.OverloadStats
+	netfault               cluster.NetfaultStats
+	ctrl                   *ctrlplane.Stats
+}
+
+// TestCompoundAllLayersExactLedger pins two composed runs exactly: the
+// four-layer compound run under ORR, and jiq over four hash-sharded
+// dispatchers with netfault, ctrl, spans and overload. Every generated
+// job must reach exactly one terminal event (the ledger errors on a
+// double OnFinal), the drained run must leave nothing in the system, and
+// the metrics, outcome counts and layer counters are golden-locked: any
+// change to how the layers hand jobs to each other shows up here as a
+// diff, not as a silent leak.
 func TestCompoundAllLayersExactLedger(t *testing.T) {
-	cfg := compoundConfig()
-	led := attachLedger(t, &cfg)
-	res, err := cluster.Run(cfg, sched.ORR())
-	if err != nil {
-		t.Fatal(err)
+	jiq := sched.JIQ()
+	jiq.Dispatchers = 4
+	jiq.ShardBy = dispatch.ShardHash
+	cases := []struct {
+		name   string
+		cfg    cluster.Config
+		policy cluster.Policy
+		want   layersOnGolden
+	}{
+		// Seed 23. Several layers must fire for the composition to be
+		// exercised at all, so the golden records a mix with
+		// completions, deadline kills, retry drops and failure losses
+		// all present.
+		{"compound", compoundConfig(), sched.ORR(), layersOnGolden{
+			meanT: 38.65777981658728, meanR: 1.2346028987199054, fairness: 1.966930342398414,
+			jobs: 3503, generated: 3651,
+			outcomes: map[cluster.Outcome]int64{
+				cluster.OutcomeCompleted:          3503,
+				cluster.OutcomeKilledDeadline:     100,
+				cluster.OutcomeDroppedRetryBudget: 14,
+				cluster.OutcomeLostFailure:        34,
+			},
+			overload: cluster.OverloadStats{Admitted: 3651, RejectedFull: 5, Timeouts: 115, Retries: 106,
+				DroppedRetryBudget: 14, DeadlineMisses: 100, KilledByDeadline: 100, Throughput: 3503, Goodput: 3503,
+				BreakerTrips: 2, BreakerProbes: 2},
+			netfault: cluster.NetfaultStats{Sent: 4142, LostCopies: 224, DupCopies: 96, DupDeliveries: 87,
+				StaleDeliveries: 37, Acked: 2825, AckLost: 297, AckTimeouts: 235, Resubmits: 235, Crashes: 2,
+				Restarts: 2, DownTime: 280.02341058328057, DownBuffered: 12, MaxBufferLen: 8},
+		}},
+		{"composed", composedLayersConfig(2000, true), jiq, layersOnGolden{
+			meanT: 27.818916510960694, meanR: 0.8932345137283677, fairness: 0.7645726832023814,
+			jobs: 1526, generated: 2025,
+			outcomes: map[cluster.Outcome]int64{
+				cluster.OutcomeCompleted:      1963,
+				cluster.OutcomeKilledDeadline: 62,
+			},
+			overload: cluster.OverloadStats{Admitted: 2025, Timeouts: 11, Retries: 11, DeadlineMisses: 62,
+				KilledByDeadline: 62, Throughput: 1963, Goodput: 1963},
+			netfault: cluster.NetfaultStats{Sent: 2124, LostCopies: 106, DupCopies: 101, DupDeliveries: 83,
+				StaleDeliveries: 16, Acked: 1658, AckLost: 87, AckTimeouts: 104, Resubmits: 104},
+			ctrl: &ctrlplane.Stats{TokensSent: 1765, TokensDup: 80, TokensLost: 386, TokensDelivered: 1459,
+				TokensAccepted: 1327, TokensDeduped: 132, TokensSpent: 1296, TokensExpired: 11, TokensExtant: 20,
+				Queries: 1682, QueriesLost: 571, QueriesLate: 218, StaleReads: 673, BlindReads: 116,
+				Decisions: 841, DecisionTimeouts: 610, QueryWait: 11310.546198109034},
+		}},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			led := attachLedger(t, &cfg)
+			res, err := cluster.Run(cfg, tc.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.FinalInSystem != 0 {
+				t.Errorf("%d jobs still in the system after the drain", res.FinalInSystem)
+			}
+			var sum int64
+			for o, n := range res.Outcomes {
+				sum += n
+				if oc := cluster.Outcome(o); n != tc.want.outcomes[oc] {
+					t.Errorf("outcome %v: got %d, want %d", oc, n, tc.want.outcomes[oc])
+				}
+			}
+			if sum != res.GeneratedJobs {
+				t.Errorf("outcome counts sum to %d, want %d", sum, res.GeneratedJobs)
+			}
+			// OnFinal sees every job only in a run without warm-up.
+			if cfg.WarmupFraction < 0 {
+				if led.total != res.GeneratedJobs {
+					t.Errorf("OnFinal fired for %d of %d generated jobs", led.total, res.GeneratedJobs)
+				}
+				for o, n := range res.Outcomes {
+					if oc := cluster.Outcome(o); led.counts[oc] != n {
+						t.Errorf("outcome %v: ledger saw %d, result counted %d", oc, led.counts[oc], n)
+					}
+				}
+			}
 
-	if led.total != res.GeneratedJobs {
-		t.Errorf("OnFinal fired for %d of %d generated jobs", led.total, res.GeneratedJobs)
-	}
-	if res.FinalInSystem != 0 {
-		t.Errorf("%d jobs still in the system after the drain", res.FinalInSystem)
-	}
-	var sum int64
-	for _, n := range res.Outcomes {
-		sum += n
-	}
-	if sum != res.GeneratedJobs {
-		t.Errorf("outcome counts sum to %d, want %d", sum, res.GeneratedJobs)
-	}
-	for o := 0; o < cluster.NumOutcomes; o++ {
-		if led.counts[cluster.Outcome(o)] != res.Outcomes[o] {
-			t.Errorf("outcome %v: ledger saw %d, result counted %d",
-				cluster.Outcome(o), led.counts[cluster.Outcome(o)], res.Outcomes[o])
-		}
-	}
-
-	// The exact compound ledger for seed 23. Several layers must fire for
-	// the composition to be exercised at all, so the golden records a mix
-	// with completions, deadline kills, failure losses and network drops
-	// all present.
-	want := map[cluster.Outcome]int64{
-		cluster.OutcomeCompleted:          3503,
-		cluster.OutcomeKilledDeadline:     100,
-		cluster.OutcomeDroppedRetryBudget: 14,
-		cluster.OutcomeLostFailure:        34,
-		cluster.OutcomeLostNetwork:        0,
-		cluster.OutcomeDroppedDispatcher:  0,
-	}
-	for o, n := range want {
-		if led.counts[o] != n {
-			t.Errorf("outcome %v: got %d, want %d", o, led.counts[o], n)
-		}
-	}
-	if res.GeneratedJobs == 0 {
-		t.Fatal("no jobs generated")
+			w := tc.want
+			if res.MeanResponseTime != w.meanT || res.MeanResponseRatio != w.meanR || res.Fairness != w.fairness {
+				t.Errorf("T̄, R̄, fairness = %v, %v, %v; want %v, %v, %v",
+					res.MeanResponseTime, res.MeanResponseRatio, res.Fairness, w.meanT, w.meanR, w.fairness)
+			}
+			if res.Jobs != w.jobs || res.GeneratedJobs != w.generated {
+				t.Errorf("jobs, generated = %d, %d; want %d, %d", res.Jobs, res.GeneratedJobs, w.jobs, w.generated)
+			}
+			var ov cluster.OverloadStats
+			ov.AddCounters(res.Overload)
+			if !reflect.DeepEqual(ov, w.overload) {
+				t.Errorf("overload counters:\n got %+v\nwant %+v", ov, w.overload)
+			}
+			var nf cluster.NetfaultStats
+			nf.AddCounters(res.Netfault)
+			if !reflect.DeepEqual(nf, w.netfault) {
+				t.Errorf("netfault counters:\n got %+v\nwant %+v", nf, w.netfault)
+			}
+			if !reflect.DeepEqual(res.Ctrl, w.ctrl) {
+				t.Errorf("ctrl counters:\n got %+v\nwant %+v", res.Ctrl, w.ctrl)
+			}
+		})
 	}
 }
 

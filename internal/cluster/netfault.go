@@ -161,42 +161,15 @@ type nfPending struct {
 	epoch int
 }
 
-// netfaultRun orchestrates the network-fault layer inside one Run. The
-// closures are wired by Run before the first arrival.
+// netfaultRun orchestrates the network-fault layer inside one run, whose
+// stages it calls through r.
 type netfaultRun struct {
-	en    *sim.Engine
-	cfg   *netfault.Config
-	n     int
-	arena *sim.JobArena
-
-	// deliver physically hands a job to computer target (through the
-	// fault injector when one is active). dispatch runs a job through
-	// the dispatcher: a first dispatch (admission, policy selection,
-	// overload gates) flushes the downtime buffer, a later one re-routes
-	// a resubmitted job. giveUp finalizes OutcomeLostNetwork; dropDown
-	// finalizes OutcomeDroppedDispatcher. departed tells the policy a
-	// dispatched job left its computer (dispatcher's belief). reachable
-	// reports whether the failover backup may route to i. notifyUp
-	// pushes the run's availability mask to a fault-aware policy after a
-	// partition edge. failoverSend does the first-dispatch bookkeeping
-	// for a backup-routed job and transmits it untracked.
-	deliver      func(target int, j *sim.Job)
-	dispatch     func(j *sim.Job, first bool)
-	giveUp       func(j *sim.Job)
-	dropDown     func(j *sim.Job)
-	departed     func(j *sim.Job)
-	reachable    func(i int) bool
-	notifyUp     func()
-	failoverSend func(j *sim.Job, target int)
-	pb           *probe.Probe
-
+	r   *run
+	cfg *netfault.Config
 	// replan is the policy's re-planning hook (nil when the policy is
-	// not Replannable); speeds and rho are the dispatcher's believed
+	// not Replannable); a restart re-plans from the dispatcher's believed
 	// inputs, as handed to the policy at Init.
-	replan   Replannable
-	speeds   []float64
-	rho      float64
-	duration float64
+	replan Replannable
 
 	linkStreams []*rng.Stream
 	dispStream  *rng.Stream
@@ -235,26 +208,26 @@ type netfaultRun struct {
 // newNetfaultRun derives the layer's named substreams and allocates its
 // state. Called only when the config is enabled, so disabled runs derive
 // nothing.
-func newNetfaultRun(en *sim.Engine, cfg *netfault.Config, n int, root *rng.Stream, duration float64) *netfaultRun {
+func newNetfaultRun(r *run, root *rng.Stream) *netfaultRun {
+	n := r.n
+	cfg := r.cfg.Netfault
 	nf := &netfaultRun{
-		en: en, cfg: cfg, n: n, duration: duration,
+		r:           r,
+		cfg:         cfg,
 		links:       make([]netfault.Link, n),
 		linkStreams: make([]*rng.Stream, n),
 		cut:         make([]int, n),
 		inFlight:    make([]int, n),
 		up:          true,
 	}
-	nf.onCopy = func(m sim.Msg) { nf.deliverCopy(m.A, m.Ref, m.B, true) }
-	nf.onAck = func(m sim.Msg) { nf.ack(m.Ref, m.B) }
-	nf.onAckTimeout = func(m sim.Msg) {
-		if j, ok := m.Ref.Load(); ok {
-			nf.ackTimeout(j)
-		}
-	}
+	nf.replan, _ = r.policy.(Replannable)
+	nf.onCopy = nf.copyLanded
+	nf.onAck = nf.ack
+	nf.onAckTimeout = nf.ackTimeout
 	nf.onBackoff = nf.backoffDone
 	nf.onRescue = nf.rescue
 	if cfg.Ack.Timeout > 0 {
-		nf.ackLane = en.NewLane()
+		nf.ackLane = r.en.NewLane()
 	}
 	for i := 0; i < n; i++ {
 		nf.links[i] = cfg.LinkFor(i)
@@ -272,23 +245,29 @@ func newNetfaultRun(en *sim.Engine, cfg *netfault.Config, n int, root *rng.Strea
 }
 
 // start schedules the layer's autonomous events: the crash renewal
-// process, the checkpoint chain and the partition windows.
+// process, the checkpoint chain (ticks while the dispatcher is down
+// record nothing) and the partition windows.
 func (nf *netfaultRun) start() {
+	en, horizon := nf.r.en, nf.r.cfg.Duration
 	if d := nf.cfg.Dispatcher; d != nil {
 		nf.scheduleCrash()
 		if d.Recovery == netfault.RecoverCheckpoint {
-			nf.scheduleCheckpoints(d.CheckpointDT)
+			every(en, d.CheckpointDT, horizon, func() {
+				if nf.up {
+					nf.lastCkptT = en.Now()
+					nf.stats.Checkpoints++
+				}
+			})
 		}
 	}
 	for _, p := range nf.cfg.Partitions {
-		p := p
-		if p.From > nf.duration {
+		if p.From > horizon {
 			continue
 		}
-		nf.en.Schedule(p.From, func() { nf.shiftPartition(p.Links, +1) })
+		en.Schedule(p.From, func() { nf.shiftPartition(p.Links, +1) })
 		// The lift is scheduled even past the horizon: a window that
 		// outlives the run holds through the drain until To.
-		nf.en.Schedule(p.To, func() { nf.shiftPartition(p.Links, -1) })
+		en.Schedule(p.To, func() { nf.shiftPartition(p.Links, -1) })
 	}
 }
 
@@ -307,14 +286,15 @@ func (nf *netfaultRun) shiftPartition(links []int, delta int) {
 			nf.cut[i] += delta
 		}
 	}
-	nf.notifyUp()
+	nf.r.notifyUp()
 }
 
 // send transmits one dispatch of j over link target. tracked engages the
 // ack/resubmission loop; the stateless failover backup passes false and
 // relies on the client timeout instead.
 func (nf *netfaultRun) send(target int, j *sim.Job, tracked bool) {
-	now := nf.en.Now()
+	pb := nf.r.pb
+	now := nf.r.en.Now()
 	nf.stats.Sent++
 	tracked = tracked && nf.cfg.Ack.Timeout > 0
 	if tracked {
@@ -325,9 +305,9 @@ func (nf *netfaultRun) send(target int, j *sim.Job, tracked bool) {
 	if !nf.linkUp(target) {
 		nf.stats.PartitionBlocked++
 		nf.stats.PerLinkLost[target]++
-		if nf.pb != nil {
-			nf.pb.NoteLinkLoss(target)
-			nf.pb.Emit(probe.Event{T: now, Kind: probe.EvNetLoss, Job: j.ID, Target: target, Cause: "partition"})
+		if pb != nil {
+			pb.NoteLinkLoss(target)
+			pb.Emit(probe.Event{T: now, Kind: probe.EvNetLoss, Job: j.ID, Target: target, Cause: "partition"})
 		}
 		if !tracked {
 			nf.scheduleRescue(j)
@@ -340,31 +320,31 @@ func (nf *netfaultRun) send(target int, j *sim.Job, tracked bool) {
 	if copies > 1 {
 		nf.stats.DupCopies++
 		nf.stats.PerLinkDup[target]++
-		if nf.pb != nil {
-			nf.pb.NoteLinkDup(target)
+		if pb != nil {
+			pb.NoteLinkDup(target)
 		}
 	}
 	delivered := 0
-	ref := nf.arena.Ref(j)
+	ref := nf.r.arena.Ref(j)
 	epoch := j.NetEpoch
 	for c := 0; c < copies; c++ {
 		delay, ok := link.Transit(st)
 		if !ok {
 			nf.stats.LostCopies++
 			nf.stats.PerLinkLost[target]++
-			if nf.pb != nil {
-				nf.pb.NoteLinkLoss(target)
-				nf.pb.Emit(probe.Event{T: now, Kind: probe.EvNetLoss, Job: j.ID, Target: target, Cause: "loss"})
+			if pb != nil {
+				pb.NoteLinkLoss(target)
+				pb.Emit(probe.Event{T: now, Kind: probe.EvNetLoss, Job: j.ID, Target: target, Cause: "loss"})
 			}
 			continue
 		}
 		delivered++
 		if delay > 0 {
 			nf.inFlight[target]++
-			if nf.pb != nil {
-				nf.pb.SetLinkInFlight(now, target, nf.inFlight[target])
+			if pb != nil {
+				pb.SetLinkInFlight(now, target, nf.inFlight[target])
 			}
-			nf.en.ScheduleMsg(now+delay, nf.onCopy, sim.Msg{Ref: ref, A: target, B: epoch})
+			nf.r.en.ScheduleMsg(now+delay, nf.onCopy, sim.Msg{Ref: ref, A: target, B: epoch})
 		} else {
 			nf.deliverCopy(target, ref, epoch, false)
 		}
@@ -374,6 +354,10 @@ func (nf *netfaultRun) send(target int, j *sim.Job, tracked bool) {
 	}
 }
 
+// copyLanded is the typed event of a copy in transit: A is its target
+// link and B the delivery epoch it was sent in.
+func (nf *netfaultRun) copyLanded(m sim.Msg) { nf.deliverCopy(m.A, m.Ref, m.B, true) }
+
 // deliverCopy lands one transit copy at computer target: the first copy
 // accepted wins, every later one is deduplicated against the idempotency
 // key and re-acked. epoch is the job's delivery epoch at send time; a
@@ -381,11 +365,12 @@ func (nf *netfaultRun) send(target int, j *sim.Job, tracked bool) {
 // overload timeout, failure requeue — after this copy was sent) is
 // stale even though the reclaim cleared NetAccepted.
 func (nf *netfaultRun) deliverCopy(target int, ref sim.JobRef, epoch int, wasInFlight bool) {
-	now := nf.en.Now()
+	pb := nf.r.pb
+	now := nf.r.en.Now()
 	if wasInFlight {
 		nf.inFlight[target]--
-		if nf.pb != nil {
-			nf.pb.SetLinkInFlight(now, target, nf.inFlight[target])
+		if pb != nil {
+			pb.SetLinkInFlight(now, target, nf.inFlight[target])
 		}
 	}
 	j, ok := ref.Load()
@@ -393,19 +378,19 @@ func (nf *netfaultRun) deliverCopy(target int, ref sim.JobRef, epoch int, wasInF
 		// The job already left the system (or its arena slot was even
 		// recycled): a stale copy, swallowed by dedup.
 		nf.stats.StaleDeliveries++
-		if nf.pb != nil {
+		if pb != nil {
 			var id int64
 			if ok {
 				id = j.ID
 			}
-			nf.pb.Emit(probe.Event{T: now, Kind: probe.EvDupDeliver, Job: id, Target: target, Cause: "stale"})
+			pb.Emit(probe.Event{T: now, Kind: probe.EvDupDeliver, Job: id, Target: target, Cause: "stale"})
 		}
 		return
 	}
 	if j.NetAccepted {
 		nf.stats.DupDeliveries++
-		if nf.pb != nil {
-			nf.pb.Emit(probe.Event{T: now, Kind: probe.EvDupDeliver, Job: j.ID, Target: target, Cause: "dup"})
+		if pb != nil {
+			pb.Emit(probe.Event{T: now, Kind: probe.EvDupDeliver, Job: j.ID, Target: target, Cause: "dup"})
 		}
 		// The computer re-acks duplicates: an earlier ack may have been
 		// the lost one.
@@ -415,7 +400,7 @@ func (nf *netfaultRun) deliverCopy(target int, ref sim.JobRef, epoch int, wasInF
 	j.NetAccepted = true
 	j.Target = target
 	nf.sendAck(target, j)
-	nf.deliver(target, j)
+	nf.r.deliverTo(target, j)
 }
 
 // sendAck returns the computer's acceptance ack for j over the same
@@ -425,44 +410,45 @@ func (nf *netfaultRun) sendAck(target int, j *sim.Job) {
 	if nf.cfg.Ack.Timeout <= 0 {
 		return
 	}
-	now := nf.en.Now()
+	now := nf.r.en.Now()
 	delay, ok := 0.0, nf.linkUp(target)
 	if ok {
 		delay, ok = nf.links[target].Transit(nf.linkStreams[target])
 	}
 	if !ok {
 		nf.stats.AckLost++
-		if nf.pb != nil {
-			nf.pb.Emit(probe.Event{T: now, Kind: probe.EvNetLoss, Job: j.ID, Target: target, Cause: "ack-loss"})
+		if pb := nf.r.pb; pb != nil {
+			pb.Emit(probe.Event{T: now, Kind: probe.EvNetLoss, Job: j.ID, Target: target, Cause: "ack-loss"})
 		}
 		return
 	}
-	ref := nf.arena.Ref(j)
+	m := sim.Msg{Ref: nf.r.arena.Ref(j), B: j.NetEpoch}
 	if delay > 0 {
-		nf.en.ScheduleMsg(now+delay, nf.onAck, sim.Msg{Ref: ref, B: j.NetEpoch})
+		nf.r.en.ScheduleMsg(now+delay, nf.onAck, m)
 	} else {
-		nf.ack(ref, j.NetEpoch)
+		nf.ack(m)
 	}
 }
 
-// ack resolves the outstanding dispatch of the job ref names. A crashed
-// dispatcher misses the ack; the restart recovery decides the entry's
-// fate instead. An ack from a superseded delivery epoch is ignored: it
-// acknowledged a dispatch that was since reclaimed (failure requeue,
-// overload timeout), and letting it resolve the entry would strand the
-// current dispatch's retransmission loop — a lost copy would never be
-// resubmitted. A job recycled since the ack was sent has no entry: it
-// was finalized first, and finalization drops the entry.
-func (nf *netfaultRun) ack(ref sim.JobRef, epoch int) {
+// ack resolves the outstanding dispatch of the job m.Ref names, sent in
+// delivery epoch m.B. A crashed dispatcher misses the ack; the restart
+// recovery decides the entry's fate instead. An ack from a superseded
+// delivery epoch is ignored: it acknowledged a dispatch that was since
+// reclaimed (failure requeue, overload timeout), and letting it resolve
+// the entry would strand the current dispatch's retransmission loop — a
+// lost copy would never be resubmitted. A job recycled since the ack was
+// sent has no entry: it was finalized first, and finalization drops the
+// entry.
+func (nf *netfaultRun) ack(m sim.Msg) {
 	if !nf.up {
 		nf.stats.AckLost++
 		return
 	}
-	j, ok := ref.Load()
+	j, ok := m.Ref.Load()
 	if !ok || j.NetSlot == 0 {
 		return
 	}
-	if nf.out[j.NetSlot-1].epoch != epoch {
+	if nf.out[j.NetSlot-1].epoch != m.B {
 		nf.stats.AckLost++
 		return
 	}
@@ -485,7 +471,7 @@ func (nf *netfaultRun) track(j *sim.Job, now float64) {
 		}
 	}
 	e := &nf.out[j.NetSlot-1]
-	e.ref = nf.arena.Ref(j)
+	e.ref = nf.r.arena.Ref(j)
 	e.id = j.ID
 	e.sentAt = now
 	e.epoch = j.NetEpoch
@@ -493,7 +479,11 @@ func (nf *netfaultRun) track(j *sim.Job, now float64) {
 }
 
 // ackTimeout fires when a tracked dispatch was not acked in time.
-func (nf *netfaultRun) ackTimeout(j *sim.Job) {
+func (nf *netfaultRun) ackTimeout(m sim.Msg) {
+	j, ok := m.Ref.Load()
+	if !ok {
+		return
+	}
 	j.AckEvent = sim.Event{}
 	if j.NetSlot == 0 {
 		return
@@ -503,7 +493,7 @@ func (nf *netfaultRun) ackTimeout(j *sim.Job) {
 		// The dispatcher-side timer fired while the process was dead;
 		// park it. The restart recovery decides whether the entry (and
 		// hence this retransmit) survives.
-		nf.pendingRetry = append(nf.pendingRetry, nfPending{ref: nf.arena.Ref(j), epoch: j.NetEpoch})
+		nf.pendingRetry = append(nf.pendingRetry, nfPending{ref: m.Ref, epoch: j.NetEpoch})
 		return
 	}
 	nf.resubmit(j, "ack-timeout")
@@ -525,23 +515,35 @@ func (nf *netfaultRun) resubmit(j *sim.Job, cause string) {
 		}
 		nf.stats.LostNetwork++
 		nf.departed(j)
-		nf.giveUp(j)
+		nf.r.lose(j, OutcomeLostNetwork)
 		return
 	}
 	j.Resubmits++
 	nf.stats.Resubmits++
 	a := nf.cfg.Ack
 	d := backoff(a.BackoffBase, a.BackoffMax, a.Jitter, ^uint64(j.ID), j.Resubmits)
-	if nf.pb != nil {
-		nf.pb.Emit(probe.Event{T: nf.en.Now(), Kind: probe.EvResubmit, Job: j.ID, Target: j.Target, Cause: cause, Attempt: j.Resubmits, Value: d})
+	r := nf.r
+	if r.pb != nil {
+		r.pb.Emit(probe.Event{T: r.en.Now(), Kind: probe.EvResubmit, Job: j.ID, Target: j.Target, Cause: cause, Attempt: j.Resubmits, Value: d})
 		// Span: the in-flight copy is presumed lost; the job is back at
 		// the dispatcher for backoff (no-op unless spans are on).
-		nf.pb.SpanResubmit(j, nf.en.Now())
+		r.pb.SpanResubmit(j, r.en.Now())
 	}
 	// The dispatcher believes the job never reached (or left) its
 	// computer: release the policy's load accounting before re-selecting.
 	nf.departed(j)
-	nf.en.ScheduleMsg(nf.en.Now()+d, nf.onBackoff, sim.Msg{Ref: nf.arena.Ref(j), B: j.NetEpoch})
+	r.en.ScheduleMsg(r.en.Now()+d, nf.onBackoff, sim.Msg{Ref: r.arena.Ref(j), B: j.NetEpoch})
+}
+
+// departed tells the policy that a dispatched job left its computer, in
+// the dispatcher's belief. An unacked breaker probe counts as a failed
+// probe instead.
+func (nf *netfaultRun) departed(j *sim.Job) {
+	if ov := nf.r.ov; ov != nil && j.Probe {
+		ov.probeFailed(j)
+		return
+	}
+	nf.r.policy.Departed(j)
 }
 
 // backoffDone re-dispatches a resubmitted job once its backoff is over.
@@ -557,7 +559,7 @@ func (nf *netfaultRun) backoffDone(m sim.Msg) {
 		nf.pendingRetry = append(nf.pendingRetry, nfPending{ref: m.Ref, epoch: m.B})
 		return
 	}
-	nf.dispatch(jj, false)
+	nf.r.dispatchJob(jj, false)
 }
 
 // forget frees outstanding slot (1-based) and disarms the ack timer of
@@ -594,10 +596,10 @@ func (nf *netfaultRun) scheduleRescue(j *sim.Job) {
 		to = d.ClientTO
 	}
 	t := j.Arrival + to
-	if now := nf.en.Now(); t < now {
+	if now := nf.r.en.Now(); t < now {
 		t = now
 	}
-	nf.en.ScheduleMsg(t, nf.onRescue, sim.Msg{Ref: nf.arena.Ref(j), B: j.NetEpoch})
+	nf.r.en.ScheduleMsg(t, nf.onRescue, sim.Msg{Ref: nf.r.arena.Ref(j), B: j.NetEpoch})
 }
 
 // rescue fires a client timeout: the client retransmits unless a
@@ -629,46 +631,26 @@ func (nf *netfaultRun) reclaim(j *sim.Job) {
 // scheduleCrash arms the next dispatcher crash; the renewal chain stops
 // at the horizon so the drain completes.
 func (nf *netfaultRun) scheduleCrash() {
-	t := nf.en.Now() + nf.cfg.Dispatcher.Uptime.Sample(nf.dispStream)
-	if t > nf.duration {
+	t := nf.r.en.Now() + nf.cfg.Dispatcher.Uptime.Sample(nf.dispStream)
+	if t > nf.r.cfg.Duration {
 		return
 	}
-	nf.en.Schedule(t, nf.crash)
+	nf.r.en.Schedule(t, nf.crash)
 }
 
 // crash takes the dispatcher down. The restart is always scheduled —
 // even past the horizon — so buffered jobs and parked retransmits drain.
 func (nf *netfaultRun) crash() {
-	now := nf.en.Now()
+	now := nf.r.en.Now()
 	nf.up = false
 	nf.epoch++
 	nf.stats.Crashes++
 	nf.downStart = now
-	if nf.pb != nil {
-		nf.pb.SetDispatcherUp(now, false)
-		nf.pb.Emit(probe.Event{T: now, Kind: probe.EvDispatcherDown, Target: -1})
+	if pb := nf.r.pb; pb != nil {
+		pb.SetDispatcherUp(now, false)
+		pb.Emit(probe.Event{T: now, Kind: probe.EvDispatcherDown, Target: -1})
 	}
-	nf.en.ScheduleAfter(nf.cfg.Dispatcher.Downtime.Sample(nf.dispStream), nf.restart)
-}
-
-// scheduleCheckpoints runs the periodic plan-checkpoint chain; ticks
-// while the dispatcher is down record nothing.
-func (nf *netfaultRun) scheduleCheckpoints(dt float64) {
-	var tick func(k int)
-	tick = func(k int) {
-		t := float64(k) * dt
-		if t > nf.duration {
-			return
-		}
-		nf.en.Schedule(t, func() {
-			if nf.up {
-				nf.lastCkptT = nf.en.Now()
-				nf.stats.Checkpoints++
-			}
-			tick(k + 1)
-		})
-	}
-	tick(1)
+	nf.r.en.ScheduleAfter(nf.cfg.Dispatcher.Downtime.Sample(nf.dispStream), nf.restart)
 }
 
 // restart brings the dispatcher back: recover the Algorithm 2 state per
@@ -676,7 +658,8 @@ func (nf *netfaultRun) scheduleCheckpoints(dt float64) {
 // parked retransmits and client rescues, flush the downtime buffer, and
 // arm the next crash.
 func (nf *netfaultRun) restart() {
-	now := nf.en.Now()
+	r := nf.r
+	now := r.en.Now()
 	nf.up = true
 	nf.stats.Restarts++
 	nf.stats.DownTime += now - nf.downStart
@@ -688,27 +671,27 @@ func (nf *netfaultRun) restart() {
 		// back as-is, age zero.
 	case netfault.RecoverCheckpoint:
 		age = now - nf.lastCkptT
-		if nf.replan != nil && nf.replan.Replan(nf.speeds, nf.rho) == nil {
+		if nf.replan != nil && nf.replan.Replan(r.ctx.Speeds, r.ctx.Utilization) == nil {
 			nf.stats.PlanRestores++
 		}
 	case netfault.RecoverCold:
 		age = -1
 		nf.stats.ColdResets++
-		if nf.replan != nil && nf.replan.ReplanProportional(nf.speeds) == nil {
+		if nf.replan != nil && nf.replan.ReplanProportional(r.ctx.Speeds) == nil {
 			// Run the speed-proportional fallback for the relearn window,
 			// then re-solve — unless another crash started a new epoch.
 			epoch := nf.epoch
-			nf.en.ScheduleAfter(d.RelearnT, func() {
-				if nf.up && nf.epoch == epoch && nf.replan.Replan(nf.speeds, nf.rho) == nil {
+			r.en.ScheduleAfter(d.RelearnT, func() {
+				if nf.up && nf.epoch == epoch && nf.replan.Replan(r.ctx.Speeds, r.ctx.Utilization) == nil {
 					nf.stats.PlanRestores++
 				}
 			})
 		}
 	}
-	if nf.pb != nil {
-		nf.pb.SetDispatcherUp(now, true)
-		nf.pb.NoteStateAge(now, age)
-		nf.pb.Emit(probe.Event{T: now, Kind: probe.EvDispatcherUp, Target: -1, Cause: d.Recovery.String(), Value: age})
+	if r.pb != nil {
+		r.pb.SetDispatcherUp(now, true)
+		r.pb.NoteStateAge(now, age)
+		r.pb.Emit(probe.Event{T: now, Kind: probe.EvDispatcherUp, Target: -1, Cause: d.Recovery.String(), Value: age})
 	}
 
 	// Resolve the outstanding slab in ascending job ID: rescues schedule
@@ -782,7 +765,7 @@ func (nf *netfaultRun) restart() {
 	buf := nf.buffer
 	nf.buffer = nil
 	for _, j := range buf {
-		nf.dispatch(j, true)
+		r.dispatchJob(j, true)
 	}
 
 	nf.scheduleCrash()
@@ -799,11 +782,11 @@ func (nf *netfaultRun) interceptArrival(j *sim.Job) bool {
 	switch d.Down {
 	case netfault.DownDrop:
 		nf.stats.DownDropped++
-		nf.dropDown(j)
+		nf.r.reject(j, OutcomeDroppedDispatcher)
 	case netfault.DownBuffer:
 		if len(nf.buffer) >= d.BufferCap {
 			nf.stats.BufferOverflow++
-			nf.dropDown(j)
+			nf.r.reject(j, OutcomeDroppedDispatcher)
 			return true
 		}
 		nf.buffer = append(nf.buffer, j)
@@ -822,13 +805,14 @@ func (nf *netfaultRun) interceptArrival(j *sim.Job) bool {
 // computers, transmitted untracked with the client timeout as the only
 // safety net. With nothing reachable the job drops.
 func (nf *netfaultRun) failover(j *sim.Job) {
+	r := nf.r
 	best := -1
 	var bestScore float64
-	for i := 0; i < nf.n; i++ {
-		if !nf.reachable(i) {
+	for i := 0; i < r.n; i++ {
+		if !r.available(i, r.inj == nil || r.inj.Up(i)) {
 			continue
 		}
-		score := float64(nf.failCount[i]+1) / nf.speeds[i]
+		score := float64(nf.failCount[i]+1) / r.ctx.Speeds[i]
 		if best < 0 || score < bestScore {
 			best = i
 			bestScore = score
@@ -836,12 +820,26 @@ func (nf *netfaultRun) failover(j *sim.Job) {
 	}
 	if best < 0 {
 		nf.stats.DownDropped++
-		nf.dropDown(j)
+		r.reject(j, OutcomeDroppedDispatcher)
 		return
 	}
 	nf.failCount[best]++
 	nf.stats.FailoverDispatches++
-	nf.failoverSend(j, best)
+	// The backup's routing decision is the job's first dispatch: it
+	// enters the books like a policy decision, but bypasses admission
+	// control, deadline stamping and the decision-cost hold (the backup
+	// is a last-resort router, not a dispatcher), and the dispatcher
+	// does not track it.
+	r.addInSystem(1)
+	j.Target = best
+	r.firstDispatch(j, best, false)
+	if r.pb != nil {
+		r.emitDispatch(j, "failover")
+	}
+	if r.spansOn {
+		r.pb.SpanSend(j, r.en.Now())
+	}
+	nf.send(best, j, false)
 }
 
 // finish snapshots the counters.

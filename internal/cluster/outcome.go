@@ -7,8 +7,8 @@ import (
 )
 
 // Outcome classifies how a job left the system. Every admitted arrival
-// reaches exactly one outcome; Config.OnFinal receives it (OnDeparture,
-// by contrast, fires only for completions).
+// reaches exactly one outcome; Config.OnFinal receives it, and Completed
+// selects the completions.
 type Outcome int
 
 const (

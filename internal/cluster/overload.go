@@ -290,88 +290,48 @@ func (s *OverloadStats) AddCounters(o *OverloadStats) {
 	s.BreakerProbes += o.BreakerProbes
 }
 
-// overloadRun orchestrates the overload mechanisms inside one Run. All
-// fields are wired by Run before the first arrival.
+// overloadRun orchestrates the overload mechanisms inside one run, whose
+// stages it calls through r.
 type overloadRun struct {
-	en     *sim.Engine
-	cfg    *OverloadConfig
-	policy Policy
-	n      int
-	warmup float64
-
-	servers  []sim.Server
-	removers []sim.Removable
-	// arrive sends a dispatched job towards its computer (the run's
-	// dispatch stages); onFirstDispatch does the per-job bookkeeping of
-	// the scheduler's first dispatch decision; onDrop reports a job
-	// leaving the system without completing; notifyUp hands a
-	// fault-aware policy the run's availability mask after a breaker
-	// transition.
-	arrive          func(target int, j *sim.Job)
-	onFirstDispatch func(j *sim.Job, target int)
-	onDrop          func(j *sim.Job)
-	notifyUp        func()
-	// Observability, wired by Run: pb is nil when the probe is off;
-	// emitDispatch records a routing decision in the event stream (probe
-	// on); final records a job's terminal outcome exactly once.
-	pb           *probe.Probe
-	emitDispatch func(j *sim.Job, cause string)
-	final        func(j *sim.Job, o Outcome)
-
-	// arena is the run's job allocator; release recycles a terminally
-	// disposed job into it (both wired by Run). The arena's generation
-	// check is what makes the JobRef-guarded timers below safe: a timer
-	// outliving its job loads a dead handle instead of a recycled Job.
-	arena   *sim.JobArena
-	release func(*sim.Job)
+	r   *run
+	cfg *OverloadConfig
 
 	tb  *dispatch.TokenBucket
 	brk []*dispatch.Breaker
-	// netReclaim clears a job's network delivery state when the
-	// dispatcher verifiably pulls it back (a timeout removal), so its
-	// re-dispatch is not deduplicated away; nil without the netfault
-	// layer.
-	netReclaim func(j *sim.Job)
 	// deadlines is the named random substream for deadline draws; derived
-	// by Run only when a deadline distribution is configured, so runs
-	// without deadlines consume no extra randomness.
+	// only when a deadline distribution is configured, so runs without
+	// deadlines consume no extra randomness.
 	deadlines *rng.Stream
 	timeHist  *stats.Histogram
 	stats     OverloadStats
 
 	// Handlers of the per-job timers (typed engine events carrying the
-	// job's handle), bound once in newOverloadRun.
+	// job's handle), bound once in newOverloadRun. The arena's generation
+	// check makes them safe: a timer outliving its job loads a dead
+	// handle and does nothing.
 	onDeadline, onTimeout, onRetry func(sim.Msg)
 	// timeoutLane holds the dispatcher timeouts: each is armed at now +
 	// Timeout, so they fall due in arming order (nil when Timeout is 0).
 	timeoutLane *sim.Lane
 }
 
-func newOverloadRun(en *sim.Engine, cfg *OverloadConfig, n int, policy Policy, warmup float64) (*overloadRun, error) {
+func newOverloadRun(r *run, root *rng.Stream) (*overloadRun, error) {
+	cfg := r.cfg.Overload
 	ov := &overloadRun{
-		en: en, cfg: cfg, policy: policy, n: n, warmup: warmup,
+		r:   r,
+		cfg: cfg,
 		// Response times span from sub-second (a small job on the
 		// fastest computer) to the timeout/deadline horizon.
 		timeHist: stats.NewLogHistogram(1e-3, 1e7, 400),
 	}
-	// A timer that outlives its job loads a dead handle and does nothing.
-	ov.onDeadline = func(m sim.Msg) {
-		if j, ok := m.Ref.Load(); ok {
-			ov.deadlineExpire(j)
-		}
-	}
-	ov.onTimeout = func(m sim.Msg) {
-		if j, ok := m.Ref.Load(); ok {
-			ov.timeout(j)
-		}
-	}
-	ov.onRetry = func(m sim.Msg) {
-		if j, ok := m.Ref.Load(); ok {
-			ov.dispatch(j, false)
-		}
+	ov.onDeadline = ov.deadlineExpire
+	ov.onTimeout = ov.timeout
+	ov.onRetry = ov.retry
+	if cfg.Deadline != nil {
+		ov.deadlines = root.Derive("overload.deadline")
 	}
 	if cfg.Timeout > 0 {
-		ov.timeoutLane = en.NewLane()
+		ov.timeoutLane = r.en.NewLane()
 	}
 	if cfg.Admission == TokenBucketAdmission {
 		tb, err := dispatch.NewTokenBucket(cfg.TokenRate, cfg.TokenBurst)
@@ -381,7 +341,7 @@ func newOverloadRun(en *sim.Engine, cfg *OverloadConfig, n int, policy Policy, w
 		ov.tb = tb
 	}
 	if cfg.Breaker != nil {
-		ov.brk = make([]*dispatch.Breaker, n)
+		ov.brk = make([]*dispatch.Breaker, r.n)
 		for i := range ov.brk {
 			ov.brk[i] = dispatch.NewBreaker(*cfg.Breaker)
 		}
@@ -408,10 +368,10 @@ func (ov *overloadRun) admitJob(j *sim.Job) bool {
 			// after their arrival; a deadline that lapsed while buffered
 			// fires immediately rather than scheduling into the past.
 			t := j.Deadline
-			if now := ov.en.Now(); t < now {
+			if now := ov.r.en.Now(); t < now {
 				t = now
 			}
-			j.DeadlineEvent = ov.en.ScheduleMsg(t, ov.onDeadline, sim.Msg{Ref: ov.arena.Ref(j)})
+			j.DeadlineEvent = ov.r.en.ScheduleMsg(t, ov.onDeadline, sim.Msg{Ref: ov.r.arena.Ref(j)})
 		}
 	}
 	return true
@@ -423,6 +383,7 @@ func (ov *overloadRun) admitJob(j *sim.Job) bool {
 // (counted in the job fractions); retries and
 // fault-requeues pass false.
 func (ov *overloadRun) dispatch(j *sim.Job, first bool) {
+	r := ov.r
 	if j.Killed {
 		return // condemned while waiting for this retry
 	}
@@ -442,40 +403,40 @@ func (ov *overloadRun) dispatch(j *sim.Job, first bool) {
 		}
 	}
 	if target < 0 {
-		target = ov.policy.Select(j)
-		if target < 0 || target >= ov.n {
-			panic(fmt.Sprintf("cluster: policy %s selected invalid computer %d", ov.policy.Name(), target))
+		target = r.policy.Select(j)
+		if target < 0 || target >= r.n {
+			panic(fmt.Sprintf("cluster: policy %s selected invalid computer %d", r.policy.Name(), target))
 		}
 	}
 	j.Target = target
-	if first && ov.onFirstDispatch != nil {
-		ov.onFirstDispatch(j, target)
+	if first {
+		r.firstDispatch(j, target, true)
 	}
-	if ov.pb != nil {
-		ov.emitDispatch(j, "")
+	if r.pb != nil {
+		r.emitDispatch(j, "")
 	}
 	if !j.Probe && ov.brk != nil && !ov.brk[target].Allow() {
 		// The policy could not route around an open breaker (e.g. the
 		// whole up-set is masked): rejection without poisoning the
 		// breaker's own failure history.
 		ov.stats.RejectedBreaker++
-		if ov.pb != nil {
-			ov.pb.Emit(probe.Event{T: ov.en.Now(), Kind: probe.EvRejectBreaker, Job: j.ID, Target: target})
+		if r.pb != nil {
+			r.pb.Emit(probe.Event{T: r.en.Now(), Kind: probe.EvRejectBreaker, Job: j.ID, Target: target})
 		}
-		ov.policy.Departed(j)
+		r.policy.Departed(j)
 		ov.retryOrDrop(j)
 		return
 	}
-	if ov.cfg.Admission == RejectWhenFull && ov.servers[target].InService() >= ov.cfg.QueueCap {
+	if ov.cfg.Admission == RejectWhenFull && r.servers[target].InService() >= ov.cfg.QueueCap {
 		ov.stats.RejectedFull++
-		if ov.pb != nil {
-			ov.pb.Emit(probe.Event{T: ov.en.Now(), Kind: probe.EvRejectFull, Job: j.ID, Target: target})
+		if r.pb != nil {
+			r.pb.Emit(probe.Event{T: r.en.Now(), Kind: probe.EvRejectFull, Job: j.ID, Target: target})
 		}
 		ov.noteFailure(target)
 		if j.Probe {
 			ov.probeFailed(j)
 		} else {
-			ov.policy.Departed(j)
+			r.policy.Departed(j)
 		}
 		ov.retryOrDrop(j)
 		return
@@ -488,40 +449,54 @@ func (ov *overloadRun) dispatch(j *sim.Job, first bool) {
 			// nothing can cancel later.
 			j.TimeoutEvent.Cancel()
 		}
-		j.TimeoutEvent = ov.timeoutLane.ScheduleMsg(ov.en.Now()+ov.cfg.Timeout, ov.onTimeout, sim.Msg{Ref: ov.arena.Ref(j)})
+		j.TimeoutEvent = ov.timeoutLane.ScheduleMsg(r.en.Now()+ov.cfg.Timeout, ov.onTimeout, sim.Msg{Ref: r.arena.Ref(j)})
 	}
-	ov.arrive(target, j)
+	r.sendTo(target, j)
+}
+
+// retry re-dispatches a job whose backoff is over.
+func (ov *overloadRun) retry(m sim.Msg) {
+	if j, ok := m.Ref.Load(); ok {
+		ov.dispatch(j, false)
+	}
 }
 
 // timeout fires when a dispatched job overstays Timeout: pull it back
 // and retry. A job the server no longer holds (it is held at a failed
 // computer) is left to the fault machinery.
-func (ov *overloadRun) timeout(j *sim.Job) {
+func (ov *overloadRun) timeout(m sim.Msg) {
+	j, ok := m.Ref.Load()
+	if !ok {
+		return
+	}
+	r := ov.r
 	j.TimeoutEvent = sim.Event{}
 	if j.Killed || j.Finalized {
 		// Already terminally accounted (deadline kill, network loss)
 		// while the timer was in flight: there is nothing to retry.
 		return
 	}
-	if !ov.removers[j.Target].Remove(j) {
+	if !r.servers[j.Target].Remove(j) {
 		return
 	}
-	if ov.netReclaim != nil {
-		ov.netReclaim(j)
+	if r.nf != nil {
+		// The dispatcher verifiably pulled the job back: clear its
+		// delivery state so the re-dispatch is not deduplicated away.
+		r.nf.reclaim(j)
 	}
 	ov.stats.Timeouts++
-	if ov.pb != nil {
-		ov.pb.Emit(probe.Event{T: ov.en.Now(), Kind: probe.EvTimeout, Job: j.ID, Target: j.Target})
+	if r.pb != nil {
+		r.pb.Emit(probe.Event{T: r.en.Now(), Kind: probe.EvTimeout, Job: j.ID, Target: j.Target})
 		ov.noteQueue(j.Target)
 		// Span: the job is back at the dispatcher for retry/backoff
 		// (no-op unless the span layer is on).
-		ov.pb.SpanReturn(j, ov.en.Now())
+		r.pb.SpanReturn(j, r.en.Now())
 	}
 	ov.noteFailure(j.Target)
 	if j.Probe {
 		ov.probeFailed(j)
 	} else {
-		ov.policy.Departed(j)
+		r.policy.Departed(j)
 	}
 	ov.retryOrDrop(j)
 }
@@ -529,6 +504,7 @@ func (ov *overloadRun) timeout(j *sim.Job) {
 // retryOrDrop re-dispatches a rejected or timed-out job after backoff,
 // or drops it once the retry budget is spent.
 func (ov *overloadRun) retryOrDrop(j *sim.Job) {
+	r := ov.r
 	if j.TimeoutEvent.Active() {
 		j.TimeoutEvent.Cancel()
 		j.TimeoutEvent = sim.Event{}
@@ -540,10 +516,10 @@ func (ov *overloadRun) retryOrDrop(j *sim.Job) {
 		j.Attempts++
 		ov.stats.Retries++
 		d := backoff(ov.cfg.backoffBase(), ov.cfg.backoffMax(), ov.cfg.BackoffJitter, uint64(j.ID), j.Attempts)
-		if ov.pb != nil {
-			ov.pb.Emit(probe.Event{T: ov.en.Now(), Kind: probe.EvRetry, Job: j.ID, Target: j.Target, Cause: "backoff", Attempt: j.Attempts, Value: d})
+		if r.pb != nil {
+			r.pb.Emit(probe.Event{T: r.en.Now(), Kind: probe.EvRetry, Job: j.ID, Target: j.Target, Cause: "backoff", Attempt: j.Attempts, Value: d})
 		}
-		ov.en.ScheduleMsg(ov.en.Now()+d, ov.onRetry, sim.Msg{Ref: ov.arena.Ref(j)})
+		r.en.ScheduleMsg(r.en.Now()+d, ov.onRetry, sim.Msg{Ref: r.arena.Ref(j)})
 		return
 	}
 	if j.NetAccepted {
@@ -554,15 +530,18 @@ func (ov *overloadRun) retryOrDrop(j *sim.Job) {
 		return
 	}
 	ov.stats.DroppedRetryBudget++
-	if ov.final != nil {
-		ov.final(j, OutcomeDroppedRetryBudget)
-	}
+	r.finalize(j, OutcomeDroppedRetryBudget)
 	ov.drop(j)
-	ov.freeJob(j)
+	r.release(j)
 }
 
 // deadlineExpire kills a job at its deadline, wherever it is.
-func (ov *overloadRun) deadlineExpire(j *sim.Job) {
+func (ov *overloadRun) deadlineExpire(m sim.Msg) {
+	j, ok := m.Ref.Load()
+	if !ok {
+		return
+	}
+	r := ov.r
 	j.DeadlineEvent = sim.Event{}
 	j.Killed = true
 	ov.stats.DeadlineMisses++
@@ -571,12 +550,12 @@ func (ov *overloadRun) deadlineExpire(j *sim.Job) {
 		j.TimeoutEvent.Cancel()
 		j.TimeoutEvent = sim.Event{}
 	}
-	removed := ov.removers[j.Target].Remove(j)
+	removed := r.servers[j.Target].Remove(j)
 	if removed && !j.Probe {
 		// Removed from its server: the scheduler reclaims the slot now.
 		// If Remove failed the job is held at a failed computer or in
 		// backoff; its charge was (or will be) released elsewhere.
-		ov.policy.Departed(j)
+		r.policy.Departed(j)
 	}
 	if removed {
 		ov.noteQueue(j.Target)
@@ -584,19 +563,15 @@ func (ov *overloadRun) deadlineExpire(j *sim.Job) {
 	if j.Probe {
 		ov.probeFailed(j)
 	}
-	if ov.final != nil {
-		ov.final(j, OutcomeKilledDeadline)
-	}
-	if ov.onDrop != nil {
-		ov.onDrop(j)
-	}
+	r.finalize(j, OutcomeKilledDeadline)
+	r.addInSystem(-1)
 	if removed {
 		// Fully out of the system: no server holds it, no timer is armed
 		// and no retry is pending (a job at a server is never in backoff),
 		// so the Job can be recycled. When Remove failed the job is still
 		// held somewhere (a failed computer, a backoff delay) and will be
 		// recycled — or intentionally leaked — by whichever path ends it.
-		ov.freeJob(j)
+		r.release(j)
 	}
 }
 
@@ -614,9 +589,9 @@ func (ov *overloadRun) shed(i int, j *sim.Job) {
 		if j.Probe {
 			ov.probeFailed(j)
 		} else {
-			ov.policy.Departed(j)
+			ov.r.policy.Departed(j)
 		}
-		ov.freeJob(j)
+		ov.r.release(j)
 		return
 	}
 	ov.stats.ShedOverflow++
@@ -625,20 +600,11 @@ func (ov *overloadRun) shed(i int, j *sim.Job) {
 	if j.Probe {
 		ov.probeFailed(j)
 	} else {
-		ov.policy.Departed(j)
+		ov.r.policy.Departed(j)
 	}
-	if ov.final != nil {
-		ov.final(j, OutcomeShedOverflow)
-	}
+	ov.r.finalize(j, OutcomeShedOverflow)
 	ov.drop(j)
-	ov.freeJob(j)
-}
-
-// freeJob recycles a terminally disposed job through the run's arena.
-func (ov *overloadRun) freeJob(j *sim.Job) {
-	if ov.release != nil {
-		ov.release(j)
-	}
+	ov.r.release(j)
 }
 
 // drop finishes a terminal drop: cancel the deadline timer and report
@@ -648,9 +614,7 @@ func (ov *overloadRun) drop(j *sim.Job) {
 		j.DeadlineEvent.Cancel()
 		j.DeadlineEvent = sim.Event{}
 	}
-	if ov.onDrop != nil {
-		ov.onDrop(j)
-	}
+	ov.r.addInSystem(-1)
 }
 
 // jobLost is called when the fault machinery discards a job, so pending
@@ -683,7 +647,7 @@ func (ov *overloadRun) preDepart(j *sim.Job) bool {
 	}
 	if j.Killed {
 		if !j.Probe {
-			ov.policy.Departed(j)
+			ov.r.policy.Departed(j)
 		}
 		return false
 	}
@@ -698,7 +662,7 @@ func (ov *overloadRun) preDepart(j *sim.Job) bool {
 	case j.Probe:
 		ov.probeSucceeded(j.Target)
 	default:
-		ov.policy.Departed(j)
+		ov.r.policy.Departed(j)
 		if ov.brk != nil {
 			ov.brk[j.Target].RecordSuccess()
 		}
@@ -710,7 +674,7 @@ func (ov *overloadRun) preDepart(j *sim.Job) bool {
 	} else {
 		ov.stats.Goodput++
 	}
-	if j.Arrival >= ov.warmup {
+	if j.Arrival >= ov.r.warmup {
 		ov.timeHist.Add(j.ResponseTime())
 	}
 	return true
@@ -722,17 +686,17 @@ func (ov *overloadRun) noteFailure(i int) {
 	if ov.brk == nil {
 		return
 	}
-	if ov.brk[i].RecordFailure(ov.en.Now()) {
+	if ov.brk[i].RecordFailure(ov.r.en.Now()) {
 		ov.stats.BreakerTrips++
 		ov.noteBreaker(i)
 		ov.scheduleHalfOpen(i)
-		ov.notifyUp()
+		ov.r.notifyUp()
 	}
 }
 
 // scheduleHalfOpen arms computer i's cooldown timer.
 func (ov *overloadRun) scheduleHalfOpen(i int) {
-	ov.en.ScheduleAfter(ov.cfg.Breaker.Cooldown, func() {
+	ov.r.en.ScheduleAfter(ov.cfg.Breaker.Cooldown, func() {
 		ov.brk[i].ToHalfOpen()
 		ov.noteBreaker(i)
 	})
@@ -742,7 +706,7 @@ func (ov *overloadRun) scheduleHalfOpen(i int) {
 func (ov *overloadRun) probeSucceeded(i int) {
 	ov.brk[i].ProbeSucceeded()
 	ov.noteBreaker(i)
-	ov.notifyUp()
+	ov.r.notifyUp()
 }
 
 // probeFailed re-opens the probed breaker and restarts its cooldown.
@@ -754,28 +718,29 @@ func (ov *overloadRun) probeFailed(j *sim.Job) {
 		return
 	}
 	j.Probe = false
-	ov.brk[j.ProbeTarget].ProbeFailed(ov.en.Now())
+	ov.brk[j.ProbeTarget].ProbeFailed(ov.r.en.Now())
 	ov.noteBreaker(j.ProbeTarget)
 	ov.scheduleHalfOpen(j.ProbeTarget)
 }
 
 // noteQueue mirrors computer i's post-removal occupancy into the probe.
 func (ov *overloadRun) noteQueue(i int) {
-	if ov.pb != nil {
-		ov.pb.SetQueueLen(ov.en.Now(), i, ov.servers[i].InService())
+	if r := ov.r; r.pb != nil {
+		r.pb.SetQueueLen(r.en.Now(), i, r.servers[i].InService())
 	}
 }
 
 // noteBreaker records computer i's breaker state in the probe: the
 // time-weighted series and a breaker transition event.
 func (ov *overloadRun) noteBreaker(i int) {
-	if ov.pb == nil {
+	pb := ov.r.pb
+	if pb == nil {
 		return
 	}
 	st := ov.brk[i].State()
-	now := ov.en.Now()
-	ov.pb.SetBreaker(now, i, int(st))
-	ov.pb.Emit(probe.Event{T: now, Kind: probe.EvBreaker, Target: i, Cause: st.String(), Value: float64(st)})
+	now := ov.r.en.Now()
+	pb.SetBreaker(now, i, int(st))
+	pb.Emit(probe.Event{T: now, Kind: probe.EvBreaker, Target: i, Cause: st.String(), Value: float64(st)})
 }
 
 // breakerClosed reports whether computer i's breaker (if any) is closed;
@@ -797,8 +762,8 @@ func (ov *overloadRun) finish() *OverloadStats {
 	// without any run retaining samples.
 	s.TimeHist = ov.timeHist
 	if ov.cfg.QueueCap > 0 {
-		s.MaxOccupancy = make([]int, len(ov.servers))
-		for i, sv := range ov.servers {
+		s.MaxOccupancy = make([]int, len(ov.r.servers))
+		for i, sv := range ov.r.servers {
 			if b, ok := sv.(*sim.Bounded); ok {
 				s.MaxOccupancy[i] = b.MaxPresent()
 			}

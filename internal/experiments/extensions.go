@@ -149,9 +149,6 @@ func ExtBurstiness(o Options) (*BurstinessResult, error) {
 			Utilization: 0.70,
 			ArrivalCV:   cv,
 		}
-		if cv == 1 {
-			cfg.ExponentialArrivals = true
-		}
 		orr, err := o.runPoint(cfg, func() cluster.Policy { return sched.ORR() })
 		if err != nil {
 			return nil, fmt.Errorf("ext-cv %v ORR: %w", cv, err)

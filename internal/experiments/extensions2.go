@@ -55,9 +55,6 @@ func ExtCapped(o Options) (*CappedResult, error) {
 			Utilization: 0.70,
 			ArrivalCV:   cv,
 		}
-		if cv == 1 {
-			cfg.ExponentialArrivals = true
-		}
 		for i, f := range factories {
 			rr, err := o.runPoint(cfg, f)
 			if err != nil {

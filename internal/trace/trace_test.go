@@ -217,7 +217,11 @@ func TestTraceMatchesClusterMetrics(t *testing.T) {
 		ExponentialArrivals: true,
 		Duration:            20000,
 		Seed:                4,
-		OnDeparture:         func(j *sim.Job) { _ = w.Record(j) },
+		OnFinal: func(j *sim.Job, o cluster.Outcome) {
+			if o.Completed() {
+				_ = w.Record(j)
+			}
+		},
 	}
 	res, err := cluster.Run(cfg, &alternator{})
 	if err != nil {
@@ -319,7 +323,11 @@ func TestReplayRoundTrip(t *testing.T) {
 		Duration:            10000,
 		WarmupFraction:      -1,
 		Seed:                6,
-		OnDeparture:         func(j *sim.Job) { _ = w.Record(j) },
+		OnFinal: func(j *sim.Job, o cluster.Outcome) {
+			if o.Completed() {
+				_ = w.Record(j)
+			}
+		},
 	}
 	orig, err := cluster.Run(cfg, &alternator{})
 	if err != nil {
