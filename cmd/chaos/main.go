@@ -267,14 +267,11 @@ func loadSpec(arg string) (chaos.Spec, error) {
 		return chaos.Spec{}, fmt.Errorf("missing -spec (a scenario string or reproducer file)")
 	}
 	if b, err := os.ReadFile(arg); err == nil {
-		for _, line := range strings.Split(string(b), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			return chaos.ParseSpec(line)
+		sc, err := chaos.ParseReproducer(string(b))
+		if err != nil {
+			return sc, fmt.Errorf("%s: %w", arg, err)
 		}
-		return chaos.Spec{}, fmt.Errorf("reproducer %s holds no spec line", arg)
+		return sc, nil
 	}
 	return chaos.ParseSpec(arg)
 }

@@ -3,6 +3,8 @@ package chaos
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -389,13 +391,45 @@ func TestRegistryCoversViolationCodes(t *testing.T) {
 	}
 }
 
+// TestReproducersReplayClean replays every reproducer committed under
+// testdata/ (the spec line of a `chaos replay` file) and requires every
+// invariant to hold: each once violated one, and the fix must stay.
+func TestReproducersReplayClean(t *testing.T) {
+	paths, err := filepath.Glob("testdata/*.chaos")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no reproducers under testdata/ (%v)", err)
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := ParseReproducer(string(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Execute(spec, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range rep.Violations {
+				t.Errorf("%s", v)
+			}
+			if rep.FinalJobs == 0 {
+				t.Error("no jobs checked")
+			}
+		})
+	}
+}
+
 // TestGeneratorSamplesDispatchPlane: the search space must actually
-// exercise the sharded-dispatch plane — over a modest sample, scenarios
-// with K > 1 replicas, with counter sync, and with scalable policies
-// all appear, and each such spec still builds and round-trips.
+// exercise the dispatch plane — over a modest sample, scenarios with
+// K > 1 replicas, with counter sync, with scalable policies and with
+// the centralized dynamic policies all appear, the last only at K = 1.
 func TestGeneratorSamplesDispatchPlane(t *testing.T) {
 	g := NewGenerator(nil)
-	var sharded, synced, scalable int
+	var sharded, synced, scalable, central int
 	for k := 0; k < 200; k++ {
 		s := g.Spec(k)
 		if s.Dispatchers != "" {
@@ -407,10 +441,16 @@ func TestGeneratorSamplesDispatchPlane(t *testing.T) {
 		switch {
 		case strings.HasPrefix(s.Policy, "jsq"), strings.HasPrefix(s.Policy, "pod"), s.Policy == "jiq":
 			scalable++
+		case s.Policy == "LL", s.Policy == "LL*", s.Policy == "JSQ2":
+			central++
+			if s.Dispatchers != "" {
+				t.Errorf("scenario %d shards the centralized policy %s: %s", k, s.Policy, s.String())
+			}
 		}
 	}
-	if sharded == 0 || synced == 0 || scalable == 0 {
-		t.Fatalf("200 scenarios sampled %d sharded / %d synced / %d scalable; every dimension must appear", sharded, synced, scalable)
+	if sharded == 0 || synced == 0 || scalable == 0 || central == 0 {
+		t.Fatalf("200 scenarios sampled %d sharded / %d synced / %d scalable / %d centralized; every dimension must appear",
+			sharded, synced, scalable, central)
 	}
 }
 

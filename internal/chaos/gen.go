@@ -178,28 +178,28 @@ func (g *Generator) sampleCtrl(s *Spec, st *rng.Stream, in float64, always bool)
 }
 
 // sampleDispatch draws the dispatch plane: sometimes a non-default
-// policy (the other static strategies and the scalable state-querying
-// family), sometimes K > 1 dispatcher replicas with rr or hash routing
-// and an optional counter-sync period. The centralized dynamic policies
-// (LL, LL*, JSQ2) are deliberately absent — they reject sharding, and
-// their fault interplay is covered by their own layer tests.
+// policy (the other static strategies, the centralized dynamic ones —
+// LL, LL*, JSQ2 — and the scalable state-querying family), sometimes
+// K > 1 dispatcher replicas with rr or hash routing and an optional
+// counter-sync period. Replicas are drawn only for a policy the policy
+// parser lets shard: the centralized dynamic policies run at K = 1.
 func (g *Generator) sampleDispatch(s *Spec, st *rng.Stream) {
+	n := len(s.Speeds)
 	if st.Float64() < 0.4 {
-		n := len(s.Speeds)
-		pool := []string{"WRR", "WRAN", "jiq"}
+		pool := []string{"WRR", "WRAN", "jiq", "LL", "LL*"}
 		// The sampled-width policies need d computers; keep the spec
 		// buildable for narrow speed vectors.
 		for _, cand := range []struct {
 			name string
 			d    int
-		}{{"jsq(2)", 2}, {"jsq(3)", 3}, {"pod(2):speed", 2}, {"pod(2):alpha", 2}} {
+		}{{"jsq(2)", 2}, {"jsq(3)", 3}, {"pod(2):speed", 2}, {"pod(2):alpha", 2}, {"JSQ2", 2}} {
 			if cand.d <= n {
 				pool = append(pool, cand.name)
 			}
 		}
 		s.Policy = pool[st.Intn(len(pool))]
 	}
-	if st.Float64() < 0.5 {
+	if st.Float64() < 0.5 && shards(s.Policy, n) {
 		k := []int{2, 4, 8}[st.Intn(3)]
 		by := "rr"
 		if st.Float64() < 0.5 {
@@ -210,6 +210,13 @@ func (g *Generator) sampleDispatch(s *Spec, st *rng.Stream) {
 			s.Sync = fnum6(s.Duration * (0.01 + 0.1*st.Float64()))
 		}
 	}
+}
+
+// shards reports whether the policy parser accepts the policy over n
+// computers with K > 1 dispatcher replicas.
+func shards(policy string, n int) bool {
+	_, err := cli.ParsePolicy(policy, cli.PolicyOptions{Computers: n, Sharding: cli.ShardingParams{Dispatchers: 2}})
+	return err == nil
 }
 
 // sampleOverload draws the overload-protection layer; reports whether

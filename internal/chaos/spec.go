@@ -85,6 +85,18 @@ func (s Spec) String() string {
 	return strings.Join(items, ";")
 }
 
+// ParseReproducer parses a reproducer file's text: its first line that
+// is neither blank nor a '#' comment holds the spec.
+func ParseReproducer(text string) (Spec, error) {
+	for _, line := range strings.Split(text, "\n") {
+		line = strings.TrimSpace(line)
+		if line != "" && !strings.HasPrefix(line, "#") {
+			return ParseSpec(line)
+		}
+	}
+	return Spec{}, fmt.Errorf("reproducer holds no spec line")
+}
+
 // ParseSpec parses a serialized scenario back into a Spec. The layer
 // values are stored verbatim; deep validation happens in Build, exactly
 // as the front ends do it.

@@ -11,6 +11,7 @@ import (
 	"heterosched/internal/drift"
 	"heterosched/internal/faults"
 	"heterosched/internal/netfault"
+	"heterosched/internal/probe"
 	"heterosched/internal/sched"
 	"heterosched/internal/sim"
 )
@@ -64,6 +65,31 @@ func compoundConfig() cluster.Config {
 	}
 }
 
+// lossyDropConfig is a lossy dispatch network whose dispatcher crashes
+// and drops the arrivals of its downtime, recovers from acks and gives
+// a job up after one resubmission.
+func lossyDropConfig() cluster.Config {
+	return cluster.Config{
+		Speeds:         []float64{1, 1, 2, 10},
+		Utilization:    0.6,
+		Duration:       2e4,
+		WarmupFraction: -1,
+		Seed:           5,
+		Netfault: &netfault.Config{
+			Links: netfault.Links{
+				Link: netfault.Link{Latency: dist.NewExponential(5), Loss: 0.2},
+			},
+			Dispatcher: &netfault.Dispatcher{
+				Uptime:   dist.NewExponential(4000),
+				Downtime: dist.NewExponential(200),
+				Down:     netfault.DownDrop,
+				Recovery: netfault.RecoverAcks,
+			},
+			Ack: netfault.Ack{Timeout: 30, Budget: 1},
+		},
+	}
+}
+
 // layersOnGolden is the exact result of a run with layers on: the
 // layer-off goldens pin nothing the layers compute. Overload and netfault
 // hold only the counters (what AddCounters copies); ctrl is nil when the
@@ -77,9 +103,10 @@ type layersOnGolden struct {
 	ctrl                   *ctrlplane.Stats
 }
 
-// TestCompoundAllLayersExactLedger pins two composed runs exactly: the
-// four-layer compound run under ORR, and jiq over four hash-sharded
-// dispatchers with netfault, ctrl, spans and overload. Every generated
+// TestCompoundAllLayersExactLedger pins three composed runs exactly:
+// the four-layer compound run under ORR, jiq over four hash-sharded
+// dispatchers with netfault, ctrl, spans and overload, and ORR on a
+// lossy network whose crashing dispatcher drops arrivals. Every generated
 // job must reach exactly one terminal event (the ledger errors on a
 // double OnFinal), the drained run must leave nothing in the system, and
 // the metrics, outcome counts and layer counters are golden-locked: any
@@ -130,6 +157,23 @@ func TestCompoundAllLayersExactLedger(t *testing.T) {
 				TokensAccepted: 1327, TokensDeduped: 132, TokensSpent: 1296, TokensExpired: 11, TokensExtant: 20,
 				Queries: 1682, QueriesLost: 571, QueriesLate: 218, StaleReads: 673, BlindReads: 116,
 				Decisions: 841, DecisionTimeouts: 610, QueryWait: 11310.546198109034},
+		}},
+		// Seed 5. Crashes drop the arrivals that meet a down dispatcher
+		// and a one-resubmit budget on a lossy link gives jobs up, so the
+		// network layer's reject and lose stages are pinned. Acks
+		// recovery keeps every dispatch tracked: nothing rides a client
+		// rescue.
+		{"lossy-drop", lossyDropConfig(), sched.ORR(), layersOnGolden{
+			meanT: 47.27943597201248, meanR: 0.9456837064135531, fairness: 0.9443522317334978,
+			jobs: 1588, generated: 1705,
+			outcomes: map[cluster.Outcome]int64{
+				cluster.OutcomeCompleted:         1588,
+				cluster.OutcomeLostNetwork:       57,
+				cluster.OutcomeDroppedDispatcher: 60,
+			},
+			netfault: cluster.NetfaultStats{Sent: 1993, LostCopies: 378, DupDeliveries: 25, StaleDeliveries: 2,
+				Acked: 978, AckLost: 282, AckTimeouts: 444, Resubmits: 363, AbandonedTracking: 24, LostNetwork: 57,
+				Crashes: 6, Restarts: 6, DownTime: 1083.6673715112775, DownDropped: 60},
 		}},
 	}
 	for _, tc := range cases {
@@ -213,13 +257,46 @@ func TestCompoundDeterminism(t *testing.T) {
 	}
 }
 
+// probeSpy tells breaker probes apart in the event stream: a probe
+// dispatch bypasses the policy's Select, so a dispatch event for a job
+// that Select did not just route is a probe. It records the probes that
+// were dispatched again before their terminal event.
+type probeSpy struct {
+	*sched.Static
+	selected int64
+	probed   map[int64]bool
+	rerouted map[int64]bool
+}
+
+func (s *probeSpy) Select(j *sim.Job) int {
+	s.selected = j.ID
+	return s.Static.Select(j)
+}
+
+func (s *probeSpy) Write(e *probe.Event) error {
+	if e.Kind != probe.EvDispatch {
+		return nil
+	}
+	if s.probed[e.Job] {
+		s.rerouted[e.Job] = true
+	}
+	if e.Job != s.selected {
+		s.probed[e.Job] = true
+	}
+	s.selected = 0
+	return nil
+}
+
+func (s *probeSpy) Flush() error { return nil }
+
 // TestCompoundProbeFollowsJob: a breaker probe that the fault machinery
 // evicts mid-flight must resolve against the breaker it was testing
 // (ProbeTarget), never against wherever the network landed the job. The
 // compound config keeps breakers, faults and resubmission all active;
-// this asserts the run completes with a consistent ledger even when
-// probes are rerouted. The chaos harness (internal/chaos) found the
-// original misattribution; this is its pinned regression.
+// at this seed some probes are re-dispatched before their terminal
+// event, and the run must complete with a consistent ledger. The chaos
+// harness (internal/chaos) found the original misattribution; this is
+// its pinned regression.
 func TestCompoundProbeFollowsJob(t *testing.T) {
 	cfg := compoundConfig()
 	// Tighten the breaker so probes are frequent, and slow the links so
@@ -227,6 +304,12 @@ func TestCompoundProbeFollowsJob(t *testing.T) {
 	cfg.Overload.Breaker = &dispatch.BreakerConfig{Consecutive: 3, Cooldown: 150}
 	cfg.Netfault.Link.Latency = dist.NewExponential(20)
 	cfg.Seed = 31
+	spy := &probeSpy{Static: sched.ORR(), probed: map[int64]bool{}, rerouted: map[int64]bool{}}
+	pb, err := probe.New(probe.Options{Events: spy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Probe = pb
 	led := attachLedger(t, &cfg)
 	var probes int64
 	prev := cfg.OnFinal
@@ -235,9 +318,12 @@ func TestCompoundProbeFollowsJob(t *testing.T) {
 			t.Errorf("job %d finalized as probe for breaker %d while at computer %d",
 				j.ID, j.ProbeTarget, j.Target)
 		}
+		if spy.rerouted[j.ID] {
+			probes++
+		}
 		prev(j, o)
 	}
-	res, err := cluster.Run(cfg, sched.ORR())
+	res, err := cluster.Run(cfg, spy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +334,10 @@ func TestCompoundProbeFollowsJob(t *testing.T) {
 		t.Errorf("%d jobs still in the system after the drain", res.FinalInSystem)
 	}
 	if res.Overload == nil || res.Overload.BreakerProbes == 0 {
-		t.Skip("no breaker probes fired under this seed; tighten the config")
+		t.Fatal("no breaker probes fired under this seed")
 	}
-	_ = probes
+	if probes == 0 {
+		t.Errorf("none of %d breaker probes (%d dispatches seen as probes) was re-dispatched before its terminal event",
+			res.Overload.BreakerProbes, len(spy.probed))
+	}
 }

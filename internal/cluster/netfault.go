@@ -556,7 +556,16 @@ func (nf *netfaultRun) backoffDone(m sim.Msg) {
 		return
 	}
 	if !nf.up {
-		nf.pendingRetry = append(nf.pendingRetry, nfPending{ref: m.Ref, epoch: m.B})
+		// A tracked job waits for the restart's recovery to decide on
+		// its entry. An untracked one (a client retransmit, or a job the
+		// failover backup routed) has no entry to recover and its client
+		// rescue has already fired: the client retries again, landing
+		// once the dispatcher is back.
+		if jj.NetSlot != 0 {
+			nf.pendingRetry = append(nf.pendingRetry, nfPending{ref: m.Ref, epoch: m.B})
+		} else {
+			nf.pendingRescue = append(nf.pendingRescue, nfPending{ref: m.Ref, epoch: m.B})
+		}
 		return
 	}
 	nf.r.dispatchJob(jj, false)

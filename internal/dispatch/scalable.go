@@ -6,38 +6,38 @@ import (
 	"heterosched/internal/rng"
 )
 
-// This file implements the scalable-dispatch family of Gardner et al.
-// ("Scalable Load Balancing in the Presence of Heterogeneous Servers"):
-// dispatchers that query a little computer state at decision time instead
-// of planning a split up front. Three strategies:
+// This file implements the state-querying dispatchers of the dynamic
+// policies, after Gardner et al. ("Scalable Load Balancing in the
+// Presence of Heterogeneous Servers"), who build their
+// heterogeneity-aware JSQ(d) and JIQ from two rules: which computers to
+// query, and which queried computer gets the job.
 //
-//   - JSQD — JSQ(d): sample d computers uniformly at random, send the
-//     job to the sampled computer with the shortest queue (Mitzenmacher's
-//     power-of-d-choices).
-//   - BiasedPowerOfD — power-of-d with heterogeneity-aware query biasing:
-//     computers are sampled with probability proportional to a weight
-//     vector (speeds, or the α of Algorithm 1), so fast computers are
-//     probed more often.
+//   - Sampler — one dispatcher with both rules as parameters. Querying:
+//     every up computer in index order, d distinct uniform draws
+//     (JSQ(d), Mitzenmacher's power-of-d-choices), or d distinct draws
+//     weighted by speed or by the α of Algorithm 1 (pod(d)).
+//     Assignment: the shortest queue, or the least (q+1)/speed (the
+//     paper's Dynamic Least-Load score).
 //   - JIQ — join-idle-queue: computers report idle tokens; the
-//     dispatcher sends each job to a token holder, falling back to
-//     power-of-d when the idle list is empty.
+//     dispatcher sends each job to a token holder, falling back to a
+//     Sampler when the idle list is empty.
 //
-// Unlike the static strategies these need live queue state, observed
+// Unlike the static strategies these need computer state, observed
 // through a QueueView bound after the simulated computers exist. The
 // stateless strategies never touch a QueueView, which is what keeps
 // their zero-query path bit-identical.
 
-// QueueView exposes the computer state a scalable dispatcher may query
-// at decision time.
+// QueueView exposes the computer state a state-querying dispatcher may
+// read at decision time.
 type QueueView interface {
 	// QueueLen returns the number of jobs currently at computer i
 	// (queued plus in service).
 	QueueLen(i int) int
 }
 
-// MaxSampleWidth bounds d for the power-of-d samplers so the sampling
-// scratch can live on the stack. Far above any d of practical interest
-// (the whole point of power-of-d is d ≪ n).
+// MaxSampleWidth bounds d for the sampled queries so the sample can
+// live on the stack. Far above any d of practical interest (the whole
+// point of power-of-d is d ≪ n).
 const MaxSampleWidth = 64
 
 // StateBound is a Dispatcher that queries computer state and must be
@@ -48,328 +48,231 @@ type StateBound interface {
 	Bind(view QueueView)
 }
 
-// JSQD is JSQ(d): each decision samples d distinct up computers
-// uniformly at random and picks the sampled computer with the shortest
-// queue. Ties go to the earliest-sampled computer, so the decision is a
-// pure function of the sample order and the observed queue lengths.
-type JSQD struct {
-	n, d int
-	st   *rng.Stream
-	view QueueView
-	up   []bool
-	nUp  int
+// Sampling is a Sampler's two rules.
+type Sampling struct {
+	// D is the number of distinct up computers drawn per decision; zero
+	// queries every up computer in index order and draws nothing.
+	D int
+	// Weights, when non-nil, biases the draws: computer i is drawn with
+	// probability proportional to Weights[i] over the up computers.
+	// Nil draws uniformly.
+	Weights []float64
+	// Speeds, when non-nil, assigns the job to the queried computer
+	// with the least (q+1)/Speeds[i]; nil assigns it to the shortest
+	// queue q.
+	Speeds []float64
 }
 
-// NewJSQD returns a JSQ(d) dispatcher over n computers using the given
-// sampling stream.
-func NewJSQD(n, d int, st *rng.Stream) (*JSQD, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("dispatch: jsq(d) needs at least one computer, got %d", n)
-	}
-	if d < 1 {
-		return nil, fmt.Errorf("dispatch: jsq(d) needs d >= 1, got %d", d)
-	}
-	if d > n {
-		return nil, fmt.Errorf("dispatch: jsq(%d) needs at least %d computers, have %d", d, d, n)
-	}
-	if d > MaxSampleWidth {
-		return nil, fmt.Errorf("dispatch: jsq(%d) exceeds the max sample width %d", d, MaxSampleWidth)
-	}
-	return &JSQD{n: n, d: d, st: st, nUp: n}, nil
-}
-
-func (j *JSQD) Name() string { return fmt.Sprintf("jsq(%d)", j.d) }
-func (j *JSQD) N() int       { return j.n }
-
-// Bind installs the queue-state view.
-func (j *JSQD) Bind(view QueueView) { j.view = view }
-
-// D returns the sample width.
-func (j *JSQD) D() int { return j.d }
-
-func (j *JSQD) isUp(i int) bool { return j.up == nil || j.up[i] }
-
-// SetUp installs the availability mask; sampling rejects down computers.
-func (j *JSQD) SetUp(up []bool) error {
-	if up == nil {
-		j.up = nil
-		j.nUp = j.n
-		return nil
-	}
-	if err := checkMask(up, j.n); err != nil {
-		return err
-	}
-	j.up = append(j.up[:0], up...)
-	j.nUp = 0
-	for _, u := range up {
-		if u {
-			j.nUp++
-		}
-	}
-	return nil
-}
-
-// Next samples min(d, #up) distinct up computers and returns the one
-// with the shortest queue.
-func (j *JSQD) Next() int {
-	m := j.d
-	if m > j.nUp {
-		m = j.nUp
-	}
-	var sample [64]int
-	picked := 0
-	for picked < m {
-		i := j.st.Intn(j.n)
-		if !j.isUp(i) {
-			continue
-		}
-		dup := false
-		for _, p := range sample[:picked] {
-			if p == i {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		sample[picked] = i
-		picked++
-	}
-	return j.shortest(sample[:picked])
-}
-
-// shortest returns the sampled computer with the shortest queue, ties to
-// the earliest sample.
-func (j *JSQD) shortest(sample []int) int {
-	best := sample[0]
-	bestLen := j.queueLen(best)
-	for _, i := range sample[1:] {
-		if l := j.queueLen(i); l < bestLen {
-			best, bestLen = i, l
-		}
-	}
-	return best
-}
-
-func (j *JSQD) queueLen(i int) int {
-	if j.view == nil {
-		return 0
-	}
-	return j.view.QueueLen(i)
-}
-
-// BiasedPowerOfD is power-of-d-choices with heterogeneity-aware query
-// biasing: computers are sampled with probability proportional to a
-// weight vector (typically speeds or Algorithm 1's α), then the job
-// joins the sampled computer with the shortest queue. Ties go to the
-// heavier-weighted sample, so two equally idle computers resolve toward
-// the faster one.
-type BiasedPowerOfD struct {
+// Sampler queries computers by one Sampling rule and assigns each job
+// by the other. Ties go to the heavier weight when the draws are
+// weighted, then to the earlier query, so a decision is a pure function
+// of the query order and the observed queue lengths.
+type Sampler struct {
 	n, d    int
 	st      *rng.Stream
 	view    QueueView
 	weights []float64
-	cum     []float64 // cumulative weights over the current up-set
+	speeds  []float64
 	up      []bool
-	nUp     int
-	bias    string // weight-vector mnemonic for Name ("speed", "alpha")
-	samples []int64
+	// order lists the up computers in index order, the queries of d = 0.
+	order []int
+	// cum holds the cumulative draw weights over the up computers (nil
+	// for uniform draws), and nDraw counts the computers a draw can
+	// return: a decision samples min(d, nDraw).
+	cum   []float64
+	nDraw int
 }
 
-// NewBiasedPowerOfD returns a biased power-of-d dispatcher. weights must
-// be non-negative with a positive sum; bias names the weight vector in
-// reports.
-func NewBiasedPowerOfD(weights []float64, d int, bias string, st *rng.Stream) (*BiasedPowerOfD, error) {
-	n := len(weights)
+// NewSampler returns a sampler over n computers. st is the draw stream;
+// it is never read when s.D is zero. Weights must be non-negative with
+// a positive sum, and Weights and Speeds must have n entries.
+func NewSampler(n int, s Sampling, st *rng.Stream) (*Sampler, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("dispatch: pod(d) needs at least one computer")
+		return nil, fmt.Errorf("dispatch: sampler needs at least one computer, got %d", n)
 	}
-	if d < 1 {
-		return nil, fmt.Errorf("dispatch: pod(d) needs d >= 1, got %d", d)
+	if s.D < 0 || s.D > min(n, MaxSampleWidth) {
+		return nil, fmt.Errorf("dispatch: sample width %d outside [0, %d] (%d computers, max sample width %d)",
+			s.D, min(n, MaxSampleWidth), n, MaxSampleWidth)
 	}
-	if d > n {
-		return nil, fmt.Errorf("dispatch: pod(%d) needs at least %d computers, have %d", d, d, n)
+	if s.Speeds != nil && len(s.Speeds) != n {
+		return nil, fmt.Errorf("dispatch: %d speeds for %d computers", len(s.Speeds), n)
 	}
-	if d > MaxSampleWidth {
-		return nil, fmt.Errorf("dispatch: pod(%d) exceeds the max sample width %d", d, MaxSampleWidth)
-	}
-	sum := 0.0
-	for i, w := range weights {
-		if !(w >= 0) {
-			return nil, fmt.Errorf("dispatch: pod(d) weight[%d] = %v must be >= 0", i, w)
+	sm := &Sampler{n: n, d: s.D, st: st, speeds: s.Speeds, order: make([]int, 0, n)}
+	if s.Weights != nil {
+		if len(s.Weights) != n {
+			return nil, fmt.Errorf("dispatch: %d weights for %d computers", len(s.Weights), n)
 		}
-		sum += w
+		sum := 0.0
+		for i, w := range s.Weights {
+			if !(w >= 0) {
+				return nil, fmt.Errorf("dispatch: weight[%d] = %v must be >= 0", i, w)
+			}
+			sum += w
+		}
+		if !(sum > 0) {
+			return nil, fmt.Errorf("dispatch: weights sum to %v, need > 0", sum)
+		}
+		sm.weights = append([]float64(nil), s.Weights...)
+		sm.cum = make([]float64, n)
 	}
-	if !(sum > 0) {
-		return nil, fmt.Errorf("dispatch: pod(d) weights sum to %v, need > 0", sum)
-	}
-	b := &BiasedPowerOfD{
-		n: n, d: d, st: st, bias: bias,
-		weights: append([]float64(nil), weights...),
-		nUp:     n,
-		samples: make([]int64, n),
-	}
-	b.rebuildCum()
-	return b, nil
+	sm.rebuild()
+	return sm, nil
 }
 
-func (b *BiasedPowerOfD) Name() string {
-	if b.bias == "" {
-		return fmt.Sprintf("pod(%d)", b.d)
+// Name returns "all" for d = 0, else "jsq(d)" for uniform and "pod(d)"
+// for weighted draws.
+func (s *Sampler) Name() string {
+	switch {
+	case s.d == 0:
+		return "all"
+	case s.weights == nil:
+		return fmt.Sprintf("jsq(%d)", s.d)
+	default:
+		return fmt.Sprintf("pod(%d)", s.d)
 	}
-	return fmt.Sprintf("pod(%d):%s", b.d, b.bias)
 }
-func (b *BiasedPowerOfD) N() int { return b.n }
+
+func (s *Sampler) N() int { return s.n }
 
 // Bind installs the queue-state view.
-func (b *BiasedPowerOfD) Bind(view QueueView) { b.view = view }
+func (s *Sampler) Bind(view QueueView) { s.view = view }
 
-// D returns the sample width.
-func (b *BiasedPowerOfD) D() int { return b.d }
+func (s *Sampler) isUp(i int) bool { return s.up == nil || s.up[i] }
 
-// SampleCounts returns how many times each computer has been drawn by
-// the biased sampler (raw draws, before de-duplication), the statistic
-// whose frequencies converge to the bias weights.
-func (b *BiasedPowerOfD) SampleCounts() []int64 { return append([]int64(nil), b.samples...) }
-
-// rebuildCum recomputes the cumulative sampling weights over the up-set.
-func (b *BiasedPowerOfD) rebuildCum() {
-	w := b.weights
-	if b.up != nil {
-		w = maskWeights(b.weights, b.up)
+// SetUp installs the availability mask; queries skip down computers.
+func (s *Sampler) SetUp(up []bool) error {
+	if up == nil {
+		s.up = nil
+	} else {
+		if err := checkMask(up, s.n); err != nil {
+			return err
+		}
+		s.up = append(s.up[:0], up...)
 	}
-	if b.cum == nil {
-		b.cum = make([]float64, b.n)
+	s.rebuild()
+	return nil
+}
+
+// rebuild recomputes what the mask decides: the up computers in index
+// order, the cumulative draw weights over them and the number of
+// computers a draw can return. A mask with every computer up is no
+// mask.
+func (s *Sampler) rebuild() {
+	s.order = s.order[:0]
+	for i := 0; i < s.n; i++ {
+		if s.isUp(i) {
+			s.order = append(s.order, i)
+		}
+	}
+	if len(s.order) == s.n {
+		s.up = nil
+	}
+	s.nDraw = len(s.order)
+	if s.cum == nil {
+		return
+	}
+	w := s.weights
+	if s.up != nil {
+		w = maskWeights(s.weights, s.up)
 	}
 	run := 0.0
 	last := 0
 	for i, wi := range w {
 		run += wi
-		b.cum[i] = run
+		s.cum[i] = run
 		if wi > 0 {
 			last = i
 		}
 	}
 	// Pin the tail to exactly 1 so the inverse-CDF search always lands
-	// on a sampleable index (same trick as Random.SetUp).
-	for i := last; i < b.n; i++ {
-		b.cum[i] = 1
+	// on a drawable index (same trick as Random.SetUp).
+	for i := last; i < s.n; i++ {
+		s.cum[i] = 1
 	}
-	if b.up == nil {
+	if s.up == nil {
 		// Normalize an unmasked weight vector that doesn't sum to 1.
-		total := run
 		for i := 0; i < last; i++ {
-			b.cum[i] /= total
+			s.cum[i] /= run
 		}
+	}
+	// A computer is drawable when its cumulative step is positive: the
+	// weights may give some up computers zero probability.
+	s.nDraw = 0
+	prev := 0.0
+	for _, c := range s.cum {
+		if c > prev {
+			s.nDraw++
+		}
+		prev = c
 	}
 }
 
-// SetUp installs the availability mask, re-biasing the sampler over the
-// surviving computers.
-func (b *BiasedPowerOfD) SetUp(up []bool) error {
-	if up == nil {
-		b.up = nil
-		b.nUp = b.n
-		b.rebuildCum()
-		return nil
+// draw returns one computer index: uniform, or by binary search over
+// the cumulative weights.
+func (s *Sampler) draw() int {
+	if s.cum == nil {
+		return s.st.Intn(s.n)
 	}
-	if err := checkMask(up, b.n); err != nil {
-		return err
-	}
-	b.up = append(b.up[:0], up...)
-	b.nUp = 0
-	for _, u := range up {
-		if u {
-			b.nUp++
-		}
-	}
-	b.rebuildCum()
-	return nil
-}
-
-func (b *BiasedPowerOfD) isUp(i int) bool { return b.up == nil || b.up[i] }
-
-// draw samples one computer index from the biased distribution by binary
-// search over the cumulative weights.
-func (b *BiasedPowerOfD) draw() int {
-	u := b.st.Float64()
-	lo, hi := 0, b.n-1
+	u := s.st.Float64()
+	lo, hi := 0, s.n-1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if b.cum[mid] > u {
+		if s.cum[mid] > u {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	b.samples[lo]++
 	return lo
 }
 
-// Next draws until it holds min(d, #up) distinct up computers with
-// positive sampling weight, then returns the one with the shortest
-// queue; ties go to the heavier weight, then the earlier draw.
-func (b *BiasedPowerOfD) Next() int {
-	// The biased distribution may give some up computers zero weight, so
-	// the distinct-sample target is the number of samplable computers,
-	// capped at d.
-	m := 0
-	for i := 0; i < b.n; i++ {
-		if b.isUp(i) && b.sampleable(i) {
-			m++
-			if m == b.d {
-				break
-			}
-		}
+// Next returns the computer the assignment rule picks among the
+// queried ones: every up computer for d = 0, else min(d, nDraw)
+// distinct up computers, all drawn before any is queried.
+func (s *Sampler) Next() int {
+	if s.d == 0 {
+		return s.pick(s.order)
 	}
-	var sample [64]int
+	m := min(s.d, s.nDraw)
+	var sample [MaxSampleWidth]int
 	picked := 0
+draws:
 	for picked < m {
-		i := b.draw()
-		if !b.isUp(i) {
+		i := s.draw()
+		if !s.isUp(i) {
 			continue
 		}
-		dup := false
 		for _, p := range sample[:picked] {
 			if p == i {
-				dup = true
-				break
+				continue draws
 			}
-		}
-		if dup {
-			continue
 		}
 		sample[picked] = i
 		picked++
 	}
-	best := sample[0]
-	bestLen := b.queueLen(best)
-	for _, i := range sample[1:picked] {
-		switch l := b.queueLen(i); {
-		case l < bestLen:
-			best, bestLen = i, l
-		case l == bestLen && b.weights[i] > b.weights[best]:
-			best = i
+	return s.pick(sample[:picked])
+}
+
+// pick queries the computers in order and returns the least key, ties
+// to the heavier draw weight, then to the earlier query.
+func (s *Sampler) pick(queries []int) int {
+	best := queries[0]
+	bestKey := s.key(best, s.view.QueueLen(best))
+	for _, i := range queries[1:] {
+		k := s.key(i, s.view.QueueLen(i))
+		if k < bestKey || k == bestKey && s.weights != nil && s.weights[i] > s.weights[best] {
+			best, bestKey = i, k
 		}
 	}
 	return best
 }
 
-// sampleable reports whether computer i has positive probability under
-// the current cumulative vector.
-func (b *BiasedPowerOfD) sampleable(i int) bool {
-	if i == 0 {
-		return b.cum[0] > 0
+// key is computer i's assignment key at queue length q; lower wins.
+func (s *Sampler) key(i, q int) float64 {
+	if s.speeds == nil {
+		return float64(q)
 	}
-	return b.cum[i] > b.cum[i-1]
-}
-
-func (b *BiasedPowerOfD) queueLen(i int) int {
-	if b.view == nil {
-		return 0
-	}
-	return b.view.QueueLen(i)
+	return float64(q+1) / s.speeds[i]
 }
 
 // JIQ is join-idle-queue dispatching: computers that go idle report a
@@ -550,10 +453,8 @@ func (q *JIQ) Next() int {
 }
 
 var (
-	_ StateBound = (*JSQD)(nil)
-	_ Masked     = (*JSQD)(nil)
-	_ StateBound = (*BiasedPowerOfD)(nil)
-	_ Masked     = (*BiasedPowerOfD)(nil)
+	_ StateBound = (*Sampler)(nil)
+	_ Masked     = (*Sampler)(nil)
 	_ StateBound = (*JIQ)(nil)
 	_ Masked     = (*JIQ)(nil)
 )

@@ -8,8 +8,8 @@ import (
 	"heterosched/internal/rng"
 )
 
-// fakeView is a mutable queue-length table for driving the scalable
-// dispatchers without a simulation behind them.
+// fakeView is a mutable queue-length table for driving the
+// state-querying dispatchers without a simulation behind them.
 type fakeView []int
 
 func (v fakeView) QueueLen(i int) int { return v[i] }
@@ -23,7 +23,7 @@ func TestJSQDNeverPicksLongerThanSampled(t *testing.T) {
 	const n = 12
 	st := rng.New(11).Derive("jsqd")
 	qst := rng.New(12).Derive("queues")
-	j, err := NewJSQD(n, n, st)
+	j, err := NewSampler(n, Sampling{D: n}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestJSQDNeverPicksLongerThanSampled(t *testing.T) {
 // whenever it lands in the sample, so its share is far above uniform.
 func TestJSQDPrefersShortQueues(t *testing.T) {
 	const n, d = 10, 2
-	j, err := NewJSQD(n, d, rng.New(21).Derive("jsqd"))
+	j, err := NewSampler(n, Sampling{D: d}, rng.New(21).Derive("jsqd"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestJSQDPrefersShortQueues(t *testing.T) {
 // with keep-previous semantics, mirroring mask_edge_test.go.
 func TestJSQDMaskedSamplingAvoidsDownComputers(t *testing.T) {
 	const n = 6
-	j, err := NewJSQD(n, 3, rng.New(31).Derive("jsqd"))
+	j, err := NewSampler(n, Sampling{D: 3}, rng.New(31).Derive("jsqd"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,25 +110,54 @@ func TestJSQDMaskedSamplingAvoidsDownComputers(t *testing.T) {
 	}
 }
 
-// TestBiasedPodSamplingConvergesToWeights is the chi-squared check that
-// the biased sampler's raw draw frequencies converge to the bias
-// weights. Seeded, so the statistic is deterministic.
-func TestBiasedPodSamplingConvergesToWeights(t *testing.T) {
-	weights := []float64{1, 1, 2, 10}
-	b, err := NewBiasedPowerOfD(weights, 2, "speed", rng.New(41).Derive("pod"))
+// TestSamplerScanLeastNormalizedLoad covers the other corner of the two
+// rules, Dynamic Least-Load's: d = 0 queries every up computer in index
+// order without drawing, and the job joins the least (q+1)/speed, ties
+// to the earlier index.
+func TestSamplerScanLeastNormalizedLoad(t *testing.T) {
+	s, err := NewSampler(3, Sampling{Speeds: []float64{1, 4, 2}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := make(fakeView, len(weights))
-	b.Bind(view)
-	const rounds = 50000
-	for i := 0; i < rounds; i++ {
-		b.Next()
+	view := fakeView{0, 3, 1}
+	s.Bind(view)
+	// Keys 1, 1, 1: the tie goes to computer 0.
+	if got := s.Next(); got != 0 {
+		t.Errorf("all tied: picked %d, want 0", got)
 	}
-	counts := b.SampleCounts()
-	var total int64
-	for _, c := range counts {
-		total += c
+	view[0] = 1 // keys 2, 1, 1
+	if got := s.Next(); got != 1 {
+		t.Errorf("picked %d, want 1", got)
+	}
+	if err := s.SetUp([]bool{true, false, true}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Next(); got != 2 {
+		t.Errorf("computer 1 down: picked %d, want 2", got)
+	}
+	if err := s.SetUp(make([]bool, 3)); !errors.Is(err, ErrNoComputerUp) {
+		t.Errorf("SetUp(all-down) = %v, want ErrNoComputerUp", err)
+	}
+	if got := s.Next(); got != 2 {
+		t.Errorf("after a rejected all-down mask: picked %d, want 2 (previous mask kept)", got)
+	}
+}
+
+// TestBiasedPodSamplingConvergesToWeights is the chi-squared check that
+// the weighted draws converge to the bias weights. With d = 1 each
+// decision is one draw, so the dispatch counts are the draw counts.
+// Seeded, so the statistic is deterministic.
+func TestBiasedPodSamplingConvergesToWeights(t *testing.T) {
+	weights := []float64{1, 1, 2, 10}
+	b, err := NewSampler(len(weights), Sampling{D: 1, Weights: weights}, rng.New(41).Derive("pod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Bind(make(fakeView, len(weights)))
+	const rounds = 100000
+	counts := make([]int64, len(weights))
+	for i := 0; i < rounds; i++ {
+		counts[b.Next()]++
 	}
 	sum := 0.0
 	for _, w := range weights {
@@ -136,7 +165,7 @@ func TestBiasedPodSamplingConvergesToWeights(t *testing.T) {
 	}
 	chi2 := 0.0
 	for i, c := range counts {
-		exp := float64(total) * weights[i] / sum
+		exp := rounds * weights[i] / sum
 		chi2 += (float64(c) - exp) * (float64(c) - exp) / exp
 	}
 	// df = 3; chi2 above 16.3 would reject matching frequencies at
@@ -151,7 +180,7 @@ func TestBiasedPodSamplingConvergesToWeights(t *testing.T) {
 // ties resolved toward the heavier weight.
 func TestBiasedPodShortestQueueWins(t *testing.T) {
 	weights := []float64{1, 8}
-	b, err := NewBiasedPowerOfD(weights, 2, "speed", rng.New(51).Derive("pod"))
+	b, err := NewSampler(len(weights), Sampling{D: 2, Weights: weights}, rng.New(51).Derive("pod"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +207,7 @@ func TestBiasedPodShortestQueueWins(t *testing.T) {
 // to equal-split renormalization, down computers are never sampled.
 func TestBiasedPodMaskEdgeCases(t *testing.T) {
 	weights := []float64{0, 1, 2, 5}
-	b, err := NewBiasedPowerOfD(weights, 2, "speed", rng.New(61).Derive("pod"))
+	b, err := NewSampler(len(weights), Sampling{D: 2, Weights: weights}, rng.New(61).Derive("pod"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +248,7 @@ func TestBiasedPodMaskEdgeCases(t *testing.T) {
 // (FIFO), and the token is spent by the dispatch.
 func TestJIQDispatchesToIdleToken(t *testing.T) {
 	const n = 5
-	fb, err := NewBiasedPowerOfD([]float64{1, 1, 1, 1, 1}, 2, "speed", rng.New(71).Derive("pod"))
+	fb, err := NewSampler(n, Sampling{D: 2, Weights: []float64{1, 1, 1, 1, 1}}, rng.New(71).Derive("pod"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +291,7 @@ func TestJIQDispatchesToIdleToken(t *testing.T) {
 // internal/sched.
 func TestJIQMaskDiscardsTokens(t *testing.T) {
 	const n = 3
-	fb, err := NewBiasedPowerOfD([]float64{1, 1, 1}, 2, "speed", rng.New(81).Derive("pod"))
+	fb, err := NewSampler(n, Sampling{D: 2, Weights: []float64{1, 1, 1}}, rng.New(81).Derive("pod"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +332,7 @@ func TestJIQMaskDiscardsTokens(t *testing.T) {
 // outcome hooks.
 func TestJIQLeases(t *testing.T) {
 	const n = 3
-	fb, err := NewBiasedPowerOfD([]float64{1, 1, 1}, 2, "speed", rng.New(17).Derive("pod"))
+	fb, err := NewSampler(n, Sampling{D: 2, Weights: []float64{1, 1, 1}}, rng.New(17).Derive("pod"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,11 +388,11 @@ func TestJIQLeases(t *testing.T) {
 // consumed-prefix compaction and FIFO order across compactions.
 func TestJIQTokenListCompaction(t *testing.T) {
 	const n = 8
-	fb, err := NewBiasedPowerOfD(make([]float64, n), 2, "speed", rng.New(91).Derive("pod"))
+	fb, err := NewSampler(n, Sampling{D: 2, Weights: make([]float64, n)}, rng.New(91).Derive("pod"))
 	if err == nil {
 		t.Fatal("zero-sum weights accepted")
 	}
-	fb, err = NewBiasedPowerOfD([]float64{1, 1, 1, 1, 1, 1, 1, 1}, 2, "speed", rng.New(91).Derive("pod"))
+	fb, err = NewSampler(n, Sampling{D: 2, Weights: []float64{1, 1, 1, 1, 1, 1, 1, 1}}, rng.New(91).Derive("pod"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,32 +416,31 @@ func TestJIQTokenListCompaction(t *testing.T) {
 	}
 }
 
-// TestScalableConstructorValidation covers the d/n/width checks shared
-// by the samplers and the JIQ fallback invariants.
+// TestScalableConstructorValidation covers the d/n/width/weight checks
+// of the sampler and the JIQ fallback invariants.
 func TestScalableConstructorValidation(t *testing.T) {
 	st := rng.New(1).Derive("v")
-	if _, err := NewJSQD(0, 1, st); err == nil {
-		t.Error("jsq over zero computers accepted")
-	}
-	if _, err := NewJSQD(4, 0, st); err == nil {
-		t.Error("jsq(0) accepted")
-	}
-	if _, err := NewJSQD(2, 3, st); err == nil {
-		t.Error("jsq(3) over 2 computers accepted")
-	}
-	if _, err := NewJSQD(100, 65, st); err == nil {
-		t.Error("jsq(65) beyond MaxSampleWidth accepted")
-	}
-	if _, err := NewBiasedPowerOfD([]float64{1, -1}, 1, "speed", st); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if _, err := NewBiasedPowerOfD([]float64{1, 1, 1}, 4, "speed", st); err == nil {
-		t.Error("pod(4) over 3 computers accepted")
+	for _, c := range []struct {
+		label string
+		n     int
+		s     Sampling
+	}{
+		{"sampler over zero computers", 0, Sampling{D: 1}},
+		{"negative sample width", 4, Sampling{D: -1}},
+		{"jsq(3) over 2 computers", 2, Sampling{D: 3}},
+		{"jsq(65) beyond MaxSampleWidth", 100, Sampling{D: 65}},
+		{"negative weight", 2, Sampling{D: 1, Weights: []float64{1, -1}}},
+		{"weights of the wrong length", 3, Sampling{D: 1, Weights: []float64{1, 1}}},
+		{"speeds of the wrong length", 3, Sampling{Speeds: []float64{1, 1}}},
+	} {
+		if _, err := NewSampler(c.n, c.s, st); err == nil {
+			t.Errorf("%s accepted", c.label)
+		}
 	}
 	if _, err := NewJIQ(3, nil); err == nil {
 		t.Error("jiq without fallback accepted")
 	}
-	fb, err := NewJSQD(2, 1, st)
+	fb, err := NewSampler(2, Sampling{D: 1}, st)
 	if err != nil {
 		t.Fatal(err)
 	}

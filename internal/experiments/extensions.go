@@ -206,7 +206,7 @@ func ExtBaselines(o Options) (*BaselinesResult, error) {
 	}{
 		{"ORR (static)", func() cluster.Policy { return sched.ORR() }},
 		{"JSQ(2)", func() cluster.Policy { return sched.NewPowerOfTwo() }},
-		{"JSQ(4)", func() cluster.Policy { return &sched.PowerOfD{D: 4} }},
+		{"JSQ(4)", func() cluster.Policy { return &sched.LeastLoad{D: 4} }},
 		{"Least-Load (full info)", func() cluster.Policy { return sched.NewLeastLoad() }},
 	}
 	cfg := cluster.Config{Speeds: BaseSpeeds(), Utilization: 0.70}

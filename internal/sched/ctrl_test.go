@@ -11,52 +11,6 @@ import (
 	"heterosched/internal/sim"
 )
 
-// TestGoldenCtrlOff extends the golden lock to the control-plane layer:
-// with Config.Ctrl nil the scalable policies take the oracle-state path
-// — no plane, no extra RNG derivations, no message events — so the
-// full-run results must stay bit-identical to the values captured when
-// the subsystem landed. A drift here means the ctrl-off hot path is no
-// longer the PR 9 engine.
-func TestGoldenCtrlOff(t *testing.T) {
-	base := cluster.Config{
-		Speeds:      []float64{1, 1, 2, 10},
-		Utilization: 0.6,
-		Duration:    5e4,
-		Seed:        7,
-	}
-	cases := []struct {
-		mk                func() *Scalable
-		k                 int
-		time, ratio, fair float64
-		jobs              int64
-	}{
-		{func() *Scalable { return JSQd(2) }, 1, 201.12460609046394, 2.8068014939382713, 3.5533524939724872, 3741},
-		{func() *Scalable { return JSQd(2) }, 4, 329.47005854774045, 4.3782760053310747, 5.0587316708608503, 3741},
-		{func() *Scalable { return PodSpeed(2) }, 1, 92.867593148925963, 0.97938741215073366, 1.3571006438427438, 3741},
-		{func() *Scalable { return PodSpeed(2) }, 4, 80.630471169092061, 0.82638298615545858, 1.1049304997425735, 3741},
-		{func() *Scalable { return JIQ() }, 1, 112.72647817013664, 0.93236816103933939, 1.2692942539101288, 3741},
-		{func() *Scalable { return JIQ() }, 4, 102.61349191805493, 1.2627536446654126, 1.9370415350176293, 3741},
-	}
-	for _, c := range cases {
-		p := c.mk()
-		p.Dispatchers = c.k
-		p.ShardBy = dispatch.ShardHash
-		res, err := cluster.Run(base, p)
-		if err != nil {
-			t.Fatalf("%s K=%d: %v", p.Name(), c.k, err)
-		}
-		if res.Ctrl != nil {
-			t.Errorf("%s K=%d: Result.Ctrl non-nil with Config.Ctrl nil", p.Name(), c.k)
-		}
-		if res.MeanResponseTime != c.time || res.MeanResponseRatio != c.ratio ||
-			res.Fairness != c.fair || res.Jobs != c.jobs {
-			t.Errorf("%s K=%d drifted from the ctrl-off golden values:\n got  time=%.17g ratio=%.17g fair=%.17g jobs=%d\n want time=%.17g ratio=%.17g fair=%.17g jobs=%d",
-				p.Name(), c.k, res.MeanResponseTime, res.MeanResponseRatio, res.Fairness, res.Jobs,
-				c.time, c.ratio, c.fair, c.jobs)
-		}
-	}
-}
-
 // TestScalableJIQRepairReissue is the failure×repair×jiq regression:
 // a computer that goes down holding no work loses its idle token
 // (discarded at pop while masked), and before the fix nothing minted a

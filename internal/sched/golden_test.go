@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"heterosched/internal/cluster"
+	"heterosched/internal/ctrlplane"
+	"heterosched/internal/dispatch"
 	"heterosched/internal/dist"
 	"heterosched/internal/drift"
 	"heterosched/internal/faults"
@@ -140,24 +142,102 @@ func TestGoldenLayersOff(t *testing.T) {
 	}
 }
 
+// goldenFaults is the failure model of TestGoldenFaultResolve: MTBF
+// 2·10⁴ s, MTTR 2·10³ s, requeue to the dispatcher, 10 s detection lag.
+func goldenFaults() *faults.Config {
+	return &faults.Config{
+		Uptime:       dist.NewExponential(2e4),
+		Downtime:     dist.NewExponential(2e3),
+		Fate:         faults.RequeueToDispatcher,
+		DetectionLag: 10,
+	}
+}
+
+// TestGoldenDynamicFamily locks the dynamic policies bit for bit: LL,
+// LL*, JSQ2 and the scalable family on goldenBase, sharded over four
+// hash-routed replicas, with a lossy control plane, under
+// goldenFaults, and at n = 100 ({1,1,2,10} tiled, 5·10³ s). Without a
+// control plane the scalable policies read the oracle view — no plane,
+// no extra RNG derivations, no message events — and report no ctrl
+// statistics; a drift in those rows means the ctrl-off path moved. The two
+// JSQ2 rows under faults and at n = 100 were recaptured when JSQ2
+// became LeastLoad{D: 2}: it now masks detected-down computers (it used
+// to keep dispatching into them) and draws distinct computers at any n
+// (it used to draw with replacement above 64).
+func TestGoldenDynamicFamily(t *testing.T) {
+	with := func(edit func(*cluster.Config)) func() cluster.Config {
+		return func() cluster.Config {
+			cfg := goldenBase()
+			edit(&cfg)
+			return cfg
+		}
+	}
+	base := with(func(*cluster.Config) {})
+	faulty := with(func(cfg *cluster.Config) { cfg.Faults = goldenFaults() })
+	ctrl := with(func(cfg *cluster.Config) {
+		cfg.Ctrl = &ctrlplane.Config{
+			Links:   netfault.Links{Link: netfault.Link{Latency: dist.NewExponential(5), Loss: 0.2}},
+			Lease:   200,
+			QueryTO: 50,
+		}
+	})
+	wide := with(func(cfg *cluster.Config) {
+		cfg.Duration = 5e3
+		cfg.Speeds = make([]float64, 100)
+		for i := range cfg.Speeds {
+			cfg.Speeds[i] = []float64{1, 1, 2, 10}[i%4]
+		}
+	})
+	sharded := func(p *Scalable) cluster.Policy {
+		p.Dispatchers = 4
+		p.ShardBy = dispatch.ShardHash
+		return p
+	}
+	rows := []struct {
+		name   string
+		cfg    func() cluster.Config
+		policy func() cluster.Policy
+		want   golden
+	}{
+		{"LL*", base, func() cluster.Policy { return &LeastLoad{Instant: true} }, golden{61.563418872271825, 0.64031635982958324, 0.46221444726805089, 3741, 5160}},
+		{"JSQ2", base, func() cluster.Policy { return NewPowerOfTwo() }, golden{212.85887150965294, 2.5753224819587897, 3.1995542132371102, 3741, 5160}},
+		{"jsq(2)", base, func() cluster.Policy { return JSQd(2) }, golden{201.12460609046394, 2.8068014939382713, 3.5533524939724872, 3741, 5160}},
+		{"pod(2):speed", base, func() cluster.Policy { return PodSpeed(2) }, golden{92.867593148925963, 0.97938741215073366, 1.3571006438427438, 3741, 5160}},
+		{"pod(2):alpha", base, func() cluster.Policy { return PodAlpha(2) }, golden{84.734524932321136, 0.91165230911449613, 1.2074858720580046, 3741, 5160}},
+		{"jiq", base, func() cluster.Policy { return JIQ() }, golden{112.72647817013664, 0.93236816103933939, 1.2692942539101288, 3741, 5160}},
+		{"jsq(2)xK4", base, func() cluster.Policy { return sharded(JSQd(2)) }, golden{329.47005854774045, 4.3782760053310747, 5.0587316708608503, 3741, 5160}},
+		{"pod(2):speedxK4", base, func() cluster.Policy { return sharded(PodSpeed(2)) }, golden{80.630471169092061, 0.82638298615545858, 1.1049304997425735, 3741, 5160}},
+		{"jiqxK4", base, func() cluster.Policy { return sharded(JIQ()) }, golden{102.61349191805493, 1.2627536446654126, 1.9370415350176293, 3741, 5160}},
+		{"jiq/ctrl", ctrl, func() cluster.Policy { return JIQ() }, golden{128.9330188424623, 2.5278822260762244, 2.4204636726045399, 3741, 5160}},
+		{"pod(2):speed/ctrl", ctrl, func() cluster.Policy { return PodSpeed(2) }, golden{154.18963322572475, 3.0694761854964048, 2.6124446084696791, 3741, 5160}},
+		{"LL/faults", faulty, func() cluster.Policy { return NewLeastLoad() }, golden{80.224107693911648, 0.95333221428059811, 1.1818451650356177, 3739, 5160}},
+		{"JSQ2/faults", faulty, func() cluster.Policy { return NewPowerOfTwo() }, golden{234.68571870616623, 3.0986201599697889, 3.5061232195585372, 3741, 5160}},
+		{"LL/n100", wide, func() cluster.Policy { return NewLeastLoad() }, golden{15.945196915375295, 0.19996071856515307, 0.066321123365823728, 10336, 13561}},
+		{"JSQ2/n100", wide, func() cluster.Policy { return NewPowerOfTwo() }, golden{87.6660266923667, 1.272880032182099, 1.2382166678686681, 10336, 13561}},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			cfg := r.cfg()
+			res, err := cluster.Run(cfg, r.policy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.want.check(t, r.name, res)
+			if cfg.Ctrl == nil && res.Ctrl != nil {
+				t.Error("Result.Ctrl non-nil with Config.Ctrl nil")
+			}
+		})
+	}
+}
+
 // TestGoldenFaultResolve locks a fault-injected ReallocResolve run.
 // These values were recaptured when resolveFractions switched its
 // saturated-degraded-system fallback from an optimized allocation at
 // ρ = 1−1e−9 to renormalized stale fractions (the documented
 // StaleFallbacks behavior); they must be stable from then on.
 func TestGoldenFaultResolve(t *testing.T) {
-	cfg := cluster.Config{
-		Speeds:      []float64{1, 1, 2, 10},
-		Utilization: 0.6,
-		Duration:    5e4,
-		Seed:        7,
-		Faults: &faults.Config{
-			Uptime:       dist.NewExponential(2e4),
-			Downtime:     dist.NewExponential(2e3),
-			Fate:         faults.RequeueToDispatcher,
-			DetectionLag: 10,
-		},
-	}
+	cfg := goldenBase()
+	cfg.Faults = goldenFaults()
 	p := ORR()
 	p.Realloc = ReallocResolve
 	res, err := cluster.Run(cfg, p)

@@ -12,7 +12,8 @@ import (
 )
 
 // This file wires the scalable-dispatch family (internal/dispatch:
-// JSQ(d), heterogeneity-biased power-of-d, JIQ) into complete policies.
+// JSQ(d) and heterogeneity-biased power-of-d on a Sampler, JIQ) into
+// complete policies.
 // Unlike the static policies, these query live computer state at
 // decision time through cluster.StateView, and they shard naturally: K
 // dispatcher replicas each sample or hold idle tokens independently, so
@@ -141,44 +142,32 @@ func (s *Scalable) Name() string {
 func (s *Scalable) Init(ctx *cluster.Context) error {
 	s.ctx = ctx
 	n := len(ctx.Speeds)
-	d := s.d()
-	if d > n {
-		return fmt.Errorf("sched: %s needs at least %d computers, have %d", s.Name(), d, n)
-	}
-	base := ctx.RNG.Derive("dispatch")
-	streams := shardStreams(base, s.k())
-
-	var alphas []float64
-	if s.Kind == ScalablePodAlpha {
-		planRho := ctx.Utilization
-		if planRho >= MaxPlanRho {
-			planRho = MaxPlanRho
-		}
-		fr, err := alloc.Optimized{}.Allocate(ctx.Speeds, planRho)
+	streams := shardStreams(ctx.RNG.Derive("dispatch"), s.k())
+	// jsq(d) draws uniformly; pod(d) and jiq's fallback draw by speed
+	// or by Algorithm 1's α. All join the shortest sampled queue.
+	sampling := dispatch.Sampling{D: s.d()}
+	switch s.Kind {
+	case ScalableJSQ:
+	case ScalablePodSpeed, ScalableJIQ:
+		sampling.Weights = ctx.Speeds
+	case ScalablePodAlpha:
+		fr, err := alloc.Optimized{}.Allocate(ctx.Speeds, min(ctx.Utilization, MaxPlanRho))
 		if err != nil {
 			return fmt.Errorf("sched: %s bias allocation: %w", s.Name(), err)
 		}
-		alphas = fr
+		sampling.Weights = fr
+	default:
+		return fmt.Errorf("sched: unknown scalable kind %d", int(s.Kind))
 	}
-
 	factory := func(k int) (dispatch.Dispatcher, error) {
-		st := streams[k]
-		switch s.Kind {
-		case ScalableJSQ:
-			return dispatch.NewJSQD(n, d, st)
-		case ScalablePodSpeed:
-			return dispatch.NewBiasedPowerOfD(ctx.Speeds, d, "speed", st)
-		case ScalablePodAlpha:
-			return dispatch.NewBiasedPowerOfD(alphas, d, "alpha", st)
-		case ScalableJIQ:
-			fb, err := dispatch.NewBiasedPowerOfD(ctx.Speeds, d, "speed", st)
-			if err != nil {
-				return nil, err
-			}
-			return dispatch.NewJIQ(n, fb)
-		default:
-			return nil, fmt.Errorf("sched: unknown scalable kind %d", int(s.Kind))
+		sm, err := dispatch.NewSampler(n, sampling, streams[k])
+		switch {
+		case err != nil:
+			return nil, err
+		case s.Kind == ScalableJIQ:
+			return dispatch.NewJIQ(n, sm)
 		}
+		return sm, nil
 	}
 	sh, err := dispatch.NewSharded(s.k(), s.ShardBy, factory)
 	if err != nil {

@@ -15,7 +15,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 
 	"heterosched/internal/alloc"
 	"heterosched/internal/cluster"
@@ -638,36 +637,51 @@ func ORRWithLoadErrorUnstable(relErr float64) *Static {
 }
 
 // LeastLoad is the Dynamic Least-Load algorithm (§2.2, §4.2), used as the
-// performance yardstick for the static schemes. The central scheduler
-// tracks a load index (run-queue length) per computer:
+// performance yardstick for the static schemes, and its power-of-d
+// relative JSQ(d). The central scheduler tracks a load index (run-queue
+// length) per computer:
 //
 //   - On dispatch, the target's index is incremented immediately (no
 //     rescheduling is allowed, so the scheduler knows the assignment).
 //   - On job completion, the computer notices after U(0,1) seconds (it
 //     polls its queue once per second) and sends an update message whose
-//     transfer delay is exponential with mean MessageDelay (default
-//     0.05 s); only then does the scheduler decrement the index.
+//     transfer delay is exponential with mean 0.05 s; only then does the
+//     scheduler decrement the index.
 //
 // Each arriving job goes to the computer minimizing the normalized load
-// (index+1)/speed.
+// (index+1)/speed among the computers the scheduler queries: every
+// computer it believes up (D = 0), or D distinct up computers drawn
+// uniformly from the policy stream, the one its update delays use.
+//
+// LeastLoad keeps the dispatcher's own count; Scalable reads state the
+// computers report. Both decide through one dispatch.Sampler.
 type LeastLoad struct {
-	// MessageDelay is the mean load-update message transfer delay in
-	// seconds; zero means the paper's 0.05 s.
-	MessageDelay float64
-	// DetectMax is the upper bound of the uniform detection delay; zero
-	// means the paper's 1 s (computers check their queue every second).
-	DetectMax float64
+	// D is the number of computers sampled per job; zero scans them all.
+	D int
 	// Instant disables both delays, modeling an idealized oracle
 	// scheduler (for ablations).
 	Instant bool
 
-	ctx  *cluster.Context
-	load []int64
-	up   []bool
+	ctx     *cluster.Context
+	load    loadIndex
+	sampler *dispatch.Sampler
 	// onDecrement is the delayed decrement's handler (a typed engine
 	// event), bound once in Init.
 	onDecrement func(sim.Msg)
 }
+
+// The paper's load-update delays (§4.2): a computer polls its queue
+// every detectMax seconds, and the update message takes an exponential
+// transfer delay of mean messageDelay seconds.
+const (
+	detectMax    = 1.0
+	messageDelay = 0.05
+)
+
+// loadIndex is the dispatcher-side load count, the sampler's QueueView.
+type loadIndex []int
+
+func (l loadIndex) QueueLen(i int) int { return l[i] }
 
 var _ cluster.Policy = (*LeastLoad)(nil)
 var _ cluster.FaultAware = (*LeastLoad)(nil)
@@ -675,63 +689,49 @@ var _ cluster.FaultAware = (*LeastLoad)(nil)
 // NewLeastLoad returns the paper-parameterized Dynamic Least-Load policy.
 func NewLeastLoad() *LeastLoad { return &LeastLoad{} }
 
-// Name returns "LL", or "LL*" for the instant-update variant.
+// NewPowerOfTwo returns the classic two-choices variant, JSQ(2).
+func NewPowerOfTwo() *LeastLoad { return &LeastLoad{D: 2} }
+
+// Name returns "LL" or "JSQ(d)", suffixed "*" for the instant-update
+// variant.
 func (l *LeastLoad) Name() string {
-	if l.Instant {
-		return "LL*"
+	name := "LL"
+	if l.D > 0 {
+		name = fmt.Sprintf("JSQ(%d)", l.D)
 	}
-	return "LL"
+	if l.Instant {
+		name += "*"
+	}
+	return name
 }
 
-// Init captures the context and zeroes the load indices.
+// Init captures the context, zeroes the load indices and builds the
+// sampler over them.
 func (l *LeastLoad) Init(ctx *cluster.Context) error {
-	if l.MessageDelay == 0 {
-		l.MessageDelay = 0.05
-	}
-	if l.DetectMax == 0 {
-		l.DetectMax = 1.0
-	}
 	l.ctx = ctx
-	l.load = make([]int64, len(ctx.Speeds))
+	l.load = make(loadIndex, len(ctx.Speeds))
+	sm, err := dispatch.NewSampler(len(ctx.Speeds), dispatch.Sampling{D: l.D, Speeds: ctx.Speeds}, ctx.RNG)
+	if err != nil {
+		return fmt.Errorf("sched: %s: %w", l.Name(), err)
+	}
+	sm.Bind(l.load)
+	l.sampler = sm
 	l.onDecrement = l.decrement
 	return nil
 }
 
-// Select picks the computer with the least normalized load among the
-// known-up computers and charges the new job to it immediately. If every
-// computer is believed down, it falls back to the full set (the job will
-// queue at its target until repair).
+// Select picks the computer with the least normalized load among those
+// queried and charges the new job to it immediately.
 func (l *LeastLoad) Select(*sim.Job) int {
-	best := -1
-	bestVal := math.Inf(1)
-	for i, s := range l.ctx.Speeds {
-		if l.up != nil && !l.up[i] {
-			continue
-		}
-		v := float64(l.load[i]+1) / s
-		if v < bestVal {
-			bestVal = v
-			best = i
-		}
-	}
-	if best < 0 {
-		for i, s := range l.ctx.Speeds {
-			v := float64(l.load[i]+1) / s
-			if v < bestVal {
-				bestVal = v
-				best = i
-			}
-		}
-	}
-	l.load[best]++
-	return best
+	i := l.sampler.Next()
+	l.load[i]++
+	return i
 }
 
-// UpSetChanged records the detected availability mask so Select avoids
-// down computers.
-func (l *LeastLoad) UpSetChanged(up []bool) {
-	l.up = append(l.up[:0], up...)
-}
+// UpSetChanged masks the detected-down computers out of the queries.
+// With every computer down the previous mask is kept, as the static
+// policies do: jobs queue at their targets until a repair.
+func (l *LeastLoad) UpSetChanged(up []bool) { _ = l.sampler.SetUp(up) }
 
 // Departed schedules the delayed load-index decrement.
 func (l *LeastLoad) Departed(j *sim.Job) {
@@ -740,7 +740,7 @@ func (l *LeastLoad) Departed(j *sim.Job) {
 		l.load[target]--
 		return
 	}
-	delay := l.ctx.RNG.Uniform(0, l.DetectMax) + l.ctx.RNG.Exp(l.MessageDelay)
+	delay := l.ctx.RNG.Uniform(0, detectMax) + l.ctx.RNG.Exp(messageDelay)
 	en := l.ctx.Engine
 	en.ScheduleMsg(en.Now()+delay, l.onDecrement, sim.Msg{A: target})
 }

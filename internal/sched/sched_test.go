@@ -8,6 +8,7 @@ import (
 	"heterosched/internal/alloc"
 	"heterosched/internal/cluster"
 	"heterosched/internal/dist"
+	"heterosched/internal/probe"
 	"heterosched/internal/rng"
 	"heterosched/internal/sim"
 )
@@ -322,13 +323,16 @@ func TestPowerOfDName(t *testing.T) {
 	if got := NewPowerOfTwo().Name(); got != "JSQ(2)" {
 		t.Errorf("name = %q", got)
 	}
-	if got := (&PowerOfD{D: 4}).Name(); got != "JSQ(4)" {
+	if got := (&LeastLoad{D: 4}).Name(); got != "JSQ(4)" {
+		t.Errorf("name = %q", got)
+	}
+	if got := (&LeastLoad{Instant: true}).Name(); got != "LL*" {
 		t.Errorf("name = %q", got)
 	}
 }
 
 func TestPowerOfDInitValidation(t *testing.T) {
-	p := &PowerOfD{D: 5}
+	p := &LeastLoad{D: 5}
 	ctx := &cluster.Context{
 		Engine:      &sim.Engine{},
 		Speeds:      []float64{1, 1},
@@ -394,6 +398,86 @@ func TestPowerOfDDelayedUpdate(t *testing.T) {
 	en.RunUntil(1000)
 	if p.load[target] != 0 {
 		t.Error("load not decremented after the update message")
+	}
+}
+
+// TestPowerOfDDrawsDistinctAtLargeN: JSQ(2) queries two distinct
+// computers at any n. With the loads 0, 1, …, n−1 on equal speeds the
+// most loaded computer loses every sample of two distinct computers; it
+// wins only a sample that drew it twice.
+func TestPowerOfDDrawsDistinctAtLargeN(t *testing.T) {
+	const n = 100
+	speeds := make([]float64, n)
+	for i := range speeds {
+		speeds[i] = 1
+	}
+	p := NewPowerOfTwo()
+	ctx := &cluster.Context{Engine: &sim.Engine{}, Speeds: speeds, Utilization: 0.5, RNG: rng.New(4)}
+	if err := p.Init(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := range p.load {
+		p.load[i] = i
+	}
+	// A sampler drawing with replacement repeats computer n−1 with
+	// probability 1/n² per job: about 10 times in 10⁵ jobs.
+	for k := 0; k < 100000; k++ {
+		target := p.Select(nil)
+		p.load[target]--
+		if target == n-1 {
+			t.Fatalf("job %d went to the most loaded computer: its sample drew it twice", k)
+		}
+	}
+}
+
+// maskWatch counts dispatch events and fails the test on one whose
+// target the event's availability mask shows down after the run
+// announced the failure (an EvFail event with no EvRepair since). The
+// jobs a failure evicts are requeued before it is announced, so the
+// policy cannot mask their target yet.
+type maskWatch struct {
+	t                  *testing.T
+	announced          map[int]bool
+	dispatches, masked int
+}
+
+func (w *maskWatch) Write(e *probe.Event) error {
+	switch e.Kind {
+	case probe.EvFail:
+		w.announced[e.Target] = true
+	case probe.EvRepair:
+		w.announced[e.Target] = false
+	case probe.EvDispatch:
+		w.dispatches++
+		if strings.Contains(e.Mask, "0") {
+			w.masked++
+		}
+		if e.Mask[e.Target] != '1' && w.announced[e.Target] {
+			w.t.Errorf("t=%v: job %d dispatched to down computer %d (mask %s)", e.T, e.Job, e.Target, e.Mask)
+		}
+	}
+	return nil
+}
+
+func (w *maskWatch) Flush() error { return nil }
+
+// TestPowerOfDMasksDownComputers: with failures detected at once, JSQ(2)
+// never dispatches to a computer that is down.
+func TestPowerOfDMasksDownComputers(t *testing.T) {
+	cfg := goldenBase()
+	cfg.Faults = goldenFaults()
+	cfg.Faults.DetectionLag = 0
+	w := &maskWatch{t: t, announced: map[int]bool{}}
+	pb, err := probe.New(probe.Options{Events: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Probe = pb
+	if _, err := cluster.Run(cfg, NewPowerOfTwo()); err != nil {
+		t.Fatal(err)
+	}
+	if w.masked == 0 {
+		t.Fatalf("none of %d dispatches saw a computer down; the run exercises no mask", w.dispatches)
 	}
 }
 
