@@ -3,7 +3,7 @@ GO ?= go
 # Committed benchmark baseline for the regression gate (see cmd/benchreg).
 # Re-record with `make bench-baseline` after an intentional perf change and
 # commit the new file (renamed to the recording date).
-BENCH_BASELINE ?= BENCH_2026-08-06.json
+BENCH_BASELINE ?= BENCH_2026-10-19.json
 # Tolerated relative ns/op regression on hot-path benchmarks. allocs/op is
 # always exact. CI overrides this with generous headroom because its
 # hardware differs from the baseline machine; locally 10% is realistic.

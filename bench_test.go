@@ -9,16 +9,22 @@
 //
 // These benches measure regeneration cost at a small scale; the
 // full-fidelity numbers are produced by cmd/experiments (see
-// EXPERIMENTS.md).
+// EXPERIMENTS.md). BenchmarkWorkload runs the end-to-end benchmark's
+// workloads (perfbench/) one simulation at a time, so a CPU profile of
+// one is reproducible from the tree:
+//
+//	go test -run '^$' -bench 'Workload/fleet' -cpuprofile cpu.out .
 package heterosched
 
 import (
 	"testing"
 
 	"heterosched/internal/alloc"
+	"heterosched/internal/cli"
 	"heterosched/internal/cluster"
 	"heterosched/internal/dist"
 	"heterosched/internal/experiments"
+	"heterosched/internal/probe"
 	"heterosched/internal/rng"
 	"heterosched/internal/sched"
 )
@@ -262,3 +268,92 @@ func BenchmarkDiurnalArrivals(b *testing.B) {
 
 // rngNew keeps the benchmark imports tidy.
 func rngNew(seed uint64) *rng.Stream { return rng.New(seed) }
+
+// benchWorkload is one of the end-to-end benchmark's workloads
+// (perfbench/workload.go) as its heterosim flags. perfbench is a main
+// package in a module of its own, so its table is restated here.
+type benchWorkload struct {
+	name, policy, dispatchers, netfault, ackto, ctrl string
+	scale                                            int
+	spans                                            bool
+	duration                                         float64
+}
+
+var benchWorkloads = []benchWorkload{
+	{name: "paper", policy: "ORR", duration: 4e5},
+	{name: "fleet", policy: "ORR", scale: 3200, duration: 100},
+	{name: "faulty", policy: "jiq", scale: 200, dispatchers: "4:hash",
+		netfault: "loss:0.05,dup:0.05,lat:2", ackto: "30",
+		ctrl: "loss:0.2,dup:0.05,lat:5,lease:200,qto:50", spans: true, duration: 1e4},
+}
+
+// build constructs the workload's run configuration and policy factory
+// through the parsers heterosim uses, at ρ = 0.7 with CV = 3 arrivals.
+func (w benchWorkload) build() (cluster.Config, cluster.PolicyFactory, error) {
+	var cfg cluster.Config
+	speeds, err := cli.ScaleSpeeds(experiments.BaseSpeeds(), w.scale)
+	if err != nil {
+		return cfg, nil, err
+	}
+	disp := w.dispatchers
+	if disp == "" {
+		disp = "1"
+	}
+	sharding, err := cli.ParseShardingSpecs(disp, "never")
+	if err != nil {
+		return cfg, nil, err
+	}
+	nf, err := cli.NetfaultParams{Netfault: w.netfault, AckTO: w.ackto}.Build(len(speeds))
+	if err != nil {
+		return cfg, nil, err
+	}
+	ctrl, err := cli.CtrlParams{Ctrl: w.ctrl}.Build(len(speeds), sharding.Dispatchers)
+	if err != nil {
+		return cfg, nil, err
+	}
+	factory, err := cli.ParsePolicy(w.policy, cli.PolicyOptions{Computers: len(speeds), Sharding: sharding})
+	if err != nil {
+		return cfg, nil, err
+	}
+	cfg = cluster.Config{
+		Speeds:      speeds,
+		Utilization: 0.7,
+		Duration:    w.duration,
+		ArrivalCV:   3,
+		Seed:        3,
+		Netfault:    nf,
+		Ctrl:        ctrl,
+	}
+	return cfg, factory, nil
+}
+
+// BenchmarkWorkload times one simulation of each end-to-end workload at
+// a fixed seed: paper (the 15-computer Table 3 system under ORR), fleet
+// (Table 3 tiled to 3200 computers) and faulty (200 computers, jiq over
+// 4 hash-sharded dispatchers, lossy dispatch and control links, spans
+// on). perfbench/ measures the same runs end to end; this is their
+// profiling harness.
+func BenchmarkWorkload(b *testing.B) {
+	for _, w := range benchWorkloads {
+		b.Run(w.name, func(b *testing.B) {
+			cfg, factory, err := w.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			jobs := int64(0)
+			for i := 0; i < b.N; i++ {
+				if w.spans {
+					if cfg.Probe, err = probe.New(probe.Options{Spans: true}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				res, err := cluster.Run(cfg, factory())
+				if err != nil {
+					b.Fatal(err)
+				}
+				jobs += res.GeneratedJobs
+			}
+			b.ReportMetric(float64(jobs)/b.Elapsed().Seconds(), "jobs/s")
+		})
+	}
+}

@@ -5,10 +5,10 @@
 //
 // Modes (first argument):
 //
-//	benchreg baseline -out BENCH_2026-08-06.json
+//	benchreg baseline -out BENCH_2026-10-19.json
 //	    Run the suites and write a new baseline report.
 //
-//	benchreg check -baseline BENCH_2026-08-06.json [-save current.json]
+//	benchreg check -baseline BENCH_2026-10-19.json [-save current.json]
 //	    Run the suites, compare against the baseline, print the delta
 //	    table and exit non-zero on any hot-path regression: ns/op worse
 //	    than -threshold, or ANY allocs/op increase. This is `make

@@ -138,3 +138,51 @@ func requireLayersFired(t *testing.T, res *cluster.Result, spans int64, withOver
 		}
 	}
 }
+
+// table3Fleet is the paper's Table 3 speeds tiled to n computers.
+func table3Fleet(n int) []float64 {
+	table3 := []float64{1, 1, 1, 1, 1, 1.5, 1.5, 1.5, 1.5, 2, 2, 2, 5, 10, 12}
+	speeds := make([]float64, n)
+	for i := range speeds {
+		speeds[i] = table3[i%len(table3)]
+	}
+	return speeds
+}
+
+// TestSetUpAllocsPerComputer locks what a computer costs a run: one
+// allocation, its PS server's bound departure method value. The servers
+// come from one slab, their first job slots from one shared array, and
+// Algorithm 2's dispatcher keeps one entry array. ORR runs on the Table 3
+// speeds tiled to n = 200 and n = 3200, every layer off, for a horizon
+// of about 2.7 jobs per computer (the end-to-end benchmark's fleet run).
+// Per-run set-up cancels in the difference; what is left over one per
+// computer is mostly servers that outgrow their two slots. A server
+// allocated on its own, with its slice grown by append, costs about four.
+func TestSetUpAllocsPerComputer(t *testing.T) {
+	run := func(n int) (allocs float64, jobs int64) {
+		cfg := cluster.Config{
+			Speeds:      table3Fleet(n),
+			Utilization: 0.7,
+			Duration:    100,
+			ArrivalCV:   3,
+			Seed:        3,
+		}
+		allocs = testing.AllocsPerRun(1, func() {
+			res, err := cluster.Run(cfg, sched.ORR())
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = res.GeneratedJobs
+		})
+		return allocs, jobs
+	}
+	const small, large = 200, 3200
+	a1, j1 := run(small)
+	a2, j2 := run(large)
+	perComputer := (a2 - a1) / (large - small)
+	t.Logf("n=%d: %.0f allocs for %d jobs; n=%d: %.0f for %d: %.3f per extra computer", small, a1, j1, large, a2, j2, perComputer)
+	if perComputer > 1.1 {
+		t.Errorf("%.3f allocations per extra computer (%.0f at n=%d, %.0f at n=%d), want at most 1.1",
+			perComputer, a1, small, a2, large)
+	}
+}

@@ -733,54 +733,34 @@ func newRun(cfg Config, policy Policy) (*run, error) {
 	r.onDepart = r.depart
 	r.servers = make([]server, n)
 	bounded := r.ov != nil && cfg.Overload.QueueCap > 0
-	// Speed drift needs the underlying PS servers (validate enforces the
-	// PS discipline when steps are configured).
-	var psBases []*sim.PSServer
-	if dr != nil && len(dr.SpeedSteps) > 0 {
-		psBases = make([]*sim.PSServer, n)
+	departure := func(int) func(*sim.Job) { return r.onDepart }
+	if bounded {
+		departure = r.boundedDeparture
+	}
+	// A run's PS servers come from one slab. Speed drift needs them
+	// (validate enforces the PS discipline when steps are configured).
+	var ps []sim.PSServer
+	if cfg.Discipline == PS {
+		ps = sim.NewPSServers(r.en, cfg.Speeds, departure)
 	}
 	for i, s := range cfg.Speeds {
-		dep := r.onDepart
-		var b *sim.Bounded
-		if bounded {
-			// The bounded wrapper must see the departure before the run
-			// statistics so its occupancy is current.
-			dep = func(j *sim.Job) {
-				b.NoteDeparture(j)
-				r.depart(j)
-			}
-		}
 		switch cfg.Discipline {
 		case PS:
-			r.servers[i] = sim.NewPSServer(r.en, s, dep)
+			r.servers[i] = &ps[i]
 		case RR:
-			r.servers[i] = sim.NewRRServer(r.en, s, cfg.Quantum, dep)
+			r.servers[i] = sim.NewRRServer(r.en, s, cfg.Quantum, departure(i))
 		case FCFS:
-			r.servers[i] = sim.NewFCFSServer(r.en, s, dep)
+			r.servers[i] = sim.NewFCFSServer(r.en, s, departure(i))
 		default:
 			return nil, fmt.Errorf("cluster: unknown discipline %v", cfg.Discipline)
 		}
-		if psBases != nil {
-			psBases[i] = r.servers[i].(*sim.PSServer)
-		}
 		if bounded {
-			b = sim.NewBounded(r.servers[i], cfg.Overload.QueueCap, cfg.Overload.Drop,
+			r.servers[i] = sim.NewBounded(r.servers[i], cfg.Overload.QueueCap, cfg.Overload.Drop,
 				func(j *sim.Job) { r.ov.shed(i, j) })
-			r.servers[i] = b
 		}
 	}
-	if psBases != nil {
-		for _, step := range dr.SpeedSteps {
-			r.en.Schedule(step.At, func() {
-				if step.Computer >= 0 {
-					psBases[step.Computer].SetSpeed(cfg.Speeds[step.Computer] * step.Factor)
-					return
-				}
-				for i, ps := range psBases {
-					ps.SetSpeed(cfg.Speeds[i] * step.Factor)
-				}
-			})
-		}
+	if dr != nil {
+		r.scheduleSpeedSteps(dr.SpeedSteps, ps)
 	}
 
 	// Bind the control plane before the state view: a CtrlAware policy
@@ -1201,6 +1181,32 @@ func (r *run) resumed(i int, j *sim.Job) {
 	}
 	if r.spansOn {
 		r.pb.SpanServe(i, j, r.en.Now())
+	}
+}
+
+// scheduleSpeedSteps schedules the speed-drift steps on the run's PS
+// servers.
+func (r *run) scheduleSpeedSteps(steps []drift.SpeedStep, ps []sim.PSServer) {
+	for _, step := range steps {
+		r.en.Schedule(step.At, func() {
+			if step.Computer >= 0 {
+				ps[step.Computer].SetSpeed(r.cfg.Speeds[step.Computer] * step.Factor)
+				return
+			}
+			for i := range ps {
+				ps[i].SetSpeed(r.cfg.Speeds[i] * step.Factor)
+			}
+		})
+	}
+}
+
+// boundedDeparture is server i's departure callback under bounded
+// queues: server i's sim.Bounded wrapper sees the departure before the
+// run statistics, so its occupancy is current.
+func (r *run) boundedDeparture(i int) func(*sim.Job) {
+	return func(j *sim.Job) {
+		r.servers[i].(*sim.Bounded).NoteDeparture(j)
+		r.depart(j)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"heterosched/internal/rng"
 )
@@ -143,9 +144,11 @@ func searchCum(cum []float64, u float64) int {
 // computer is one increment of a global arrival count: a started, up
 // computer stores its next counter as of an earlier arrival, and the
 // arrivals since are subtracted only when the counter is read. The
-// selectable computers sit in two binary min-heaps in selection order,
-// the started ones and the unstarted ones (whose guard values do not
-// move), so every winner is the root of one of them. See DESIGN.md §9.
+// started, selectable computers sit in a binary min-heap in selection
+// order. The unstarted ones, whose guard values do not move, sit in a
+// queue sorted once per mask change, so a computer's first job pops the
+// queue's head in O(1). Every winner is the heap's root or the queue's
+// head. See DESIGN.md §9.
 type RoundRobin struct {
 	fractions []float64
 
@@ -158,8 +161,8 @@ type RoundRobin struct {
 	eff []float64
 
 	// ent holds one entry per computer in three regions: ent[:hs] is the
-	// started heap, ent[len(ent)-hu:] the unstarted heap stored back to
-	// front (its root is the last entry), and the entries in between are
+	// started heap, ent[len(ent)-hu:] the unstarted queue in selection
+	// order (its head is ent[len(ent)-hu]), and the entries in between are
 	// parked: down, or with a zero effective fraction.
 	ent    []rrEntry
 	hs, hu int
@@ -170,8 +173,9 @@ type RoundRobin struct {
 // rrEntry is one computer's Algorithm 2 state. The next counter of a
 // started, up computer is val − (arrivals − at): val is the counter as of
 // arrival at, when it was last selected or the mask last changed. Other
-// computers' counters are frozen and equal val; within the unstarted heap
-// every at is the same.
+// computers' counters are frozen and equal val. An unstarted computer's
+// counter needs no anchor, so in the unstarted queue at holds instead the
+// bits of its tie key 1/α (see rebuild).
 type rrEntry struct {
 	val    float64
 	at     int64
@@ -202,13 +206,14 @@ func (rr *RoundRobin) N() int       { return len(rr.fractions) }
 
 func (rr *RoundRobin) Next() int {
 	// Steps 2.b–2.c: select the computer with minimum next, breaking ties
-	// by the smaller normalized assignment count, from the two heap roots.
-	// Down and zero-fraction computers are in neither heap (step 2.c.1).
+	// by the smaller normalized assignment count, from the heap's root and
+	// the queue's head. Down and zero-fraction computers are in neither
+	// (step 2.c.1).
 	fromUnstarted := rr.hs == 0
 	if !fromUnstarted && rr.hu > 0 {
 		// An unstarted counter is frozen: anchored at the current arrival
 		// it reads as its guard value.
-		u := rr.ent[len(rr.ent)-1]
+		u := rr.ent[len(rr.ent)-rr.hu]
 		u.at = rr.arrivals
 		fromUnstarted = rr.before(&u, &rr.ent[0])
 	}
@@ -223,40 +228,36 @@ func (rr *RoundRobin) Next() int {
 		w.val = rr.counter(w) + 1/rr.eff[sel]
 		w.at = rr.arrivals
 		w.assign++
-		rr.siftDown(0, 1, rr.hs, 0)
+		rr.siftDown(0)
 	}
 	// Step 2.h: one system arrival has elapsed for every started computer.
 	rr.arrivals++
 	return sel
 }
 
-// start selects the unstarted heap's root: step 2.d resets its guard
+// start selects the unstarted queue's head: step 2.d resets its guard
 // value, steps 2.e–2.f give it its first job, and it moves onto the
 // started heap.
 func (rr *RoundRobin) start() int {
 	if rr.hu == 0 {
 		panic("dispatch: all fractions zero") // impossible: Σα = 1 over the up-set
 	}
-	n := len(rr.ent)
-	w := rr.ent[n-1]
-	// Pop the root; the unstarted region gives up its first slot.
-	last := n - rr.hu
-	rr.ent[n-1] = rr.ent[last]
+	head := len(rr.ent) - rr.hu
+	w := rr.ent[head]
 	rr.hu--
-	rr.siftDown(n-1, -1, rr.hu, 0)
-	// The first parked entry moves into the freed slot, making room for
+	// The first parked entry moves into the head's slot, making room for
 	// the winner at the end of the started heap.
-	rr.ent[last] = rr.ent[rr.hs]
+	rr.ent[head] = rr.ent[rr.hs]
 	w.val = 1 / rr.eff[w.i]
 	w.at = rr.arrivals
 	w.assign = 1
 	rr.hs++
-	rr.siftUp(0, 1, 0, rr.hs-1, w)
+	rr.siftUp(0, rr.hs-1, w)
 	return w.i
 }
 
-// before is the selection order within one heap: smaller next counter
-// first, then tieBefore. It compares val + at exactly.
+// before is the selection order: smaller next counter first, then
+// tieBefore. It compares val + at exactly.
 func (rr *RoundRobin) before(a, b *rrEntry) bool {
 	// Rounding is monotone, so the rounded a.val − b.val decides unless it
 	// equals b.at − a.at.
@@ -310,38 +311,36 @@ func (rr *RoundRobin) tieBefore(a, b *rrEntry) bool {
 	return a.i < b.i
 }
 
-// siftDown restores the order below position p of the m-entry heap whose
-// position q is ent[base+dir*q]: dir 1 for the started heap, -1 (with
-// base len(ent)-1) for the unstarted one. It walks the hole at p down to
-// a leaf along the smaller children and then moves the displaced entry
-// back up. A winner's next counter grows by a whole period, so it belongs
-// near the leaves, and this takes about half the comparisons of sifting
-// it down level by level.
-func (rr *RoundRobin) siftDown(base, dir, m, p int) {
-	e := rr.ent
-	x := e[base+dir*p]
+// siftDown restores the started heap's order below position p. It walks
+// the hole at p down to a leaf along the smaller children and then moves
+// the displaced entry back up. A winner's next counter grows by a whole
+// period, so it belongs near the leaves, and this takes about half the
+// comparisons of sifting it down level by level.
+func (rr *RoundRobin) siftDown(p int) {
+	e := rr.ent[:rr.hs]
+	x := e[p]
 	top := p
 	for {
 		c := 2*p + 1
-		if c >= m {
+		if c >= len(e) {
 			break
 		}
-		if c+1 < m {
+		if c+1 < len(e) {
 			// rr.before(r, l), written out: the compiler does not inline
 			// before, and this loop is Next's hot path. Adding the
 			// comparison's result takes no branch on the counters; only an
 			// exact tie jumps to beforeTied.
-			l, r := &e[base+dir*c], &e[base+dir*(c+1)]
+			l, r := &e[c], &e[c+1]
 			if s, d := r.val-l.val, float64(l.at-r.at); s != d {
 				c += b2i(s < d)
 			} else if rr.beforeTied(r, l) {
 				c++
 			}
 		}
-		e[base+dir*p] = e[base+dir*c]
+		e[p] = e[c]
 		p = c
 	}
-	rr.siftUp(base, dir, top, p, x)
+	rr.siftUp(top, p, x)
 }
 
 // b2i is 1 for true and 0 for false; it compiles to a SETcc.
@@ -352,20 +351,19 @@ func b2i(b bool) int {
 	return 0
 }
 
-// siftUp stores x in the hole at position p of a heap laid out as in
-// siftDown, moving it up toward position top while it precedes its
-// parent.
-func (rr *RoundRobin) siftUp(base, dir, top, p int, x rrEntry) {
+// siftUp stores x in the started heap's hole at position p, moving it up
+// toward position top while it precedes its parent.
+func (rr *RoundRobin) siftUp(top, p int, x rrEntry) {
 	e := rr.ent
 	for p > top {
 		q := (p - 1) / 2
-		if !rr.before(&x, &e[base+dir*q]) {
+		if !rr.before(&x, &e[q]) {
 			break
 		}
-		e[base+dir*p] = e[base+dir*q]
+		e[p] = e[q]
 		p = q
 	}
-	e[base+dir*p] = x
+	e[p] = x
 }
 
 // counter returns e's next counter as of the current arrival.
@@ -386,8 +384,8 @@ func (rr *RoundRobin) settle() {
 }
 
 // rebuild sorts every computer into the started heap, the parked region
-// or the unstarted heap for the current mask, and heapifies both heaps,
-// in O(n).
+// or the unstarted queue for the current mask, heapifies the started
+// heap in O(n) and orders the queue in O(n log n).
 func (rr *RoundRobin) rebuild() {
 	e := rr.ent
 	lo, hi := 0, len(e)
@@ -406,22 +404,33 @@ func (rr *RoundRobin) rebuild() {
 	}
 	rr.hs, rr.hu = lo, len(e)-hi
 	for p := rr.hs/2 - 1; p >= 0; p-- {
-		rr.siftDown(0, 1, rr.hs, p)
+		rr.siftDown(p)
 	}
-	for p := rr.hu/2 - 1; p >= 0; p-- {
-		rr.siftDown(len(e)-1, -1, rr.hu, p)
+	// An unstarted computer's tie key (assign+1)/α is 1/α. It is computed
+	// once per entry and kept in at, which the queue does not otherwise
+	// use: positive floats order as their bits.
+	q := e[hi:]
+	for k := range q {
+		q[k].at = int64(math.Float64bits(1 / rr.eff[q[k].i]))
 	}
+	slices.SortFunc(q, cmpUnstarted)
 }
 
-// Assigned returns the number of jobs dispatched so far to computer i.
-// It searches the computers, O(n).
-func (rr *RoundRobin) Assigned(i int) int64 {
-	for _, e := range rr.ent {
-		if e.i == i {
-			return e.assign
-		}
+// cmpUnstarted is the selection order between two unstarted entries:
+// smaller counter, then smaller tie key, then lower index. Their counters
+// are frozen, so it is before with every anchor equal.
+func cmpUnstarted(a, b rrEntry) int {
+	switch {
+	case a.val < b.val:
+		return -1
+	case a.val > b.val:
+		return 1
+	case a.at < b.at:
+		return -1
+	case a.at > b.at:
+		return 1
 	}
-	panic(fmt.Sprintf("dispatch: computer %d out of range [0,%d)", i, len(rr.ent)))
+	return a.i - b.i
 }
 
 // CyclicWRR is the classic cyclic weighted round-robin: weights are

@@ -164,8 +164,8 @@ func TestRoundRobinAssignedCounter(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		rr.Next()
 	}
-	if rr.Assigned(0)+rr.Assigned(1) != 10 {
-		t.Errorf("assigned counts %d + %d != 10", rr.Assigned(0), rr.Assigned(1))
+	if assign, _ := rr.SyncShare(); assign[0]+assign[1] != 10 {
+		t.Errorf("assigned counts %d + %d != 10", assign[0], assign[1])
 	}
 }
 
@@ -498,6 +498,49 @@ func BenchmarkRoundRobinNext(b *testing.B) {
 				rr.Next()
 			}
 		})
+	}
+}
+
+// fleetJobs is the number of jobs in one run of the end-to-end
+// benchmark's fleet workload (n = 3200, 100 s at ρ = 0.7).
+const fleetJobs = 8500
+
+// BenchmarkRoundRobinStartUp times building Algorithm 2's dispatcher at
+// n = 3200 and making one fleet run's decisions, in which most computers
+// take their first job.
+func BenchmarkRoundRobinStartUp(b *testing.B) {
+	fr := tiledFractions(3200)
+	for i := 0; i < b.N; i++ {
+		rr, err := NewRoundRobin(fr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < fleetJobs; k++ {
+			rr.Next()
+		}
+	}
+}
+
+// BenchmarkRoundRobinSetUp times one mask change at n = 3200 with every
+// computer unstarted, as a failure detection before the first jobs: the
+// counters are settled and every computer is sorted again.
+func BenchmarkRoundRobinSetUp(b *testing.B) {
+	const n = 3200
+	fr := tiledFractions(n)
+	up := make([]bool, n)
+	for i := 1; i < n; i++ {
+		up[i] = true
+	}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rr, err := NewRoundRobin(fr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := rr.SetUp(up); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

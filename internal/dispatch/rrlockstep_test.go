@@ -3,11 +3,15 @@ package dispatch
 import (
 	"math"
 	"math/big"
+	"slices"
 	"testing"
 
 	"heterosched/internal/alloc"
 	"heterosched/internal/rng"
 )
+
+// table3Speeds are the paper's Table 3 computer speeds.
+var table3Speeds = []float64{1, 1, 1, 1, 1, 1.5, 1.5, 1.5, 1.5, 2, 2, 2, 5, 10, 12}
 
 // TestRoundRobinMatchesReferenceTable3 runs the paper's own system — the
 // Table 3 speeds under Algorithm 1's fractions at ρ = 0.7 — for 4M
@@ -19,8 +23,7 @@ func TestRoundRobinMatchesReferenceTable3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4M-arrival lockstep; run without -short")
 	}
-	speeds := []float64{1, 1, 1, 1, 1, 1.5, 1.5, 1.5, 1.5, 2, 2, 2, 5, 10, 12}
-	fr, err := alloc.Optimized{}.Allocate(speeds, 0.7)
+	fr, err := alloc.Optimized{}.Allocate(table3Speeds, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +40,79 @@ func TestRoundRobinMatchesReferenceTable3(t *testing.T) {
 			t.Fatalf("arrival %d: reference chose %d, RoundRobin %d", step, a, b)
 		}
 	}
+}
+
+// TestRoundRobinMatchesReferenceFleetStartUp runs Algorithm 1's fractions
+// of the Table 3 speeds tiled to n = 3200 at ρ = 0.7 on two hash-routed
+// replicas for 3n decisions, with a mask change and a counter sync
+// while computers are still taking their first jobs, and requires every
+// decision to equal the scan's. The randomized lockstep stops at n ≤ 40,
+// where the unstarted set empties within a few dozen arrivals. Here
+// thousands of unstarted computers tie on their guard values and, about
+// 213 to a speed, on their tie keys, so the unstarted queue's order
+// decides; the sync's means leave computers started on one replica
+// unstarted again at counters other than the guard.
+func TestRoundRobinMatchesReferenceFleetStartUp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n = 3200 lockstep against the O(n) scan; run without -short")
+	}
+	const n, k = 3200, 2
+	speeds := make([]float64, n)
+	for i := range speeds {
+		speeds[i] = table3Speeds[i%len(table3Speeds)]
+	}
+	fr, err := alloc.Optimized{}.Allocate(speeds, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewSharded(k, ShardHash, func(int) (Dispatcher, error) { return newRefRR(fr) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewSharded(k, ShardHash, func(int) (Dispatcher, error) { return NewRoundRobin(fr) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := make([]bool, n)
+	for i := range up {
+		up[i] = i%7 != 3
+	}
+	// requireStarting fails unless every replica still has unstarted
+	// computers to move onto its started heap.
+	requireStarting := func(what string) {
+		t.Helper()
+		for r := 0; r < k; r++ {
+			if hu := got.Replica(r).(*RoundRobin).hu; hu == 0 {
+				t.Fatalf("%s: replica %d has no unstarted computer left", what, r)
+			}
+		}
+	}
+	for step := 0; step < 3*n; step++ {
+		switch step {
+		case n / 2:
+			requireStarting("mask change")
+			if e1, e2 := ref.SetUp(up), got.SetUp(up); e1 != nil || e2 != nil {
+				t.Fatalf("SetUp: reference error %v, RoundRobin error %v", e1, e2)
+			}
+		case n:
+			requireStarting("counter sync")
+			ref.SyncNow()
+			got.SyncNow()
+			compareShares(t, ref, got, step)
+			rr := got.Replica(0).(*RoundRobin)
+			if !slices.ContainsFunc(rr.ent[len(rr.ent)-rr.hu:], func(e rrEntry) bool { return e.val != 1 }) {
+				t.Fatal("counter sync: no unstarted computer holds a counter other than the guard")
+			}
+		case 2 * n:
+			if e1, e2 := ref.SetUp(nil), got.SetUp(nil); e1 != nil || e2 != nil {
+				t.Fatalf("SetUp(nil): reference error %v, RoundRobin error %v", e1, e2)
+			}
+		}
+		if a, b := ref.NextFor(int64(step)), got.NextFor(int64(step)); a != b {
+			t.Fatalf("decision %d: reference chose %d, RoundRobin %d", step, a, b)
+		}
+	}
+	compareShares(t, ref, got, 3*n)
 }
 
 // commensurateFractions draws a fraction vector whose weights stand in

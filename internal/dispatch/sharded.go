@@ -78,7 +78,7 @@ func (rr *RoundRobin) SyncShare() ([]int64, []float64) {
 }
 
 // SyncApply installs synced Algorithm 2 counters, stored exactly as given,
-// and rebuilds both heaps, O(n).
+// and rebuilds the started heap and the unstarted queue, O(n log n).
 func (rr *RoundRobin) SyncApply(assign []int64, next []float64) {
 	if len(assign) != len(rr.ent) || len(next) != len(rr.ent) {
 		return

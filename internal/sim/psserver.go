@@ -34,16 +34,40 @@ type PSServer struct {
 	departed  int64
 }
 
-// NewPSServer creates a processor-sharing server with the given relative
-// speed (>0). onDepart is invoked at each job's completion time, after the
-// job's Completion field is set; it may schedule further events.
-func NewPSServer(en *Engine, speed float64, onDepart func(*Job)) *PSServer {
-	if !(speed > 0) {
-		panic(fmt.Sprintf("sim: PS server speed must be positive, got %v", speed))
+// psFirstSlots is the number of job slots each server of a slab gets
+// from the slab's shared backing array. A server that holds more jobs at
+// once grows its own slice; these slots replace its first appends.
+const psFirstSlots = 2
+
+// NewPSServers creates one processor-sharing server per speed (each >0)
+// in a single slab, so a fleet's servers cost one allocation and their
+// first job slots one more, not a few per server. Server i calls
+// onDepart(i) once, here, for its departure callback: it is invoked at
+// each job's completion time, after the job's Completion field is set,
+// and may schedule further events.
+func NewPSServers(en *Engine, speeds []float64, onDepart func(i int) func(*Job)) []PSServer {
+	slab := make([]PSServer, len(speeds))
+	slots := make([]*Job, len(speeds)*psFirstSlots)
+	for i, speed := range speeds {
+		if !(speed > 0) {
+			panic(fmt.Sprintf("sim: PS server speed must be positive, got %v", speed))
+		}
+		s := &slab[i]
+		s.engine, s.speed, s.onDepart = en, speed, onDepart(i)
+		// The full slice expression caps the server at its own slots, so
+		// an append past them moves it to a slice of its own.
+		s.jobs = slots[i*psFirstSlots : i*psFirstSlots : (i+1)*psFirstSlots]
+		s.departFn = s.depart
 	}
-	s := &PSServer{engine: en, speed: speed, onDepart: onDepart}
-	s.departFn = s.depart
-	return s
+	return slab
+}
+
+// NewPSServer creates a processor-sharing server with the given relative
+// speed (>0): a slab of one (NewPSServers). onDepart is invoked at each
+// job's completion time, after the job's Completion field is set; it may
+// schedule further events.
+func NewPSServer(en *Engine, speed float64, onDepart func(*Job)) *PSServer {
+	return &NewPSServers(en, []float64{speed}, func(int) func(*Job) { return onDepart })[0]
 }
 
 // Speed returns the server's relative speed.

@@ -144,6 +144,64 @@ func TestPSServerSingleJob(t *testing.T) {
 	}
 }
 
+// TestPSServersSlabMatchesSingles drives the servers of one slab and
+// separately built servers through the same arrivals, with every server
+// holding more jobs at once than its slots in the slab's shared backing
+// array while its neighbours hold jobs, and requires the same
+// departures: a server that wrote into another's slots would lose or
+// duplicate a job.
+func TestPSServersSlabMatchesSingles(t *testing.T) {
+	speeds := []float64{0.5, 0.4, 0.6, 0.5}
+	type departure struct {
+		server int
+		id     int64
+		at     float64
+	}
+	run := func(servers []*PSServer, en *Engine, log *[]departure) {
+		st := rng.New(17)
+		peak := make([]int, len(servers))
+		for k := 0; k < 40; k++ {
+			i := st.Intn(len(servers))
+			at := float64(k) * 0.25
+			j := &Job{ID: int64(k), Size: 0.5 + 2*st.Float64(), Arrival: at}
+			en.Schedule(at, func() {
+				servers[i].Arrive(j)
+				peak[i] = max(peak[i], servers[i].InService())
+			})
+		}
+		en.RunUntil(1e6)
+		if len(*log) != 40 {
+			t.Fatalf("%d of 40 jobs departed", len(*log))
+		}
+		for i, p := range peak {
+			if p <= psFirstSlots {
+				t.Fatalf("server %d held at most %d jobs, not more than its %d slots", i, p, psFirstSlots)
+			}
+		}
+	}
+	var slabEn, singleEn Engine
+	var fromSlab, fromSingles []departure
+	slab := NewPSServers(&slabEn, speeds, func(i int) func(*Job) {
+		return func(j *Job) { fromSlab = append(fromSlab, departure{i, j.ID, j.Completion}) }
+	})
+	servers := make([]*PSServer, len(slab))
+	for i := range slab {
+		servers[i] = &slab[i]
+	}
+	run(servers, &slabEn, &fromSlab)
+	for i, s := range speeds {
+		servers[i] = NewPSServer(&singleEn, s, func(j *Job) {
+			fromSingles = append(fromSingles, departure{i, j.ID, j.Completion})
+		})
+	}
+	run(servers, &singleEn, &fromSingles)
+	for k := range fromSlab {
+		if fromSlab[k] != fromSingles[k] {
+			t.Fatalf("departure %d: slab %+v, single servers %+v", k, fromSlab[k], fromSingles[k])
+		}
+	}
+}
+
 func TestPSServerSharingHandComputed(t *testing.T) {
 	// Speed 1. Job A (size 3) at t=0; job B (size 1) at t=1.
 	// t∈[0,1): A alone, attains 1. t∈[1,3): sharing at rate 1/2 each;
