@@ -11,8 +11,10 @@
 //	benchreg check -baseline BENCH_2026-10-19.json [-save current.json]
 //	    Run the suites, compare against the baseline, print the delta
 //	    table and exit non-zero on any hot-path regression: ns/op worse
-//	    than -threshold, or ANY allocs/op increase. This is `make
-//	    benchcheck`.
+//	    than -threshold, or ANY allocs/op increase. It also exits
+//	    non-zero when RoundRobinNext's ns/op at its largest n exceeds
+//	    twice that at its smallest in the current run
+//	    (benchreg.DefaultFlatRules). This is `make benchcheck`.
 //
 //	benchreg run [-save current.json]
 //	    Run the suites and print the normalized report without comparing.
@@ -48,7 +50,7 @@ func main() {
 	mode := os.Args[1]
 	fs := flag.NewFlagSet("benchreg "+mode, flag.ExitOnError)
 	var (
-		pkgs      = fs.String("pkgs", ".,./internal/sim,./internal/stats", "comma-separated packages whose benchmarks to run (root macro suite + engine and estimator micro-benchmarks)")
+		pkgs      = fs.String("pkgs", ".,./internal/sim,./internal/stats,./internal/dispatch", "comma-separated packages whose benchmarks to run (root macro suite + engine, estimator and dispatcher micro-benchmarks)")
 		benchPat  = fs.String("bench", ".", "benchmark name pattern passed to -bench")
 		benchtime = fs.String("benchtime", "1s", "per-benchmark measuring time passed to -benchtime")
 		count     = fs.Int("count", 3, "benchmark repetitions passed to -count; repeats are merged best-of to shed scheduling noise")
@@ -123,10 +125,15 @@ func main() {
 		fmt.Printf("benchreg: baseline %s (%s, git %s) vs current (git %s)\n",
 			*baseline, base.Date, base.Git, cur.Git)
 		fmt.Print(benchreg.FormatDeltas(deltas))
+		flats, flatErr := benchreg.CheckFlat(cur, benchreg.DefaultFlatRules)
+		fmt.Print(benchreg.FormatFlats(flats))
 		if cmpErr != nil {
 			fatal(cmpErr)
 		}
-		fmt.Println("benchreg: ok — no hot-path regressions")
+		if flatErr != nil {
+			fatal(flatErr)
+		}
+		fmt.Println("benchreg: ok — no hot-path regressions, every gated family flat in n")
 	}
 }
 

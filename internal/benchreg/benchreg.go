@@ -9,7 +9,9 @@
 // meaningful against a baseline recorded on similar hardware, so CI runs
 // with extra headroom — while allocs/op is exact everywhere: the
 // zero-allocation hot path (see internal/sim) is enforced bit-for-bit on
-// any machine.
+// any machine. The gate also fails when a benchmark family's ns/op grows
+// with the fleet size n beyond a bound (CheckFlat), a ratio within the
+// current run that holds on any hardware.
 package benchreg
 
 import (
@@ -334,6 +336,81 @@ func Compare(base, cur *Report, th Thresholds) ([]Delta, error) {
 			len(failures), strings.Join(failures, "\n  "))
 	}
 	return deltas, nil
+}
+
+// FlatRule bounds how a benchmark family's cost grows with the fleet:
+// within one run, ns/op at the family's largest "/n=" size over ns/op at
+// its smallest must not exceed MaxRatio. A ratio taken inside one run
+// cancels the host's speed, so the rule holds on any machine, where a raw
+// ns/op threshold does not.
+type FlatRule struct {
+	// Family is the normalized name before "/n=", e.g. "RoundRobinNext".
+	Family   string
+	MaxRatio float64
+}
+
+// DefaultFlatRules hold Algorithm 2's decision (internal/dispatch's
+// BenchmarkRoundRobinNext) to a cost that does not grow with n.
+var DefaultFlatRules = []FlatRule{{Family: "RoundRobinNext", MaxRatio: 2}}
+
+// Flat is one family's measured growth across its sizes.
+type Flat struct {
+	FlatRule
+	SmallN, LargeN   int
+	SmallNs, LargeNs float64
+	Ratio            float64 // LargeNs / SmallNs
+}
+
+// CheckFlat applies the rules to the current run alone. It returns one
+// Flat per rule whose family has at least two sizes, and an error naming
+// every family above its bound or with fewer than two sizes, so that
+// deleting a size cannot lift the gate.
+func CheckFlat(cur *Report, rules []FlatRule) ([]Flat, error) {
+	var flats []Flat
+	var failures []string
+	for _, rule := range rules {
+		f := Flat{FlatRule: rule}
+		sizes := 0
+		for _, r := range cur.Results {
+			size, ok := strings.CutPrefix(r.Name, rule.Family+"/n=")
+			n, err := strconv.Atoi(size)
+			if !ok || err != nil {
+				continue
+			}
+			if sizes == 0 || n < f.SmallN {
+				f.SmallN, f.SmallNs = n, r.NsPerOp
+			}
+			if sizes == 0 || n > f.LargeN {
+				f.LargeN, f.LargeNs = n, r.NsPerOp
+			}
+			sizes++
+		}
+		if sizes < 2 {
+			failures = append(failures, fmt.Sprintf("%s: %d sizes in the current run, the flatness rule needs two", rule.Family, sizes))
+			continue
+		}
+		f.Ratio = f.LargeNs / f.SmallNs
+		if !(f.Ratio <= rule.MaxRatio) {
+			failures = append(failures, fmt.Sprintf("%s: ns/op at n=%d over n=%d is %.3g, limit %.3g",
+				rule.Family, f.LargeN, f.SmallN, f.Ratio, rule.MaxRatio))
+		}
+		flats = append(flats, f)
+	}
+	if len(failures) > 0 {
+		return flats, fmt.Errorf("benchreg: %d flatness failure(s):\n  %s",
+			len(failures), strings.Join(failures, "\n  "))
+	}
+	return flats, nil
+}
+
+// FormatFlats renders the flatness table.
+func FormatFlats(flats []Flat) string {
+	var sb strings.Builder
+	for _, f := range flats {
+		fmt.Fprintf(&sb, "flat %-38s n=%d %.4g ns/op → n=%d %.4g ns/op: ×%.3g (limit ×%.3g)\n",
+			f.Family, f.SmallN, f.SmallNs, f.LargeN, f.LargeNs, f.Ratio, f.MaxRatio)
+	}
+	return sb.String()
 }
 
 // FormatDeltas renders a comparison table; hot benchmarks are marked and

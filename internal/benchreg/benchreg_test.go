@@ -2,6 +2,7 @@ package benchreg
 
 import (
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -233,5 +234,61 @@ func TestFormatDeltas(t *testing.T) {
 	out := FormatDeltas(deltas)
 	if !strings.Contains(out, "EngineSteadyState") || !strings.Contains(out, "✗") {
 		t.Errorf("table missing expected content:\n%s", out)
+	}
+}
+
+// dispatchOutput is `go test -bench` output from internal/dispatch with
+// the given RoundRobinNext ns/op at n = 8, 200 and 3200.
+func dispatchOutput(ns8, ns200, ns3200 float64) string {
+	return fmt.Sprintf(`pkg: heterosched/internal/dispatch
+BenchmarkRoundRobinNext/n=8-2         	40000000	        %v ns/op	       0 B/op	       0 allocs/op
+BenchmarkRoundRobinNext/n=200-2       	40000000	        %v ns/op	       0 B/op	       0 allocs/op
+BenchmarkRoundRobinNext/n=3200-2      	40000000	        %v ns/op	       0 B/op	       0 allocs/op
+BenchmarkRoundRobinStartUp-2          	    1600	    684736 ns/op	  199520 B/op	       4 allocs/op
+BenchmarkRandomNext/n=8-2             	48709484	        22.97 ns/op	       0 B/op	       0 allocs/op
+BenchmarkRandomNext/n=3200-2          	11927602	       108.1 ns/op	       0 B/op	       0 allocs/op
+`, ns8, ns200, ns3200)
+}
+
+func TestCheckFlat(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		ns8, ns200, big float64
+		ok              bool
+	}{
+		{"ring, flat in n", 26.5, 28.2, 29.3, true},
+		{"heap, log n", 42.7, 99.1, 171.4, false}, // ×4.0
+		{"limit is inclusive", 30, 45, 60, true},
+	} {
+		rep, err := Parse(strings.NewReader(dispatchOutput(c.ns8, c.ns200, c.big)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		flats, err := CheckFlat(rep, DefaultFlatRules)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: CheckFlat error %v, want ok = %v", c.name, err, c.ok)
+		}
+		if len(flats) != 1 {
+			t.Fatalf("%s: %d flats, want 1", c.name, len(flats))
+		}
+		f := flats[0]
+		if f.SmallN != 8 || f.LargeN != 3200 || f.Ratio != c.big/c.ns8 {
+			t.Errorf("%s: %+v, want n=8 → n=3200, ratio %v", c.name, f, c.big/c.ns8)
+		}
+		if out := FormatFlats(flats); !strings.Contains(out, "RoundRobinNext") {
+			t.Errorf("%s: table misses the family:\n%s", c.name, out)
+		}
+	}
+}
+
+// TestCheckFlatNeedsTwoSizes: a run that lost all but one size of a
+// gated family, or the whole family, fails rather than passing vacuously.
+func TestCheckFlatNeedsTwoSizes(t *testing.T) {
+	one := mkReport(Result{Name: "RoundRobinNext/n=3200", NsPerOp: 170})
+	none := mkReport(Result{Name: "RoundRobinNextSomething", NsPerOp: 1}, Result{Name: "RandomNext/n=8", NsPerOp: 1})
+	for name, rep := range map[string]*Report{"one size": one, "no size": none} {
+		if _, err := CheckFlat(rep, DefaultFlatRules); err == nil || !strings.Contains(err.Error(), "RoundRobinNext") {
+			t.Errorf("%s: CheckFlat error %v, want a failure naming the family", name, err)
+		}
 	}
 }

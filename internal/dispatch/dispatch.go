@@ -140,14 +140,16 @@ func searchCum(cum []float64, u float64) int {
 // computers receive their first jobs spread out over the first cycle
 // rather than in a clump.
 //
-// Each decision costs O(log n). Step 2.h's decrement of every started
+// Each decision costs O(1). Step 2.h's decrement of every started
 // computer is one increment of a global arrival count: a started, up
 // computer stores its next counter as of an earlier arrival, and the
-// arrivals since are subtracted only when the counter is read. The
-// started, selectable computers sit in a binary min-heap in selection
-// order. The unstarted ones, whose guard values do not move, sit in a
-// queue sorted once per mask change, so a computer's first job pops the
-// queue's head in O(1). Every winner is the heap's root or the queue's
+// arrivals since are subtracted only when the counter is read. That
+// counter reaches zero during a known arrival, its bucket, and the
+// started, selectable computers sit in a ring with one bucket per
+// arrival; the few whose bucket lies outside the ring's window sit in a
+// far heap. The unstarted ones, whose guard values do not move, sit in a
+// queue sorted once per mask change. Every winner is the least entry of
+// the ring's least non-empty bucket, the far heap's root or the queue's
 // head. See DESIGN.md §9.
 type RoundRobin struct {
 	fractions []float64
@@ -160,14 +162,28 @@ type RoundRobin struct {
 	up  []bool
 	eff []float64
 
-	// ent holds one entry per computer in three regions: ent[:hs] is the
-	// started heap, ent[len(ent)-hu:] the unstarted queue in selection
-	// order (its head is ent[len(ent)-hu]), and the entries in between are
-	// parked: down, or with a zero effective fraction.
+	// ent holds one entry per computer in three regions: ent[:hs] are the
+	// started computers, each in the ring or the far heap,
+	// ent[len(ent)-hu:] the unstarted queue in selection order (its head
+	// is ent[len(ent)-hu]), and the entries in between are parked: down,
+	// or with a zero effective fraction. A started entry keeps its
+	// position until the next rebuild.
 	ent    []rrEntry
 	hs, hu int
 	// arrivals counts the jobs dispatched: step 2.h's clock.
 	arrivals int64
+
+	// ring[b&mask] lists the ring's entries in bucket b, for every b in
+	// the window [lo, lo+len(ring)): it holds the position+1 of the
+	// bucket's first entry, or 0. No ring entry lies in a bucket below
+	// cursor, and cursor ≥ lo.
+	ring       []int32
+	mask       int64
+	lo, cursor int64
+	// far is a binary min-heap, in selection order, of the positions of
+	// the started entries filed outside the window. Every other started
+	// entry is in the ring.
+	far []int32
 }
 
 // rrEntry is one computer's Algorithm 2 state. The next counter of a
@@ -180,8 +196,23 @@ type rrEntry struct {
 	val    float64
 	at     int64
 	assign int64
-	i      int
+	rrRef
 }
+
+// rrRef is an entry's computer index and ring link. Nesting them keeps
+// rrEntry at four fields, the most the compiler keeps in registers: with
+// five, every comparison of the queue's sort spills both entries to the
+// stack, which made a rebuild ~25% slower.
+type rrRef struct {
+	i int32
+	// link is, in the ring, the position+1 of the next entry in the same
+	// bucket, or 0; in the far heap it is −1.
+	link int32
+}
+
+// ringSlack is how far below the current arrival a rebuild may open the
+// window; the ring leaves room for it above the longest stride.
+const ringSlack = 8
 
 // NewRoundRobin returns a smoothed round-robin dispatcher over the given
 // fractions (Algorithm 2 step 1 initialization).
@@ -190,45 +221,98 @@ func NewRoundRobin(fractions []float64) (*RoundRobin, error) {
 	if err != nil {
 		return nil, err
 	}
-	rr := &RoundRobin{fractions: fr, eff: fr, ent: make([]rrEntry, len(fr))}
+	w := ringSize(fr)
+	rr := &RoundRobin{fractions: fr, eff: fr, ent: make([]rrEntry, len(fr)),
+		ring: make([]int32, w), mask: int64(w - 1)}
 	for i := range rr.ent {
-		rr.ent[i] = rrEntry{val: 1, i: i} // guard value (step 1.b)
+		rr.ent[i] = rrEntry{val: 1, rrRef: rrRef{i: int32(i)}} // guard value (step 1.b)
 	}
 	rr.rebuild()
 	return rr, nil
 }
 
+// ringSize returns the ring's bucket count: the least power of two that
+// is at least 16 and at least the longest finite stride 1/α plus
+// ringSlack, but no more than the least power of two at least 8n, so the
+// ring stays O(n) whatever the fractions. A mask shortens strides, except
+// where maskWeights falls back to an equal split; a stride longer than
+// the ring lives in the far heap.
+func ringSize(fr []float64) int {
+	least := math.Inf(1)
+	for _, f := range fr {
+		if f > 0 {
+			least = min(least, f)
+		}
+	}
+	w := 16
+	for float64(w) < 1/least+ringSlack && w < 8*len(fr) {
+		w *= 2
+	}
+	return w
+}
+
 // isUp reports whether computer i is selectable (no mask means all up).
-func (rr *RoundRobin) isUp(i int) bool { return rr.up == nil || rr.up[i] }
+func (rr *RoundRobin) isUp(i int32) bool { return rr.up == nil || rr.up[i] }
 
 func (rr *RoundRobin) Name() string { return "RR" }
 func (rr *RoundRobin) N() int       { return len(rr.fractions) }
 
 func (rr *RoundRobin) Next() int {
 	// Steps 2.b–2.c: select the computer with minimum next, breaking ties
-	// by the smaller normalized assignment count, from the heap's root and
-	// the queue's head. Down and zero-fraction computers are in neither
-	// (step 2.c.1).
-	fromUnstarted := rr.hs == 0
-	if !fromUnstarted && rr.hu > 0 {
+	// by the smaller normalized assignment count, from the ring's least
+	// bucket, the far heap's root and the queue's head. Down and
+	// zero-fraction computers are in none of them (step 2.c.1).
+	e := rr.ent
+	p, pl := int32(-1), (*int32)(nil) // the winner, and the link to it
+	// Every started entry outside the far heap is in the ring.
+	if rr.hs > len(rr.far) {
+		for rr.ring[rr.cursor&rr.mask] == 0 {
+			rr.cursor++
+		}
+		// A lower bucket holds smaller counters; within the bucket, before
+		// decides.
+		pl = &rr.ring[rr.cursor&rr.mask]
+		p = *pl - 1
+		for q := &e[p].link; *q != 0; q = &e[*q-1].link {
+			if rr.before(&e[*q-1], &e[p]) {
+				p, pl = *q-1, q
+			}
+		}
+		// A first job lands at arrivals+1 or later.
+		rr.lo = min(rr.cursor, rr.arrivals+1)
+	} else {
+		rr.lo, rr.cursor = rr.arrivals+1, rr.arrivals+1
+	}
+	fromFar := len(rr.far) > 0 && (p < 0 || rr.before(&e[rr.far[0]], &e[p]))
+	if fromFar {
+		p = rr.far[0]
+	}
+	if rr.hu > 0 {
 		// An unstarted counter is frozen: anchored at the current arrival
 		// it reads as its guard value.
-		u := rr.ent[len(rr.ent)-rr.hu]
+		u := e[len(e)-rr.hu]
 		u.at = rr.arrivals
-		fromUnstarted = rr.before(&u, &rr.ent[0])
+		if p < 0 || rr.before(&u, &e[p]) {
+			p = -1
+		}
 	}
 	var sel int
-	if fromUnstarted {
+	if p < 0 {
 		sel = rr.start()
 	} else {
+		if fromFar {
+			rr.popFar()
+		} else {
+			*pl = e[p].link
+		}
 		// Steps 2.e–2.f: schedule the winner's next turn 1/α ahead; count
 		// the job.
-		w := &rr.ent[0]
-		sel = w.i
-		w.val = rr.counter(w) + 1/rr.eff[sel]
+		w := &e[p]
+		sel = int(w.i)
+		w.val = w.val - float64(rr.arrivals-w.at) + 1/rr.eff[sel]
 		w.at = rr.arrivals
 		w.assign++
-		rr.siftDown(0)
+		rr.file(p)
 	}
 	// Step 2.h: one system arrival has elapsed for every started computer.
 	rr.arrivals++
@@ -236,8 +320,8 @@ func (rr *RoundRobin) Next() int {
 }
 
 // start selects the unstarted queue's head: step 2.d resets its guard
-// value, steps 2.e–2.f give it its first job, and it moves onto the
-// started heap.
+// value, steps 2.e–2.f give it its first job, and it joins the started
+// region.
 func (rr *RoundRobin) start() int {
 	if rr.hu == 0 {
 		panic("dispatch: all fractions zero") // impossible: Σα = 1 over the up-set
@@ -246,14 +330,83 @@ func (rr *RoundRobin) start() int {
 	w := rr.ent[head]
 	rr.hu--
 	// The first parked entry moves into the head's slot, making room for
-	// the winner at the end of the started heap.
+	// the winner at the end of the started region.
 	rr.ent[head] = rr.ent[rr.hs]
 	w.val = 1 / rr.eff[w.i]
 	w.at = rr.arrivals
 	w.assign = 1
+	rr.ent[rr.hs] = w
+	rr.file(int32(rr.hs))
 	rr.hs++
-	rr.siftUp(0, rr.hs-1, w)
-	return w.i
+	return int(w.i)
+}
+
+// bucket returns floor(val) + at, the arrival during which a started
+// counter reaches zero. Bucket order is counter order: a lower bucket
+// holds a smaller val + at. It needs |val| < 2^52.
+func bucket(e *rrEntry) int64 { return int64(math.Floor(e.val)) + e.at }
+
+// file puts the started entry at position p into its bucket when the
+// bucket lies in the window, lowering the cursor to it, and into the far
+// heap otherwise.
+func (rr *RoundRobin) file(p int32) {
+	e := &rr.ent[p]
+	if math.Abs(e.val) < 1<<52 {
+		if b := bucket(e); uint64(b-rr.lo) < uint64(len(rr.ring)) {
+			s := &rr.ring[b&rr.mask]
+			e.link, *s = *s, p+1
+			rr.cursor = min(rr.cursor, b)
+			return
+		}
+	}
+	e.link = -1
+	rr.pushFar(p)
+}
+
+// pushFar adds the started entry at position p to the far heap, which
+// takes its capacity, one slot per computer, on first use.
+func (rr *RoundRobin) pushFar(p int32) {
+	if rr.far == nil {
+		rr.far = make([]int32, 0, len(rr.ent))
+	}
+	h := append(rr.far, p)
+	k := len(h) - 1
+	for k > 0 {
+		q := (k - 1) / 2
+		if !rr.before(&rr.ent[p], &rr.ent[h[q]]) {
+			break
+		}
+		h[k] = h[q]
+		k = q
+	}
+	h[k] = p
+	rr.far = h
+}
+
+// popFar removes the far heap's root.
+func (rr *RoundRobin) popFar() {
+	n := len(rr.far) - 1
+	h, x := rr.far[:n], rr.far[n]
+	rr.far = h
+	if n == 0 {
+		return
+	}
+	k := 0
+	for {
+		c := 2*k + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && rr.before(&rr.ent[h[c+1]], &rr.ent[h[c]]) {
+			c++
+		}
+		if !rr.before(&rr.ent[h[c]], &rr.ent[x]) {
+			break
+		}
+		h[k] = h[c]
+		k = c
+	}
+	h[k] = x
 }
 
 // before is the selection order: smaller next counter first, then
@@ -311,61 +464,6 @@ func (rr *RoundRobin) tieBefore(a, b *rrEntry) bool {
 	return a.i < b.i
 }
 
-// siftDown restores the started heap's order below position p. It walks
-// the hole at p down to a leaf along the smaller children and then moves
-// the displaced entry back up. A winner's next counter grows by a whole
-// period, so it belongs near the leaves, and this takes about half the
-// comparisons of sifting it down level by level.
-func (rr *RoundRobin) siftDown(p int) {
-	e := rr.ent[:rr.hs]
-	x := e[p]
-	top := p
-	for {
-		c := 2*p + 1
-		if c >= len(e) {
-			break
-		}
-		if c+1 < len(e) {
-			// rr.before(r, l), written out: the compiler does not inline
-			// before, and this loop is Next's hot path. Adding the
-			// comparison's result takes no branch on the counters; only an
-			// exact tie jumps to beforeTied.
-			l, r := &e[c], &e[c+1]
-			if s, d := r.val-l.val, float64(l.at-r.at); s != d {
-				c += b2i(s < d)
-			} else if rr.beforeTied(r, l) {
-				c++
-			}
-		}
-		e[p] = e[c]
-		p = c
-	}
-	rr.siftUp(top, p, x)
-}
-
-// b2i is 1 for true and 0 for false; it compiles to a SETcc.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// siftUp stores x in the started heap's hole at position p, moving it up
-// toward position top while it precedes its parent.
-func (rr *RoundRobin) siftUp(top, p int, x rrEntry) {
-	e := rr.ent
-	for p > top {
-		q := (p - 1) / 2
-		if !rr.before(&x, &e[q]) {
-			break
-		}
-		e[p] = e[q]
-		p = q
-	}
-	e[p] = x
-}
-
 // counter returns e's next counter as of the current arrival.
 func (rr *RoundRobin) counter(e *rrEntry) float64 {
 	if e.assign != 0 && rr.isUp(e.i) {
@@ -383,9 +481,21 @@ func (rr *RoundRobin) settle() {
 	}
 }
 
-// rebuild sorts every computer into the started heap, the parked region
-// or the unstarted queue for the current mask, heapifies the started
-// heap in O(n) and orders the queue in O(n log n).
+// clearRing empties the ring and the far heap ahead of a rebuild. It
+// touches only the buckets that hold entries, so a rebuild costs O(n)
+// whatever the ring's size.
+func (rr *RoundRobin) clearRing() {
+	for k := range rr.ent[:rr.hs] {
+		if e := &rr.ent[k]; e.link >= 0 {
+			rr.ring[bucket(e)&rr.mask] = 0
+		}
+	}
+	rr.far = rr.far[:0]
+}
+
+// rebuild sorts every computer into the started region, the parked
+// region or the unstarted queue for the current mask, files the started
+// entries, and orders the queue in O(n log n). The ring must be empty.
 func (rr *RoundRobin) rebuild() {
 	e := rr.ent
 	lo, hi := 0, len(e)
@@ -403,8 +513,19 @@ func (rr *RoundRobin) rebuild() {
 		}
 	}
 	rr.hs, rr.hu = lo, len(e)-hi
-	for p := rr.hs/2 - 1; p >= 0; p-- {
-		rr.siftDown(p)
+	// Every started counter is anchored at the current arrival. The window
+	// opens at the least bucket among them, but no more than ringSlack − 1
+	// below that arrival, and no later than a first job can land.
+	least := 1.0
+	for k := range e[:rr.hs] {
+		if v := e[k].val; v < least {
+			least = max(v, 1-ringSlack)
+		}
+	}
+	rr.lo = rr.arrivals + int64(math.Floor(least))
+	rr.cursor = rr.lo
+	for k := range rr.hs {
+		rr.file(int32(k))
 	}
 	// An unstarted computer's tie key (assign+1)/α is 1/α. It is computed
 	// once per entry and kept in at, which the queue does not otherwise
@@ -430,7 +551,7 @@ func cmpUnstarted(a, b rrEntry) int {
 	case a.at > b.at:
 		return 1
 	}
-	return a.i - b.i
+	return int(a.i) - int(b.i)
 }
 
 // CyclicWRR is the classic cyclic weighted round-robin: weights are

@@ -111,14 +111,15 @@ func (r *Random) SetUp(up []bool) error {
 // dispatcher, renormalizing the target fractions over the up computers.
 // Down computers are frozen (skipped in selection, next counters held) so
 // a repaired computer rejoins the rotation smoothly. The counters are
-// read under the old mask, and the started heap and the unstarted queue
-// are rebuilt, O(n log n).
+// read under the old mask, and the ring, the far heap and the unstarted
+// queue are rebuilt, O(n log n).
 func (rr *RoundRobin) SetUp(up []bool) error {
 	if up != nil {
 		if err := checkMask(up, len(rr.fractions)); err != nil {
 			return err
 		}
 	}
+	rr.clearRing()
 	rr.settle()
 	if up == nil {
 		rr.up = nil

@@ -10,21 +10,28 @@ import (
 // randomFractions draws a random probability vector of length n.
 func randomFractions(st *rng.Stream, n int) []float64 {
 	fr := make([]float64, n)
-	sum := 0.0
 	for i := range fr {
 		fr[i] = st.Float64()
-		sum += fr[i]
 	}
-	for i := range fr {
-		fr[i] /= sum
+	return normalize(fr)
+}
+
+// normalize scales w to sum to 1, then sets its last entry so that the
+// sum is exact for checkFractions' 1e-9 tolerance.
+func normalize(w []float64) []float64 {
+	sum := 0.0
+	for _, x := range w {
+		sum += x
 	}
-	// Exact renormalization for checkFractions' 1e-9 tolerance.
+	for i := range w {
+		w[i] /= sum
+	}
 	s := 0.0
-	for _, f := range fr[:n-1] {
-		s += f
+	for _, x := range w[:len(w)-1] {
+		s += x
 	}
-	fr[n-1] = 1 - s
-	return fr
+	w[len(w)-1] = 1 - s
+	return w
 }
 
 // randomMask draws a mask with at least one up computer.

@@ -7,7 +7,8 @@ import "math"
 // arrival — verbatim under a renamed type. The lockstep tests in
 // rrlockstep_test.go drive it and RoundRobin with the same fractions,
 // masks and counter syncs and compare every decision, which is how the
-// offset-and-heaps RoundRobin is shown to change performance only.
+// arrival-offset RoundRobin, with its ring of buckets, is shown to change
+// performance only.
 //
 // Do not "fix" or modernize this code; its value is being exactly what
 // shipped before the rewrite.

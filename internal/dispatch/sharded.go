@@ -78,13 +78,15 @@ func (rr *RoundRobin) SyncShare() ([]int64, []float64) {
 }
 
 // SyncApply installs synced Algorithm 2 counters, stored exactly as given,
-// and rebuilds the started heap and the unstarted queue, O(n log n).
+// and rebuilds the ring, the far heap and the unstarted queue,
+// O(n log n).
 func (rr *RoundRobin) SyncApply(assign []int64, next []float64) {
 	if len(assign) != len(rr.ent) || len(next) != len(rr.ent) {
 		return
 	}
+	rr.clearRing()
 	for i := range rr.ent {
-		rr.ent[i] = rrEntry{val: next[i], at: rr.arrivals, assign: assign[i], i: i}
+		rr.ent[i] = rrEntry{val: next[i], at: rr.arrivals, assign: assign[i], rrRef: rrRef{i: int32(i)}}
 	}
 	rr.rebuild()
 }
