@@ -22,6 +22,7 @@
 package dispatch
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -498,18 +499,22 @@ func (rr *RoundRobin) clearRing() {
 // entries, and orders the queue in O(n log n). The ring must be empty.
 func (rr *RoundRobin) rebuild() {
 	e := rr.ent
-	lo, hi := 0, len(e)
-	for k := 0; k < hi; {
-		switch {
-		case rr.eff[e[k].i] == 0 || !rr.isUp(e[k].i):
-			k++
-		case e[k].assign != 0:
-			e[lo], e[k] = e[k], e[lo]
-			lo++
-			k++
-		default:
+	active := func(k int) bool { return rr.eff[e[k].i] != 0 && rr.isUp(e[k].i) }
+	// The queue keeps its entries' relative order, so a queue still in
+	// selection order, as after a mask change before the first jobs,
+	// sorts in linear time.
+	hi := len(e)
+	for k := hi - 1; k >= 0; k-- {
+		if active(k) && e[k].assign == 0 {
 			hi--
 			e[k], e[hi] = e[hi], e[k]
+		}
+	}
+	lo := 0
+	for k := range hi {
+		if active(k) {
+			e[lo], e[k] = e[k], e[lo]
+			lo++
 		}
 	}
 	rr.hs, rr.hu = lo, len(e)-hi
@@ -534,24 +539,47 @@ func (rr *RoundRobin) rebuild() {
 	for k := range q {
 		q[k].at = int64(math.Float64bits(1 / rr.eff[q[k].i]))
 	}
-	slices.SortFunc(q, cmpUnstarted)
+	sortUnstarted(q)
 }
 
-// cmpUnstarted is the selection order between two unstarted entries:
-// smaller counter, then smaller tie key, then lower index. Their counters
-// are frozen, so it is before with every anchor equal.
-func cmpUnstarted(a, b rrEntry) int {
-	switch {
-	case a.val < b.val:
-		return -1
-	case a.val > b.val:
-		return 1
-	case a.at < b.at:
-		return -1
-	case a.at > b.at:
-		return 1
+// sortUnstarted puts the unstarted queue in selection order: smaller
+// counter, then smaller tie key, then lower index, which is before with
+// every anchor equal, since their counters are frozen. Entries equal in
+// counter and tie key differ only in their index (assign is 0 and link is
+// unused in the queue), so the sort compares the first two alone, and
+// pdqsort splits a run of equal keys off in linear time; each run's
+// indices are then sorted as plain int32s, unless already in order.
+func sortUnstarted(q []rrEntry) {
+	slices.SortFunc(q, func(a, b rrEntry) int {
+		switch {
+		case a.val < b.val:
+			return -1
+		case a.val > b.val:
+			return 1
+		}
+		return cmp.Compare(a.at, b.at)
+	})
+	var idx []int32
+	for lo, hi := 0, 0; lo < len(q); lo = hi {
+		ordered := true
+		for hi = lo + 1; hi < len(q) && q[hi].val == q[lo].val && q[hi].at == q[lo].at; hi++ {
+			ordered = ordered && q[hi-1].i < q[hi].i
+		}
+		if ordered {
+			continue
+		}
+		if idx == nil {
+			idx = make([]int32, 0, len(q))
+		}
+		idx = idx[:0]
+		for _, e := range q[lo:hi] {
+			idx = append(idx, e.i)
+		}
+		slices.Sort(idx)
+		for k, i := range idx {
+			q[lo+k].i = i
+		}
 	}
-	return int(a.i) - int(b.i)
 }
 
 // CyclicWRR is the classic cyclic weighted round-robin: weights are

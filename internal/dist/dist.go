@@ -125,9 +125,15 @@ func PaperJobSize() BoundedPareto { return NewBoundedPareto(10.0, 21600.0, 1.0) 
 // F(x) = (1 − (k/x)^α) / (1 − (k/p)^α).
 func (b BoundedPareto) Sample(st *rng.Stream) float64 {
 	u := st.Float64()
-	kp := math.Pow(b.K/b.P, b.Alpha)
-	// x = k / (1 − u(1 − (k/p)^α))^{1/α}
-	x := b.K / math.Pow(1-u*(1-kp), 1/b.Alpha)
+	// x = k / (1 − u(1 − (k/p)^α))^{1/α}. At the paper's α = 1 both
+	// powers are skipped: math.Pow(y, 1) is y.
+	var x float64
+	if b.Alpha == 1 {
+		x = b.K / (1 - u*(1-b.K/b.P))
+	} else {
+		kp := math.Pow(b.K/b.P, b.Alpha)
+		x = b.K / math.Pow(1-u*(1-kp), 1/b.Alpha)
+	}
 	// Guard against rounding pushing x marginally outside [k, p].
 	if x < b.K {
 		x = b.K

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // PSServer is an exact processor-sharing server: when n jobs are present,
 // each receives service at rate speed/n. This is the limiting behavior of
@@ -155,8 +152,11 @@ func (s *PSServer) depart() {
 	s.advance()
 	j := s.pop()
 	// Pin V exactly to the departing job's target so co-resident jobs see
-	// no rounding displacement.
-	s.vtime = math.Max(s.vtime, j.attained)
+	// no rounding displacement. V ≥ 0 and the target > 0, so the compare
+	// is math.Max without its NaN and signed-zero cases.
+	if s.vtime < j.attained {
+		s.vtime = j.attained
+	}
 	j.Completion = s.engine.Now()
 	s.departed++
 	if len(s.jobs) == 0 {

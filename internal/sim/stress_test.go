@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -221,7 +222,7 @@ func TestQuickEngineFiredCount(t *testing.T) {
 		en.RunUntil(math.Inf(1))
 		return en.Fired() == uint64(valid-cancelled)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

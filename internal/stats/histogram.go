@@ -9,16 +9,15 @@ import (
 // Histogram is a fixed-bin histogram over [Lo, Hi) with overflow and
 // underflow counters. Use NewHistogram or NewLogHistogram to create one.
 type Histogram struct {
-	lo, hi    float64
-	log       bool
-	bins      []int64
-	under     int64
-	over      int64
-	n         int64
-	logLo     float64
-	logWidth  float64
-	linWidth  float64
-	totalArea float64
+	lo, hi   float64
+	bins     []int64
+	under    int64
+	over     int64
+	n        int64
+	linWidth float64
+	// index bins a log histogram's in-range values; it is nil for a
+	// linear histogram and shared by every histogram of its geometry.
+	index *logIndex
 }
 
 // NewHistogram returns a linear-bin histogram over [lo, hi) with the given
@@ -36,18 +35,16 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 
 // NewLogHistogram returns a histogram whose bins are equal-width in
 // log-space over [lo, hi), suitable for heavy-tailed data such as the
-// Bounded Pareto job sizes. It panics unless 0 < lo < hi.
+// Bounded Pareto job sizes. It panics unless 0 < lo < hi < +Inf.
 func NewLogHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || lo <= 0 || hi <= lo {
+	if !(bins > 0 && lo > 0 && hi > lo && hi <= math.MaxFloat64) {
 		panic(fmt.Sprintf("stats: invalid log histogram [%v,%v) bins=%d", lo, hi, bins))
 	}
-	h := &Histogram{
-		lo: lo, hi: hi, log: true,
+	return &Histogram{
+		lo: lo, hi: hi,
 		bins:  make([]int64, bins),
-		logLo: math.Log(lo),
+		index: sharedLogIndex(lo, hi, bins),
 	}
-	h.logWidth = (math.Log(hi) - h.logLo) / float64(bins)
-	return h
 }
 
 // Add records one observation.
@@ -58,13 +55,10 @@ func (h *Histogram) Add(x float64) {
 		h.under++
 	case x >= h.hi:
 		h.over++
+	case h.index != nil:
+		h.bins[h.index.bin(x)]++
 	default:
-		var idx int
-		if h.log {
-			idx = int((math.Log(x) - h.logLo) / h.logWidth)
-		} else {
-			idx = int((x - h.lo) / h.linWidth)
-		}
+		idx := int((x - h.lo) / h.linWidth)
 		if idx >= len(h.bins) { // float rounding at the upper edge
 			idx = len(h.bins) - 1
 		}
@@ -87,9 +81,9 @@ func (h *Histogram) NumBins() int { return len(h.bins) }
 
 // BinBounds returns the [lo, hi) bounds of bin i.
 func (h *Histogram) BinBounds(i int) (lo, hi float64) {
-	if h.log {
-		lo = math.Exp(h.logLo + float64(i)*h.logWidth)
-		hi = math.Exp(h.logLo + float64(i+1)*h.logWidth)
+	if ix := h.index; ix != nil {
+		lo = math.Exp(ix.logLo + float64(i)*ix.logWidth)
+		hi = math.Exp(ix.logLo + float64(i+1)*ix.logWidth)
 		return lo, hi
 	}
 	lo = h.lo + float64(i)*h.linWidth
@@ -97,16 +91,17 @@ func (h *Histogram) BinBounds(i int) (lo, hi float64) {
 }
 
 // Merge adds every observation recorded by o into h. Both histograms
-// must have identical geometry (same lo, hi, scale and bin count) so
-// the bins line up exactly; Merge returns an error otherwise and
-// leaves h unchanged. Merging per-replication histograms is the
-// streaming replacement for pooling raw samples across runs: the
-// merged histogram answers the same Quantile queries without either
-// side ever retaining individual observations.
+// must have identical geometry (same lo, hi, scale and bin count; log
+// histograms of one geometry share one index) so the bins line up
+// exactly; Merge returns an error otherwise and leaves h unchanged.
+// Merging per-replication histograms is the streaming replacement for
+// pooling raw samples across runs: the merged histogram answers the
+// same Quantile queries without either side ever retaining individual
+// observations.
 func (h *Histogram) Merge(o *Histogram) error {
-	if o.lo != h.lo || o.hi != h.hi || o.log != h.log || len(o.bins) != len(h.bins) {
+	if o.lo != h.lo || o.hi != h.hi || o.index != h.index || len(o.bins) != len(h.bins) {
 		return fmt.Errorf("stats: histogram geometry mismatch: [%v,%v) log=%v bins=%d vs [%v,%v) log=%v bins=%d",
-			h.lo, h.hi, h.log, len(h.bins), o.lo, o.hi, o.log, len(o.bins))
+			h.lo, h.hi, h.index != nil, len(h.bins), o.lo, o.hi, o.index != nil, len(o.bins))
 	}
 	for i, c := range o.bins {
 		h.bins[i] += c
