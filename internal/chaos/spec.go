@@ -201,12 +201,28 @@ func (s Spec) Layers() []string {
 	return l
 }
 
-// Build assembles the cluster configuration and policy factory for this
-// scenario through the front ends' layer build chain — a spec that
-// Builds is a spec the front ends would accept. The run drains
+// Build assembles the cluster configuration and policy factory for a
+// checked run of this scenario: Config's, except that the run drains
 // (conservation needs every arrival to resolve) and skips warm-up (the
 // OnFinal ledger must cover every job).
 func (s Spec) Build() (cluster.Config, cluster.PolicyFactory, error) {
+	cfg, pf, err := s.Config()
+	if err != nil {
+		return cfg, nil, err
+	}
+	drain := true
+	cfg.WarmupFraction = -1
+	cfg.Drain = &drain
+	return cfg, pf, nil
+}
+
+// Config assembles the cluster configuration and policy factory for
+// this scenario through the front ends' layer build chain
+// (LayerFlags.WithDefaults().Build, cli.ParsePolicy, Layers.Apply), with
+// the front ends' warm-up and drain: a spec that builds is a spec the
+// front ends would accept, and it runs as the heterosim command with
+// the same flags.
+func (s Spec) Config() (cluster.Config, cluster.PolicyFactory, error) {
 	var cfg cluster.Config
 	speeds := s.Speeds
 	if len(speeds) == 0 {
@@ -231,14 +247,11 @@ func (s Spec) Build() (cluster.Config, cluster.PolicyFactory, error) {
 		return cfg, nil, err
 	}
 
-	drain := true
 	cfg = cluster.Config{
-		Speeds:         speeds,
-		Utilization:    s.Rho,
-		Duration:       s.Duration,
-		Seed:           s.Seed,
-		WarmupFraction: -1,
-		Drain:          &drain,
+		Speeds:      speeds,
+		Utilization: s.Rho,
+		Duration:    s.Duration,
+		Seed:        s.Seed,
 	}
 	layers.Apply(&cfg)
 	return cfg, pf, nil

@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"heterosched/internal/cli"
 	"heterosched/internal/cluster"
 	"heterosched/internal/ctrlplane"
-	"heterosched/internal/dispatch"
-	"heterosched/internal/dist"
-	"heterosched/internal/netfault"
 	"heterosched/internal/report"
-	"heterosched/internal/sched"
 )
 
 // This file holds the physical-control-plane extension: the scalable
@@ -30,9 +27,22 @@ const ControlN = 60
 // message latency, and latency plus loss. Row "jiq" runs without
 // leases so the loss column shows the degradation; "jiq+lease" adds
 // the lease; "pod(2):speed" exercises the query path and its timeout.
+// controlKs are the dispatcher replica counts, each with hash routing.
 var (
 	controlRows    = []string{"jiq", "jiq+lease", "pod(2):speed"}
 	controlRegimes = []string{"ctrl off", "lat", "lat+loss"}
+	controlKs      = []int{1, 4, 16}
+)
+
+// controlRowPolicy is each grid row's policy, and controlRegimeCtrl
+// each faulty regime's control-plane items. The lat regime ships every
+// control message over an exp(1 s) one-way link; lat+loss additionally
+// drops 25% of copies. Lossy links require a query timeout, so both
+// faulty regimes carry qto — the jiq rows never issue queries and are
+// unaffected by it. The jiq+lease row adds a 5 s lease to either.
+var (
+	controlRowPolicy  = map[string]string{"jiq": "jiq", "jiq+lease": "jiq", "pod(2):speed": "pod(2):speed"}
+	controlRegimeCtrl = map[string]string{"lat": "lat:1,qto:8", "lat+loss": "lat:1,loss:0.25,qto:8"}
 )
 
 // ControlResult holds the ext-control grid: policy row × replica count
@@ -57,45 +67,39 @@ type ControlResult struct {
 	Reps int
 }
 
-// controlPolicy builds the policy for a grid row.
-func controlPolicy(row string, k int) cluster.PolicyFactory {
-	return func() cluster.Policy {
-		var p *sched.Scalable
-		switch row {
-		case "pod(2):speed":
-			p = sched.PodSpeed(2)
-		default: // jiq and jiq+lease share the policy; the lease is config
-			p = sched.JIQ()
+// controlCells are ext-control's cells at 75% load on ControlN
+// computers, row-major then K then regime.
+func controlCells(o Options) ([]cell, error) {
+	speeds, err := cli.ScaleSpeeds(BaseSpeeds(), ControlN)
+	if err != nil {
+		return nil, err
+	}
+	// Same horizon compression as ext-sharding: the tiled system runs
+	// ControlN/15 times the base arrival rate.
+	dur := o.duration() * float64(len(BaseSpeeds())) / float64(ControlN)
+	var cells []cell
+	for _, row := range controlRows {
+		for _, k := range controlKs {
+			for _, regime := range controlRegimes {
+				items := []string{"policy=" + controlRowPolicy[row], fmt.Sprintf("dispatchers=%d:hash", k)}
+				if ctrl := controlRegimeCtrl[regime]; ctrl != "" {
+					if row == "jiq+lease" {
+						ctrl += ",lease:5"
+					}
+					items = append(items, "ctrl="+ctrl)
+				}
+				c, err := o.layered(fmt.Sprintf("%s K=%d %s", row, k, regime), speeds, 0.75, dur, items...)
+				if err != nil {
+					return nil, err
+				}
+				cells = append(cells, c)
+			}
 		}
-		p.Dispatchers = k
-		p.ShardBy = dispatch.ShardHash
-		return p
 	}
+	return cells, nil
 }
 
-// controlCtrl builds the control-plane config for a grid cell. The
-// lat regime ships every control message over an exp(1 s) one-way
-// link; lat+loss additionally drops 25% of copies. Lossy links require
-// a query timeout, so both faulty regimes carry qto — the jiq rows
-// never issue queries and are unaffected by it.
-func controlCtrl(row, regime string) *ctrlplane.Config {
-	if regime == "ctrl off" {
-		return nil
-	}
-	c := &ctrlplane.Config{
-		Links:   netfault.Links{Link: netfault.Link{Latency: dist.Exponential{MeanVal: 1}}},
-		QueryTO: 8,
-	}
-	if regime == "lat+loss" {
-		c.Link.Loss = 0.25
-	}
-	if row == "jiq+lease" {
-		c.Lease = 5
-	}
-	return c
-}
-
-// ExtControl runs the control-plane comparison at 60% utilization on
+// ExtControl runs the control-plane comparison at 75% utilization on
 // ControlN computers for K ∈ {1, 4, 16} dispatcher replicas with hash
 // routing. The expected shape: jiq's lat+loss column degrades sharply
 // without leases (lost tokens strand idle computers), jiq+lease pulls
@@ -103,36 +107,31 @@ func controlCtrl(row, regime string) *ctrlplane.Config {
 // query timeouts — slower decisions, but every decision completes.
 func ExtControl(o Options) (*ControlResult, error) {
 	o = o.withDefaults()
-	speeds := ShardingSpeeds(ControlN)
+	cells, err := controlCells(o)
+	if err != nil {
+		return nil, fmt.Errorf("ext-control: %w", err)
+	}
 	res := &ControlResult{
 		N:       ControlN,
-		Ks:      []int{1, 4, 16},
+		Ks:      controlKs,
 		Rows:    controlRows,
 		Regimes: controlRegimes,
 		Reps:    o.Reps,
 	}
-	// Same horizon compression as ext-sharding: the tiled system runs
-	// ControlN/15 times the base arrival rate.
-	duration := o.duration() * float64(len(BaseSpeeds())) / float64(ControlN)
-	for _, row := range res.Rows {
+	for range res.Rows {
 		times := make([][]cluster.Summary, 0, len(res.Ks))
 		jobs := make([][]int64, 0, len(res.Ks))
 		ctrls := make([][]*ctrlplane.Stats, 0, len(res.Ks))
-		for _, k := range res.Ks {
+		for range res.Ks {
 			rowT := make([]cluster.Summary, 0, len(res.Regimes))
 			rowJ := make([]int64, 0, len(res.Regimes))
 			rowC := make([]*ctrlplane.Stats, 0, len(res.Regimes))
-			for _, regime := range res.Regimes {
-				cfg := cluster.Config{
-					Speeds:      speeds,
-					Utilization: 0.75,
-					Duration:    duration,
-					Seed:        o.Seed,
-					Ctrl:        controlCtrl(row, regime),
-				}
-				rr, err := cluster.RunReplications(cfg, controlPolicy(row, k), o.Reps)
+			for range res.Regimes {
+				c := cells[0]
+				cells = cells[1:]
+				rr, err := o.runCell(c)
 				if err != nil {
-					return nil, fmt.Errorf("ext-control %s K=%d %s: %w", row, k, regime, err)
+					return nil, fmt.Errorf("ext-control %s: %w", c.label, err)
 				}
 				var nJobs int64
 				var cs *ctrlplane.Stats
@@ -148,7 +147,7 @@ func ExtControl(o Options) (*ControlResult, error) {
 				rowT = append(rowT, rr.MeanResponseTime)
 				rowJ = append(rowJ, nJobs)
 				rowC = append(rowC, cs)
-				o.logf("ext-control: %s K=%d %s time=%.4g jobs=%d", row, k, regime, rr.MeanResponseTime.Mean, nJobs)
+				o.logf("ext-control: %s time=%.4g jobs=%d", c.label, rr.MeanResponseTime.Mean, nJobs)
 			}
 			times = append(times, rowT)
 			jobs = append(jobs, rowJ)

@@ -4,35 +4,42 @@ import (
 	"fmt"
 
 	"heterosched/internal/cluster"
-	"heterosched/internal/drift"
 	"heterosched/internal/report"
 	"heterosched/internal/sched"
 	"heterosched/internal/sim"
 )
 
-// DriftScenario parameterizes the ext-drift study: an arrival-rate step
-// mid-run that invalidates the static plan, and the measurement window
-// used to compare how the variants cope.
-type DriftScenario struct {
-	// BaseRho is the offered (and planned) utilization before the step.
-	BaseRho float64
-	// StepFactor multiplies the arrival rate at the step.
-	StepFactor float64
-	// StepAt is the step instant as a fraction of the run length.
-	StepAt float64
-	// Settle is the post-step fraction of the run discarded before the
-	// measurement window opens (estimators and re-planning need time to
-	// catch up; the oracle gets the same grace).
-	Settle float64
-}
-
-// DefaultDriftScenario doubles the arrival rate halfway through the run:
+// The drift study doubles the arrival rate halfway through the run:
 // offered load steps from 0.45 to 0.90. A plan drawn at 0.45
 // concentrates work on the fastest computer, which the doubled rate
 // saturates, so the static variant has no post-step steady state while
-// an adaptive re-plan at ~0.9 remains stable.
-func DefaultDriftScenario() DriftScenario {
-	return DriftScenario{BaseRho: 0.45, StepFactor: 2, StepAt: 0.5, Settle: 0.1}
+// an adaptive re-plan at ~0.9 remains stable. The measurement window
+// opens a settle fraction of the run after the step (estimators and
+// re-planning need time to catch up; the oracle gets the same grace).
+const (
+	driftRho    = 0.45 // offered (and planned) utilization before the step
+	driftFactor = 2.0  // arrival-rate factor at the step
+	driftAt     = 0.5  // step instant, as a fraction of the run
+	driftSettle = 0.1  // post-step fraction discarded before measuring
+)
+
+// driftCells are the static and the adaptive ORR variant under the
+// rate step. The watchdog reacts fast: the cost of a stale plan is the
+// backlog piled up while the wrong computer saturates, so it checks
+// every 1/400 of the run and re-plans past a 0.85 utilization trip
+// after a 1/100 cooldown. The wide estimator window tames the
+// heavy-tailed size samples (the size distribution itself does not
+// drift here).
+func driftCells(o Options) ([]cell, error) {
+	dur := o.duration()
+	step := fmt.Sprintf("drift=lstep:%g:%g", driftAt*dur, driftFactor)
+	static, err := o.layered("static ORR", FaultSpeeds, driftRho, dur, "policy=ORR", step)
+	if err != nil {
+		return nil, err
+	}
+	adaptive, err := o.layered("adaptive ORR", FaultSpeeds, driftRho, dur, "policy=ORR", step,
+		fmt.Sprintf("replan=%g:0.85:%g", dur/400, dur/100), "estimator=win:2048")
+	return []cell{static, adaptive}, err
 }
 
 // DriftResult holds the ext-drift comparison on the 1,1,2,10 system:
@@ -40,7 +47,6 @@ func DefaultDriftScenario() DriftScenario {
 // from online estimates) and the true-parameter oracle (re-planned with
 // ground truth at exactly the step instant).
 type DriftResult struct {
-	Scenario DriftScenario
 	Variants []string
 	// PostStepMean[v] is the mean response time (s) of jobs arriving
 	// after the settle window, averaged across replications.
@@ -78,51 +84,39 @@ func (p *driftOracle) Init(ctx *cluster.Context) error {
 // three variants and the post-step response times are compared.
 func ExtDrift(o Options) (*DriftResult, error) {
 	o = o.withDefaults()
-	sc := DefaultDriftScenario()
-	dur := o.duration()
-	stepT := sc.StepAt * dur
-	measureFrom := stepT + sc.Settle*dur
-	postRho := sc.BaseRho * sc.StepFactor
-
-	driftCfg := &drift.Config{Arrival: drift.Step{At: stepT, Factor: sc.StepFactor}}
-	adaptCfg := &cluster.AdaptConfig{
-		// React fast: the cost of a stale plan is the backlog piled up
-		// while the wrong computer saturates, so the watchdog checks
-		// often and re-plans after a short cooldown. The wide estimator
-		// window tames the heavy-tailed size samples (the size
-		// distribution itself does not drift here).
-		CheckInterval: dur / 400,
-		Cooldown:      dur / 100,
-		RhoTrip:       0.85,
-		Estimator:     cluster.EstimatorConfig{Window: 2048},
+	cells, err := driftCells(o)
+	if err != nil {
+		return nil, fmt.Errorf("ext-drift: %w", err)
 	}
+	dur := o.duration()
+	stepT := driftAt * dur
+	measureFrom := stepT + driftSettle*dur
 
 	res := &DriftResult{
-		Scenario: sc,
 		Variants: []string{"static ORR", "adaptive ORR", "oracle re-plan"},
 		Reps:     o.Reps,
 	}
 	for vi, v := range res.Variants {
+		// The oracle runs the static cell with its plan re-drawn at
+		// the step.
+		c := cells[0]
+		if vi < len(cells) {
+			c = cells[vi]
+		}
+		base, factory, err := c.Config()
+		if err != nil {
+			return nil, fmt.Errorf("ext-drift %s: %w", v, err)
+		}
+		if vi == len(cells) {
+			factory = func() cluster.Policy {
+				return &driftOracle{Static: sched.ORR(), at: stepT, rho: driftRho * driftFactor}
+			}
+		}
 		var postSum, overallSum float64
 		var postJobs, replans, fallbacks int64
 		for r := 0; r < o.Reps; r++ {
-			cfg := cluster.Config{
-				Speeds:      FaultSpeeds,
-				Utilization: sc.BaseRho,
-				Duration:    dur,
-				Seed:        o.Seed + uint64(r),
-				Drift:       driftCfg,
-			}
-			var factory cluster.Policy
-			switch vi {
-			case 0:
-				factory = sched.ORR()
-			case 1:
-				factory = sched.ORR()
-				cfg.Adapt = adaptCfg
-			default:
-				factory = &driftOracle{Static: sched.ORR(), at: stepT, rho: postRho}
-			}
+			cfg := base
+			cfg.Seed = o.Seed + uint64(r)
 			var sum float64
 			var n int64
 			cfg.OnFinal = func(j *sim.Job, out cluster.Outcome) {
@@ -132,7 +126,7 @@ func ExtDrift(o Options) (*DriftResult, error) {
 				sum += j.Completion - j.Arrival
 				n++
 			}
-			rr, err := cluster.Run(cfg, factory)
+			rr, err := cluster.Run(cfg, factory())
 			if err != nil {
 				return nil, fmt.Errorf("ext-drift %s rep %d: %w", v, r, err)
 			}
@@ -172,10 +166,9 @@ func (r *DriftResult) Render() []*report.Table {
 			fmt.Sprintf("%d", r.Replans[i]), fmt.Sprintf("%d", r.Fallbacks[i]))
 	}
 	t.AddNote("arrival rate ×%.3g at t = %.2gT: offered load steps %.3g → %.3g while every plan was drawn at %.3g",
-		r.Scenario.StepFactor, r.Scenario.StepAt, r.Scenario.BaseRho,
-		r.Scenario.BaseRho*r.Scenario.StepFactor, r.Scenario.BaseRho)
+		driftFactor, driftAt, driftRho, driftRho*driftFactor, driftRho)
 	t.AddNote("measurement window: jobs arriving after t = %.2gT; %d replications",
-		r.Scenario.StepAt+r.Scenario.Settle, r.Reps)
+		driftAt+driftSettle, r.Reps)
 	t.AddNote("static ORR saturates the fastest computer after the step; the watchdog re-plan tracks the oracle from online estimates alone")
 	return []*report.Table{t}
 }

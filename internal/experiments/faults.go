@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"heterosched/internal/chaos"
 	"heterosched/internal/cluster"
-	"heterosched/internal/dist"
-	"heterosched/internal/faults"
 	"heterosched/internal/report"
-	"heterosched/internal/sched"
 )
 
 // FaultSpeeds is the failure-study system: three slow computers and one
@@ -17,27 +15,32 @@ import (
 // reallocation should pay.
 var FaultSpeeds = []float64{1, 1, 2, 10}
 
-// FaultScenario parameterizes the failure study (exported so tests can
-// probe other regimes).
-type FaultScenario struct {
-	Utilization float64
-	MTBF, MTTR  float64
-	Fate        faults.Fate
-	DetectLag   float64
-}
+// faultLayers is the failure study's fault model: each computer up
+// ~20 000 s between failures and down ~2 000 s per repair (availability
+// ≈ 0.91), interrupted jobs requeued to the dispatcher, failures
+// detected after 10 s. The study runs it at 20% load.
+const faultLayers = "mtbf=2e4;mttr=2e3;fate=requeue;detect=10"
 
-// DefaultFaultScenario: 20% load, each computer up ~20 000 s between
-// failures and down ~2 000 s per repair (availability ≈ 0.91),
-// interrupted jobs requeued to the dispatcher, failures detected after
-// 10 s.
-func DefaultFaultScenario() FaultScenario {
-	return FaultScenario{
-		Utilization: 0.20,
-		MTBF:        2.0e4,
-		MTTR:        2.0e3,
-		Fate:        faults.RequeueToDispatcher,
-		DetectLag:   10,
+// faultCells are the failure study's rows: the paper's four static
+// policies, each with stale and resolve reallocation, then ORRa.
+func faultCells(o Options) ([]cell, error) {
+	type row struct{ label, policy, realloc string }
+	var rows []row
+	for _, p := range []string{"WRAN", "ORAN", "WRR", "ORR"} {
+		for _, mode := range []string{"stale", "resolve"} {
+			rows = append(rows, row{fmt.Sprintf("%s (%s)", p, mode), p, mode})
+		}
 	}
+	rows = append(rows, row{"ORRa (resolve)", "ORRA", "resolve"})
+	cells := make([]cell, len(rows))
+	for i, r := range rows {
+		var err error
+		cells[i], err = o.layered(r.label, FaultSpeeds, 0.2, o.duration(), faultLayers, "policy="+r.policy, "realloc="+r.realloc)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return cells, nil
 }
 
 // FaultsResult compares the paper's four static policies under computer
@@ -51,81 +54,35 @@ type FaultsResult struct {
 	Lost       []cluster.Summary // jobs lost per replication
 	DegradedRT []cluster.Summary // mean response time, degraded windows
 	Avail      []float64         // observed system mean availability
-	Scenario   FaultScenario
+	Scenario   chaos.Spec        // the first row's cell: load and fault model
 	Reps       int
 }
 
 // ExtFaults runs the failure study.
 func ExtFaults(o Options) (*FaultsResult, error) {
 	o = o.withDefaults()
-	sc := DefaultFaultScenario()
-	res := &FaultsResult{Scenario: sc, Reps: o.Reps}
-
-	fc := &faults.Config{
-		Uptime:       dist.NewExponential(sc.MTBF),
-		Downtime:     dist.NewExponential(sc.MTTR),
-		Fate:         sc.Fate,
-		DetectionLag: sc.DetectLag,
-	}
-	avail, err := fc.PlannedAvailability(len(FaultSpeeds))
+	cells, err := faultCells(o)
 	if err != nil {
 		return nil, fmt.Errorf("ext-faults: %w", err)
 	}
-
-	type row struct {
-		label string
-		mk    func() *sched.Static
-		mode  sched.ReallocMode
-	}
-	var rows []row
-	for _, p := range []struct {
-		name string
-		mk   func() *sched.Static
-	}{
-		{"WRAN", sched.WRAN}, {"ORAN", sched.ORAN}, {"WRR", sched.WRR}, {"ORR", sched.ORR},
-	} {
-		for _, mode := range []sched.ReallocMode{sched.ReallocStale, sched.ReallocResolve} {
-			rows = append(rows, row{
-				label: fmt.Sprintf("%s (%s)", p.name, mode),
-				mk:    p.mk,
-				mode:  mode,
-			})
-		}
-	}
-	rows = append(rows, row{
-		label: "ORRa (resolve)",
-		mk:    func() *sched.Static { return sched.ORRAvailability(avail) },
-		mode:  sched.ReallocResolve,
-	})
-
-	cfg := cluster.Config{
-		Speeds:      FaultSpeeds,
-		Utilization: sc.Utilization,
-		Faults:      fc,
-	}
-	for _, r := range rows {
-		r := r
-		factory := func() cluster.Policy {
-			p := r.mk()
-			p.Realloc = r.mode
-			return p
-		}
-		rr, err := o.runPoint(cfg, factory)
+	res := &FaultsResult{Scenario: cells[0].Spec, Reps: o.Reps}
+	for _, c := range cells {
+		rr, err := o.runCell(c)
 		if err != nil {
-			return nil, fmt.Errorf("ext-faults %s: %w", r.label, err)
+			return nil, fmt.Errorf("ext-faults %s: %w", c.label, err)
 		}
 		sysAvail := 0.0
 		for _, a := range rr.Availability {
 			sysAvail += a / float64(len(rr.Availability))
 		}
-		res.Labels = append(res.Labels, r.label)
+		res.Labels = append(res.Labels, c.label)
 		res.Times = append(res.Times, rr.MeanResponseTime)
 		res.Ratios = append(res.Ratios, rr.MeanResponseRatio)
 		res.Lost = append(res.Lost, rr.JobsLost)
 		res.DegradedRT = append(res.DegradedRT, rr.MeanResponseTimeDegraded)
 		res.Avail = append(res.Avail, sysAvail)
 		o.logf("ext-faults: %s time=%.4g degraded=%.4g lost=%.3g",
-			r.label, rr.MeanResponseTime.Mean, rr.MeanResponseTimeDegraded.Mean, rr.JobsLost.Mean)
+			c.label, rr.MeanResponseTime.Mean, rr.MeanResponseTimeDegraded.Mean, rr.JobsLost.Mean)
 	}
 	return res, nil
 }
@@ -134,7 +91,7 @@ func ExtFaults(o Options) (*FaultsResult, error) {
 func (r *FaultsResult) Render() *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("extension — static policies under failures (speeds 1,1,2,10; rho=%.2g; MTBF %.3g s, MTTR %.3g s; fate %s)",
-			r.Scenario.Utilization, r.Scenario.MTBF, r.Scenario.MTTR, r.Scenario.Fate),
+			r.Scenario.Rho, r.Scenario.MTBF, r.Scenario.MTTR, r.Scenario.Fate),
 		"policy", "mean resp time (s)", "±95% CI", "degraded-window resp time (s)", "jobs lost/rep", "availability %")
 	for i, l := range r.Labels {
 		t.AddRow(l,

@@ -111,14 +111,14 @@ func Figure2(o Options) (*Figure2Result, error) {
 	return res, nil
 }
 
-// Chart renders the Figure 2 panel: per-interval deviation of the two
+// Charts renders the Figure 2 panel: per-interval deviation of the two
 // strategies, matching the paper's plot.
-func (r *Figure2Result) Chart() *plot.Chart {
+func (r *Figure2Result) Charts() []*plot.Chart {
 	xs := make([]float64, len(r.IntervalDevRR))
 	for i := range xs {
 		xs[i] = float64(i + 1)
 	}
-	return &plot.Chart{
+	return []*plot.Chart{{
 		Title:  "Figure 2 — comparison of job dispatching strategies",
 		XLabel: "interval (120 s each)",
 		YLabel: "workload allocation deviation",
@@ -126,7 +126,7 @@ func (r *Figure2Result) Chart() *plot.Chart {
 			{Name: "round-robin", X: xs, Y: append([]float64(nil), r.IntervalDevRR...)},
 			{Name: "random", X: xs, Y: append([]float64(nil), r.IntervalDevRandom...)},
 		},
-	}
+	}}
 }
 
 // Render formats the per-interval series and the summary.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"heterosched/internal/cluster"
-	"heterosched/internal/dist"
 	"heterosched/internal/netfault"
 	"heterosched/internal/probe"
 	"heterosched/internal/report"
@@ -26,13 +25,13 @@ import (
 // against the fault-free baseline on an identical job workload (sizes
 // are fixed at generation, so the rows are paired).
 
-// NetfaultScale is one Part A fault level: per-link loss and duplication
-// probabilities and mean exponential dispatch latency.
+// NetfaultScale is one Part A fault level: a label and the network
+// layer's items. Every level, "none" included, turns the layer on (a
+// perfect link with ack tracking at "none"), so the delivered-CV
+// instrumentation measures every level the same way.
 type NetfaultScale struct {
 	Label string
-	Loss  float64
-	Lat   float64
-	Dup   float64
+	Items string
 }
 
 // NetfaultScales are the Part A fault levels, from the paper's perfect
@@ -41,17 +40,51 @@ type NetfaultScale struct {
 // scales jitter deliveries by a sizable fraction of the per-computer
 // interarrival gap.
 var NetfaultScales = []NetfaultScale{
-	{Label: "none"},
-	{Label: "low (2% loss, lat 1)", Loss: 0.02, Lat: 1},
-	{Label: "mid (5% loss, 2% dup, lat 10)", Loss: 0.05, Lat: 10, Dup: 0.02},
-	{Label: "high (15% loss, 5% dup, lat 40)", Loss: 0.15, Lat: 40, Dup: 0.05},
+	{"none", "ackto=30"},
+	{"low (2% loss, lat 1)", "netfault=loss:0.02,lat:1;ackto=30"},
+	{"mid (5% loss, 2% dup, lat 10)", "netfault=loss:0.05,dup:0.02,lat:10;ackto=30"},
+	{"high (15% loss, 5% dup, lat 40)", "netfault=loss:0.15,dup:0.05,lat:40;ackto=30"},
 }
 
-// NetfaultRecoveries are the Part B dispatcher state-recovery policies.
-var NetfaultRecoveries = []netfault.Recovery{
-	netfault.RecoverCold,
-	netfault.RecoverCheckpoint,
-	netfault.RecoverAcks,
+// netfaultPolicies are the Part A policies, compared per scale.
+var netfaultPolicies = []string{"ORR", "ORAN"}
+
+// netfaultCells are Part A's cells at 70% load, scale-major: ORR and
+// ORAN at every fault level.
+func netfaultCells(o Options) ([]cell, error) {
+	var cells []cell
+	for _, s := range NetfaultScales {
+		for _, p := range netfaultPolicies {
+			c, err := o.layered(p+" "+s.Label, FaultSpeeds, 0.70, o.duration(), s.Items, "policy="+p)
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, c)
+		}
+	}
+	return cells, nil
+}
+
+// recoveryCells are Part B's cells: ORR at 55% load under dispatcher
+// crashes, one per state-recovery policy. ~25 outages per run at the
+// default scale (duration 2e5): MTBF 8e3, 60 s repairs, arrivals
+// buffered across the outage, on a 2%-loss, 1 s-latency network with
+// ack resubmission. Cold reset then runs its 4000 s relearn window on
+// the proportional fallback after every crash — roughly half the run.
+// The short client timeout keeps forgotten in-flight jobs (checkpoint
+// and cold lose the outstanding table) from dominating; it never fires
+// under ack reconstruction.
+func recoveryCells(o Options) ([]cell, error) {
+	var cells []cell
+	for _, ds := range []string{"cold:4000:150", "ckpt:2500:150", "acks"} {
+		c, err := o.layered(ds, FaultSpeeds, 0.55, o.duration(), "policy=ORR",
+			"netfault=loss:0.02,lat:1,crash:8e3:60,down:buffer", "ackto=30", "dstate="+ds)
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, c)
+	}
+	return cells, nil
 }
 
 // NetfaultsResult holds both parts of the ext-netfaults study on the
@@ -80,20 +113,6 @@ type NetfaultsResult struct {
 	Reps         int
 }
 
-// netfaultLinkConfig builds the Part A link-fault layer for one scale.
-// The "none" scale still routes through the netfault layer (a perfect
-// deterministic zero-latency link) so the delivered-CV instrumentation
-// is measured identically at every level.
-func netfaultLinkConfig(s NetfaultScale) *netfault.Config {
-	if s.Loss == 0 && s.Lat == 0 && s.Dup == 0 {
-		return &netfault.Config{Links: netfault.Links{Link: netfault.Link{Latency: dist.Deterministic{Value: 0}}}}
-	}
-	return &netfault.Config{
-		Links: netfault.Links{Link: netfault.Link{Latency: dist.Exponential{MeanVal: s.Lat}, Loss: s.Loss, Dup: s.Dup}},
-		Ack:   netfault.Ack{Timeout: 30},
-	}
-}
-
 // deliveredCV returns the gap-weighted mean delivered interarrival CV
 // across computers.
 func deliveredCV(pb *probe.Probe, computers int) float64 {
@@ -114,39 +133,40 @@ func deliveredCV(pb *probe.Probe, computers int) float64 {
 // ExtNetfaults runs the network-fault study.
 func ExtNetfaults(o Options) (*NetfaultsResult, error) {
 	o = o.withDefaults()
-	res := &NetfaultsResult{Scales: NetfaultScales, Recoveries: NetfaultRecoveries, Reps: o.Reps}
+	cells, err := netfaultCells(o)
+	if err != nil {
+		return nil, fmt.Errorf("ext-netfaults: %w", err)
+	}
+	recoveries, err := recoveryCells(o)
+	if err != nil {
+		return nil, fmt.Errorf("ext-netfaults: %w", err)
+	}
+	res := &NetfaultsResult{Scales: NetfaultScales, Reps: o.Reps}
 
 	// Part A: one instrumented run per (scale, policy) cell; the CV is a
 	// property of the whole delivered stream, not a replicated metric.
-	for _, s := range res.Scales {
-		nf := netfaultLinkConfig(s)
-		if err := nf.Validate(len(FaultSpeeds)); err != nil {
-			return nil, fmt.Errorf("ext-netfaults scale %q: %v", s.Label, err)
-		}
+	for si, s := range res.Scales {
 		var cvs [2]float64
 		var lost, dup, resub, terms int64
-		for pi, policy := range []cluster.Policy{sched.ORR(), sched.ORAN()} {
+		for pi := range netfaultPolicies {
+			cfg, factory, err := cells[si*len(netfaultPolicies)+pi].Config()
+			if err != nil {
+				return nil, fmt.Errorf("ext-netfaults scale %q: %v", s.Label, err)
+			}
 			pb, err := probe.New(probe.Options{Metrics: true})
 			if err != nil {
 				return nil, err
 			}
 			seen := make(map[int64]bool)
 			var dupTerminal int64
-			cfg := cluster.Config{
-				Speeds:      FaultSpeeds,
-				Utilization: 0.70,
-				Duration:    o.duration(),
-				Seed:        o.Seed,
-				Netfault:    nf,
-				Probe:       pb,
-				OnFinal: func(j *sim.Job, _ cluster.Outcome) {
-					if seen[j.ID] {
-						dupTerminal++
-					}
-					seen[j.ID] = true
-				},
+			cfg.Probe = pb
+			cfg.OnFinal = func(j *sim.Job, _ cluster.Outcome) {
+				if seen[j.ID] {
+					dupTerminal++
+				}
+				seen[j.ID] = true
 			}
-			run, err := cluster.Run(cfg, policy)
+			run, err := cluster.Run(cfg, factory())
 			if err != nil {
 				return nil, fmt.Errorf("ext-netfaults scale %q: %w", s.Label, err)
 			}
@@ -183,31 +203,13 @@ func ExtNetfaults(o Options) (*NetfaultsResult, error) {
 	res.BaselineMean = baseline.MeanResponseTime
 	o.logf("ext-netfaults: fault-free baseline mean %.4g s", res.BaselineMean.Mean)
 
-	for _, rec := range res.Recoveries {
-		nf := &netfault.Config{
-			Links: netfault.Links{Link: netfault.Link{Latency: dist.Exponential{MeanVal: 1}, Loss: 0.02}},
-			Dispatcher: &netfault.Dispatcher{
-				// ~25 outages per run at the default scale (duration
-				// 2e5): MTBF 8e3, 60 s repairs, arrivals buffered across
-				// the outage. Cold reset then runs its relearn window
-				// (default 4000 s) on the proportional fallback after
-				// every crash — roughly half the run. The short client
-				// timeout keeps forgotten in-flight jobs (checkpoint and
-				// cold lose the outstanding table) from dominating.
-				Uptime:   dist.Exponential{MeanVal: 8e3},
-				Downtime: dist.Exponential{MeanVal: 60},
-				Down:     netfault.DownBuffer,
-				Recovery: rec,
-				ClientTO: 150,
-			},
-			Ack: netfault.Ack{Timeout: 30},
+	for _, c := range recoveries {
+		cfg, factory, err := c.Config()
+		if err != nil {
+			return nil, fmt.Errorf("ext-netfaults recovery %s: %v", c.label, err)
 		}
-		if err := nf.Validate(len(FaultSpeeds)); err != nil {
-			return nil, fmt.Errorf("ext-netfaults recovery %v: %v", rec, err)
-		}
-		cfg := base
-		cfg.Netfault = nf
-		rr, err := o.runPoint(cfg, func() cluster.Policy { return sched.ORR() })
+		rec := cfg.Netfault.Dispatcher.Recovery
+		rr, err := cluster.RunReplications(cfg, factory, o.Reps)
 		if err != nil {
 			return nil, fmt.Errorf("ext-netfaults recovery %v: %w", rec, err)
 		}
@@ -215,6 +217,7 @@ func ExtNetfaults(o Options) (*NetfaultsResult, error) {
 		for _, run := range rr.Runs {
 			st.AddCounters(run.Netfault)
 		}
+		res.Recoveries = append(res.Recoveries, rec)
 		res.RecMean = append(res.RecMean, rr.MeanResponseTime)
 		res.RecCrashes = append(res.RecCrashes, st.Crashes)
 		res.RecRestores = append(res.RecRestores, st.PlanRestores)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"heterosched/internal/cluster"
-	"heterosched/internal/dist"
 	"heterosched/internal/report"
-	"heterosched/internal/sim"
 )
 
 // OverloadRhos are the offered utilizations of the overload study: one
@@ -14,42 +12,31 @@ import (
 // overloaded points where the unprotected system has no steady state.
 var OverloadRhos = []float64{0.8, 1.0, 1.2, 1.5}
 
-// OverloadScenario parameterizes the protected half of the study
-// (exported so tests can shrink it).
-type OverloadScenario struct {
-	QueueCap     int     // per-computer bound, oldest-first shed
-	DeadlineMean float64 // exponential relative deadline, kill on expiry
-	RetryBudget  int     // re-dispatches after reject-when-full
-	BackoffBase  float64 // exponential backoff base (s)
-	BackoffMax   float64 // backoff cap (s)
-}
+// overloadLayers is the protected half's scenario: queue cap 40
+// shedding oldest, reject-when-full admission, exponential deadlines
+// with mean 1200 s killed on expiry (generous at rho 0.8, binding once
+// bounded queues push slow-computer response times past it), retry
+// budget 2 with 1–60 s exponential backoff.
+const overloadLayers = "qcap=40:oldest;admit=reject-when-full;deadline=exp:1200:kill;retry=2;backoff=1:60"
 
-// DefaultOverloadScenario: queue cap 40 shedding oldest, exponential
-// deadlines with mean 1200 s (generous at rho 0.8, binding once bounded
-// queues push slow-computer response times past it), retry budget 2 with
-// 1–60 s exponential backoff.
-func DefaultOverloadScenario() OverloadScenario {
-	return OverloadScenario{
-		QueueCap:     40,
-		DeadlineMean: 1200,
-		RetryBudget:  2,
-		BackoffBase:  1,
-		BackoffMax:   60,
-	}
-}
+// overloadPolicies are the protected grid's columns, the paper's Table 2
+// policies.
+var overloadPolicies = []string{"WRAN", "ORAN", "WRR", "ORR"}
 
-// Config assembles the cluster overload configuration for the scenario.
-func (sc OverloadScenario) Config() *cluster.OverloadConfig {
-	return &cluster.OverloadConfig{
-		QueueCap:       sc.QueueCap,
-		Drop:           sim.DropOldest,
-		Admission:      cluster.RejectWhenFull,
-		Deadline:       dist.NewExponential(sc.DeadlineMean),
-		DeadlineAction: cluster.DeadlineKill,
-		RetryBudget:    sc.RetryBudget,
-		BackoffBase:    sc.BackoffBase,
-		BackoffMax:     sc.BackoffMax,
+// overloadCells are the protected grid's cells, rho-major: every
+// policy under overloadLayers at every load of OverloadRhos.
+func overloadCells(o Options) ([]cell, error) {
+	var cells []cell
+	for _, rho := range OverloadRhos {
+		for _, p := range overloadPolicies {
+			c, err := o.layered(fmt.Sprintf("%s rho=%g", p, rho), FaultSpeeds, rho, o.duration(), overloadLayers, "policy="+p)
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, c)
+		}
 	}
+	return cells, nil
 }
 
 // OverloadResult holds the two halves of the overload study on the
@@ -68,18 +55,21 @@ type OverloadResult struct {
 	Dropped  [][]int64
 	Misses   [][]int64
 	P99      [][]float64 // response-time p99 (s), replication 0
-	Scenario OverloadScenario
-	Reps     int
+	// Protection is the protected grid's overload layer.
+	Protection *cluster.OverloadConfig
+	Reps       int
 }
 
 // ExtOverload runs the overload study.
 func ExtOverload(o Options) (*OverloadResult, error) {
 	o = o.withDefaults()
-	sc := DefaultOverloadScenario()
+	cells, err := overloadCells(o)
+	if err != nil {
+		return nil, fmt.Errorf("ext-overload: %w", err)
+	}
 	res := &OverloadResult{
 		Rhos:     OverloadRhos,
-		Policies: []string{"WRAN", "ORAN", "WRR", "ORR"},
-		Scenario: sc,
+		Policies: overloadPolicies,
 		Reps:     o.Reps,
 	}
 
@@ -104,19 +94,14 @@ func ExtOverload(o Options) (*OverloadResult, error) {
 	}
 
 	// Part B: full protection, same grid as the paper's Table 2 policies.
-	ovCfg := sc.Config()
-	for _, rho := range OverloadRhos {
+	for i, rho := range OverloadRhos {
 		var adm, good, drop, miss []int64
 		var p99 []float64
-		for pi, factory := range staticPolicies() {
-			cfg := cluster.Config{
-				Speeds:      FaultSpeeds,
-				Utilization: rho,
-				Overload:    ovCfg,
-			}
-			rr, err := o.runPoint(cfg, factory)
+		for pi := range res.Policies {
+			c := cells[i*len(res.Policies)+pi]
+			rr, err := o.runCell(c)
 			if err != nil {
-				return nil, fmt.Errorf("ext-overload %s rho=%g: %w", res.Policies[pi], rho, err)
+				return nil, fmt.Errorf("ext-overload %s: %w", c.label, err)
 			}
 			var ov cluster.OverloadStats
 			for _, run := range rr.Runs {
@@ -136,6 +121,11 @@ func ExtOverload(o Options) (*OverloadResult, error) {
 		res.Misses = append(res.Misses, miss)
 		res.P99 = append(res.P99, p99)
 	}
+	cfg, _, err := cells[0].Config()
+	if err != nil {
+		return nil, fmt.Errorf("ext-overload: %w", err)
+	}
+	res.Protection = cfg.Overload
 	return res, nil
 }
 
@@ -174,9 +164,9 @@ func (r *OverloadResult) Render() []*report.Table {
 		return t
 	}
 	good := grid("goodput: jobs completed within deadline (sum across replications)", r.Goodput)
+	pr := r.Protection
 	good.AddNote("protection: queue cap %d (shed oldest), reject-when-full admission, exp deadlines mean %.4g s (kill), retry budget %d, backoff %.3g–%.3g s",
-		r.Scenario.QueueCap, r.Scenario.DeadlineMean, r.Scenario.RetryBudget,
-		r.Scenario.BackoffBase, r.Scenario.BackoffMax)
+		pr.QueueCap, pr.Deadline.Mean(), pr.RetryBudget, pr.BackoffBase, pr.BackoffMax)
 	good.AddNote("%d replications; admitted jobs per cell: see drop table (admitted = goodput + late + dropped)", r.Reps)
 	drops := grid("jobs dropped: overflow sheds + retry-budget exhaustion + deadline kills", r.Dropped)
 	miss := grid("deadline misses (killed + completed late)", r.Misses)

@@ -21,145 +21,55 @@ type Runner func(Options) (*Output, error)
 // Registry maps experiment names to runners. Keys are the identifiers
 // accepted by cmd/experiments -run.
 var Registry = map[string]Runner{
-	"table1": func(o Options) (*Output, error) {
-		r, err := Table1(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: []*report.Table{r.Render()}}, nil
-	},
-	"table2": func(o Options) (*Output, error) {
-		return &Output{Tables: []*report.Table{Table2()}}, nil
-	},
-	"fig2": func(o Options) (*Output, error) {
-		r, err := Figure2(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{
-			Tables: []*report.Table{r.Render()},
-			Charts: []*plot.Chart{r.Chart()},
-		}, nil
-	},
-	"fig3": sweepRunner(Figure3),
-	"fig4": sweepRunner(Figure4),
-	"fig5": sweepRunner(Figure5),
-	"fig6": sweepRunner(Figure6),
-	"validate": func(o Options) (*Output, error) {
-		r, err := Validate(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: []*report.Table{r.Render()}}, nil
-	},
-	"ext-quantum": func(o Options) (*Output, error) {
-		r, err := AblationQuantum(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: []*report.Table{r.Render()}}, nil
-	},
-	"ext-dispatch": func(o Options) (*Output, error) {
-		r, err := AblationDispatch(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: []*report.Table{r.Render()}}, nil
-	},
-	"ext-cv": func(o Options) (*Output, error) {
-		r, err := ExtBurstiness(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: []*report.Table{r.Render()}}, nil
-	},
-	"ext-baselines": func(o Options) (*Output, error) {
-		r, err := ExtBaselines(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: []*report.Table{r.Render()}}, nil
-	},
-	"ext-capped": func(o Options) (*Output, error) {
-		r, err := ExtCapped(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: []*report.Table{r.Render()}}, nil
-	},
-	"ext-diurnal": func(o Options) (*Output, error) {
-		r, err := ExtNonstationary(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: []*report.Table{r.Render()}}, nil
-	},
-	"ext-faults": func(o Options) (*Output, error) {
-		r, err := ExtFaults(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: []*report.Table{r.Render()}}, nil
-	},
-	"ext-overload": func(o Options) (*Output, error) {
-		r, err := ExtOverload(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: r.Render()}, nil
-	},
-	"ext-drift": func(o Options) (*Output, error) {
-		r, err := ExtDrift(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: r.Render()}, nil
-	},
-	"ext-netfaults": func(o Options) (*Output, error) {
-		r, err := ExtNetfaults(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: r.Render()}, nil
-	},
-	"ext-chaos": func(o Options) (*Output, error) {
-		r, err := ExtChaos(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: r.Render()}, nil
-	},
-	"ext-tracepath": func(o Options) (*Output, error) {
-		r, err := ExtTracepath(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: []*report.Table{r.Render()}}, nil
-	},
-	"ext-sharding": func(o Options) (*Output, error) {
-		r, err := ExtSharding(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: r.Render()}, nil
-	},
-	"ext-control": func(o Options) (*Output, error) {
-		r, err := ExtControl(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: r.Render()}, nil
-	},
+	"table1":        adapt(Table1),
+	"table2":        adapt(func(Options) (*report.Table, error) { return Table2(), nil }),
+	"fig2":          adapt(Figure2),
+	"fig3":          adapt(Figure3),
+	"fig4":          adapt(Figure4),
+	"fig5":          adapt(Figure5),
+	"fig6":          adapt(Figure6),
+	"validate":      adapt(Validate),
+	"ext-quantum":   adapt(AblationQuantum),
+	"ext-dispatch":  adapt(AblationDispatch),
+	"ext-cv":        adapt(ExtBurstiness),
+	"ext-baselines": adapt(ExtBaselines),
+	"ext-capped":    adapt(ExtCapped),
+	"ext-diurnal":   adapt(ExtNonstationary),
+	"ext-sita":      adapt(ExtSITA),
+	"ext-faults":    adapt(ExtFaults),
+	"ext-overload":  adapt(ExtOverload),
+	"ext-drift":     adapt(ExtDrift),
+	"ext-netfaults": adapt(ExtNetfaults),
+	"ext-chaos":     adapt(ExtChaos),
+	"ext-tracepath": adapt(ExtTracepath),
+	"ext-sharding":  adapt(ExtSharding),
+	"ext-control":   adapt(ExtControl),
 }
 
-// sweepRunner adapts a sweep experiment to the Runner signature.
-func sweepRunner(f func(Options) (*SweepResult, error)) Runner {
+// adapt turns an experiment into a Runner. The experiment's result is a
+// table or renders one table or several (Render), and may carry figure
+// panels (Charts).
+func adapt[R any](run func(Options) (R, error)) Runner {
 	return func(o Options) (*Output, error) {
-		r, err := f(o)
+		r, err := run(o)
 		if err != nil {
 			return nil, err
 		}
-		return &Output{Tables: r.Render(), Charts: r.Charts()}, nil
+		out := &Output{}
+		switch v := any(r).(type) {
+		case *report.Table:
+			out.Tables = []*report.Table{v}
+		case interface{ Render() *report.Table }:
+			out.Tables = []*report.Table{v.Render()}
+		case interface{ Render() []*report.Table }:
+			out.Tables = v.Render()
+		default:
+			return nil, fmt.Errorf("experiments: %T renders no tables", r)
+		}
+		if v, ok := any(r).(interface{ Charts() []*plot.Chart }); ok {
+			out.Charts = v.Charts()
+		}
+		return out, nil
 	}
 }
 
@@ -180,14 +90,4 @@ func RunByName(name string, o Options) (*Output, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
 	return r(o)
-}
-
-func init() {
-	Registry["ext-sita"] = func(o Options) (*Output, error) {
-		r, err := ExtSITA(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Tables: []*report.Table{r.Render()}}, nil
-	}
 }

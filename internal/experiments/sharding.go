@@ -3,11 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"heterosched/internal/cli"
 	"heterosched/internal/cluster"
-	"heterosched/internal/dispatch"
 	"heterosched/internal/probe"
 	"heterosched/internal/report"
-	"heterosched/internal/sched"
 )
 
 // This file holds the sharded-dispatch extension: the paper's single
@@ -20,16 +19,36 @@ import (
 // base configuration tiled cyclically to 500 computers.
 const ShardingN = 500
 
-// ShardingSpeeds tiles the Table 3 base configuration cyclically to n
-// computers, preserving the speed mix (and so the per-computer
-// heterogeneity) at any scale.
-func ShardingSpeeds(n int) []float64 {
-	base := BaseSpeeds()
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = base[i%len(base)]
+// shardingPolicies are the ext-sharding rows, and shardingKs its
+// dispatcher replica counts, each with hash routing.
+var (
+	shardingPolicies = []string{"ORR", "jsq(2)", "pod(2):speed", "jiq"}
+	shardingKs       = []int{1, 4, 16}
+)
+
+// shardingCells are the ext-sharding cells at 60% load on the Table 3
+// configuration tiled to ShardingN computers, policy-major.
+func shardingCells(o Options) ([]cell, error) {
+	speeds, err := cli.ScaleSpeeds(BaseSpeeds(), ShardingN)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	// The tiled system is ShardingN/15 times the base aggregate speed, so
+	// the arrival rate scales up by the same factor; shrink the horizon to
+	// keep the job count per replication comparable to the base
+	// experiments instead of 33× larger.
+	dur := o.duration() * float64(len(BaseSpeeds())) / float64(ShardingN)
+	var cells []cell
+	for _, p := range shardingPolicies {
+		for _, k := range shardingKs {
+			c, err := o.layered(fmt.Sprintf("%s K=%d", p, k), speeds, 0.60, dur, "policy="+p, fmt.Sprintf("dispatchers=%d:hash", k))
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, c)
+		}
+	}
+	return cells, nil
 }
 
 // ShardingResult holds the ext-sharding grid: policy × replica count K,
@@ -54,73 +73,37 @@ type ShardingResult struct {
 // state at decision time and are expected to degrade far less as K grows.
 func ExtSharding(o Options) (*ShardingResult, error) {
 	o = o.withDefaults()
-	speeds := ShardingSpeeds(ShardingN)
+	cells, err := shardingCells(o)
+	if err != nil {
+		return nil, fmt.Errorf("ext-sharding: %w", err)
+	}
 	res := &ShardingResult{
 		N:        ShardingN,
-		Ks:       []int{1, 4, 16},
-		Policies: []string{"ORR", "jsq(2)", "pod(2):speed", "jiq"},
+		Ks:       shardingKs,
+		Policies: shardingPolicies,
 		Reps:     o.Reps,
 	}
-	// The tiled system is ShardingN/15 times the base aggregate speed, so
-	// the arrival rate scales up by the same factor; shrink the horizon to
-	// keep the job count per replication comparable to the base
-	// experiments instead of 33× larger.
-	duration := o.duration() * float64(len(BaseSpeeds())) / float64(ShardingN)
-	factory := func(policy string, k int) cluster.PolicyFactory {
-		switch policy {
-		case "ORR":
-			return func() cluster.Policy {
-				p := sched.ORR()
-				p.Dispatchers = k
-				p.ShardBy = dispatch.ShardHash
-				return p
-			}
-		case "jsq(2)":
-			return func() cluster.Policy {
-				p := sched.JSQd(2)
-				p.Dispatchers = k
-				p.ShardBy = dispatch.ShardHash
-				return p
-			}
-		case "pod(2):speed":
-			return func() cluster.Policy {
-				p := sched.PodSpeed(2)
-				p.Dispatchers = k
-				p.ShardBy = dispatch.ShardHash
-				return p
-			}
-		case "jiq":
-			return func() cluster.Policy {
-				p := sched.JIQ()
-				p.Dispatchers = k
-				p.ShardBy = dispatch.ShardHash
-				return p
-			}
-		}
-		return nil
-	}
-	for _, policy := range res.Policies {
+	for range res.Policies {
 		times := make([]cluster.Summary, 0, len(res.Ks))
 		cvs := make([]float64, 0, len(res.Ks))
-		for _, k := range res.Ks {
-			f := factory(policy, k)
-			cfg := cluster.Config{
-				Speeds:      speeds,
-				Utilization: 0.60,
-				Duration:    duration,
-				Seed:        o.Seed,
+		for range res.Ks {
+			c := cells[0]
+			cells = cells[1:]
+			cfg, f, err := c.Config()
+			if err != nil {
+				return nil, fmt.Errorf("ext-sharding %s: %w", c.label, err)
 			}
 			rr, err := cluster.RunReplications(cfg, f, o.Reps)
 			if err != nil {
-				return nil, fmt.Errorf("ext-sharding %s K=%d: %w", policy, k, err)
+				return nil, fmt.Errorf("ext-sharding %s: %w", c.label, err)
 			}
 			cv, err := shardingCV(cfg, f)
 			if err != nil {
-				return nil, fmt.Errorf("ext-sharding %s K=%d (probe pass): %w", policy, k, err)
+				return nil, fmt.Errorf("ext-sharding %s (probe pass): %w", c.label, err)
 			}
 			times = append(times, rr.MeanResponseTime)
 			cvs = append(cvs, cv)
-			o.logf("ext-sharding: %s K=%d time=%.4g cv=%.4g", policy, k, rr.MeanResponseTime.Mean, cv)
+			o.logf("ext-sharding: %s time=%.4g cv=%.4g", c.label, rr.MeanResponseTime.Mean, cv)
 		}
 		res.Times = append(res.Times, times)
 		res.CVs = append(res.CVs, cvs)

@@ -249,19 +249,6 @@ func (r Recovery) String() string {
 	return fmt.Sprintf("Recovery(%d)", int(r))
 }
 
-// ParseRecovery parses a Recovery wire name.
-func ParseRecovery(s string) (Recovery, error) {
-	switch s {
-	case "acks":
-		return RecoverAcks, nil
-	case "checkpoint", "ckpt":
-		return RecoverCheckpoint, nil
-	case "cold":
-		return RecoverCold, nil
-	}
-	return 0, fmt.Errorf("netfault: unknown recovery policy %q (want acks, ckpt or cold)", s)
-}
-
 // Dispatcher configures the dispatcher crash/restart renewal process.
 type Dispatcher struct {
 	// Uptime and Downtime are the dwell-time distributions of the

@@ -172,23 +172,6 @@ func TestParseDownPolicy(t *testing.T) {
 	}
 }
 
-func TestParseRecovery(t *testing.T) {
-	for s, want := range map[string]Recovery{
-		"acks": RecoverAcks, "checkpoint": RecoverCheckpoint, "ckpt": RecoverCheckpoint, "cold": RecoverCold,
-	} {
-		got, err := ParseRecovery(s)
-		if err != nil || got != want {
-			t.Errorf("ParseRecovery(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseRecovery("warm"); err == nil {
-		t.Error("ParseRecovery accepted an unknown name")
-	}
-	if s := Recovery(42).String(); !strings.Contains(s, "42") {
-		t.Errorf("unknown Recovery string %q", s)
-	}
-}
-
 // TestLinkDrawRule pins the draw rule Copies and Transit share with the
 // control plane. A second stream from the same seed replays by hand the
 // draws the rule may make: a duplication roll only when Dup > 0, then
