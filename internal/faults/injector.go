@@ -13,7 +13,9 @@ import (
 // policy is RequeueToDispatcher.
 type Hooks struct {
 	// OnFail fires when computer i goes down, after its jobs have been
-	// evicted and their fates applied.
+	// evicted and before their fates are applied, so that a requeued
+	// job is re-dispatched by a policy that has been told of the
+	// failure (at zero detection lag it is not sent straight back).
 	OnFail func(i int)
 	// OnRepair fires when computer i comes back up, after held jobs have
 	// resumed service.
@@ -126,8 +128,8 @@ func (inj *Injector) scheduleFailure(i int) {
 	inj.en.Schedule(t, func() { inj.fail(i) })
 }
 
-// fail takes computer i down: evict its jobs, apply the fate policy, and
-// schedule the repair.
+// fail takes computer i down: evict its jobs, announce the failure,
+// apply the fate policy, and schedule the repair.
 func (inj *Injector) fail(i int) {
 	if !inj.up[i] {
 		panic(fmt.Sprintf("faults: computer %d failed while down", i))
@@ -138,10 +140,16 @@ func (inj *Injector) fail(i int) {
 	inj.avail[i].Update(now, 0)
 	inj.setDown(now, +1)
 
-	for _, j := range inj.servers[i].Evict() {
-		if inj.hooks.OnEvict != nil {
+	evicted := inj.servers[i].Evict()
+	if inj.hooks.OnEvict != nil {
+		for _, j := range evicted {
 			inj.hooks.OnEvict(i, j)
 		}
+	}
+	if inj.hooks.OnFail != nil {
+		inj.hooks.OnFail(i)
+	}
+	for _, j := range evicted {
 		inj.applyFate(i, j)
 	}
 
@@ -153,10 +161,6 @@ func (inj *Injector) fail(i int) {
 	// must still be repaired during the drain, or held jobs would never
 	// complete and RunUntil(+Inf) would not terminate.
 	inj.en.ScheduleAfter(dt, func() { inj.repair(i) })
-
-	if inj.hooks.OnFail != nil {
-		inj.hooks.OnFail(i)
-	}
 }
 
 // repair brings computer i back up, resumes its held jobs in arrival

@@ -263,6 +263,91 @@ func TestGoldenFaultResolve(t *testing.T) {
 	}
 }
 
+// dispatchLog records the dispatch, fail and repair events of a run.
+type dispatchLog struct{ events []probe.Event }
+
+func (l *dispatchLog) Write(e *probe.Event) error {
+	switch e.Kind {
+	case probe.EvDispatch, probe.EvFail, probe.EvRepair:
+		l.events = append(l.events, *e)
+	}
+	return nil
+}
+
+func (l *dispatchLog) Flush() error { return nil }
+
+// intoDown counts the dispatches into a computer while it is down,
+// from the instant it fails up to its repair. A dispatch at the
+// failure's own instant counts whether the stream carries it before or
+// after the fail event.
+func (l *dispatchLog) intoDown() int {
+	type edge struct {
+		computer int
+		t        float64
+	}
+	failed := map[edge]bool{}
+	for _, e := range l.events {
+		if e.Kind == probe.EvFail {
+			failed[edge{e.Target, e.T}] = true
+		}
+	}
+	n := 0
+	down := map[int]bool{}
+	for _, e := range l.events {
+		switch e.Kind {
+		case probe.EvFail, probe.EvRepair:
+			down[e.Target] = e.Kind == probe.EvFail
+		case probe.EvDispatch:
+			if down[e.Target] || failed[edge{e.Target, e.T}] {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestFailureReachesPolicyBeforeRequeue runs goldenBase under
+// goldenFaults with no detection lag: each fault-aware policy learns of
+// a failure at its instant, so no job evicted by it, nor any other, may
+// be dispatched into the failed computer before its repair.
+func TestFailureReachesPolicyBeforeRequeue(t *testing.T) {
+	rows := []struct {
+		name   string
+		policy func() cluster.Policy
+	}{
+		{"LL", func() cluster.Policy { return NewLeastLoad() }},
+		{"JSQ2", func() cluster.Policy { return NewPowerOfTwo() }},
+		{"ORR resolve", func() cluster.Policy {
+			p := ORR()
+			p.Realloc = ReallocResolve
+			return p
+		}},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			log := &dispatchLog{}
+			pb, err := probe.New(probe.Options{Events: log})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := goldenBase()
+			cfg.Faults = goldenFaults()
+			cfg.Faults.DetectionLag = 0
+			cfg.Probe = pb
+			res, err := cluster.Run(cfg, r.policy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Failures == 0 {
+				t.Fatal("no failures injected")
+			}
+			if n := log.intoDown(); n != 0 {
+				t.Errorf("%d dispatches into a down computer at zero detection lag", n)
+			}
+		})
+	}
+}
+
 // TestGoldenCrossParallelism runs the same replicated experiment with the
 // replication scheduler pinned to several parallelism levels and requires
 // bit-identical aggregates. Each replication derives all randomness from
