@@ -9,7 +9,7 @@ BENCH_BASELINE ?= BENCH_2026-10-19.json
 # hardware differs from the baseline machine; locally 10% is realistic.
 BENCH_THRESHOLD ?= 0.10
 
-.PHONY: all build test check race stress vet fmt fmtcheck clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke sweep-smoke chaos-smoke perfbench-check fuzz-engine lockstep benchcheck bench-baseline
+.PHONY: all build test check race stress vet fmt fmtcheck clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke sweep-smoke chaos-smoke perfbench-check fuzz-engine lockstep reach benchcheck bench-baseline
 
 all: build
 
@@ -53,6 +53,13 @@ fuzz-engine:
 # the 4M-arrival Table 3 lockstep against the O(n) scan.
 lockstep:
 	$(GO) test -count=1 ./internal/sim ./internal/dispatch
+
+# reach links every binary (cmd/*, examples/*, perfbench) with the
+# linker's dependency dump and fails on any function under internal/ that
+# none of them links, unless cmd/reach/allow.txt lists it with the test
+# that needs it, and on any stale allowlist entry.
+reach:
+	$(GO) run ./cmd/reach
 
 # fmtcheck fails when gofmt would reformat any Go file in the tree
 # (`make fmt` fixes it).

@@ -79,7 +79,7 @@ func BenchmarkFigure3SpeedSkewness(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Ratio("ORR", 0) >= res.Ratio("WRAN", 0) {
+		if res.RespRatio["ORR"][0].Mean >= res.RespRatio["WRAN"][0].Mean {
 			b.Fatal("ORR not below WRAN at 10:1 skew")
 		}
 	}

@@ -364,21 +364,15 @@ func sumOf(xs []float64) float64 {
 // estimation (paper §5.4). Err = −0.10 means the scheduler underestimates
 // the load by 10%; Err = +0.05 overestimates by 5%.
 //
-// The assumed utilization is clamped to [0, MaxAssumedRho] (default
-// 0.999999) because the allocation formula requires ρ < 1; the paper makes
-// the same adjustment ("ORR converges with WRR as utilization approaches
-// 100%").
+// The assumed utilization is clamped to [0, 0.999999] because the
+// allocation formula requires ρ < 1; the paper makes the same adjustment
+// ("ORR converges with WRR as utilization approaches 100%"). The result is
+// not checked against the true load: §5.4 observes that large
+// underestimation "may even ... make the system unstable", and simulating
+// that regime takes allocations that saturate individual computers.
 type WithEstimationError struct {
 	Base Allocator
 	Err  float64
-	// MaxAssumedRho bounds the assumed utilization below 1; zero means the
-	// default 0.999999.
-	MaxAssumedRho float64
-	// AllowUnstable skips the feasibility check against the true load.
-	// The paper's §5.4 observes that large underestimation "may even ...
-	// make the system unstable"; simulating that regime requires
-	// accepting allocations that saturate individual computers.
-	AllowUnstable bool
 }
 
 func (w WithEstimationError) Name() string {
@@ -386,61 +380,6 @@ func (w WithEstimationError) Name() string {
 }
 
 func (w WithEstimationError) Allocate(speeds []float64, rho float64) ([]float64, error) {
-	maxRho := w.MaxAssumedRho
-	if maxRho == 0 {
-		maxRho = 0.999999
-	}
-	assumed := rho * (1 + w.Err)
-	if assumed < 0 {
-		assumed = 0
-	}
-	if assumed > maxRho {
-		assumed = maxRho
-	}
-	alpha, err := w.Base.Allocate(speeds, assumed)
-	if err != nil {
-		return nil, err
-	}
-	// The allocation must still be feasible under the *true* load.
-	if !w.AllowUnstable {
-		if err := checkNoSaturation(speeds, rho, alpha); err != nil {
-			return nil, err
-		}
-	}
-	return alpha, nil
-}
-
-// Static wraps a fixed fraction vector as an Allocator, for experiments
-// that specify fractions directly (e.g. the paper's Figure 2 setup).
-type Static struct {
-	Fractions []float64
-	// Label is returned by Name; empty means "static".
-	Label string
-}
-
-func (s Static) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "static"
-}
-
-func (s Static) Allocate(speeds []float64, rho float64) ([]float64, error) {
-	if len(s.Fractions) != len(speeds) {
-		return nil, fmt.Errorf("alloc: static fractions have %d entries for %d computers",
-			len(s.Fractions), len(speeds))
-	}
-	sum := 0.0
-	for i, f := range s.Fractions {
-		if f < 0 || math.IsNaN(f) {
-			return nil, fmt.Errorf("alloc: static fraction[%d] = %v invalid", i, f)
-		}
-		sum += f
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return nil, fmt.Errorf("alloc: static fractions sum to %v, want 1", sum)
-	}
-	out := make([]float64, len(s.Fractions))
-	copy(out, s.Fractions)
-	return out, nil
+	assumed := min(max(rho*(1+w.Err), 0), 0.999999)
+	return w.Base.Allocate(speeds, assumed)
 }

@@ -435,12 +435,17 @@ func TestWithEstimationErrorClampsAboveOne(t *testing.T) {
 }
 
 func TestWithEstimationErrorCanSaturateUnderTrueLoad(t *testing.T) {
-	// Extreme underestimation at very high true load must be detected as
-	// infeasible rather than silently overloading fast machines.
+	// Extreme underestimation at very high true load returns the
+	// allocation planned for the assumed load even though it overloads
+	// the fast computer (§5.4's unstable regime).
+	speeds := []float64{1, 1, 1, 10}
 	w := WithEstimationError{Base: Optimized{}, Err: -0.5}
-	_, err := w.Allocate([]float64{1, 1, 1, 10}, 0.98)
-	if !errors.Is(err, ErrInfeasible) {
-		t.Errorf("err = %v, want ErrInfeasible", err)
+	a, err := w.Allocate(speeds, 0.98)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rho3 := a[3] * 0.98 * 13 / 10; rho3 < 1 {
+		t.Errorf("fast computer's true utilization %v, want >= 1", rho3)
 	}
 }
 
@@ -448,33 +453,6 @@ func TestWithEstimationErrorName(t *testing.T) {
 	w := WithEstimationError{Base: Optimized{}, Err: -0.05}
 	if w.Name() != "O(-5%)" {
 		t.Errorf("name = %q", w.Name())
-	}
-}
-
-func TestStaticAllocator(t *testing.T) {
-	s := Static{Fractions: []float64{0.35, 0.22, 0.15, 0.12, 0.04, 0.04, 0.04, 0.04}}
-	speeds := make([]float64, 8)
-	for i := range speeds {
-		speeds[i] = 1
-	}
-	a, err := s.Allocate(speeds, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a[0] != 0.35 {
-		t.Errorf("alpha[0] = %v", a[0])
-	}
-}
-
-func TestStaticAllocatorValidation(t *testing.T) {
-	if _, err := (Static{Fractions: []float64{0.5}}).Allocate([]float64{1, 1}, 0.5); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := (Static{Fractions: []float64{0.6, 0.6}}).Allocate([]float64{1, 1}, 0.5); err == nil {
-		t.Error("non-normalized fractions accepted")
-	}
-	if _, err := (Static{Fractions: []float64{-0.5, 1.5}}).Allocate([]float64{1, 1}, 0.5); err == nil {
-		t.Error("negative fraction accepted")
 	}
 }
 
@@ -487,8 +465,6 @@ func TestNames(t *testing.T) {
 		{Proportional{}, "W"},
 		{Optimized{}, "O"},
 		{NumericOptimized{}, "Onum"},
-		{Static{}, "static"},
-		{Static{Label: "fig2"}, "fig2"},
 	} {
 		if got := c.a.Name(); got != c.want {
 			t.Errorf("Name() = %q, want %q", got, c.want)

@@ -50,15 +50,6 @@ func (r *Report) Violated(name string) bool {
 	return false
 }
 
-// ViolatedNames returns the set of broken invariant names.
-func (r *Report) ViolatedNames() map[string]bool {
-	m := map[string]bool{}
-	for _, v := range r.Violations {
-		m[v.Invariant] = true
-	}
-	return m
-}
-
 // stallHorizon resolves the watchdog horizon: explicit, or half the
 // scenario duration — generous enough that legitimate lulls (a long
 // partition, a crashed dispatcher waiting out its MTTR) do not trip it,

@@ -32,7 +32,7 @@ const maxShrinkRuns = 200
 // every accepted spec replays identically from its string.
 //
 // invariant selects which broken invariant to preserve; it must be one
-// the spec currently violates (pick from Report.ViolatedNames).
+// the spec currently violates (an Invariant of Report.Violations).
 func Shrink(spec Spec, invariant string, opts Options) (*ShrinkResult, error) {
 	res := &ShrinkResult{Spec: spec, Invariant: invariant}
 	// still reports whether a candidate spec keeps the target violation.

@@ -283,7 +283,7 @@ func ParsePolicy(name string, opts PolicyOptions) (cluster.PolicyFactory, error)
 		if rel <= -1 || rel >= 1 {
 			return nil, fmt.Errorf("policy %q: estimation error must be within ±100%%", name)
 		}
-		return static(func() *sched.Static { return sched.ORRWithLoadErrorUnstable(rel) }), nil
+		return static(func() *sched.Static { return sched.ORRWithLoadError(rel) }), nil
 	}
 	return nil, fmt.Errorf("unknown policy %q (want WRAN, ORAN, WRR, ORR, LL, LL*, JSQ2, ORRA, ORRCAPx, ORR±e, jsq(d), pod(d)[:speed|alpha] or jiq)", name)
 }

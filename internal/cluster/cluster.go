@@ -292,12 +292,6 @@ func (c Config) Lambda() float64 {
 	return cc.Utilization * total / cc.JobSize.Mean()
 }
 
-// Mu returns the base-line service rate 1/E[job size].
-func (c Config) Mu() float64 {
-	cc := c.withDefaults()
-	return 1 / cc.JobSize.Mean()
-}
-
 // Context is the simulation context handed to a Policy at initialization.
 type Context struct {
 	// Engine is the run's event engine; policies may schedule events

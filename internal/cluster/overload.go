@@ -686,7 +686,7 @@ func (ov *overloadRun) noteFailure(i int) {
 	if ov.brk == nil {
 		return
 	}
-	if ov.brk[i].RecordFailure(ov.r.en.Now()) {
+	if ov.brk[i].RecordFailure() {
 		ov.stats.BreakerTrips++
 		ov.noteBreaker(i)
 		ov.scheduleHalfOpen(i)
@@ -718,7 +718,7 @@ func (ov *overloadRun) probeFailed(j *sim.Job) {
 		return
 	}
 	j.Probe = false
-	ov.brk[j.ProbeTarget].ProbeFailed(ov.r.en.Now())
+	ov.brk[j.ProbeTarget].ProbeFailed()
 	ov.noteBreaker(j.ProbeTarget)
 	ov.scheduleHalfOpen(j.ProbeTarget)
 }

@@ -166,9 +166,10 @@ func TestProbeOffBitIdentical(t *testing.T) {
 }
 
 // TestProbeMetricsSeries checks the metric side: time-weighted series
-// close to sane values and the cadence sampler records points.
+// close to sane values and the cadence sampler emits samples.
 func TestProbeMetricsSeries(t *testing.T) {
-	p, err := probe.New(probe.Options{SampleDT: 50})
+	samples := queueSamples{}
+	p, err := probe.New(probe.Options{SampleDT: 50, Events: samples})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +194,8 @@ func TestProbeMetricsSeries(t *testing.T) {
 		if q.Mean() < 0 || math.IsNaN(q.Mean()) {
 			t.Errorf("queue_len.%d mean = %v", i, q.Mean())
 		}
-		if len(q.Points()) == 0 {
-			t.Errorf("queue_len.%d has no cadence points", i)
+		if samples[i] == 0 {
+			t.Errorf("queue_len.%d has no cadence samples", i)
 		}
 		if up := reg.Series("up." + is).Mean(); up != 1 {
 			t.Errorf("up.%d mean = %v, want 1 (no faults)", i, up)
@@ -220,6 +221,18 @@ func TestProbeMetricsSeries(t *testing.T) {
 		t.Errorf("interarrival gaps %d, want %d", gaps, res.GeneratedJobs-2)
 	}
 }
+
+// queueSamples counts each computer's queue-length cadence samples.
+type queueSamples map[int]int
+
+func (s queueSamples) Write(e *probe.Event) error {
+	if e.Kind == probe.EvSample && e.Cause == "queue_len" {
+		s[e.Target]++
+	}
+	return nil
+}
+
+func (queueSamples) Flush() error { return nil }
 
 // TestInterarrivalCVOrdering reproduces the §3 burstiness argument with
 // the probe's substream statistics: round-robin splitting (ORR) smooths

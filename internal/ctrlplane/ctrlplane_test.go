@@ -389,7 +389,7 @@ func TestDrawsFollowLinkRule(t *testing.T) {
 		if wait := p.EndDecision(0); wait != wantWait || (p.stats.QueriesLost == lostBefore) != ok {
 			t.Fatalf("probe %d: wait %g lost %v, want wait %g lost %v", k, wait, p.stats.QueriesLost != lostBefore, wantWait, !ok)
 		}
-		if p.linkSt[0].State() != ref.State() {
+		if *p.linkSt[0] != *ref {
 			t.Fatalf("step %d: plane and reference streams diverged", k)
 		}
 	}

@@ -140,9 +140,6 @@ func (p *Plane) SetExtantFn(fn func() int64) { p.extant = fn }
 // Lease returns the configured token lease (0 = none).
 func (p *Plane) Lease() float64 { return p.cfg.Lease }
 
-// QueryTO returns the configured per-decision query timeout (0 = none).
-func (p *Plane) QueryTO() float64 { return p.cfg.QueryTO }
-
 // Horizon returns the run horizon the plane was built with.
 func (p *Plane) Horizon() float64 { return p.horizon }
 

@@ -46,12 +46,3 @@ func (tb *TokenBucket) Allow(now float64) bool {
 	}
 	return false
 }
-
-// Tokens returns the level the bucket would have at time now, without
-// consuming anything (for tests and introspection).
-func (tb *TokenBucket) Tokens(now float64) float64 {
-	if now > tb.last {
-		return math.Min(tb.burst, tb.tokens+(now-tb.last)*tb.rate)
-	}
-	return tb.tokens
-}

@@ -105,9 +105,7 @@ type Breaker struct {
 	wLen     int
 	failures int // failures currently in the window
 
-	openedAt float64
-	probing  bool
-	trips    int64
+	probing bool
 }
 
 // NewBreaker builds a breaker; cfg must validate.
@@ -124,12 +122,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 
 // State returns the current routing state.
 func (b *Breaker) State() BreakerState { return b.state }
-
-// Trips returns how many times the breaker has opened.
-func (b *Breaker) Trips() int64 { return b.trips }
-
-// OpenedAt returns the time of the last trip (meaningful when open).
-func (b *Breaker) OpenedAt() float64 { return b.openedAt }
 
 // Allow reports whether a regular (non-probe) job may be routed to this
 // computer.
@@ -148,7 +140,7 @@ func (b *Breaker) RecordSuccess() {
 // RecordFailure notes a rejection, shed or timeout at this computer and
 // returns true when it trips the breaker (Closed → Open). The caller
 // must then mask the computer and schedule ToHalfOpen after Cooldown.
-func (b *Breaker) RecordFailure(now float64) bool {
+func (b *Breaker) RecordFailure() bool {
 	if b.state != BreakerClosed {
 		return false
 	}
@@ -160,8 +152,6 @@ func (b *Breaker) RecordFailure(now float64) bool {
 	}
 	if tripped {
 		b.state = BreakerOpen
-		b.openedAt = now
-		b.trips++
 	}
 	return tripped
 }
@@ -199,10 +189,9 @@ func (b *Breaker) ProbeSucceeded() {
 
 // ProbeFailed re-opens the breaker; the caller restarts the cooldown
 // timer.
-func (b *Breaker) ProbeFailed(now float64) {
+func (b *Breaker) ProbeFailed() {
 	b.state = BreakerOpen
 	b.probing = false
-	b.openedAt = now
 }
 
 // push records one outcome in the sliding window.

@@ -12,22 +12,21 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 	if !b.Allow() || b.State() != BreakerClosed {
 		t.Fatal("new breaker must start closed and allowing")
 	}
-	if b.RecordFailure(1) || b.RecordFailure(2) {
+	if b.RecordFailure() || b.RecordFailure() {
 		t.Fatal("breaker tripped before reaching the consecutive threshold")
 	}
 	b.RecordSuccess() // success resets the consecutive run
-	if b.RecordFailure(3) || b.RecordFailure(4) {
+	if b.RecordFailure() || b.RecordFailure() {
 		t.Fatal("breaker ignored the success reset")
 	}
-	if !b.RecordFailure(5) {
+	if !b.RecordFailure() {
 		t.Fatal("third consecutive failure did not trip the breaker")
 	}
-	if b.State() != BreakerOpen || b.Allow() || b.Trips() != 1 || b.OpenedAt() != 5 {
-		t.Fatalf("after trip: state=%v allow=%v trips=%d openedAt=%v",
-			b.State(), b.Allow(), b.Trips(), b.OpenedAt())
+	if b.State() != BreakerOpen || b.Allow() {
+		t.Fatalf("after trip: state=%v allow=%v", b.State(), b.Allow())
 	}
 	// Failures while open are ignored (the computer is already masked).
-	if b.RecordFailure(6) {
+	if b.RecordFailure() {
 		t.Fatal("open breaker recorded a trip")
 	}
 
@@ -45,7 +44,7 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 		t.Fatalf("after probe success: state=%v", b.State())
 	}
 	// History was reset: two failures must not trip again.
-	if b.RecordFailure(10) || b.RecordFailure(11) {
+	if b.RecordFailure() || b.RecordFailure() {
 		t.Fatal("stale failure history survived the close")
 	}
 }
@@ -54,17 +53,14 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 // a later probe can still close it.
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	b := NewBreaker(BreakerConfig{Consecutive: 1, Cooldown: 50})
-	if !b.RecordFailure(1) {
+	if !b.RecordFailure() {
 		t.Fatal("single-failure breaker did not trip")
 	}
 	b.ToHalfOpen()
 	b.BeginProbe()
-	b.ProbeFailed(60)
-	if b.State() != BreakerOpen || b.OpenedAt() != 60 {
-		t.Fatalf("after probe failure: state=%v openedAt=%v", b.State(), b.OpenedAt())
-	}
-	if b.Trips() != 1 {
-		t.Errorf("probe failure must not count as a new trip, got %d", b.Trips())
+	b.ProbeFailed()
+	if b.State() != BreakerOpen || b.Allow() {
+		t.Fatalf("after probe failure: state=%v allow=%v", b.State(), b.Allow())
 	}
 	b.ToHalfOpen()
 	b.BeginProbe()
@@ -79,11 +75,11 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 func TestBreakerRatioWindow(t *testing.T) {
 	b := NewBreaker(BreakerConfig{Ratio: 0.5, Window: 4, Cooldown: 10})
 	// 3 failures in under a full window: no trip yet.
-	if b.RecordFailure(1) || b.RecordFailure(2) || b.RecordFailure(3) {
+	if b.RecordFailure() || b.RecordFailure() || b.RecordFailure() {
 		t.Fatal("breaker tripped before a full window of outcomes")
 	}
 	b.RecordSuccess() // window now F F F S: ratio 0.75 ≥ 0.5
-	if !b.RecordFailure(5) {
+	if !b.RecordFailure() {
 		t.Fatal("full window at ratio 0.8 did not trip")
 	}
 
@@ -93,7 +89,7 @@ func TestBreakerRatioWindow(t *testing.T) {
 		b2.RecordSuccess()
 		b2.RecordSuccess()
 		b2.RecordSuccess()
-		if b2.RecordFailure(float64(i)) {
+		if b2.RecordFailure() {
 			t.Fatalf("ratio 0.25 stream tripped at i=%d", i)
 		}
 	}
@@ -151,9 +147,15 @@ func TestTokenBucket(t *testing.T) {
 	if !tb.Allow(0.5) || tb.Allow(0.5) {
 		t.Fatal("refill arithmetic wrong at t=0.5")
 	}
-	// A long idle period clamps at the burst.
-	if got := tb.Tokens(1e6); got != 3 {
-		t.Fatalf("Tokens after idle = %v, want burst 3", got)
+	// A long idle period clamps at the burst: three admissions, then
+	// refused.
+	for k := 0; k < 3; k++ {
+		if !tb.Allow(1e6) {
+			t.Fatalf("admission %d after idle refused, want burst 3", k+1)
+		}
+	}
+	if tb.Allow(1e6) {
+		t.Fatal("fourth admission after idle accepted, want burst 3")
 	}
 
 	for _, bad := range [][2]float64{{0, 3}, {-1, 3}, {2, 0.5}, {2, 0}} {

@@ -328,9 +328,6 @@ func (q *JIQ) Bind(view QueueView) {
 	}
 }
 
-// Fallback exposes the empty-idle-list dispatcher.
-func (q *JIQ) Fallback() Dispatcher { return q.fallback }
-
 // ReportIdle records an idle token for computer i. A computer holds at
 // most one token; re-reports while a token is outstanding are no-ops.
 func (q *JIQ) ReportIdle(i int) { q.ReportIdleLease(i, 0) }

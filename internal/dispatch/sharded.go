@@ -101,7 +101,6 @@ type Sharded struct {
 	by       ShardBy
 	rr       uint64
 	last     int
-	jobs     []int64
 }
 
 // NewSharded builds K replicas with the factory and wraps them. The
@@ -123,7 +122,7 @@ func NewSharded(k int, by ShardBy, factory func(k int) (Dispatcher, error)) (*Sh
 			return nil, fmt.Errorf("dispatch: replica %d has %d computers, replica 0 has %d", i, d.N(), reps[0].N())
 		}
 	}
-	return &Sharded{replicas: reps, by: by, jobs: make([]int64, k)}, nil
+	return &Sharded{replicas: reps, by: by}, nil
 }
 
 // Name returns e.g. "RRxK4" for 4 smoothed-RR replicas.
@@ -169,15 +168,11 @@ func (s *Sharded) NextFor(jobID int64) int {
 
 func (s *Sharded) dispatchVia(k int) int {
 	s.last = k
-	s.jobs[k]++
 	return s.replicas[k].Next()
 }
 
 // LastReplica returns the replica that made the most recent decision.
 func (s *Sharded) LastReplica() int { return s.last }
-
-// ReplicaJobs returns per-replica decision counts.
-func (s *Sharded) ReplicaJobs() []int64 { return append([]int64(nil), s.jobs...) }
 
 // Replica exposes replica k (tests and the sync scheduler).
 func (s *Sharded) Replica(k int) Dispatcher { return s.replicas[k] }

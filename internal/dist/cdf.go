@@ -51,14 +51,6 @@ func (b BoundedPareto) CDF(x float64) float64 {
 	}
 }
 
-// CDF of the unbounded Pareto distribution: 1 − (k/x)^α for x ≥ k.
-func (p Pareto) CDF(x float64) float64 {
-	if x <= p.K {
-		return 0
-	}
-	return 1 - math.Pow(p.K/x, p.Alpha)
-}
-
 // CDF of the two-stage hyperexponential distribution: the probability
 // mixture of the two exponential CDFs.
 func (h HyperExp2) CDF(x float64) float64 {
@@ -68,46 +60,11 @@ func (h HyperExp2) CDF(x float64) float64 {
 	return h.P1*(1-math.Exp(-h.R1*x)) + (1-h.P1)*(1-math.Exp(-h.R2*x))
 }
 
-// CDF of the Weibull distribution: 1 − e^{−(x/scale)^shape} for x ≥ 0.
-func (w Weibull) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return 1 - math.Exp(-math.Pow(x/w.Scale, w.Shape))
-}
-
-// CDF of the lognormal distribution: Φ((ln x − μ)/σ).
-func (l Lognormal) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if l.Sigma == 0 {
-		if math.Log(x) < l.Mu {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * (1 + math.Erf((math.Log(x)-l.Mu)/(l.Sigma*math.Sqrt2)))
-}
-
-// CDF of a scaled distribution: F(x/factor) when the base has a CDF.
-// It returns NaN if the base distribution has no closed-form CDF.
-func (s Scaled) CDF(x float64) float64 {
-	if c, ok := s.D.(CDFer); ok {
-		return c.CDF(x / s.Factor)
-	}
-	return math.NaN()
-}
-
 // Static interface checks.
 var (
 	_ CDFer = Exponential{}
 	_ CDFer = Uniform{}
 	_ CDFer = Deterministic{}
 	_ CDFer = BoundedPareto{}
-	_ CDFer = Pareto{}
 	_ CDFer = HyperExp2{}
-	_ CDFer = Weibull{}
-	_ CDFer = Lognormal{}
-	_ CDFer = Scaled{}
 )

@@ -1,13 +1,13 @@
-// Package dist implements the random-variate distributions used by the
-// paper's workload model and a few extras for sensitivity studies.
+// Package dist implements the random-variate distributions the simulator
+// samples.
 //
 // The paper (§4.1) draws job sizes from a Bounded Pareto distribution
 // B(k=10 s, p=21600 s, α=1.0) whose mean is 76.8 s, and inter-arrival
 // times from a two-stage hyperexponential distribution fitted to a
 // coefficient of variation of 3.0. Both are implemented here with analytic
 // moments so tests can verify samplers against closed forms, together with
-// Exponential (the M/M/1 analysis case), Uniform, Deterministic, Erlang,
-// Weibull, Lognormal and unbounded Pareto.
+// Exponential (the M/M/1 analysis case; also failure, repair and link
+// latency times), Uniform and Deterministic (per-job deadlines).
 //
 // All samplers draw from an *rng.Stream so every stochastic process in a
 // simulation owns an independent reproducible stream.
@@ -27,25 +27,20 @@ type Distribution interface {
 	Sample(st *rng.Stream) float64
 	// Mean returns the distribution's analytic mean.
 	Mean() float64
-	// Variance returns the analytic variance (may be +Inf, e.g. Pareto
-	// with α ≤ 2).
+	// Variance returns the analytic variance.
 	Variance() float64
 	// String describes the distribution and its parameters.
 	String() string
 }
 
 // CV returns the coefficient of variation of d (stddev/mean). It returns
-// +Inf when the variance is infinite and 0 when the mean is 0.
+// 0 when the mean is 0.
 func CV(d Distribution) float64 {
 	m := d.Mean()
 	if m == 0 {
 		return 0
 	}
-	v := d.Variance()
-	if math.IsInf(v, 1) {
-		return math.Inf(1)
-	}
-	return math.Sqrt(v) / m
+	return math.Sqrt(d.Variance()) / m
 }
 
 // Exponential is the exponential distribution with the given mean
@@ -81,15 +76,6 @@ func (d Deterministic) String() string             { return fmt.Sprintf("Det(%g)
 // Uniform is the continuous uniform distribution on [Lo, Hi).
 type Uniform struct {
 	Lo, Hi float64
-}
-
-// NewUniform returns a uniform distribution on [lo, hi). It panics if
-// hi <= lo.
-func NewUniform(lo, hi float64) Uniform {
-	if hi <= lo {
-		panic(fmt.Sprintf("dist: uniform requires lo < hi, got [%v,%v)", lo, hi))
-	}
-	return Uniform{Lo: lo, Hi: hi}
 }
 
 func (u Uniform) Sample(st *rng.Stream) float64 { return st.Uniform(u.Lo, u.Hi) }
@@ -182,57 +168,12 @@ func (b BoundedPareto) String() string {
 	return fmt.Sprintf("BoundedPareto(k=%g,p=%g,alpha=%g)", b.K, b.P, b.Alpha)
 }
 
-// Pareto is the unbounded Pareto distribution with scale K and shape Alpha:
-// F(x) = 1 − (k/x)^α for x ≥ k. Mean is infinite for α ≤ 1 and variance
-// infinite for α ≤ 2.
-type Pareto struct {
-	K, Alpha float64
-}
-
-// NewPareto validates and returns a Pareto distribution.
-func NewPareto(k, alpha float64) Pareto {
-	if !(k > 0 && alpha > 0) {
-		panic(fmt.Sprintf("dist: invalid Pareto(k=%v,alpha=%v)", k, alpha))
-	}
-	return Pareto{K: k, Alpha: alpha}
-}
-
-func (p Pareto) Sample(st *rng.Stream) float64 {
-	return p.K / math.Pow(st.Float64Open(), 1/p.Alpha)
-}
-
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.K / (p.Alpha - 1)
-}
-
-func (p Pareto) Variance() float64 {
-	if p.Alpha <= 2 {
-		return math.Inf(1)
-	}
-	a := p.Alpha
-	return p.K * p.K * a / ((a - 1) * (a - 1) * (a - 2))
-}
-
-func (p Pareto) String() string { return fmt.Sprintf("Pareto(k=%g,alpha=%g)", p.K, p.Alpha) }
-
 // HyperExp2 is a two-stage hyperexponential distribution: with probability
 // P1 the variate is Exp(rate R1), otherwise Exp(rate R2). Its CV is always
 // ≥ 1, making it the standard model for bursty arrival processes (the
 // paper uses CV = 3 to match Zhou's trace CV of 2.64).
 type HyperExp2 struct {
 	P1, R1, R2 float64
-}
-
-// NewHyperExp2 validates and returns a two-stage hyperexponential with
-// branch probability p1 and rates r1, r2.
-func NewHyperExp2(p1, r1, r2 float64) HyperExp2 {
-	if !(p1 >= 0 && p1 <= 1 && r1 > 0 && r2 > 0) {
-		panic(fmt.Sprintf("dist: invalid HyperExp2(p1=%v,r1=%v,r2=%v)", p1, r1, r2))
-	}
-	return HyperExp2{P1: p1, R1: r1, R2: r2}
 }
 
 func (h HyperExp2) Sample(st *rng.Stream) float64 {
@@ -282,124 +223,3 @@ func FitHyperExp2(mean, cv float64) HyperExp2 {
 	}
 	return HyperExp2{P1: p1, R1: r1, R2: r2}
 }
-
-// Erlang is the Erlang-k distribution (sum of K exponentials), with CV
-// 1/sqrt(K) < 1. Useful as a low-variability contrast workload.
-type Erlang struct {
-	K       int
-	MeanVal float64
-}
-
-// NewErlang returns an Erlang-k distribution with the given overall mean.
-func NewErlang(k int, mean float64) Erlang {
-	if k <= 0 || mean <= 0 {
-		panic(fmt.Sprintf("dist: invalid Erlang(k=%d,mean=%v)", k, mean))
-	}
-	return Erlang{K: k, MeanVal: mean}
-}
-
-func (e Erlang) Sample(st *rng.Stream) float64 {
-	// Product of uniforms method: sum of k Exp(k/mean) variates.
-	prod := 1.0
-	for i := 0; i < e.K; i++ {
-		prod *= st.Float64Open()
-	}
-	return -e.MeanVal / float64(e.K) * math.Log(prod)
-}
-
-func (e Erlang) Mean() float64     { return e.MeanVal }
-func (e Erlang) Variance() float64 { return e.MeanVal * e.MeanVal / float64(e.K) }
-func (e Erlang) String() string    { return fmt.Sprintf("Erlang(k=%d,mean=%g)", e.K, e.MeanVal) }
-
-// Weibull is the Weibull distribution with shape Shape and scale Scale.
-type Weibull struct {
-	Shape, Scale float64
-}
-
-// NewWeibull validates and returns a Weibull distribution.
-func NewWeibull(shape, scale float64) Weibull {
-	if shape <= 0 || scale <= 0 {
-		panic(fmt.Sprintf("dist: invalid Weibull(shape=%v,scale=%v)", shape, scale))
-	}
-	return Weibull{Shape: shape, Scale: scale}
-}
-
-func (w Weibull) Sample(st *rng.Stream) float64 {
-	return w.Scale * math.Pow(-math.Log(st.Float64Open()), 1/w.Shape)
-}
-
-func (w Weibull) Mean() float64 {
-	return w.Scale * math.Gamma(1+1/w.Shape)
-}
-
-func (w Weibull) Variance() float64 {
-	g1 := math.Gamma(1 + 1/w.Shape)
-	g2 := math.Gamma(1 + 2/w.Shape)
-	return w.Scale * w.Scale * (g2 - g1*g1)
-}
-
-func (w Weibull) String() string {
-	return fmt.Sprintf("Weibull(shape=%g,scale=%g)", w.Shape, w.Scale)
-}
-
-// Lognormal is the lognormal distribution: exp(N(Mu, Sigma²)).
-type Lognormal struct {
-	Mu, Sigma float64
-}
-
-// NewLognormal validates and returns a lognormal distribution with
-// log-mean mu and log-stddev sigma.
-func NewLognormal(mu, sigma float64) Lognormal {
-	if sigma < 0 {
-		panic(fmt.Sprintf("dist: invalid Lognormal(mu=%v,sigma=%v)", mu, sigma))
-	}
-	return Lognormal{Mu: mu, Sigma: sigma}
-}
-
-// FitLognormal returns a lognormal distribution with the given mean and CV.
-func FitLognormal(mean, cv float64) Lognormal {
-	if mean <= 0 || cv < 0 {
-		panic(fmt.Sprintf("dist: invalid FitLognormal(mean=%v,cv=%v)", mean, cv))
-	}
-	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return Lognormal{Mu: mu, Sigma: math.Sqrt(sigma2)}
-}
-
-func (l Lognormal) Sample(st *rng.Stream) float64 {
-	return math.Exp(st.Norm(l.Mu, l.Sigma))
-}
-
-func (l Lognormal) Mean() float64 {
-	return math.Exp(l.Mu + l.Sigma*l.Sigma/2)
-}
-
-func (l Lognormal) Variance() float64 {
-	s2 := l.Sigma * l.Sigma
-	return (math.Exp(s2) - 1) * math.Exp(2*l.Mu+s2)
-}
-
-func (l Lognormal) String() string {
-	return fmt.Sprintf("Lognormal(mu=%g,sigma=%g)", l.Mu, l.Sigma)
-}
-
-// Scaled wraps a distribution and multiplies every sample (and moment) by
-// Factor. It is used to retarget a distribution's mean without refitting,
-// e.g. adjusting the arrival rate for a different system utilization.
-type Scaled struct {
-	D      Distribution
-	Factor float64
-}
-
-// NewScaled returns d scaled by factor > 0.
-func NewScaled(d Distribution, factor float64) Scaled {
-	if factor <= 0 {
-		panic(fmt.Sprintf("dist: scale factor must be positive, got %v", factor))
-	}
-	return Scaled{D: d, Factor: factor}
-}
-
-func (s Scaled) Sample(st *rng.Stream) float64 { return s.Factor * s.D.Sample(st) }
-func (s Scaled) Mean() float64                 { return s.Factor * s.D.Mean() }
-func (s Scaled) Variance() float64             { return s.Factor * s.Factor * s.D.Variance() }
-func (s Scaled) String() string                { return fmt.Sprintf("%g*%s", s.Factor, s.D) }

@@ -34,8 +34,6 @@ import (
 // keep Factor strictly positive and bounded so renewal gaps can be
 // rescaled by bisection.
 type RateSchedule interface {
-	// FactorAt returns the rate factor at absolute time t (> 0).
-	FactorAt(t float64) float64
 	// Integral returns ∫ Factor(u) du over [t0, t0+dt] (dt >= 0).
 	Integral(t0, dt float64) float64
 	// Bounds returns lower and upper bounds on the factor (0 < lo <= hi).
@@ -54,14 +52,6 @@ type Step struct {
 	At float64
 	// Factor is the rate multiplier after At (> 0).
 	Factor float64
-}
-
-// FactorAt returns 1 before the step and Factor after.
-func (s Step) FactorAt(t float64) float64 {
-	if t < s.At {
-		return 1
-	}
-	return s.Factor
 }
 
 // Integral integrates the piecewise-constant factor.
@@ -165,11 +155,6 @@ type Cycle struct {
 	Amplitude float64
 }
 
-// FactorAt returns the sinusoidal factor.
-func (c Cycle) FactorAt(t float64) float64 {
-	return 1 + c.Amplitude*math.Sin(2*math.Pi*t/c.Period)
-}
-
 // Integral uses the sine antiderivative.
 func (c Cycle) Integral(t0, dt float64) float64 {
 	w := 2 * math.Pi / c.Period
@@ -267,14 +252,6 @@ func (s SpeedStep) Validate(computers int) error {
 	return nil
 }
 
-// String renders "sstep:AT:FACTOR[:COMPUTER]".
-func (s SpeedStep) String() string {
-	if s.Computer < 0 {
-		return fmt.Sprintf("sstep:%g:%g", s.At, s.Factor)
-	}
-	return fmt.Sprintf("sstep:%g:%g:%d", s.At, s.Factor, s.Computer)
-}
-
 // Misest is a one-shot misestimation of the inputs the policy plans
 // from: the policy's Init sees ρ·(1+RhoErr) and per-computer speeds
 // sᵢ·(1+uᵢ·SpeedErr) with uᵢ ~ U(−1,1) from a dedicated named stream,
@@ -319,14 +296,6 @@ func (m Misest) Apply(rho float64, speeds []float64, st *rng.Stream) (float64, [
 		out[i] = s * f
 	}
 	return assumed, out
-}
-
-// String renders "mis:RHOERR[:SPEEDERR]".
-func (m Misest) String() string {
-	if m.SpeedErr == 0 {
-		return fmt.Sprintf("mis:%g", m.RhoErr)
-	}
-	return fmt.Sprintf("mis:%g:%g", m.RhoErr, m.SpeedErr)
 }
 
 // Config assembles a run's drift model. The zero value (and nil) is

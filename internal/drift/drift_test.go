@@ -9,9 +9,6 @@ import (
 
 func TestStepFactorAndIntegral(t *testing.T) {
 	s := Step{At: 100, Factor: 2}
-	if s.FactorAt(99) != 1 || s.FactorAt(100) != 2 || s.FactorAt(1e6) != 2 {
-		t.Errorf("step factors: %v %v %v", s.FactorAt(99), s.FactorAt(100), s.FactorAt(1e6))
-	}
 	cases := []struct{ t0, dt, want float64 }{
 		{0, 50, 50},       // entirely before
 		{200, 50, 100},    // entirely after
@@ -69,7 +66,7 @@ func TestCycleIntegralMatchesNumeric(t *testing.T) {
 	sum := 0.0
 	h := dt / float64(steps)
 	for i := 0; i < steps; i++ {
-		sum += c.FactorAt(t0+(float64(i)+0.5)*h) * h
+		sum += (1 + c.Amplitude*math.Sin(2*math.Pi*(t0+(float64(i)+0.5)*h)/c.Period)) * h
 	}
 	if got := c.Integral(t0, dt); math.Abs(got-sum) > 1e-3 {
 		t.Errorf("cycle integral = %v, numeric = %v", got, sum)
@@ -196,10 +193,6 @@ func TestSpecStrings(t *testing.T) {
 		{Step{At: 100, Factor: 2}.String(), "lstep:100:2"},
 		{Ramp{From: 1, To: 2, Factor: 3}.String(), "lramp:1:2:3"},
 		{Cycle{Period: 86400, Amplitude: 0.5}.String(), "lcycle:86400:0.5"},
-		{SpeedStep{At: 5, Computer: -1, Factor: 0.5}.String(), "sstep:5:0.5"},
-		{SpeedStep{At: 5, Computer: 2, Factor: 0.5}.String(), "sstep:5:0.5:2"},
-		{Misest{RhoErr: -0.1}.String(), "mis:-0.1"},
-		{Misest{RhoErr: -0.1, SpeedErr: 0.2}.String(), "mis:-0.1:0.2"},
 	}
 	for _, c := range cases {
 		if c.got != c.want {

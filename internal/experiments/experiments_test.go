@@ -134,20 +134,20 @@ func TestFigure3Shapes(t *testing.T) {
 	}
 	// Homogeneous point: ORR == WRR (same fractions), and the optimized
 	// allocation offers no benefit.
-	if math.Abs(res.Ratio("ORR", 0)-res.Ratio("WRR", 0)) > 1e-9 {
-		t.Errorf("homogeneous ORR %v != WRR %v", res.Ratio("ORR", 0), res.Ratio("WRR", 0))
+	if math.Abs(res.RespRatio["ORR"][0].Mean-res.RespRatio["WRR"][0].Mean) > 1e-9 {
+		t.Errorf("homogeneous ORR %v != WRR %v", res.RespRatio["ORR"][0].Mean, res.RespRatio["WRR"][0].Mean)
 	}
 	// Skewed points: ORR < WRR and ORAN < WRAN, with the gap growing.
 	for i := 1; i < 3; i++ {
-		if res.Ratio("ORR", i) >= res.Ratio("WRR", i) {
-			t.Errorf("point %d: ORR %v not below WRR %v", i, res.Ratio("ORR", i), res.Ratio("WRR", i))
+		if res.RespRatio["ORR"][i].Mean >= res.RespRatio["WRR"][i].Mean {
+			t.Errorf("point %d: ORR %v not below WRR %v", i, res.RespRatio["ORR"][i].Mean, res.RespRatio["WRR"][i].Mean)
 		}
-		if res.Ratio("ORAN", i) >= res.Ratio("WRAN", i) {
-			t.Errorf("point %d: ORAN %v not below WRAN %v", i, res.Ratio("ORAN", i), res.Ratio("WRAN", i))
+		if res.RespRatio["ORAN"][i].Mean >= res.RespRatio["WRAN"][i].Mean {
+			t.Errorf("point %d: ORAN %v not below WRAN %v", i, res.RespRatio["ORAN"][i].Mean, res.RespRatio["WRAN"][i].Mean)
 		}
 	}
-	gain10 := 1 - res.Ratio("ORR", 1)/res.Ratio("WRR", 1)
-	gain20 := 1 - res.Ratio("ORR", 2)/res.Ratio("WRR", 2)
+	gain10 := 1 - res.RespRatio["ORR"][1].Mean/res.RespRatio["WRR"][1].Mean
+	gain20 := 1 - res.RespRatio["ORR"][2].Mean/res.RespRatio["WRR"][2].Mean
 	if gain20 <= gain10 {
 		t.Errorf("gain did not grow with skew: %v at 10, %v at 20", gain10, gain20)
 	}
@@ -157,8 +157,8 @@ func TestFigure3Shapes(t *testing.T) {
 	}
 	// LL remains the lower envelope.
 	for i := 0; i < 3; i++ {
-		if res.Ratio("LL", i) > res.Ratio("ORR", i)*1.05 {
-			t.Errorf("point %d: LL %v above ORR %v", i, res.Ratio("LL", i), res.Ratio("ORR", i))
+		if res.RespRatio["LL"][i].Mean > res.RespRatio["ORR"][i].Mean*1.05 {
+			t.Errorf("point %d: LL %v above ORR %v", i, res.RespRatio["LL"][i].Mean, res.RespRatio["ORR"][i].Mean)
 		}
 	}
 	// Fairness: optimized much better than weighted at high skew.
@@ -183,15 +183,15 @@ func TestFigure4Shapes(t *testing.T) {
 	// ORR reduces ratio over WRAN substantially for n > 6 (paper:
 	// 35–40%).
 	for i := 1; i < 3; i++ {
-		gain := 1 - res.Ratio("ORR", i)/res.Ratio("WRAN", i)
+		gain := 1 - res.RespRatio["ORR"][i].Mean/res.RespRatio["WRAN"][i].Mean
 		if gain < 0.2 {
 			t.Errorf("n=%v: ORR gain over WRAN = %.0f%%, paper reports 35–40%%",
 				Figure4Sizes[i], 100*gain)
 		}
 	}
 	// The LL advantage over ORR grows with system size.
-	gapSmall := res.Ratio("ORR", 0) - res.Ratio("LL", 0)
-	gapLarge := res.Ratio("ORR", 2) - res.Ratio("LL", 2)
+	gapSmall := res.RespRatio["ORR"][0].Mean - res.RespRatio["LL"][0].Mean
+	gapLarge := res.RespRatio["ORR"][2].Mean - res.RespRatio["LL"][2].Mean
 	if gapLarge < gapSmall-0.05 {
 		t.Errorf("LL advantage shrank with size: %v → %v", gapSmall, gapLarge)
 	}
@@ -209,18 +209,18 @@ func TestFigure5Shapes(t *testing.T) {
 	for i := range Figure5Loads {
 		// ORR best among the four static schemes.
 		for _, p := range []string{"WRR", "ORAN", "WRAN"} {
-			if res.Ratio("ORR", i) >= res.Ratio(p, i) {
+			if res.RespRatio["ORR"][i].Mean >= res.RespRatio[p][i].Mean {
 				t.Errorf("rho=%v: ORR %v not below %s %v",
-					Figure5Loads[i], res.Ratio("ORR", i), p, res.Ratio(p, i))
+					Figure5Loads[i], res.RespRatio["ORR"][i].Mean, p, res.RespRatio[p][i].Mean)
 			}
 		}
 	}
 	// At 90% load the paper reports ORR ≈24% below WRR and ≈34% below
 	// WRAN; accept broad bands.
-	if gain := 1 - res.Ratio("ORR", 1)/res.Ratio("WRR", 1); gain < 0.08 {
+	if gain := 1 - res.RespRatio["ORR"][1].Mean/res.RespRatio["WRR"][1].Mean; gain < 0.08 {
 		t.Errorf("ORR gain over WRR at 90%% = %.0f%%, paper ~24%%", 100*gain)
 	}
-	if gain := 1 - res.Ratio("ORR", 1)/res.Ratio("WRAN", 1); gain < 0.15 {
+	if gain := 1 - res.RespRatio["ORR"][1].Mean/res.RespRatio["WRAN"][1].Mean; gain < 0.15 {
 		t.Errorf("ORR gain over WRAN at 90%% = %.0f%%, paper ~34%%", 100*gain)
 	}
 }
@@ -236,11 +236,11 @@ func TestFigure6Shapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// At moderate load, estimation error barely matters.
-	base := res.Ratio("ORR", 0)
-	if under := res.Ratio("ORR(-15%)", 0); under > base*1.35 {
+	base := res.RespRatio["ORR"][0].Mean
+	if under := res.RespRatio["ORR(-15%)"][0].Mean; under > base*1.35 {
 		t.Errorf("rho=0.5: ORR(-15%%) %v far above exact %v", under, base)
 	}
-	if over := res.Ratio("ORR(+10%)", 0); over > base*1.35 {
+	if over := res.RespRatio["ORR(+10%)"][0].Mean; over > base*1.35 {
 		t.Errorf("rho=0.5: ORR(+10%%) %v far above exact %v", over, base)
 	}
 	// At 90%: underestimation hurts badly (unstable fast machines), while
@@ -249,10 +249,10 @@ func TestFigure6Shapes(t *testing.T) {
 	// (utilization 1.024 > 1), so its ratio grows with run length —
 	// clearly worse than both exact ORR and WRR (paper: "may even cause
 	// ORR to perform worse than WRR and make the system unstable").
-	baseHigh := res.Ratio("ORR", 1)
-	underHigh := res.Ratio("ORR(-15%)", 1)
-	overHigh := res.Ratio("ORR(+10%)", 1)
-	wrrHigh := res.Ratio("WRR", 1)
+	baseHigh := res.RespRatio["ORR"][1].Mean
+	underHigh := res.RespRatio["ORR(-15%)"][1].Mean
+	overHigh := res.RespRatio["ORR(+10%)"][1].Mean
+	wrrHigh := res.RespRatio["WRR"][1].Mean
 	if underHigh < 1.2*baseHigh {
 		t.Errorf("rho=0.9: ORR(-15%%) %v not clearly above exact ORR %v", underHigh, baseHigh)
 	}

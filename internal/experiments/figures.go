@@ -93,7 +93,7 @@ func Figure6(o Options) (*SweepResult, error) {
 			factories = append(factories, func() cluster.Policy { return sched.ORR() })
 			continue
 		}
-		factories = append(factories, func() cluster.Policy { return sched.ORRWithLoadErrorUnstable(e) })
+		factories = append(factories, func() cluster.Policy { return sched.ORRWithLoadError(e) })
 	}
 	factories = append(factories, func() cluster.Policy { return sched.WRR() })
 	return o.sweep("fig6", "utilization", Figure6Loads,

@@ -91,12 +91,6 @@ func (r *SweepResult) Render() []*report.Table {
 	}
 }
 
-// Ratio returns the mean response ratio of a policy at index i, for tests
-// and downstream analysis.
-func (r *SweepResult) Ratio(policy string, i int) float64 {
-	return r.RespRatio[policy][i].Mean
-}
-
 // metricChart builds one SVG line chart for a metric.
 func (r *SweepResult) metricChart(title, ylabel string, metric map[string][]cluster.Summary, logY bool) *plot.Chart {
 	c := &plot.Chart{Title: title, XLabel: r.XLabel, YLabel: ylabel, LogY: logY}

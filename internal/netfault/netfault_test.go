@@ -193,8 +193,8 @@ func TestLinkDrawRule(t *testing.T) {
 					if dup > 0 && ref.Float64() < dup {
 						want = 2
 					}
-					if got := l.Copies(st); got != want || st.State() != ref.State() {
-						t.Fatalf("%+v: Copies = %d, want %d (streams aligned: %v)", l, got, want, st.State() == ref.State())
+					if got := l.Copies(st); got != want || *st != *ref {
+						t.Fatalf("%+v: Copies = %d, want %d (streams aligned: %v)", l, got, want, *st == *ref)
 					}
 					dups += want - 1
 					for c := 0; c < want; c++ {
@@ -210,9 +210,9 @@ func TestLinkDrawRule(t *testing.T) {
 							}
 						}
 						delay, ok := l.Transit(st)
-						if ok != wantOK || delay != wantDelay || st.State() != ref.State() {
+						if ok != wantOK || delay != wantDelay || *st != *ref {
 							t.Fatalf("%+v: Transit = (%g, %v), want (%g, %v) (streams aligned: %v)",
-								l, delay, ok, wantDelay, wantOK, st.State() == ref.State())
+								l, delay, ok, wantDelay, wantOK, *st == *ref)
 						}
 					}
 				}

@@ -314,16 +314,3 @@ func NumericalGradient(f func([]float64) float64, x []float64, h float64) []floa
 	}
 	return g
 }
-
-// Sum returns the sum of xs (Kahan-compensated, so experiment code can rely
-// on it for long accumulations).
-func Sum(xs []float64) float64 {
-	var sum, c float64
-	for _, x := range xs {
-		y := x - c
-		t := sum + y
-		c = (t - sum) - y
-		sum = t
-	}
-	return sum
-}

@@ -311,26 +311,6 @@ func TestNumericalGradient(t *testing.T) {
 	}
 }
 
-func TestSumKahan(t *testing.T) {
-	// 1 + 1e-16 repeated: naive summation loses the small terms.
-	xs := make([]float64, 0, 10000001)
-	xs = append(xs, 1)
-	for i := 0; i < 10000000; i++ {
-		xs = append(xs, 1e-16)
-	}
-	got := Sum(xs)
-	want := 1 + 1e-9
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("Kahan sum = %.18v, want %.18v", got, want)
-	}
-}
-
-func TestSumEmpty(t *testing.T) {
-	if Sum(nil) != 0 {
-		t.Error("sum of empty slice should be 0")
-	}
-}
-
 func BenchmarkProjectCappedSimplex(b *testing.B) {
 	x := make([]float64, 64)
 	caps := make([]float64, 64)

@@ -301,7 +301,6 @@ func (p *Probe) SetCtrlInFlight(t float64, v int) {
 func (p *Probe) NoteCtrlStaleness(t, age float64) {
 	if p.ctrlStale != nil {
 		p.ctrlStale.Update(t, age)
-		p.ctrlStale.AddPoint(t, age)
 	}
 }
 
@@ -453,7 +452,6 @@ func (p *Probe) SetDispatcherUp(t float64, up bool) {
 func (p *Probe) NoteStateAge(t, age float64) {
 	if p.stateAge != nil {
 		p.stateAge.Update(t, age)
-		p.stateAge.AddPoint(t, age)
 	}
 }
 
@@ -470,19 +468,16 @@ func (p *Probe) Sample(t float64, queueLens []int, busy []float64, inSystem int6
 	for i := 0; i < p.n; i++ {
 		q := float64(queueLens[i])
 		p.queueLen[i].Update(t, q)
-		p.queueLen[i].AddPoint(t, q)
 		u := 0.0
 		if dt > 0 {
 			u = (busy[i] - p.lastBusy[i]) / dt
 		}
 		p.utilPts[i].Update(t, u)
-		p.utilPts[i].AddPoint(t, u)
 		p.lastBusy[i] = busy[i]
 		p.Emit(Event{T: t, Kind: EvSample, Target: i, Cause: "queue_len", Value: q})
 		p.Emit(Event{T: t, Kind: EvSample, Target: i, Cause: "util", Value: u})
 	}
 	p.inSystem.Update(t, float64(inSystem))
-	p.inSystem.AddPoint(t, float64(inSystem))
 	p.Emit(Event{T: t, Kind: EvSample, Target: -1, Cause: "in_system", Value: float64(inSystem)})
 	p.lastSample = t
 }

@@ -21,7 +21,6 @@ package probe
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -40,9 +39,6 @@ func (c *Counter) Name() string { return c.name }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds d (d >= 0 for counters; not enforced on the hot path).
-func (c *Counter) Add(d int64) { c.v.Add(d) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -63,26 +59,16 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Point is one sampled (time, value) pair of a Series.
-type Point struct {
-	T float64
-	V float64
-}
-
 // Series is a piecewise-constant signal over simulation time (queue
 // length, up/down state, breaker state). Update integrates the signal at
-// every event boundary into a time-weighted mean; AddPoint records cadence
-// samples for time-series export. The current value is additionally kept
-// in atomic bits for lock-free live reads.
+// every event boundary into a time-weighted mean. The current value is
+// additionally kept in atomic bits for lock-free live reads.
 type Series struct {
 	name string
 	cur  atomic.Uint64
 
 	// tw is touched only by the simulation goroutine.
 	tw stats.TimeWeighted
-
-	mu     sync.Mutex
-	points []Point
 }
 
 // Name returns the metric name.
@@ -97,22 +83,6 @@ func (s *Series) Update(t, v float64) {
 
 // Value returns the current (most recently updated) value.
 func (s *Series) Value() float64 { return math.Float64frombits(s.cur.Load()) }
-
-// AddPoint appends one cadence sample.
-func (s *Series) AddPoint(t, v float64) {
-	s.mu.Lock()
-	s.points = append(s.points, Point{T: t, V: v})
-	s.mu.Unlock()
-}
-
-// Points returns a copy of the sampled points.
-func (s *Series) Points() []Point {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Point, len(s.points))
-	copy(out, s.points)
-	return out
-}
 
 // Finish closes the time-weighted integration at time t. Call once, after
 // the run, from the simulation goroutine.
@@ -294,25 +264,4 @@ func (r *Registry) FinalSnapshot() map[string]float64 {
 		out[n+".n"] = float64(h.N())
 	}
 	return out
-}
-
-// Names returns all registered metric names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.series)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.series {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

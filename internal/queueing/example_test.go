@@ -43,15 +43,3 @@ func ExampleSystem_TheoremOneMinimum() {
 	// Output:
 	// F* = 14.8989, implied mean response time 0.9916 s
 }
-
-// Erlang-C: probability of queueing in an M/M/c system.
-func ExampleErlangC() {
-	p, err := queueing.ErlangC(5, 4)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("P(wait) with 5 servers at 4 Erlangs = %.4f\n", p)
-	// Output:
-	// P(wait) with 5 servers at 4 Erlangs = 0.5541
-}

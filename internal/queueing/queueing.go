@@ -4,7 +4,9 @@
 // response time t/(1−ρ). The package provides the per-computer and
 // system-level mean response time T̄ and mean response ratio R̄ for a given
 // workload allocation, the paper's objective function F (Definition 1), and
-// the closed-form minimum of Theorem 1.
+// the closed-form minimum of Theorem 1. The single-queue closed forms
+// (M/M/1 means and quantiles, Pollaczek–Khinchine for M/G/1 FCFS) are
+// references the simulator's tests check against.
 //
 // Conventions match the paper: the system has n computers with relative
 // speeds s_i (>0), a base-line service rate μ (jobs/second for a speed-1

@@ -30,23 +30,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddRowValues appends a row, formatting each value with %v for strings
-// and %.4g for floats.
-func (t *Table) AddRowValues(values ...interface{}) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			cells[i] = strconv.FormatFloat(x, 'g', 5, 64)
-		case float32:
-			cells[i] = strconv.FormatFloat(float64(x), 'g', 5, 64)
-		default:
-			cells[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	t.AddRow(cells...)
-}
-
 // AddNote appends a footnote line printed under the table.
 func (t *Table) AddNote(format string, args ...interface{}) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))

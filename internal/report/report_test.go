@@ -46,15 +46,6 @@ func TestTableShortAndLongRows(t *testing.T) {
 	}
 }
 
-func TestAddRowValues(t *testing.T) {
-	tab := NewTable("t", "s", "f", "i")
-	tab.AddRowValues("str", 3.14159, 42)
-	s := tab.String()
-	if !strings.Contains(s, "str") || !strings.Contains(s, "3.1416") || !strings.Contains(s, "42") {
-		t.Errorf("values wrong:\n%s", s)
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	tab := NewTable("ignored title", "a", "b")
 	tab.AddRow("1", "x,y") // comma must be quoted

@@ -12,9 +12,8 @@
 //     stream, and replication r of experiment A is independent of
 //     replication r of experiment B.
 //
-// All generators implement rand.Source64 semantics (Uint64/Int63) so they
-// can be dropped into code expecting math/rand sources, but the simulator
-// uses the typed helpers (Float64, Exp, ...) on *Stream directly.
+// The simulator draws through the typed helpers on *Stream (Float64, Exp,
+// Intn, ...).
 package rng
 
 import (
@@ -82,13 +81,6 @@ func (st *Stream) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative 63-bit pseudo-random integer, matching the
-// contract of math/rand.Source.
-func (st *Stream) Int63() int64 { return int64(st.Uint64() >> 1) }
-
-// Seed is present for rand.Source compatibility; it reseeds the stream.
-func (st *Stream) Seed(seed int64) { st.Reseed(uint64(seed)) }
-
 // Float64 returns a uniformly distributed float64 in [0, 1) with 53 bits of
 // precision.
 func (st *Stream) Float64() float64 {
@@ -150,19 +142,6 @@ func (st *Stream) Exp(mean float64) float64 {
 	return -mean * math.Log(st.Float64Open())
 }
 
-// Norm returns a normally distributed sample with the given mean and
-// standard deviation, using the Marsaglia polar method.
-func (st *Stream) Norm(mean, stddev float64) float64 {
-	for {
-		u := 2*st.Float64() - 1
-		v := 2*st.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // Derive returns a new Stream whose seed is a hash of this stream's
 // identity and the given name. Derivation does not consume randomness from
 // the parent, so the parent's output sequence is unaffected.
@@ -196,35 +175,4 @@ func (st *Stream) Derive(name string) *Stream {
 // convenience for per-replication or per-entity streams.
 func (st *Stream) DeriveIndexed(name string, index int) *Stream {
 	return st.Derive(fmt.Sprintf("%s/%d", name, index))
-}
-
-// Jump advances the stream by 2^128 steps, equivalent to 2^128 calls to
-// Uint64. It can be used to partition one seed into non-overlapping blocks.
-func (st *Stream) Jump() {
-	jump := [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-	var s0, s1, s2, s3 uint64
-	for _, j := range jump {
-		for b := uint(0); b < 64; b++ {
-			if j&(1<<b) != 0 {
-				s0 ^= st.s[0]
-				s1 ^= st.s[1]
-				s2 ^= st.s[2]
-				s3 ^= st.s[3]
-			}
-			st.Uint64()
-		}
-	}
-	st.s[0], st.s[1], st.s[2], st.s[3] = s0, s1, s2, s3
-}
-
-// State returns a copy of the internal state, for checkpointing.
-func (st *Stream) State() [4]uint64 { return st.s }
-
-// SetState restores a state captured by State. It panics on the all-zero
-// state, which is invalid for xoshiro.
-func (st *Stream) SetState(s [4]uint64) {
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		panic("rng: SetState with all-zero state")
-	}
-	st.s = s
 }

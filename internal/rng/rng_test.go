@@ -145,26 +145,6 @@ func TestExpPanicsOnBadMean(t *testing.T) {
 	New(1).Exp(-1)
 }
 
-func TestNormMoments(t *testing.T) {
-	s := New(19)
-	const n = 500000
-	const mu, sigma = -2.0, 4.0
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		x := s.Norm(mu, sigma)
-		sum += x
-		sumSq += x * x
-	}
-	m := sum / n
-	v := sumSq/n - m*m
-	if math.Abs(m-mu) > 0.03 {
-		t.Errorf("Norm mean = %v, want ~%v", m, mu)
-	}
-	if math.Abs(v-sigma*sigma)/(sigma*sigma) > 0.03 {
-		t.Errorf("Norm variance = %v, want ~%v", v, sigma*sigma)
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	s := New(23)
 	for i := 0; i < 100000; i++ {
@@ -220,53 +200,6 @@ func TestDeriveIndexedDistinct(t *testing.T) {
 			t.Fatalf("DeriveIndexed collision at index %d", i)
 		}
 		seen[v] = true
-	}
-}
-
-func TestJumpDisjoint(t *testing.T) {
-	a := New(77)
-	b := New(77)
-	b.Jump()
-	// After a jump the two streams should produce different outputs.
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("jumped stream matched original %d/1000 outputs", same)
-	}
-}
-
-func TestStateRoundTrip(t *testing.T) {
-	s := New(31)
-	s.Uint64()
-	saved := s.State()
-	want := []uint64{s.Uint64(), s.Uint64(), s.Uint64()}
-	s.SetState(saved)
-	for i, w := range want {
-		if got := s.Uint64(); got != w {
-			t.Fatalf("restored output %d = %d, want %d", i, got, w)
-		}
-	}
-}
-
-func TestSetStatePanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetState(zero) did not panic")
-		}
-	}()
-	New(1).SetState([4]uint64{})
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	s := New(41)
-	for i := 0; i < 100000; i++ {
-		if s.Int63() < 0 {
-			t.Fatal("Int63 returned negative value")
-		}
 	}
 }
 

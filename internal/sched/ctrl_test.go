@@ -36,7 +36,7 @@ func TestScalableJIQRepairReissue(t *testing.T) {
 	}
 	view := make(fakeState, len(speeds))
 	p.BindState(view)
-	sh := p.Sharded()
+	sh := p.sharded
 
 	// Take computer 2 down and burn through every token: the masked pop
 	// discards 2's token instead of dispatching to it.
@@ -174,8 +174,5 @@ func TestStaticSyncMonotonicRejoin(t *testing.T) {
 	if cs.SyncDelivered != cs.SyncApplied+cs.SyncStale {
 		t.Errorf("sync ledger leak: delivered=%d != applied=%d + stale=%d",
 			cs.SyncDelivered, cs.SyncApplied, cs.SyncStale)
-	}
-	if int64(s.Syncs()) != cs.SyncApplied {
-		t.Errorf("policy counted %d applied frames, ledger says %d", s.Syncs(), cs.SyncApplied)
 	}
 }

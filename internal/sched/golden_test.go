@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"heterosched/internal/cluster"
@@ -135,8 +136,8 @@ func TestGoldenLayersOff(t *testing.T) {
 				t.Errorf("layer stats populated on an inert run: adaptive %v, netfault %v, overload %v",
 					res.Adaptive != nil, res.Netfault != nil, res.Overload != nil)
 			}
-			if p.Syncs() != 0 || p.Shards() != 1 {
-				t.Errorf("%d sync rounds over %d shards, want 0 over 1", p.Syncs(), p.Shards())
+			if p.Shards() != 1 || p.sharded != nil {
+				t.Errorf("%d shards (wrapper %v), want 1 and no wrapper to sync", p.Shards(), p.sharded != nil)
 			}
 		})
 	}
@@ -234,7 +235,7 @@ func TestGoldenDynamicFamily(t *testing.T) {
 // These values were recaptured when resolveFractions switched its
 // saturated-degraded-system fallback from an optimized allocation at
 // ρ = 1−1e−9 to renormalized stale fractions (the documented
-// StaleFallbacks behavior); they must be stable from then on.
+// fallback); they must be stable from then on.
 func TestGoldenFaultResolve(t *testing.T) {
 	cfg := goldenBase()
 	cfg.Faults = goldenFaults()
@@ -256,10 +257,11 @@ func TestGoldenFaultResolve(t *testing.T) {
 			wantTime, wantRatio, wantFair)
 	}
 	// The {1,1,2,10} system at ρ=0.6 saturates whenever the speed-10
-	// computer is down (effective ρ = 2.1), so resolve mode must have
-	// fallen back to renormalized stale fractions at least once.
-	if p.StaleFallbacks() == 0 {
-		t.Error("StaleFallbacks = 0, want > 0 (speed-10 outages saturate the survivors)")
+	// computer is down (effective ρ = 2.1), so resolve mode falls back to
+	// the stale fractions renormalized over the survivors.
+	down := []bool{true, true, true, false}
+	if got, want := p.resolveFractions(down), p.staleRenormalized(down); !slices.Equal(got, want) {
+		t.Errorf("resolve without the speed-10 computer = %v, want the renormalized stale split %v", got, want)
 	}
 }
 

@@ -402,9 +402,6 @@ func (s *Scalable) LastShard() int {
 	return s.sharded.LastReplica()
 }
 
-// Sharded exposes the K-replica wrapper (tests and reports).
-func (s *Scalable) Sharded() *dispatch.Sharded { return s.sharded }
-
 // shardStreams returns the per-replica sampling streams: replica 0 keeps
 // the base stream (so K=1 is bit-identical to an unsharded dispatcher)
 // and replica k > 0 gets an indexed derivation. Derivation does not

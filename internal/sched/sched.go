@@ -131,18 +131,9 @@ type Static struct {
 	// sharded is the K-replica wrapper when Shards > 1 (it is then also
 	// the value of dispatcher); nil on the unsharded path.
 	sharded *dispatch.Sharded
-	// syncs counts performed counter-sync rounds.
-	syncs int64
 	// lastUp remembers the most recent availability mask so a Replan can
 	// reapply it to the rebuilt dispatcher.
 	lastUp []bool
-	// staleFallbacks counts up-set changes where the allocator could not
-	// produce a fresh split (degraded system saturated: ErrInfeasible, or
-	// any other allocator failure) and the policy fell back to the stale
-	// fractions renormalized over the survivors.
-	staleFallbacks int64
-	// replans counts successful Replan applications.
-	replans int64
 
 	// Physical counter-sync (nil plane = instantaneous SyncNow, the
 	// PR 9 path). Each sync tick sends one versioned frame per Syncer
@@ -261,8 +252,8 @@ func (s *Static) scheduleSync() {
 			// chain), and the same chain must serve both modes.
 			if s.plane != nil {
 				s.physicalSyncRound(sh)
-			} else if sh.SyncNow() > 1 {
-				s.syncs++
+			} else {
+				sh.SyncNow()
 			}
 		}
 		if en.Now()+s.SyncEvery <= s.ctx.Horizon {
@@ -336,12 +327,7 @@ func (s *Static) applySyncFrame(to, from int, ver uint64, assign []int64, next [
 	s.syncSeen[idx] = ver
 	sh.SyncBlend(to, assign, next)
 	s.plane.NoteSyncApplied(to, ver)
-	s.syncs++
 }
-
-// Syncs returns how many counter-sync rounds actually exchanged state
-// (with a control plane: how many individual frames were applied).
-func (s *Static) Syncs() int64 { return s.syncs }
 
 // Shards returns the dispatcher replica count K (cluster.ShardedPolicy).
 func (s *Static) Shards() int {
@@ -462,7 +448,6 @@ func (s *Static) Replan(speeds []float64, rho float64) error {
 	}
 	s.fractions = fr
 	s.dispatcher = d
-	s.replans++
 	s.applyMask()
 	return nil
 }
@@ -486,14 +471,9 @@ func (s *Static) ReplanProportional(speeds []float64) error {
 	}
 	s.fractions = fr
 	s.dispatcher = d
-	s.replans++
 	s.applyMask()
 	return nil
 }
-
-// Replans returns how many times the plan was successfully replaced
-// after Init (adaptive re-planning and fallbacks).
-func (s *Static) Replans() int64 { return s.replans }
 
 // resolveFractions re-runs the allocator over the surviving computers at
 // the utilization the offered load implies for the reduced capacity,
@@ -501,9 +481,8 @@ func (s *Static) Replans() int64 { return s.replans }
 // degraded system is saturated (the allocator reports
 // alloc.ErrInfeasible) or the allocator fails for any other reason, it
 // falls back to the stale fractions renormalized over the survivors —
-// the same split ReallocStale would route — and records the event in
-// StaleFallbacks: degraded but predictable routing beats refusing to
-// adapt, and the counter makes the degradation observable.
+// the same split ReallocStale would route: degraded but predictable
+// routing beats refusing to adapt.
 func (s *Static) resolveFractions(up []bool) []float64 {
 	speeds := s.ctx.Speeds
 	upSpeeds := make([]float64, 0, len(speeds))
@@ -520,7 +499,6 @@ func (s *Static) resolveFractions(up []bool) []float64 {
 	rhoEff := s.ctx.Utilization * sumAll / sumUp
 	fr, err := s.Allocator.Allocate(upSpeeds, rhoEff)
 	if err != nil {
-		s.staleFallbacks++
 		return s.staleRenormalized(up)
 	}
 	full := make([]float64, len(speeds))
@@ -560,11 +538,6 @@ func (s *Static) staleRenormalized(up []bool) []float64 {
 	return full
 }
 
-// StaleFallbacks returns how many up-set changes fell back to
-// renormalized stale fractions because the allocator could not produce a
-// fresh split for the degraded system.
-func (s *Static) StaleFallbacks() int64 { return s.staleFallbacks }
-
 // Fractions returns the computed allocation (valid after Init).
 func (s *Static) Fractions() []float64 {
 	out := make([]float64, len(s.fractions))
@@ -601,17 +574,6 @@ func ORRAvailability(avail []float64) *Static {
 	}
 }
 
-// ORRWithLoadError is ORR computed against a mis-estimated utilization
-// (§5.4): relErr = −0.10 underestimates the load by 10%. Allocations that
-// saturate a computer under the true load are rejected at Init.
-func ORRWithLoadError(relErr float64) *Static {
-	return &Static{
-		Allocator: alloc.WithEstimationError{Base: alloc.Optimized{}, Err: relErr},
-		Kind:      RoundRobinDispatch,
-		Label:     fmt.Sprintf("ORR(%+.0f%%)", 100*relErr),
-	}
-}
-
 // ORRCapped is ORR with a per-computer utilization ceiling (see
 // alloc.CappedOptimized): the optimized allocation, except no computer is
 // loaded above rhoMax. A robustness-oriented extension: under bursty
@@ -625,12 +587,14 @@ func ORRCapped(rhoMax float64) *Static {
 	}
 }
 
-// ORRWithLoadErrorUnstable is ORRWithLoadError without the true-load
-// feasibility check, so the unstable regime the paper observes under
-// severe underestimation at high load can actually be simulated.
-func ORRWithLoadErrorUnstable(relErr float64) *Static {
+// ORRWithLoadError is ORR computed against a mis-estimated utilization
+// (§5.4): relErr = −0.10 underestimates the load by 10%. It accepts
+// allocations that saturate a computer under the true load, so the
+// unstable regime the paper observes under severe underestimation at
+// high load can be simulated.
+func ORRWithLoadError(relErr float64) *Static {
 	return &Static{
-		Allocator: alloc.WithEstimationError{Base: alloc.Optimized{}, Err: relErr, AllowUnstable: true},
+		Allocator: alloc.WithEstimationError{Base: alloc.Optimized{}, Err: relErr},
 		Kind:      RoundRobinDispatch,
 		Label:     fmt.Sprintf("ORR(%+.0f%%)", 100*relErr),
 	}
@@ -747,13 +711,3 @@ func (l *LeastLoad) Departed(j *sim.Job) {
 
 // decrement applies one delayed load-index decrement (computer m.A).
 func (l *LeastLoad) decrement(m sim.Msg) { l.load[m.A]-- }
-
-// StaticFractions wraps a fixed fraction vector with a dispatch kind, for
-// experiments (like Figure 2) that specify fractions directly.
-func StaticFractions(fractions []float64, kind DispatchKind, label string) *Static {
-	return &Static{
-		Allocator: alloc.Static{Fractions: fractions, Label: label},
-		Kind:      kind,
-		Label:     label,
-	}
-}

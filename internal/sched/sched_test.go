@@ -292,22 +292,6 @@ func TestHomogeneousORRMatchesWRR(t *testing.T) {
 	}
 }
 
-func TestStaticFractionsPolicy(t *testing.T) {
-	fr := []float64{0.25, 0.75}
-	p := StaticFractions(fr, RoundRobinDispatch, "fig2")
-	if p.Name() != "fig2" {
-		t.Errorf("name = %q", p.Name())
-	}
-	initStatic(t, p, []float64{1, 1}, 0.3)
-	counts := make([]int64, 2)
-	for i := 0; i < 8000; i++ {
-		counts[p.Select(nil)]++
-	}
-	if math.Abs(float64(counts[1])/8000-0.75) > 0.01 {
-		t.Errorf("fraction = %v, want 0.75", float64(counts[1])/8000)
-	}
-}
-
 func TestORRWithLoadErrorRuns(t *testing.T) {
 	speeds := []float64{1, 1, 10}
 	cfg := shortCfg(speeds, 0.5, 13)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"heterosched/internal/cluster"
@@ -90,7 +91,9 @@ func TestStaticShardedRouting(t *testing.T) {
 
 // TestStaticSyncRounds verifies the periodic counter-sync chain fires
 // once per SyncEvery up to the horizon and then terminates, and that
-// random-dispatch replicas (no Syncer) never count a round.
+// random-dispatch replicas (no Syncer) have no counters to exchange.
+// Before each 10 s tick replica 0 decides alone, so the two replicas'
+// counters differ; a round aligns them.
 func TestStaticSyncRounds(t *testing.T) {
 	speeds := []float64{1, 2, 4}
 	s := ORR()
@@ -108,9 +111,19 @@ func TestStaticSyncRounds(t *testing.T) {
 	if err := s.Init(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ctx.Engine.RunUntil(1e9)
-	if got := s.Syncs(); got != 10 {
-		t.Errorf("Syncs() = %d after the horizon, want 10 (every 10 s up to 100 s)", got)
+	sh := s.sharded
+	rounds := 0
+	for tick := 10.0; tick <= 200; tick += 10 {
+		sh.Replica(0).Next()
+		ctx.Engine.RunUntil(tick)
+		a0, n0, _ := sh.SyncShareOf(0)
+		a1, n1, _ := sh.SyncShareOf(1)
+		if slices.Equal(a0, a1) && slices.Equal(n0, n1) {
+			rounds++
+		}
+	}
+	if rounds != 10 {
+		t.Errorf("%d sync rounds up to t = 200, want 10 (every 10 s up to 100 s)", rounds)
 	}
 
 	ran := WRAN()
@@ -128,9 +141,8 @@ func TestStaticSyncRounds(t *testing.T) {
 	if err := ran.Init(ctx2); err != nil {
 		t.Fatal(err)
 	}
-	ctx2.Engine.RunUntil(1e9)
-	if got := ran.Syncs(); got != 0 {
-		t.Errorf("random-dispatch Syncs() = %d, want 0 (no exchangeable counters)", got)
+	if _, _, ok := ran.sharded.SyncShareOf(0); ok {
+		t.Error("random-dispatch replica exposes counters to sync")
 	}
 }
 
@@ -176,7 +188,7 @@ func TestScalableJIQTokenFlow(t *testing.T) {
 	p.BindState(view)
 	// Every computer starts idle: 4 tokens distributed round-robin over
 	// the 2 replicas.
-	sh := p.Sharded()
+	sh := p.sharded
 	for k := 0; k < sh.K(); k++ {
 		if q := sh.Replica(k).(*dispatch.JIQ); q.IdleTokens() != 2 {
 			t.Errorf("replica %d holds %d tokens after seeding, want 2", k, q.IdleTokens())

@@ -74,14 +74,6 @@ func (s *SITA) Init(ctx *cluster.Context) error {
 	return nil
 }
 
-// Cutoffs returns the computed size cutoffs (valid after Init), ascending;
-// computer order[i] serves sizes in [cutoff[i−1], cutoff[i]).
-func (s *SITA) Cutoffs() []float64 {
-	out := make([]float64, len(s.cutoffs))
-	copy(out, s.cutoffs)
-	return out
-}
-
 // Select routes the job by its size interval.
 func (s *SITA) Select(j *sim.Job) int {
 	k := sort.SearchFloat64s(s.cutoffs, j.Size)

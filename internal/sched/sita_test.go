@@ -24,7 +24,7 @@ func TestSITACutoffsEqualizeLoad(t *testing.T) {
 	if err := s.Init(ctx); err != nil {
 		t.Fatal(err)
 	}
-	cut := s.Cutoffs()
+	cut := s.cutoffs
 	if len(cut) != 2 || cut[0] >= cut[1] {
 		t.Fatalf("cutoffs = %v", cut)
 	}
@@ -50,7 +50,7 @@ func TestSITARoutesBySize(t *testing.T) {
 	if err := s.Init(ctx); err != nil {
 		t.Fatal(err)
 	}
-	cut := s.Cutoffs()[0]
+	cut := s.cutoffs[0]
 	// Smallest jobs go to the slowest computer (index 1), the tail to the
 	// fast one (index 0).
 	if got := s.Select(&sim.Job{Size: bp.K}); got != 1 {

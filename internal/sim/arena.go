@@ -70,9 +70,6 @@ func (a *JobArena) Put(j *Job) {
 	a.free = append(a.free, j)
 }
 
-// Live returns the number of jobs currently checked out of the arena.
-func (a *JobArena) Live() int64 { return a.gets - a.puts }
-
 // Ref returns a generation-checked weak handle to j.
 func (a *JobArena) Ref(j *Job) JobRef { return JobRef{j: j, gen: j.gen} }
 
@@ -92,18 +89,4 @@ func (r JobRef) Load() (*Job, bool) {
 		return nil, false
 	}
 	return r.j, true
-}
-
-// Must returns the referenced job, panicking with a generation-mismatch
-// message if it was recycled — for call sites where a stale handle can
-// only mean a bookkeeping bug.
-func (r JobRef) Must() *Job {
-	j, ok := r.Load()
-	if !ok {
-		if r.j == nil {
-			panic("sim: Must on a zero JobRef")
-		}
-		panic(fmt.Sprintf("sim: stale job handle (generation mismatch: handle gen %d, job gen %d)", r.gen, r.j.gen))
-	}
-	return j
 }

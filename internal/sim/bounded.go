@@ -65,17 +65,11 @@ func NewBounded(inner boundedInner, cap int, drop DropPolicy, onShed func(*Job))
 	return &Bounded{inner: inner, cap: cap, drop: drop, onShed: onShed}
 }
 
-// Speed returns the inner server's relative speed.
-func (b *Bounded) Speed() float64 { return b.inner.Speed() }
-
 // InService returns the number of jobs present.
 func (b *Bounded) InService() int { return len(b.present) }
 
 // BusyTime returns the inner server's cumulative non-idle time.
 func (b *Bounded) BusyTime() float64 { return b.inner.BusyTime() }
-
-// Full reports whether the server is at capacity.
-func (b *Bounded) Full() bool { return len(b.present) >= b.cap }
 
 // MaxPresent returns the high-water mark of jobs present over the run.
 // The cap invariant — MaxPresent() never exceeds the configured

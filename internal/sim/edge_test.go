@@ -225,17 +225,6 @@ func TestBoundedShedWithArenaJobs(t *testing.T) {
 	}
 }
 
-// TestJobRefMustPanics locks in the diagnostic for acting on a recycled
-// job through a stale strong handle.
-func TestJobRefMustPanics(t *testing.T) {
-	arena := NewJobArena()
-	j := arena.Get()
-	ref := arena.Ref(j)
-	arena.Put(j)
-	mustPanicContaining(t, "generation mismatch", func() { ref.Must() })
-	mustPanicContaining(t, "zero JobRef", func() { JobRef{}.Must() })
-}
-
 // TestArenaPutAtServerPanics: recycling a job still resident in a PS
 // server is a bookkeeping bug the arena must catch.
 func TestArenaPutAtServerPanics(t *testing.T) {

@@ -90,10 +90,6 @@ type Event struct {
 	time float64
 }
 
-// Time returns the simulation time at which the event was scheduled to
-// fire. It remains readable after the event fires or is cancelled.
-func (e Event) Time() float64 { return e.time }
-
 // Active reports whether the event is still pending: scheduled, not yet
 // fired, not cancelled.
 func (e Event) Active() bool {
@@ -299,12 +295,6 @@ func (en *Engine) Reschedule(e Event, t float64) Event {
 	e.time = t
 	return e
 }
-
-// Step fires the next event. It returns false if the queue is empty.
-func (en *Engine) Step() bool { return en.stepUntil(posInf) }
-
-// posInf is Step's horizon: every event is due by it.
-var posInf = math.Inf(1)
 
 // RunUntil fires events in order until the clock would pass the horizon or
 // the queue empties. Events scheduled exactly at the horizon still fire.

@@ -116,8 +116,6 @@ type Server interface {
 	Arrive(j *Job)
 	// InService returns the number of jobs currently at the server.
 	InService() int
-	// Speed returns the computer's relative processing speed.
-	Speed() float64
 	// BusyTime returns the cumulative time the server has been non-idle,
 	// up to the current engine time.
 	BusyTime() float64

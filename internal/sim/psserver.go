@@ -28,7 +28,6 @@ type PSServer struct {
 
 	busyTime  float64
 	busySince float64
-	departed  int64
 }
 
 // psFirstSlots is the number of job slots each server of a slab gets
@@ -67,9 +66,6 @@ func NewPSServer(en *Engine, speed float64, onDepart func(*Job)) *PSServer {
 	return &NewPSServers(en, []float64{speed}, func(int) func(*Job) { return onDepart })[0]
 }
 
-// Speed returns the server's relative speed.
-func (s *PSServer) Speed() float64 { return s.speed }
-
 // SetSpeed changes the server's speed from the engine's current time
 // onward (speed drift). Service already received is preserved: the
 // virtual clock is advanced at the old rate first, then the pending
@@ -85,9 +81,6 @@ func (s *PSServer) SetSpeed(speed float64) {
 
 // InService returns the number of jobs currently sharing the processor.
 func (s *PSServer) InService() int { return len(s.jobs) }
-
-// Departed returns the number of jobs completed by this server.
-func (s *PSServer) Departed() int64 { return s.departed }
 
 // BusyTime returns cumulative non-idle time up to the engine's clock.
 func (s *PSServer) BusyTime() float64 {
@@ -158,7 +151,6 @@ func (s *PSServer) depart() {
 		s.vtime = j.attained
 	}
 	j.Completion = s.engine.Now()
-	s.departed++
 	if len(s.jobs) == 0 {
 		s.busyTime += s.engine.Now() - s.busySince
 	}

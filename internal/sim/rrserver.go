@@ -26,7 +26,6 @@ type RRServer struct {
 
 	busyTime  float64
 	busySince float64
-	departed  int64
 }
 
 // NewRRServer creates a round-robin server with the given speed and
@@ -40,14 +39,8 @@ func NewRRServer(en *Engine, speed, quantum float64, onDepart func(*Job)) *RRSer
 	return s
 }
 
-// Speed returns the server's relative speed.
-func (s *RRServer) Speed() float64 { return s.speed }
-
 // InService returns the number of queued plus running jobs.
 func (s *RRServer) InService() int { return len(s.queue) }
-
-// Departed returns the number of completed jobs.
-func (s *RRServer) Departed() int64 { return s.departed }
 
 // BusyTime returns cumulative non-idle time up to the engine's clock.
 func (s *RRServer) BusyTime() float64 {
@@ -92,7 +85,6 @@ func (s *RRServer) endSlice() {
 	if head.attained <= 1e-12 {
 		s.queue = s.queue[1:]
 		head.Completion = s.engine.Now()
-		s.departed++
 		if len(s.queue) == 0 {
 			s.busyTime += s.engine.Now() - s.busySince
 		} else {
@@ -128,7 +120,6 @@ type FCFSServer struct {
 
 	busyTime  float64
 	busySince float64
-	departed  int64
 }
 
 // NewFCFSServer creates a first-come-first-served server.
@@ -141,14 +132,8 @@ func NewFCFSServer(en *Engine, speed float64, onDepart func(*Job)) *FCFSServer {
 	return s
 }
 
-// Speed returns the server's relative speed.
-func (s *FCFSServer) Speed() float64 { return s.speed }
-
 // InService returns queued plus running jobs.
 func (s *FCFSServer) InService() int { return len(s.queue) }
-
-// Departed returns completed job count.
-func (s *FCFSServer) Departed() int64 { return s.departed }
 
 // BusyTime returns cumulative non-idle time up to the engine's clock.
 func (s *FCFSServer) BusyTime() float64 {
@@ -185,7 +170,6 @@ func (s *FCFSServer) finishHead() {
 	head := s.queue[0]
 	s.queue = s.queue[1:]
 	head.Completion = s.engine.Now()
-	s.departed++
 	if len(s.queue) == 0 {
 		s.busyTime += s.engine.Now() - s.busySince
 	} else {

@@ -245,7 +245,8 @@ func TestPSServerEqualJobsFinishTogether(t *testing.T) {
 
 func TestPSServerBusyTime(t *testing.T) {
 	var en Engine
-	s := NewPSServer(&en, 1.0, nil)
+	departed := 0
+	s := NewPSServer(&en, 1.0, func(*Job) { departed++ })
 	s.Arrive(&Job{ID: 1, Size: 2})
 	en.RunUntil(100) // busy [0,2]
 	en.AdvanceTo(10)
@@ -254,8 +255,8 @@ func TestPSServerBusyTime(t *testing.T) {
 	if math.Abs(s.BusyTime()-5) > 1e-9 {
 		t.Errorf("busy time = %v, want 5", s.BusyTime())
 	}
-	if s.Departed() != 2 {
-		t.Errorf("departed = %d", s.Departed())
+	if departed != 2 {
+		t.Errorf("departed = %d", departed)
 	}
 }
 

@@ -140,15 +140,6 @@ func (e *MeanEstimator) RelHalfWidth() float64 {
 	return 1.96 * math.Sqrt(e.variance()) / (math.Abs(m) * math.Sqrt(eff))
 }
 
-// Reset discards all state, keeping the mode and capacity.
-func (e *MeanEstimator) Reset() {
-	e.mean, e.vr, e.sum, e.sumsq = 0, 0, 0, 0
-	e.head, e.n = 0, 0
-	if e.buf != nil {
-		e.buf = e.buf[:0]
-	}
-}
-
 // RateEstimator estimates the rate of a point process (arrivals per
 // second) as the reciprocal of the estimated mean inter-event gap.
 type RateEstimator struct {
@@ -188,9 +179,3 @@ func (r *RateEstimator) N() int64 { return r.gaps.N() }
 // gap-mean estimate (to first order the same relative error as the
 // rate itself).
 func (r *RateEstimator) RelHalfWidth() float64 { return r.gaps.RelHalfWidth() }
-
-// Reset discards all state.
-func (r *RateEstimator) Reset() {
-	r.gaps.Reset()
-	r.last, r.started = 0, false
-}

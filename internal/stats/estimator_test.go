@@ -30,10 +30,6 @@ func TestWindowMeanBasics(t *testing.T) {
 	if eff := e.EffN(); eff != 4 {
 		t.Errorf("EffN = %v, want 4 (window fill)", eff)
 	}
-	e.Reset()
-	if e.N() != 0 || !math.IsNaN(e.Mean()) {
-		t.Errorf("after Reset: N=%d Mean=%v", e.N(), e.Mean())
-	}
 }
 
 func TestWindowMeanForgetsOldRegime(t *testing.T) {
@@ -105,15 +101,6 @@ func TestRateEstimator(t *testing.T) {
 	}
 	if rhw := r.RelHalfWidth(); rhw > 1e-6 {
 		t.Errorf("constant-gap RelHalfWidth = %v, want ~0", rhw)
-	}
-	r.Reset()
-	r.ObserveAt(100) // arms only
-	if r.N() != 0 {
-		t.Errorf("N after re-arm = %d, want 0", r.N())
-	}
-	r.ObserveAt(100.25)
-	if got := r.Rate(); math.Abs(got-4) > 1e-12 {
-		t.Errorf("Rate after reset = %v, want 4", got)
 	}
 }
 

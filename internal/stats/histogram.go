@@ -6,31 +6,18 @@ import (
 	"strings"
 )
 
-// Histogram is a fixed-bin histogram over [Lo, Hi) with overflow and
-// underflow counters. Use NewHistogram or NewLogHistogram to create one.
+// Histogram is a fixed-bin histogram over [Lo, Hi), its bins equal-width
+// in log-space, with overflow and underflow counters. Use NewLogHistogram
+// to create one.
 type Histogram struct {
-	lo, hi   float64
-	bins     []int64
-	under    int64
-	over     int64
-	n        int64
-	linWidth float64
-	// index bins a log histogram's in-range values; it is nil for a
-	// linear histogram and shared by every histogram of its geometry.
+	lo, hi float64
+	bins   []int64
+	under  int64
+	over   int64
+	n      int64
+	// index bins the in-range values; it is shared by every histogram of
+	// its geometry.
 	index *logIndex
-}
-
-// NewHistogram returns a linear-bin histogram over [lo, hi) with the given
-// number of bins. It panics on invalid arguments.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram [%v,%v) bins=%d", lo, hi, bins))
-	}
-	return &Histogram{
-		lo: lo, hi: hi,
-		bins:     make([]int64, bins),
-		linWidth: (hi - lo) / float64(bins),
-	}
 }
 
 // NewLogHistogram returns a histogram whose bins are equal-width in
@@ -55,53 +42,31 @@ func (h *Histogram) Add(x float64) {
 		h.under++
 	case x >= h.hi:
 		h.over++
-	case h.index != nil:
-		h.bins[h.index.bin(x)]++
 	default:
-		idx := int((x - h.lo) / h.linWidth)
-		if idx >= len(h.bins) { // float rounding at the upper edge
-			idx = len(h.bins) - 1
-		}
-		h.bins[idx]++
+		h.bins[h.index.bin(x)]++
 	}
 }
 
 // N returns the total number of observations including under/overflow.
 func (h *Histogram) N() int64 { return h.n }
 
-// Underflow and Overflow return the out-of-range counts.
-func (h *Histogram) Underflow() int64 { return h.under }
-func (h *Histogram) Overflow() int64  { return h.over }
-
-// Bin returns the count of bin i.
-func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
-
-// NumBins returns the number of in-range bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
 // BinBounds returns the [lo, hi) bounds of bin i.
 func (h *Histogram) BinBounds(i int) (lo, hi float64) {
-	if ix := h.index; ix != nil {
-		lo = math.Exp(ix.logLo + float64(i)*ix.logWidth)
-		hi = math.Exp(ix.logLo + float64(i+1)*ix.logWidth)
-		return lo, hi
-	}
-	lo = h.lo + float64(i)*h.linWidth
-	return lo, lo + h.linWidth
+	ix := h.index
+	return math.Exp(ix.logLo + float64(i)*ix.logWidth), math.Exp(ix.logLo + float64(i+1)*ix.logWidth)
 }
 
 // Merge adds every observation recorded by o into h. Both histograms
-// must have identical geometry (same lo, hi, scale and bin count; log
-// histograms of one geometry share one index) so the bins line up
+// must have identical geometry (same lo, hi and bin count) so the bins line up
 // exactly; Merge returns an error otherwise and leaves h unchanged.
 // Merging per-replication histograms is the streaming replacement for
 // pooling raw samples across runs: the merged histogram answers the
 // same Quantile queries without either side ever retaining individual
 // observations.
 func (h *Histogram) Merge(o *Histogram) error {
-	if o.lo != h.lo || o.hi != h.hi || o.index != h.index || len(o.bins) != len(h.bins) {
-		return fmt.Errorf("stats: histogram geometry mismatch: [%v,%v) log=%v bins=%d vs [%v,%v) log=%v bins=%d",
-			h.lo, h.hi, h.index != nil, len(h.bins), o.lo, o.hi, o.index != nil, len(o.bins))
+	if o.lo != h.lo || o.hi != h.hi || len(o.bins) != len(h.bins) {
+		return fmt.Errorf("stats: histogram geometry mismatch: [%v,%v) bins=%d vs [%v,%v) bins=%d",
+			h.lo, h.hi, len(h.bins), o.lo, o.hi, len(o.bins))
 	}
 	for i, c := range o.bins {
 		h.bins[i] += c

@@ -61,7 +61,6 @@ func TestHistogramMergeGeometryMismatch(t *testing.T) {
 		NewLogHistogram(1e-2, 1e3, 100), // lo differs
 		NewLogHistogram(1e-3, 1e4, 100), // hi differs
 		NewLogHistogram(1e-3, 1e3, 200), // bin count differs
-		NewHistogram(1e-3, 1e3, 100),    // linear vs log
 	} {
 		if err := base.Merge(o); err == nil {
 			t.Errorf("merge accepted mismatched geometry %+v", o)

@@ -32,7 +32,7 @@ func TestQuantilesKnownDistribution(t *testing.T) {
 // TestQuantilesMatchesQuantile: the batched estimator must agree exactly
 // with the single-q method, including at the under/overflow boundaries.
 func TestQuantilesMatchesQuantile(t *testing.T) {
-	h := NewHistogram(0, 10, 20)
+	h := NewLogHistogram(0.1, 10, 20)
 	for _, x := range []float64{-5, 0.3, 1.1, 2.2, 2.3, 4.4, 7.7, 9.9, 12, 15} {
 		h.Add(x)
 	}

@@ -13,7 +13,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator accumulates a stream of observations with O(1) memory using
@@ -44,40 +43,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddN incorporates the observation x with integer weight w (equivalent to
-// w calls to Add(x), but O(1)).
-func (a *Accumulator) AddN(x float64, w int64) {
-	if w <= 0 {
-		return
-	}
-	b := Accumulator{n: w, mean: x, min: x, max: x}
-	a.Merge(&b)
-}
-
-// Merge combines another accumulator into this one (Chan et al. parallel
-// variance formula). The other accumulator is unchanged.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	na, nb := float64(a.n), float64(b.n)
-	delta := b.mean - a.mean
-	tot := na + nb
-	a.mean += delta * nb / tot
-	a.m2 += b.m2 + delta*delta*na*nb/tot
-	a.n += b.n
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-}
-
 // Reset returns the accumulator to its initial empty state.
 func (a *Accumulator) Reset() { *a = Accumulator{} }
 
@@ -86,9 +51,6 @@ func (a *Accumulator) N() int64 { return a.n }
 
 // Mean returns the sample mean, or 0 if empty.
 func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Sum returns the sum of all observations.
-func (a *Accumulator) Sum() float64 { return a.mean * float64(a.n) }
 
 // Variance returns the unbiased sample variance (n−1 denominator), or 0 for
 // fewer than two observations.
@@ -125,9 +87,6 @@ func (a *Accumulator) CV() float64 {
 	return a.StdDev() / math.Abs(a.mean)
 }
 
-// Min returns the smallest observation, or 0 if empty.
-func (a *Accumulator) Min() float64 { return a.min }
-
 // Max returns the largest observation, or 0 if empty.
 func (a *Accumulator) Max() float64 { return a.max }
 
@@ -143,25 +102,11 @@ type Sample struct {
 	xs []float64
 }
 
-// NewSample returns a Sample containing a copy of xs.
-func NewSample(xs ...float64) *Sample {
-	s := &Sample{xs: make([]float64, len(xs))}
-	copy(s.xs, xs)
-	return s
-}
-
 // Add appends one value.
 func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
 
 // N returns the number of values.
 func (s *Sample) N() int { return len(s.xs) }
-
-// Values returns a copy of the stored values.
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
 
 // Mean returns the sample mean, or 0 if empty.
 func (s *Sample) Mean() float64 {
@@ -206,36 +151,6 @@ func (s *Sample) CI95() float64 {
 		return 0
 	}
 	return tCritical95(n-1) * s.StdErr()
-}
-
-// Median returns the sample median, or 0 if empty.
-func (s *Sample) Median() float64 {
-	return s.Quantile(0.5)
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation
-// between order statistics. It returns 0 if the sample is empty.
-func (s *Sample) Quantile(q float64) float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		q = 0
-	}
-	if q >= 1 {
-		q = 1
-	}
-	sorted := s.Values()
-	sort.Float64s(sorted)
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // tCritical95 returns the two-sided 0.95 critical value of the Student-t
@@ -301,17 +216,6 @@ func (tw *TimeWeighted) Update(t, v float64) {
 // Finish integrates the current value up to time t without changing it.
 func (tw *TimeWeighted) Finish(t float64) { tw.Update(t, tw.lastV) }
 
-// Reset clears the accumulator but keeps the current value and time as the
-// new origin, supporting warm-up truncation.
-func (tw *TimeWeighted) Reset(t float64) {
-	v := tw.lastV
-	started := tw.started
-	*tw = TimeWeighted{}
-	if started {
-		tw.Update(t, v)
-	}
-}
-
 // Mean returns the time-average of the signal over the observed duration,
 // or 0 if no time has elapsed.
 func (tw *TimeWeighted) Mean() float64 {
@@ -323,6 +227,3 @@ func (tw *TimeWeighted) Mean() float64 {
 
 // Area returns the accumulated integral ∫v dt.
 func (tw *TimeWeighted) Area() float64 { return tw.area }
-
-// Duration returns the total observed time.
-func (tw *TimeWeighted) Duration() float64 { return tw.duration }
