@@ -61,22 +61,21 @@ func main() {
 	rhoMax := maxLoad(speeds, alloc.Optimized{})
 	check := report.NewTable("simulated mean response ratio at the optimized frontier",
 		"arrival process", "mean resp ratio", "within SLA?")
-	for _, poisson := range []bool{true, false} {
+	for _, cv := range []float64{1, 3} {
 		cfg := cluster.Config{
-			Speeds:              speeds,
-			Utilization:         rhoMax,
-			JobSize:             dist.PaperJobSize(),
-			ExponentialArrivals: poisson,
-			ArrivalCV:           3.0,
-			Duration:            4e5,
-			Seed:                21,
+			Speeds:      speeds,
+			Utilization: rhoMax,
+			JobSize:     dist.PaperJobSize(),
+			ArrivalCV:   cv,
+			Duration:    4e5,
+			Seed:        21,
 		}
 		res, err := cluster.RunReplications(cfg, func() cluster.Policy { return sched.ORR() }, 3)
 		if err != nil {
 			log.Fatal(err)
 		}
 		label := "H2, CV=3 (bursty)"
-		if poisson {
+		if cv == 1 {
 			label = "Poisson (model)"
 		}
 		within := "no"

@@ -31,26 +31,28 @@ func TestRenewalProcess(t *testing.T) {
 	}
 }
 
-// TestArrivalCVOneIsPoisson: ArrivalCV 1 selects the Poisson process,
-// exactly as ExponentialArrivals does, and not the default CV of 3.
+// TestArrivalCVOneIsPoisson: ArrivalCV 1 selects the Poisson process, an
+// exponential renewal stream at the configured rate, and not the default
+// CV of 3.
 func TestArrivalCVOneIsPoisson(t *testing.T) {
+	base := Config{Speeds: []float64{1, 2}, Utilization: 0.7, Duration: 2e4, Seed: 9}
 	run := func(cfg Config) *Result {
 		t.Helper()
-		cfg.Speeds = []float64{1, 2}
-		cfg.Utilization = 0.7
-		cfg.Duration = 2e4
-		cfg.Seed = 9
 		res, err := Run(cfg, &splitPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	cv1 := run(Config{ArrivalCV: 1})
-	if poisson := run(Config{ExponentialArrivals: true}); !reflect.DeepEqual(cv1, poisson) {
-		t.Errorf("ArrivalCV 1 differs from ExponentialArrivals:\n%+v\nvs\n%+v", cv1, poisson)
+	cv1 := base
+	cv1.ArrivalCV = 1
+	renewal := base
+	renewal.Arrivals = RenewalProcess{Gap: dist.NewExponential(1 / base.Lambda())}
+	got := run(cv1)
+	if poisson := run(renewal); !reflect.DeepEqual(got, poisson) {
+		t.Errorf("ArrivalCV 1 differs from an exponential renewal process:\n%+v\nvs\n%+v", got, poisson)
 	}
-	if def := run(Config{}); reflect.DeepEqual(cv1, def) {
+	if def := run(base); reflect.DeepEqual(got, def) {
 		t.Error("ArrivalCV 1 reproduces the default CV 3 run")
 	}
 }
@@ -158,7 +160,7 @@ func TestClusterWithSinusoidalArrivals(t *testing.T) {
 	// same average (convexity of delay in load).
 	stationary := cfg
 	stationary.Arrivals = nil
-	stationary.ExponentialArrivals = true
+	stationary.ArrivalCV = 1
 	resS, err := Run(stationary, &splitPolicy{})
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,8 @@ const (
 	// RR is quantum-based preemptive round-robin (§4.1's literal
 	// discipline); set Config.Quantum.
 	RR
-	// FCFS serves jobs to completion in arrival order (contrast model).
+	// FCFS serves jobs to completion in arrival order (contrast model):
+	// round-robin with an infinite quantum.
 	FCFS
 )
 
@@ -72,11 +73,8 @@ type Config struct {
 	JobSize dist.Distribution
 	// ArrivalCV is the coefficient of variation of inter-arrival times.
 	// Values > 1 use a balanced-means two-stage hyperexponential, exactly
-	// 1 a Poisson process (as ExponentialArrivals does), and 0 the paper
-	// default CV of 3.0.
+	// 1 a Poisson process, and 0 the paper default CV of 3.0.
 	ArrivalCV float64
-	// ExponentialArrivals forces a Poisson arrival process (CV = 1).
-	ExponentialArrivals bool
 	// Duration is the total simulated time in seconds (default 4.0e6, the
 	// paper's run length).
 	Duration float64
@@ -114,11 +112,11 @@ type Config struct {
 	// random stream is derived and no extra events are scheduled.
 	Probe *probe.Probe
 	// Replay, when non-empty, drives arrivals from this trace (sorted by
-	// ascending Arrival) instead of the synthetic generators: JobSize,
-	// ArrivalCV and ExponentialArrivals are ignored, and Duration
-	// defaults to the last trace arrival. Utilization is still passed to
-	// the policy (static allocators need the offered load); set it to the
-	// trace's measured utilization.
+	// ascending Arrival) instead of the synthetic generators: JobSize
+	// and ArrivalCV are ignored, and Duration defaults to the last trace
+	// arrival. Utilization is still passed to the policy (static
+	// allocators need the offered load); set it to the trace's measured
+	// utilization.
 	Replay []ReplayJob
 	// Arrivals, when non-nil, overrides the default renewal arrival
 	// process (H2 with ArrivalCV) with a custom one, e.g.
@@ -408,7 +406,7 @@ type ShardedPolicy interface {
 }
 
 // serverStateView adapts the run's servers to the StateView queries.
-type serverStateView []server
+type serverStateView []sim.Server
 
 func (v serverStateView) QueueLen(i int) int { return v[i].InService() }
 func (v serverStateView) Age(int) float64    { return 0 }
@@ -506,14 +504,6 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 	return r.simulate(), nil
 }
 
-// server is what the run needs from a computer: eviction for the fault
-// injector and single-job removal for the overload layer. Every
-// discipline and sim.Bounded implement both.
-type server interface {
-	sim.Preemptable
-	sim.Removable
-}
-
 // run is one simulation of the Figure 1 model. newRun builds the
 // engine, the servers and every enabled layer and schedules their first
 // events; simulate runs the engine and collects the Result. Each stage a
@@ -527,7 +517,7 @@ type run struct {
 	ctx     *Context
 	en      *sim.Engine
 	arena   *sim.JobArena
-	servers []server
+	servers []sim.Server
 	n       int
 	warmup  float64
 
@@ -625,7 +615,7 @@ func newRun(cfg Config, policy Policy) (*run, error) {
 	r.arrivals = cfg.Arrivals
 	if r.arrivals == nil {
 		var interArrival dist.Distribution
-		if cfg.ExponentialArrivals || cfg.ArrivalCV == 1 {
+		if cfg.ArrivalCV == 1 {
 			interArrival = dist.NewExponential(1 / lambda)
 		} else {
 			interArrival = dist.FitHyperExp2(1/lambda, cfg.ArrivalCV)
@@ -725,7 +715,7 @@ func newRun(cfg Config, policy Policy) (*run, error) {
 	}
 
 	r.onDepart = r.depart
-	r.servers = make([]server, n)
+	r.servers = make([]sim.Server, n)
 	bounded := r.ov != nil && cfg.Overload.QueueCap > 0
 	departure := func(int) func(*sim.Job) { return r.onDepart }
 	if bounded {
@@ -744,7 +734,7 @@ func newRun(cfg Config, policy Policy) (*run, error) {
 		case RR:
 			r.servers[i] = sim.NewRRServer(r.en, s, cfg.Quantum, departure(i))
 		case FCFS:
-			r.servers[i] = sim.NewFCFSServer(r.en, s, departure(i))
+			r.servers[i] = sim.NewRRServer(r.en, s, math.Inf(1), departure(i))
 		default:
 			return nil, fmt.Errorf("cluster: unknown discipline %v", cfg.Discipline)
 		}
@@ -866,13 +856,9 @@ func (r *run) startFaults(root *rng.Stream) error {
 		hooks.OnEvict = r.evicted
 		hooks.OnResume = r.resumed
 	}
-	preempt := make([]sim.Preemptable, r.n)
-	for i, s := range r.servers {
-		preempt[i] = s
-	}
 	r.onDetect = r.detect
 	var err error
-	r.inj, err = faults.NewInjector(r.en, r.cfg.Faults, preempt, root.Derive("faults"), r.cfg.Duration, hooks)
+	r.inj, err = faults.NewInjector(r.en, r.cfg.Faults, r.servers, root.Derive("faults"), r.cfg.Duration, hooks)
 	if err != nil {
 		return err
 	}

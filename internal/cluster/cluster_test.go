@@ -75,12 +75,12 @@ func TestSingleServerMatchesTheory(t *testing.T) {
 	// One speed-1 computer at ρ=0.5 with exponential sizes and Poisson
 	// arrivals: E[T] = E[S]/(1−ρ), E[R] = 1/(1−ρ) = 2.
 	cfg := Config{
-		Speeds:              []float64{1},
-		Utilization:         0.5,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            400000,
-		Seed:                42,
+		Speeds:      []float64{1},
+		Utilization: 0.5,
+		JobSize:     dist.NewExponential(1.0),
+		ArrivalCV:   1,
+		Duration:    400000,
+		Seed:        42,
 	}
 	res, err := Run(cfg, &fixedPolicy{})
 	if err != nil {
@@ -109,11 +109,11 @@ func TestPaperDefaultWorkload(t *testing.T) {
 	// 21600-second jobs congest the server for hours, inflating thousands
 	// of small jobs' ratios. Use a long run and a loose tolerance.
 	poisson := Config{
-		Speeds:              []float64{1},
-		Utilization:         0.6,
-		ExponentialArrivals: true,
-		Duration:            2e7,
-		Seed:                7,
+		Speeds:      []float64{1},
+		Utilization: 0.6,
+		ArrivalCV:   1,
+		Duration:    2e7,
+		Seed:        7,
 	}
 	resP, err := Run(poisson, &fixedPolicy{})
 	if err != nil {
@@ -126,7 +126,6 @@ func TestPaperDefaultWorkload(t *testing.T) {
 	}
 
 	bursty := poisson
-	bursty.ExponentialArrivals = false
 	bursty.ArrivalCV = 3.0
 	resB, err := Run(bursty, &fixedPolicy{})
 	if err != nil {
@@ -140,13 +139,13 @@ func TestPaperDefaultWorkload(t *testing.T) {
 
 func TestWarmupExcludesEarlyJobs(t *testing.T) {
 	cfg := Config{
-		Speeds:              []float64{1},
-		Utilization:         0.5,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            10000,
-		WarmupFraction:      0.25,
-		Seed:                1,
+		Speeds:         []float64{1},
+		Utilization:    0.5,
+		JobSize:        dist.NewExponential(1.0),
+		ArrivalCV:      1,
+		Duration:       10000,
+		WarmupFraction: 0.25,
+		Seed:           1,
 	}
 	res, err := Run(cfg, &fixedPolicy{})
 	if err != nil {
@@ -164,12 +163,12 @@ func TestWarmupExcludesEarlyJobs(t *testing.T) {
 
 func TestSplitFractions(t *testing.T) {
 	cfg := Config{
-		Speeds:              []float64{1, 1},
-		Utilization:         0.4,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            50000,
-		Seed:                5,
+		Speeds:      []float64{1, 1},
+		Utilization: 0.4,
+		JobSize:     dist.NewExponential(1.0),
+		ArrivalCV:   1,
+		Duration:    50000,
+		Seed:        5,
 	}
 	res, err := Run(cfg, &splitPolicy{})
 	if err != nil {
@@ -212,13 +211,13 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 
 func TestDrainCompletesAllJobs(t *testing.T) {
 	cfg := Config{
-		Speeds:              []float64{1},
-		Utilization:         0.5,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            5000,
-		WarmupFraction:      -1, // no warm-up: count everything
-		Seed:                3,
+		Speeds:         []float64{1},
+		Utilization:    0.5,
+		JobSize:        dist.NewExponential(1.0),
+		ArrivalCV:      1,
+		Duration:       5000,
+		WarmupFraction: -1, // no warm-up: count everything
+		Seed:           3,
 	}
 	res, err := Run(cfg, &fixedPolicy{})
 	if err != nil {
@@ -235,14 +234,14 @@ func TestDrainCompletesAllJobs(t *testing.T) {
 func TestNoDrainDiscardsInFlight(t *testing.T) {
 	noDrain := false
 	cfg := Config{
-		Speeds:              []float64{1},
-		Utilization:         0.9,
-		JobSize:             dist.NewExponential(10.0),
-		ExponentialArrivals: true,
-		Duration:            5000,
-		WarmupFraction:      -1,
-		Seed:                3,
-		Drain:               &noDrain,
+		Speeds:         []float64{1},
+		Utilization:    0.9,
+		JobSize:        dist.NewExponential(10.0),
+		ArrivalCV:      1,
+		Duration:       5000,
+		WarmupFraction: -1,
+		Seed:           3,
+		Drain:          &noDrain,
 	}
 	res, err := Run(cfg, &fixedPolicy{})
 	if err != nil {
@@ -256,12 +255,12 @@ func TestNoDrainDiscardsInFlight(t *testing.T) {
 
 func TestRunReplications(t *testing.T) {
 	cfg := Config{
-		Speeds:              []float64{1, 1},
-		Utilization:         0.5,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            20000,
-		Seed:                1000,
+		Speeds:      []float64{1, 1},
+		Utilization: 0.5,
+		JobSize:     dist.NewExponential(1.0),
+		ArrivalCV:   1,
+		Duration:    20000,
+		Seed:        1000,
 	}
 	rr, err := RunReplications(cfg, func() Policy { return &splitPolicy{} }, 5)
 	if err != nil {
@@ -314,14 +313,14 @@ func TestDisciplineString(t *testing.T) {
 
 func TestRRDisciplineRuns(t *testing.T) {
 	cfg := Config{
-		Speeds:              []float64{1},
-		Utilization:         0.5,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            20000,
-		Discipline:          RR,
-		Quantum:             0.02,
-		Seed:                17,
+		Speeds:      []float64{1},
+		Utilization: 0.5,
+		JobSize:     dist.NewExponential(1.0),
+		ArrivalCV:   1,
+		Duration:    20000,
+		Discipline:  RR,
+		Quantum:     0.02,
+		Seed:        17,
 	}
 	res, err := Run(cfg, &fixedPolicy{})
 	if err != nil {
@@ -335,13 +334,13 @@ func TestRRDisciplineRuns(t *testing.T) {
 
 func TestFCFSDisciplineRuns(t *testing.T) {
 	cfg := Config{
-		Speeds:              []float64{1},
-		Utilization:         0.5,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            50000,
-		Discipline:          FCFS,
-		Seed:                19,
+		Speeds:      []float64{1},
+		Utilization: 0.5,
+		JobSize:     dist.NewExponential(1.0),
+		ArrivalCV:   1,
+		Duration:    50000,
+		Discipline:  FCFS,
+		Seed:        19,
 	}
 	res, err := Run(cfg, &fixedPolicy{})
 	if err != nil {
@@ -355,12 +354,12 @@ func TestFCFSDisciplineRuns(t *testing.T) {
 
 func TestRatioPercentiles(t *testing.T) {
 	cfg := Config{
-		Speeds:              []float64{1},
-		Utilization:         0.5,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            100000,
-		Seed:                12,
+		Speeds:      []float64{1},
+		Utilization: 0.5,
+		JobSize:     dist.NewExponential(1.0),
+		ArrivalCV:   1,
+		Duration:    100000,
+		Seed:        12,
 	}
 	res, err := Run(cfg, &fixedPolicy{})
 	if err != nil {
@@ -390,13 +389,13 @@ func TestMSERAgreesWithPaperWarmup(t *testing.T) {
 	// i.e. the paper's choice is (conservatively) safe.
 	var ratios []float64
 	cfg := Config{
-		Speeds:              []float64{1, 1},
-		Utilization:         0.7,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            50000,
-		WarmupFraction:      -1,
-		Seed:                77,
+		Speeds:         []float64{1, 1},
+		Utilization:    0.7,
+		JobSize:        dist.NewExponential(1.0),
+		ArrivalCV:      1,
+		Duration:       50000,
+		WarmupFraction: -1,
+		Seed:           77,
 		OnFinal: func(j *sim.Job, o Outcome) {
 			if o.Completed() {
 				ratios = append(ratios, j.ResponseRatio())
@@ -422,13 +421,13 @@ func TestResponseTimeDistributionMatchesMM1(t *testing.T) {
 	// server, clock) beyond the mean.
 	var times []float64
 	cfg := Config{
-		Speeds:              []float64{1},
-		Utilization:         0.5,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            400000,
-		Discipline:          FCFS,
-		Seed:                31,
+		Speeds:      []float64{1},
+		Utilization: 0.5,
+		JobSize:     dist.NewExponential(1.0),
+		ArrivalCV:   1,
+		Duration:    400000,
+		Discipline:  FCFS,
+		Seed:        31,
 		OnFinal: func(j *sim.Job, o Outcome) {
 			if o.Completed() {
 				times = append(times, j.ResponseTime())

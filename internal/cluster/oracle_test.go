@@ -79,12 +79,12 @@ func TestSimulatorMatchesAnalyticOracle(t *testing.T) {
 				}
 
 				cfg := cluster.Config{
-					Speeds:              speeds,
-					Utilization:         rho,
-					JobSize:             dist.NewExponential(1.0),
-					ExponentialArrivals: true,
-					Duration:            oracleDuration(),
-					Seed:                seed,
+					Speeds:      speeds,
+					Utilization: rho,
+					JobSize:     dist.NewExponential(1.0),
+					ArrivalCV:   1,
+					Duration:    oracleDuration(),
+					Seed:        seed,
 				}
 				res, err := cluster.RunReplications(cfg, pol.factory, oracleReps)
 				if err != nil {

@@ -176,12 +176,12 @@ func TestOverloadBreakerMasks(t *testing.T) {
 	// cycles: hammer → trip → 200 s masked (jobs flow to computer 1) →
 	// probe into the drained queue → close → hammer again.
 	cfg := Config{
-		Speeds:              []float64{1, 10},
-		Utilization:         0.5,
-		JobSize:             dist.Deterministic{Value: 1},
-		ExponentialArrivals: true,
-		Duration:            4000,
-		Seed:                3,
+		Speeds:      []float64{1, 10},
+		Utilization: 0.5,
+		JobSize:     dist.Deterministic{Value: 1},
+		ArrivalCV:   1,
+		Duration:    4000,
+		Seed:        3,
 		Overload: &OverloadConfig{
 			QueueCap:    10,
 			Admission:   RejectWhenFull,

@@ -19,13 +19,13 @@ import (
 // failure injection — the worst case for event-stream consistency.
 func stressConfig(seed uint64) cluster.Config {
 	return cluster.Config{
-		Speeds:              []float64{1, 1, 2},
-		Utilization:         1.2,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            3000,
-		WarmupFraction:      -1,
-		Seed:                seed,
+		Speeds:         []float64{1, 1, 2},
+		Utilization:    1.2,
+		JobSize:        dist.NewExponential(1.0),
+		ArrivalCV:      1,
+		Duration:       3000,
+		WarmupFraction: -1,
+		Seed:           seed,
 		Faults: &faults.Config{
 			Uptime:   dist.NewExponential(400),
 			Downtime: dist.NewExponential(50),
@@ -174,14 +174,14 @@ func TestProbeMetricsSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cluster.Config{
-		Speeds:              []float64{1, 2},
-		Utilization:         0.7,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            5000,
-		WarmupFraction:      -1,
-		Seed:                2,
-		Probe:               p,
+		Speeds:         []float64{1, 2},
+		Utilization:    0.7,
+		JobSize:        dist.NewExponential(1.0),
+		ArrivalCV:      1,
+		Duration:       5000,
+		WarmupFraction: -1,
+		Seed:           2,
+		Probe:          p,
 	}
 	res, err := cluster.Run(cfg, sched.ORR())
 	if err != nil {

@@ -151,9 +151,14 @@ func (s *Sharded) Next() int {
 }
 
 // NextFor routes the arrival by a hash of the job ID (ShardHash) or
-// round-robin (ShardRR) and delegates the decision to that replica.
+// round-robin (ShardRR) and delegates the decision to that replica. With
+// one replica it is replica 0's decision, taken first because it is the
+// paper's central scheduler and every static policy's default.
 func (s *Sharded) NextFor(jobID int64) int {
-	if s.by != ShardHash || len(s.replicas) == 1 {
+	if len(s.replicas) == 1 {
+		return s.replicas[0].Next()
+	}
+	if s.by != ShardHash {
 		return s.Next()
 	}
 	// SplitMix64 finalizer: jobs IDs are sequential, so the router must

@@ -135,7 +135,7 @@ func ExtNonstationary(o Options) (*NonstationaryResult, error) {
 		}
 		if amp == 0 {
 			cfg.Arrivals = nil
-			cfg.ExponentialArrivals = true
+			cfg.ArrivalCV = 1
 		}
 		for i, f := range factories {
 			rr, err := o.runPoint(cfg, f)

@@ -68,9 +68,9 @@ func Validate(o Options) (*ValidateResult, error) {
 			return nil, err
 		}
 		cfg := cluster.Config{
-			Speeds:              speeds,
-			Utilization:         rho,
-			ExponentialArrivals: true,
+			Speeds:      speeds,
+			Utilization: rho,
+			ArrivalCV:   1,
 		}
 		rr, err := o.runPoint(cfg, c.factory)
 		if err != nil {

@@ -10,11 +10,11 @@ import (
 )
 
 // newTestSystem builds one PS server and an injector over it.
-func newTestSystem(t *testing.T, cfg *Config, horizon float64, hooks Hooks, onDepart func(*sim.Job)) (*sim.Engine, *Injector, sim.Preemptable) {
+func newTestSystem(t *testing.T, cfg *Config, horizon float64, hooks Hooks, onDepart func(*sim.Job)) (*sim.Engine, *Injector, sim.Server) {
 	t.Helper()
 	en := &sim.Engine{}
 	srv := sim.NewPSServer(en, 1.0, onDepart)
-	inj, err := NewInjector(en, cfg, []sim.Preemptable{srv}, rng.New(1), horizon, hooks)
+	inj, err := NewInjector(en, cfg, []sim.Server{srv}, rng.New(1), horizon, hooks)
 	if err != nil {
 		t.Fatalf("NewInjector: %v", err)
 	}
@@ -32,7 +32,7 @@ func TestDeterministicAlternation(t *testing.T) {
 	var failTimes, repairTimes []float64
 	en := &sim.Engine{}
 	srv := sim.NewPSServer(en, 1.0, nil)
-	inj, err := NewInjector(en, cfg, []sim.Preemptable{srv}, rng.New(1), 45, Hooks{
+	inj, err := NewInjector(en, cfg, []sim.Server{srv}, rng.New(1), 45, Hooks{
 		OnFail:   func(int) { failTimes = append(failTimes, en.Now()) },
 		OnRepair: func(int) { repairTimes = append(repairTimes, en.Now()) },
 	})
@@ -171,7 +171,7 @@ func TestFateRequeueRetryBound(t *testing.T) {
 	en := &sim.Engine{}
 	srv := sim.NewPSServer(en, 1.0, nil)
 	// Requeue immediately re-dispatches to the same (only) computer.
-	inj, err := NewInjector(en, cfg, []sim.Preemptable{srv}, rng.New(1), 100,
+	inj, err := NewInjector(en, cfg, []sim.Server{srv}, rng.New(1), 100,
 		Hooks{
 			Requeue: func(j *sim.Job) { inj.Arrive(0, j) },
 			OnLost:  func(j *sim.Job) { lost = append(lost, j) },

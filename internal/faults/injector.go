@@ -45,7 +45,7 @@ type Hooks struct {
 type Injector struct {
 	en      *sim.Engine
 	cfg     *Config
-	servers []sim.Preemptable
+	servers []sim.Server
 	hooks   Hooks
 	horizon float64
 	retries int
@@ -72,7 +72,7 @@ type Injector struct {
 // falls past horizon are not scheduled, so the event chain terminates
 // and the post-horizon drain completes; repairs are always scheduled,
 // even past the horizon, so held jobs are never stranded.
-func NewInjector(en *sim.Engine, cfg *Config, servers []sim.Preemptable, st *rng.Stream, horizon float64, hooks Hooks) (*Injector, error) {
+func NewInjector(en *sim.Engine, cfg *Config, servers []sim.Server, st *rng.Stream, horizon float64, hooks Hooks) (*Injector, error) {
 	n := len(servers)
 	if err := cfg.Validate(n); err != nil {
 		return nil, err

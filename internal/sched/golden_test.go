@@ -88,8 +88,8 @@ func TestGoldenLayersOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A K=1 policy takes the original unsharded path — no wrapper, no
-	// sync events, no extra RNG derivations — whatever its sync period.
+	// A K=1 policy is one replica with no sync events and no extra RNG
+	// derivations, whatever its sync period.
 	oneDispatcher := func(_ *cluster.Config, p *Static) {
 		p.Dispatchers = 1
 		p.SyncEvery = 25
@@ -116,6 +116,16 @@ func TestGoldenLayersOff(t *testing.T) {
 		{"sharding_ORR", ORR, goldenORR, false, oneDispatcher},
 		{"sharding_WRAN", WRAN, goldenWRAN, false, oneDispatcher},
 	}
+	// fired counts the engine events of each policy's default run: an
+	// inert layer schedules none of its own.
+	fired := map[string]uint64{}
+	for _, mk := range []func() *Static{ORR, WRAN} {
+		p := mk()
+		if _, err := cluster.Run(goldenBase(), p); err != nil {
+			t.Fatal(err)
+		}
+		fired[p.Name()] = p.ctx.Engine.Fired()
+	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			cfg, p := goldenBase(), r.policy()
@@ -136,8 +146,11 @@ func TestGoldenLayersOff(t *testing.T) {
 				t.Errorf("layer stats populated on an inert run: adaptive %v, netfault %v, overload %v",
 					res.Adaptive != nil, res.Netfault != nil, res.Overload != nil)
 			}
-			if p.Shards() != 1 || p.sharded != nil {
-				t.Errorf("%d shards (wrapper %v), want 1 and no wrapper to sync", p.Shards(), p.sharded != nil)
+			if p.Shards() != 1 || p.sharded.K() != 1 {
+				t.Errorf("%d shards (%d replicas), want 1", p.Shards(), p.sharded.K())
+			}
+			if got, want := p.ctx.Engine.Fired(), fired[p.Name()]; got != want {
+				t.Errorf("%d engine events, want the default run's %d", got, want)
 			}
 		})
 	}

@@ -298,20 +298,13 @@ func (s *Scalable) renew(m sim.Msg) {
 // replica issues during the decision accumulate their round-trip cost,
 // which the run collects through TakeDecisionCost.
 func (s *Scalable) Select(j *sim.Job) int {
-	if s.plane == nil {
-		if s.ShardBy == dispatch.ShardHash {
-			return s.sharded.NextFor(j.ID)
-		}
-		return s.sharded.Next()
+	if s.plane != nil {
+		s.plane.BeginDecision()
 	}
-	s.plane.BeginDecision()
-	var target int
-	if s.ShardBy == dispatch.ShardHash {
-		target = s.sharded.NextFor(j.ID)
-	} else {
-		target = s.sharded.Next()
+	target := s.sharded.NextFor(j.ID)
+	if s.plane != nil {
+		s.pendingCost = s.plane.EndDecision(s.sharded.LastReplica())
 	}
-	s.pendingCost = s.plane.EndDecision(s.sharded.LastReplica())
 	return target
 }
 

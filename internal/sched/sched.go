@@ -15,6 +15,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"heterosched/internal/alloc"
 	"heterosched/internal/cluster"
@@ -109,9 +110,11 @@ type Static struct {
 	// when the run injects faults; default ReallocStale).
 	Realloc ReallocMode
 	// Dispatchers is the number of dispatcher replicas K (default 1,
-	// the paper's single central scheduler). With K > 1 each replica
-	// owns private dispatch state over the arrival substream routed to
-	// it (dispatch.Sharded); the K=1 path is untouched and bit-identical.
+	// the paper's single central scheduler). Each replica owns private
+	// dispatch state over the arrival substream routed to it
+	// (dispatch.Sharded). K = 1 is a one-replica Sharded whose replica 0
+	// keeps the base dispatch stream, so it decides exactly as the bare
+	// dispatcher would.
 	Dispatchers int
 	// ShardBy selects how arrivals are routed to replicas (rr or hash);
 	// only meaningful with Dispatchers > 1.
@@ -121,18 +124,16 @@ type Static struct {
 	// simulated seconds (dispatch.Sharded.SyncNow). Zero means never.
 	SyncEvery float64
 
-	ctx         *cluster.Context
-	dispatchRNG *rng.Stream
+	ctx *cluster.Context
 	// shardRNGs are the per-replica dispatch streams, derived once at
-	// Init and reused across dispatcher rebuilds like dispatchRNG.
-	shardRNGs  []*rng.Stream
-	fractions  []float64
-	dispatcher dispatch.Dispatcher
-	// sharded is the K-replica wrapper when Shards > 1 (it is then also
-	// the value of dispatcher); nil on the unsharded path.
+	// Init and reused across dispatcher rebuilds (UpSetChanged, Replan),
+	// so the random-dispatch sequence continues instead of restarting.
+	shardRNGs []*rng.Stream
+	fractions []float64
+	// sharded holds the K dispatcher replicas (valid after Init).
 	sharded *dispatch.Sharded
-	// lastUp remembers the most recent availability mask so a Replan can
-	// reapply it to the rebuilt dispatcher.
+	// lastUp remembers the most recent availability mask so install can
+	// reapply it to a rebuilt dispatcher.
 	lastUp []bool
 
 	// Physical counter-sync (nil plane = instantaneous SyncNow, the
@@ -168,71 +169,55 @@ func (s *Static) Name() string {
 }
 
 // Init computes the allocation for the run's speeds and utilization and
-// builds the dispatcher. An offered load at or beyond saturation is
+// installs the dispatcher. An offered load at or beyond saturation is
 // planned at MaxPlanRho so static policies remain runnable in overload
 // studies instead of failing with alloc.ErrInfeasible.
 func (s *Static) Init(ctx *cluster.Context) error {
 	s.ctx = ctx
 	// BindCtrl (when the run has a control plane) arrives after Init;
 	// resetting here keeps a policy value reused across replications
-	// from carrying a dead plane or frame versions into a ctrl-off run.
+	// from carrying a dead plane, frame versions or the previous run's
+	// availability mask into this run.
 	s.plane = nil
 	s.syncVer = 0
 	s.syncSeen = nil
-	// Derived once and reused across dispatcher rebuilds (UpSetChanged),
-	// so the random-dispatch sequence continues instead of restarting.
+	s.lastUp = nil
 	// Derivation does not consume parent stream state.
-	s.dispatchRNG = ctx.RNG.Derive("dispatch")
-	if s.Dispatchers > 1 {
-		s.shardRNGs = shardStreams(s.dispatchRNG, s.Dispatchers)
-	}
-	planRho := ctx.Utilization
-	if planRho >= MaxPlanRho {
-		planRho = MaxPlanRho
-	}
-	fr, err := s.Allocator.Allocate(ctx.Speeds, planRho)
+	s.shardRNGs = shardStreams(ctx.RNG.Derive("dispatch"), s.Shards())
+	fr, err := s.Allocator.Allocate(ctx.Speeds, min(ctx.Utilization, MaxPlanRho))
 	if err != nil {
 		return fmt.Errorf("sched: %s allocation: %w", s.Name(), err)
 	}
-	s.fractions = fr
-	if s.dispatcher, err = s.buildDispatcher(fr); err != nil {
+	if err := s.install(fr); err != nil {
 		return fmt.Errorf("sched: %s dispatcher: %w", s.Name(), err)
 	}
 	s.scheduleSync()
 	return nil
 }
 
-// buildDispatcher builds the run's dispatcher over fr: the bare strategy
-// on the unsharded path, or the K-replica wrapper when Shards > 1.
-func (s *Static) buildDispatcher(fr []float64) (dispatch.Dispatcher, error) {
-	if s.Dispatchers <= 1 {
-		s.sharded = nil
-		return s.newDispatcher(fr)
-	}
-	sh, err := dispatch.NewSharded(s.Dispatchers, s.ShardBy, func(k int) (dispatch.Dispatcher, error) {
-		return s.newReplicaDispatcher(fr, k)
+// install builds the K dispatcher replicas over fr, swaps them in with
+// fr (between engine events) and masks them with the last known up-set.
+// On error the previous plan stays in place.
+func (s *Static) install(fr []float64) error {
+	sh, err := dispatch.NewSharded(s.Shards(), s.ShardBy, func(k int) (dispatch.Dispatcher, error) {
+		switch s.Kind {
+		case RandomDispatch:
+			return dispatch.NewRandom(fr, s.shardRNGs[k])
+		case RoundRobinDispatch:
+			return dispatch.NewRoundRobin(fr)
+		case CyclicDispatch:
+			return dispatch.NewCyclicWRR(fr, 1000)
+		default:
+			return nil, fmt.Errorf("sched: unknown dispatch kind %v", s.Kind)
+		}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
+	s.fractions = fr
 	s.sharded = sh
-	return sh, nil
-}
-
-// newReplicaDispatcher builds replica k's private dispatcher. Replica 0
-// keeps the base dispatch stream, so K=1 sharding is bit-identical to
-// the unsharded dispatcher.
-func (s *Static) newReplicaDispatcher(fr []float64, k int) (dispatch.Dispatcher, error) {
-	switch s.Kind {
-	case RandomDispatch:
-		return dispatch.NewRandom(fr, s.shardRNGs[k])
-	case RoundRobinDispatch:
-		return dispatch.NewRoundRobin(fr)
-	case CyclicDispatch:
-		return dispatch.NewCyclicWRR(fr, 1000)
-	default:
-		return nil, fmt.Errorf("sched: unknown dispatch kind %v", s.Kind)
-	}
+	s.applyMask()
+	return nil
 }
 
 // scheduleSync installs the periodic counter-sync chain (Shards > 1 and
@@ -240,21 +225,20 @@ func (s *Static) newReplicaDispatcher(fr []float64, k int) (dispatch.Dispatcher,
 // sharding-off runs bit-identical). The chain self-terminates at the
 // run horizon so draining runs finish.
 func (s *Static) scheduleSync() {
-	if s.sharded == nil || !(s.SyncEvery > 0) || s.ctx.Engine == nil || !(s.ctx.Horizon > 0) {
+	if s.Shards() == 1 || !(s.SyncEvery > 0) || s.ctx.Engine == nil || !(s.ctx.Horizon > 0) {
 		return
 	}
 	en := s.ctx.Engine
 	var tick func()
 	tick = func() {
-		if sh := s.sharded; sh != nil {
-			// The tick branches on the plane at fire time, not install
-			// time: BindCtrl arrives after Init (which installs this
-			// chain), and the same chain must serve both modes.
-			if s.plane != nil {
-				s.physicalSyncRound(sh)
-			} else {
-				sh.SyncNow()
-			}
+		// The tick reads the replicas and branches on the plane at fire
+		// time, not install time: a Replan may have rebuilt the replicas,
+		// BindCtrl arrives after Init (which installs this chain), and
+		// the same chain must serve both modes.
+		if s.plane != nil {
+			s.physicalSyncRound(s.sharded)
+		} else {
+			s.sharded.SyncNow()
 		}
 		if en.Now()+s.SyncEvery <= s.ctx.Horizon {
 			en.ScheduleAfter(s.SyncEvery, tick)
@@ -315,8 +299,7 @@ func (s *Static) physicalSyncRound(sh *dispatch.Sharded) {
 // duplicated deliveries and makes a partitioned replica's rejoin
 // monotonic — it never blends state older than what it already absorbed.
 func (s *Static) applySyncFrame(to, from int, ver uint64, assign []int64, next []float64) {
-	sh := s.sharded
-	if sh == nil || s.plane == nil || len(s.syncSeen) != s.Dispatchers*s.Dispatchers {
+	if s.plane == nil || len(s.syncSeen) != s.Dispatchers*s.Dispatchers {
 		return
 	}
 	idx := to*s.Dispatchers + from
@@ -325,7 +308,7 @@ func (s *Static) applySyncFrame(to, from int, ver uint64, assign []int64, next [
 		return
 	}
 	s.syncSeen[idx] = ver
-	sh.SyncBlend(to, assign, next)
+	s.sharded.SyncBlend(to, assign, next)
 	s.plane.NoteSyncApplied(to, ver)
 }
 
@@ -339,36 +322,11 @@ func (s *Static) Shards() int {
 
 // LastShard returns the replica that made the most recent decision
 // (cluster.ShardedPolicy).
-func (s *Static) LastShard() int {
-	if s.sharded == nil {
-		return 0
-	}
-	return s.sharded.LastReplica()
-}
+func (s *Static) LastShard() int { return s.sharded.LastReplica() }
 
-// newDispatcher builds the configured dispatcher kind over fr.
-func (s *Static) newDispatcher(fr []float64) (dispatch.Dispatcher, error) {
-	switch s.Kind {
-	case RandomDispatch:
-		return dispatch.NewRandom(fr, s.dispatchRNG)
-	case RoundRobinDispatch:
-		return dispatch.NewRoundRobin(fr)
-	case CyclicDispatch:
-		return dispatch.NewCyclicWRR(fr, 1000)
-	default:
-		return nil, fmt.Errorf("sched: unknown dispatch kind %v", s.Kind)
-	}
-}
-
-// Select dispatches the next job. Hash-sharded routing keys on the job
-// ID; the unsharded (and round-robin-sharded) path is the original
-// zero-argument dispatch.
-func (s *Static) Select(j *sim.Job) int {
-	if s.sharded != nil && s.ShardBy == dispatch.ShardHash {
-		return s.sharded.NextFor(j.ID)
-	}
-	return s.dispatcher.Next()
-}
+// Select dispatches the next job through the replica its routing picks
+// (hash routing keys on the job ID).
+func (s *Static) Select(j *sim.Job) int { return s.sharded.NextFor(j.ID) }
 
 // Departed is a no-op: static policies ignore system state.
 func (s *Static) Departed(*sim.Job) {}
@@ -380,45 +338,24 @@ func (s *Static) Departed(*sim.Job) {}
 // mask is kept — there is no good routing decision, and jobs keep
 // queueing until a repair is detected.
 func (s *Static) UpSetChanged(up []bool) {
-	if s.dispatcher == nil || len(up) != len(s.ctx.Speeds) {
-		return
-	}
-	nUp := 0
-	for _, u := range up {
-		if u {
-			nUp++
-		}
-	}
-	if nUp == 0 {
+	if len(up) != len(s.ctx.Speeds) || !slices.Contains(up, true) {
 		return
 	}
 	s.lastUp = append(s.lastUp[:0], up...)
-	if s.Realloc == ReallocResolve {
-		fr := s.resolveFractions(up)
-		if d, err := s.buildDispatcher(fr); err == nil {
-			s.fractions = fr
-			s.dispatcher = d
-		}
+	if s.Realloc == ReallocResolve && s.install(s.resolveFractions(up)) == nil {
+		return // install masked the rebuilt dispatcher
 	}
 	s.applyMask()
 }
 
 // applyMask masks the current dispatcher with the last known up-set.
 func (s *Static) applyMask() {
-	m, ok := s.dispatcher.(dispatch.Masked)
-	if !ok || s.lastUp == nil {
-		return
-	}
-	nUp := 0
-	for _, u := range s.lastUp {
-		if u {
-			nUp++
-		}
-	}
-	if nUp == len(s.lastUp) {
-		_ = m.SetUp(nil)
-	} else {
-		_ = m.SetUp(s.lastUp)
+	switch {
+	case s.lastUp == nil:
+	case slices.Contains(s.lastUp, false):
+		_ = s.sharded.SetUp(s.lastUp)
+	default:
+		_ = s.sharded.SetUp(nil)
 	}
 }
 
@@ -434,21 +371,13 @@ func (s *Static) Replan(speeds []float64, rho float64) error {
 	if s.ctx == nil || len(speeds) != len(s.ctx.Speeds) {
 		return fmt.Errorf("sched: %s replan: got %d speeds, policy has %d", s.Name(), len(speeds), len(s.ctx.Speeds))
 	}
-	planRho := rho
-	if planRho >= MaxPlanRho {
-		planRho = MaxPlanRho
-	}
-	fr, err := s.Allocator.Allocate(speeds, planRho)
+	fr, err := s.Allocator.Allocate(speeds, min(rho, MaxPlanRho))
 	if err != nil {
 		return fmt.Errorf("sched: %s replan allocation: %w", s.Name(), err)
 	}
-	d, err := s.buildDispatcher(fr)
-	if err != nil {
+	if err := s.install(fr); err != nil {
 		return fmt.Errorf("sched: %s replan dispatcher: %w", s.Name(), err)
 	}
-	s.fractions = fr
-	s.dispatcher = d
-	s.applyMask()
 	return nil
 }
 
@@ -465,13 +394,9 @@ func (s *Static) ReplanProportional(speeds []float64) error {
 	if err != nil {
 		return fmt.Errorf("sched: %s proportional fallback: %w", s.Name(), err)
 	}
-	d, err := s.buildDispatcher(fr)
-	if err != nil {
+	if err := s.install(fr); err != nil {
 		return fmt.Errorf("sched: %s proportional fallback dispatcher: %w", s.Name(), err)
 	}
-	s.fractions = fr
-	s.dispatcher = d
-	s.applyMask()
 	return nil
 }
 

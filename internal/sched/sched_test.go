@@ -73,7 +73,7 @@ func TestStaticSelectRespectsFractions(t *testing.T) {
 		counts := make([]int64, 3)
 		const n = 40000
 		for i := 0; i < n; i++ {
-			counts[s.Select(nil)]++
+			counts[s.Select(&sim.Job{ID: int64(i)})]++
 		}
 		for i, want := range []float64{0.25, 0.25, 0.5} {
 			got := float64(counts[i]) / n

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -18,34 +20,113 @@ func (v fakeState) QueueLen(i int) int { return v[i] }
 func (v fakeState) Age(int) float64    { return 0 }
 func (v fakeState) N() int             { return len(v) }
 
-// TestStaticShardedK1Lockstep checks the Select-level equivalence for
-// all three dispatch kinds: a K=1 sharded Static and an unsharded one
-// seeded identically produce the same selection sequence through an
-// up-set change.
+// TestStaticShardedK1Lockstep pins the K = 1 equivalence: Static
+// dispatches through a one-replica dispatch.Sharded, and for every
+// dispatch kind, routing and realloc mode its selections equal those of
+// the bare dispatcher built from the same fractions and the same derived
+// "dispatch" stream, through a failure, a replan and a repair.
 func TestStaticShardedK1Lockstep(t *testing.T) {
 	speeds := []float64{1, 1, 2, 10}
+	down := []bool{true, true, false, true}
 	for _, kind := range []DispatchKind{RandomDispatch, RoundRobinDispatch, CyclicDispatch} {
-		bare := ORR()
-		bare.Kind = kind
-		wrapped := ORR()
-		wrapped.Kind = kind
-		wrapped.Dispatchers = 1
-		wrapped.ShardBy = dispatch.ShardHash
-		initStatic(t, bare, speeds, 0.6)
-		initStatic(t, wrapped, speeds, 0.6)
-		step := func(phase string, n int) {
-			for i := 0; i < n; i++ {
-				j := &sim.Job{ID: int64(i)}
-				if b, w := bare.Select(j), wrapped.Select(j); b != w {
-					t.Fatalf("%v %s: job %d: unsharded %d, K=1 sharded %d", kind, phase, i, b, w)
+		for _, by := range []dispatch.ShardBy{dispatch.ShardRR, dispatch.ShardHash} {
+			for _, realloc := range []ReallocMode{ReallocStale, ReallocResolve} {
+				name := fmt.Sprintf("%v/%v/%v", kind, by, realloc)
+				p := ORR()
+				p.Kind, p.ShardBy, p.Realloc = kind, by, realloc
+				ctx := initStatic(t, p, speeds, 0.6)
+				if p.sharded.K() != 1 {
+					t.Fatalf("%s: %d replicas, want 1", name, p.sharded.K())
+				}
+				// The bare dispatcher keeps its stream across rebuilds, as
+				// the policy keeps replica 0's.
+				stream := ctx.RNG.Derive("dispatch")
+				build := func(fr []float64) dispatch.Masked {
+					t.Helper()
+					var d dispatch.Masked
+					var err error
+					switch kind {
+					case RandomDispatch:
+						d, err = dispatch.NewRandom(fr, stream)
+					case RoundRobinDispatch:
+						d, err = dispatch.NewRoundRobin(fr)
+					case CyclicDispatch:
+						d, err = dispatch.NewCyclicWRR(fr, 1000)
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					return d
+				}
+				bare := build(p.Fractions())
+				next := 0
+				step := func(phase string) {
+					for end := next + 1000; next < end; next++ {
+						if w, b := p.Select(&sim.Job{ID: int64(next)}), bare.Next(); w != b {
+							t.Fatalf("%s %s: job %d: K=1 Static %d, bare dispatcher %d", name, phase, next, w, b)
+						}
+					}
+				}
+				// Under resolve the policy rebuilds on every up-set change;
+				// the bare side follows from the policy's new fractions.
+				change := func(up []bool) {
+					p.UpSetChanged(up)
+					if realloc == ReallocResolve {
+						bare = build(p.Fractions())
+					}
+					mask := up
+					if !slices.Contains(up, false) {
+						mask = nil
+					}
+					if err := bare.SetUp(mask); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				}
+				step("unmasked")
+				change(down)
+				step("masked")
+				// A replan rebuilds the dispatcher and must mask it again.
+				if err := p.Replan(speeds, 0.6); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				bare = build(p.Fractions())
+				if err := bare.SetUp(down); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				step("replanned")
+				change([]bool{true, true, true, true})
+				step("repaired")
+				if p.LastShard() != 0 {
+					t.Errorf("%s: last decision by replica %d, want 0", name, p.LastShard())
 				}
 			}
 		}
-		step("unmasked", 1000)
-		up := []bool{true, true, false, true}
-		bare.UpSetChanged(up)
-		wrapped.UpSetChanged(up)
-		step("masked", 1000)
+	}
+}
+
+// TestStaticInitForgetsMask: a Static value reused across runs starts
+// each run unmasked. Replan masks the rebuilt dispatcher with the last
+// known up-set, so a mask left over from the previous run would keep
+// computer 2, up in this run, out of every decision.
+func TestStaticInitForgetsMask(t *testing.T) {
+	speeds := []float64{1, 1, 2, 10}
+	p := ORR()
+	initStatic(t, p, speeds, 0.6)
+	p.UpSetChanged([]bool{true, true, false, true})
+	initStatic(t, p, speeds, 0.6)
+	if err := p.Replan(speeds, 0.6); err != nil {
+		t.Fatal(err)
+	}
+	const n = 4000
+	got := 0
+	for i := 0; i < n; i++ {
+		if p.Select(&sim.Job{ID: int64(i)}) == 2 {
+			got++
+		}
+	}
+	want := p.Fractions()[2]
+	if share := float64(got) / n; math.Abs(share-want) > 0.01 {
+		t.Errorf("computer 2 took %d of %d jobs (%.3f), want its planned fraction %.3f", got, n, share, want)
 	}
 }
 

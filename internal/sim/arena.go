@@ -25,8 +25,6 @@ type JobArena struct {
 	free   []*Job
 	// next is the first never-used index in the newest chunk.
 	next int
-	// gets/puts count arena traffic for tests and diagnostics.
-	gets, puts int64
 }
 
 // NewJobArena returns an empty arena; the first Get allocates the first
@@ -37,7 +35,6 @@ func NewJobArena() *JobArena { return &JobArena{} }
 // generation is preserved across recycling, so stale JobRef handles from
 // a previous occupant do not resolve to the new one.
 func (a *JobArena) Get() *Job {
-	a.gets++
 	if n := len(a.free); n > 0 {
 		j := a.free[n-1]
 		a.free = a.free[:n-1]
@@ -64,7 +61,6 @@ func (a *JobArena) Put(j *Job) {
 	if j.heapIdx != -1 {
 		panic(fmt.Sprintf("sim: arena Put of job %d still at a server (heap index %d)", j.ID, j.heapIdx))
 	}
-	a.puts++
 	gen := j.gen
 	*j = Job{heapIdx: -1, gen: gen + 1}
 	a.free = append(a.free, j)

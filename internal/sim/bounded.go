@@ -24,12 +24,6 @@ func (d DropPolicy) String() string {
 	}
 }
 
-// boundedInner is what Bounded wraps; all three disciplines qualify.
-type boundedInner interface {
-	Preemptable
-	Removable
-}
-
 // Bounded caps the number of jobs present at a server (in service plus
 // queued). The paper's model assumes unbounded queues, which is exactly
 // what makes it undefined at ρ ≥ 1; a real computer has finite admission
@@ -41,7 +35,7 @@ type boundedInner interface {
 // The embedding run must call NoteDeparture for every job completing at
 // the inner server, so the admission-order list stays consistent.
 type Bounded struct {
-	inner      boundedInner
+	inner      Server
 	cap        int
 	drop       DropPolicy
 	onShed     func(*Job)
@@ -49,13 +43,8 @@ type Bounded struct {
 	maxPresent int    // high-water mark of len(present)
 }
 
-var (
-	_ Preemptable = (*Bounded)(nil)
-	_ Removable   = (*Bounded)(nil)
-)
-
 // NewBounded wraps inner with capacity cap (> 0).
-func NewBounded(inner boundedInner, cap int, drop DropPolicy, onShed func(*Job)) *Bounded {
+func NewBounded(inner Server, cap int, drop DropPolicy, onShed func(*Job)) *Bounded {
 	if cap <= 0 {
 		panic(fmt.Sprintf("sim: bounded server capacity must be positive, got %d", cap))
 	}
@@ -114,13 +103,13 @@ func (b *Bounded) admit(j *Job) bool {
 	return true
 }
 
-// Evict removes every job (Preemptable; computer failure).
+// Evict removes every job (a computer failure).
 func (b *Bounded) Evict() []*Job {
 	b.present = b.present[:0]
 	return b.inner.Evict()
 }
 
-// Remove extracts one job (Removable; deadline or timeout).
+// Remove extracts one job (a deadline or timeout).
 func (b *Bounded) Remove(j *Job) bool {
 	if !b.inner.Remove(j) {
 		return false

@@ -1,14 +1,14 @@
 // Package sim provides the discrete-event simulation substrate: an event
 // engine with a cancellable future-event list, and server models
-// (processor sharing, quantum round-robin, FCFS) for the computers in the
-// paper's network.
+// (processor sharing and quantum round-robin, whose infinite quantum is
+// FCFS) for the computers in the paper's network.
 //
 // The paper's simulator (§4.1) models computers that apply "preemptive
 // round-robin processor scheduling"; the analysis assumes the processor
 // sharing (PS) limit. PSServer implements exact PS in O(log n) per event
 // using virtual-time bookkeeping; RRServer implements quantum-based
-// round-robin for quantum-sensitivity ablations; FCFSServer is provided as
-// a contrast discipline.
+// round-robin for quantum-sensitivity ablations, and with an infinite
+// quantum the FCFS contrast discipline.
 //
 // The engine stores its pending events in a slab: a flat []eventSlot
 // with freed slots kept on a free list for reuse, ordered by a 4-ary

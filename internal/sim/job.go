@@ -18,7 +18,7 @@ type Job struct {
 	// Target is the index of the computer the scheduler selected.
 	Target int
 	// Remaining is the unserved demand in seconds at speed 1, set by
-	// Preemptable.Evict when the job is pulled off a failed computer and
+	// Server.Evict when the job is pulled off a failed computer and
 	// consumed by Resume. It is zero for jobs that never lived through a
 	// failure.
 	Remaining float64
@@ -111,6 +111,7 @@ func (j *Job) ResponseRatio() float64 { return j.ResponseTime() / j.Size }
 
 // Server models one computer: jobs arrive, are served at the computer's
 // speed under some discipline, and depart via the server's callback.
+// PSServer and RRServer implement it, and Bounded wraps either one.
 type Server interface {
 	// Arrive hands a job to the server at the current engine time.
 	Arrive(j *Job)
@@ -119,32 +120,26 @@ type Server interface {
 	// BusyTime returns the cumulative time the server has been non-idle,
 	// up to the current engine time.
 	BusyTime() float64
-}
-
-// Preemptable is a Server whose jobs can be forcibly removed — a computer
-// failure — and later re-admitted with whatever demand they had left. All
-// three server disciplines in this package implement it.
-type Preemptable interface {
-	Server
-	// Evict removes every job from the server (in service and queued),
-	// sets each job's Remaining field to its unserved demand at speed 1,
-	// and returns the jobs. The server is idle afterwards; busy time is
-	// charged up to the current engine time.
+	// Evict removes every job from the server (in service and queued) —
+	// a computer failure — sets each job's Remaining field to its
+	// unserved demand at speed 1, and returns the jobs. The server is
+	// idle afterwards; busy time is charged up to the current engine
+	// time.
 	Evict() []*Job
 	// Resume re-admits an evicted job with service demand Remaining
 	// (rather than Size). A job with zero Remaining departs immediately.
 	Resume(j *Job)
-}
-
-// Removable is a Server that can surgically extract a single job — the
-// primitive behind queue reneging (deadline expiry) and dispatcher
-// timeouts in the overload-protection layer. All three server
-// disciplines implement it.
-type Removable interface {
-	Server
-	// Remove extracts j if it is currently at this server, setting its
-	// Remaining field to its unserved demand at speed 1 (like Evict, for
-	// one job), and reports whether j was present. The server's departure
-	// callback is not invoked for removed jobs.
+	// Remove extracts j if it is currently at this server — the
+	// primitive behind queue reneging (deadline expiry) and dispatcher
+	// timeouts in the overload-protection layer — setting its Remaining
+	// field to its unserved demand at speed 1 (like Evict, for one job),
+	// and reports whether j was present. The server's departure callback
+	// is not invoked for removed jobs.
 	Remove(j *Job) bool
 }
+
+var (
+	_ Server = (*PSServer)(nil)
+	_ Server = (*RRServer)(nil)
+	_ Server = (*Bounded)(nil)
+)

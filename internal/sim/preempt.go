@@ -5,17 +5,11 @@ import (
 	"math"
 )
 
-// This file implements the Preemptable interface for the three server
+// This file implements Server's Evict and Resume for the two server
 // disciplines, supporting computer failure injection (internal/faults):
 // Evict models the instant a computer dies with work in progress, Resume
 // models re-admitting that work after repair. With no failures injected,
 // none of this code runs and server behavior is unchanged.
-
-var (
-	_ Preemptable = (*PSServer)(nil)
-	_ Preemptable = (*RRServer)(nil)
-	_ Preemptable = (*FCFSServer)(nil)
-)
 
 func checkRemaining(j *Job) {
 	if j.Remaining < 0 || math.IsNaN(j.Remaining) {
@@ -95,41 +89,5 @@ func (s *RRServer) Resume(j *Job) {
 	if len(s.queue) == 1 {
 		s.busySince = s.engine.Now()
 		s.startSlice()
-	}
-}
-
-// Evict removes every job from the FCFS queue. The head job is charged
-// for the service it received since it started.
-func (s *FCFSServer) Evict() []*Job {
-	if len(s.queue) == 0 {
-		return nil
-	}
-	if s.headEv.Active() {
-		s.headEv.Cancel()
-		s.headEv = Event{}
-		head := s.queue[0]
-		head.attained -= (s.engine.Now() - s.headStart) * s.speed
-		if head.attained < 0 {
-			head.attained = 0
-		}
-	}
-	out := s.queue
-	s.queue = nil
-	for _, j := range out {
-		j.Remaining = j.attained
-	}
-	s.busyTime += s.engine.Now() - s.busySince
-	return out
-}
-
-// Resume re-admits an evicted job at the tail of the FCFS queue with
-// demand j.Remaining.
-func (s *FCFSServer) Resume(j *Job) {
-	checkRemaining(j)
-	j.attained = j.Remaining
-	s.queue = append(s.queue, j)
-	if len(s.queue) == 1 {
-		s.busySince = s.engine.Now()
-		s.startHead()
 	}
 }

@@ -85,12 +85,13 @@ func TestRRServerEvictMidSlice(t *testing.T) {
 	}
 }
 
-// TestFCFSServerEvictResume: the in-service head keeps its progress, the
-// queued job keeps its full demand, and both complete after resumption.
+// TestFCFSServerEvictResume: under FCFS (round-robin with an infinite
+// quantum) the in-service head keeps its progress, the queued job keeps
+// its full demand, and both complete after resumption.
 func TestFCFSServerEvictResume(t *testing.T) {
 	var en Engine
 	var done []*Job
-	s := NewFCFSServer(&en, 2.0, func(j *Job) { done = append(done, j) })
+	s := NewRRServer(&en, 2.0, math.Inf(1), func(j *Job) { done = append(done, j) })
 	a := &Job{ID: 1, Size: 8}
 	b := &Job{ID: 2, Size: 2}
 	s.Arrive(a)
@@ -129,10 +130,10 @@ func TestFCFSServerEvictResume(t *testing.T) {
 // TestEvictEmptyAndZeroRemaining: evicting an idle server returns nil,
 // and resuming a zero-demand job departs it immediately.
 func TestEvictEmptyAndZeroRemaining(t *testing.T) {
-	for name, mk := range map[string]func(en *Engine, cb func(*Job)) Preemptable{
-		"PS":   func(en *Engine, cb func(*Job)) Preemptable { return NewPSServer(en, 1, cb) },
-		"RR":   func(en *Engine, cb func(*Job)) Preemptable { return NewRRServer(en, 1, 0.5, cb) },
-		"FCFS": func(en *Engine, cb func(*Job)) Preemptable { return NewFCFSServer(en, 1, cb) },
+	for name, mk := range map[string]func(en *Engine, cb func(*Job)) Server{
+		"PS":   func(en *Engine, cb func(*Job)) Server { return NewPSServer(en, 1, cb) },
+		"RR":   func(en *Engine, cb func(*Job)) Server { return NewRRServer(en, 1, 0.5, cb) },
+		"FCFS": func(en *Engine, cb func(*Job)) Server { return NewRRServer(en, 1, math.Inf(1), cb) },
 	} {
 		var en Engine
 		var done int

@@ -1,17 +1,10 @@
 package sim
 
-// This file implements the Removable interface for the three server
-// disciplines, supporting the overload-protection layer
-// (internal/cluster): deadline expiry renegs a queued job or kills one
-// mid-service, and a dispatcher timeout pulls a job back for re-dispatch.
-// With no overload knobs set, none of this code runs and server behavior
-// is unchanged.
-
-var (
-	_ Removable = (*PSServer)(nil)
-	_ Removable = (*RRServer)(nil)
-	_ Removable = (*FCFSServer)(nil)
-)
+// This file implements Server's Remove for the two server disciplines,
+// supporting the overload-protection layer (internal/cluster): deadline
+// expiry renegs a queued job or kills one mid-service, and a dispatcher
+// timeout pulls a job back for re-dispatch. With no overload knobs set,
+// none of this code runs and server behavior is unchanged.
 
 // Remove extracts j from the processor-sharing set, recording its
 // remaining demand, and reports whether it was present.
@@ -69,37 +62,6 @@ func (s *RRServer) Remove(j *Job) bool {
 		s.busyTime += s.engine.Now() - s.busySince
 	} else if idx == 0 && !s.sliceEv.Active() {
 		s.startSlice()
-	}
-	return true
-}
-
-// Remove extracts j from the FCFS queue. A running head job is charged
-// for the service it received since it started.
-func (s *FCFSServer) Remove(j *Job) bool {
-	idx := -1
-	for i, q := range s.queue {
-		if q == j {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return false
-	}
-	if idx == 0 && s.headEv.Active() {
-		s.headEv.Cancel()
-		s.headEv = Event{}
-		j.attained -= (s.engine.Now() - s.headStart) * s.speed
-		if j.attained < 0 {
-			j.attained = 0
-		}
-	}
-	j.Remaining = j.attained
-	s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
-	if len(s.queue) == 0 {
-		s.busyTime += s.engine.Now() - s.busySince
-	} else if idx == 0 && !s.headEv.Active() {
-		s.startHead()
 	}
 	return true
 }

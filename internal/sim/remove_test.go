@@ -74,11 +74,12 @@ func TestRRServerRemoveHead(t *testing.T) {
 	}
 }
 
-// TestFCFSServerRemove covers both the queued-job and running-job cases.
+// TestFCFSServerRemove covers both the queued-job and running-job cases
+// under FCFS (round-robin with an infinite quantum).
 func TestFCFSServerRemove(t *testing.T) {
 	var en Engine
 	var done []*Job
-	s := NewFCFSServer(&en, 2, func(j *Job) { done = append(done, j) })
+	s := NewRRServer(&en, 2, math.Inf(1), func(j *Job) { done = append(done, j) })
 	a := &Job{ID: 1, Size: 4}
 	b := &Job{ID: 2, Size: 6}
 	s.Arrive(a)
@@ -98,7 +99,7 @@ func TestFCFSServerRemove(t *testing.T) {
 	// Fresh pass: remove the running head at t=1 (2 of 4 served).
 	var en2 Engine
 	done = nil
-	s2 := NewFCFSServer(&en2, 2, func(j *Job) { done = append(done, j) })
+	s2 := NewRRServer(&en2, 2, math.Inf(1), func(j *Job) { done = append(done, j) })
 	c := &Job{ID: 3, Size: 4}
 	d := &Job{ID: 4, Size: 6}
 	s2.Arrive(c)

@@ -6,7 +6,11 @@ import "fmt"
 // the head of the run queue executes for up to one quantum, then is
 // preempted and moved to the tail. As the quantum shrinks, behavior
 // converges to processor sharing (PSServer); the server exists to quantify
-// quantum sensitivity (an ablation called out in DESIGN.md §5).
+// quantum sensitivity (an ablation called out in DESIGN.md §5). With an
+// infinite quantum it never preempts: it serves jobs one at a time in
+// arrival order, first-come-first-served, which contrasts with PS on
+// heavy-tailed workloads (PS is robust to job-size variability; FCFS is
+// not).
 //
 // Each slice is one event, so cost scales with size/quantum; use PSServer
 // for production-scale runs.
@@ -20,6 +24,12 @@ type RRServer struct {
 	sliceEv    Event
 	sliceStart float64 // engine time the current slice began
 	sliceLen   float64 // length of the current slice
+	// lastSlice marks a slice sized to the head job's whole remaining
+	// need. It completes the job whatever the rounding residual of
+	// attained − sliceLen·speed, which exceeds the 1e-12 tolerance for
+	// sizes above ~4096 at speeds that are not powers of two and would
+	// otherwise cost a micro-slice.
+	lastSlice bool
 	// endSliceFn is the endSlice method value, bound once so each slice
 	// does not allocate a fresh closure.
 	endSliceFn func()
@@ -29,7 +39,7 @@ type RRServer struct {
 }
 
 // NewRRServer creates a round-robin server with the given speed and
-// quantum (both > 0).
+// quantum (both > 0; math.Inf(1) for FCFS).
 func NewRRServer(en *Engine, speed, quantum float64, onDepart func(*Job)) *RRServer {
 	if !(speed > 0) || !(quantum > 0) {
 		panic(fmt.Sprintf("sim: invalid RR server (speed=%v, quantum=%v)", speed, quantum))
@@ -65,24 +75,20 @@ func (s *RRServer) Arrive(j *Job) {
 
 // startSlice schedules the end of the head job's next slice.
 func (s *RRServer) startSlice() {
-	head := s.queue[0]
-	sliceTime := s.quantum
-	if need := head.attained / s.speed; need < sliceTime {
-		sliceTime = need
-	}
+	need := s.queue[0].attained / s.speed
+	s.lastSlice = need <= s.quantum
+	s.sliceLen = min(need, s.quantum)
 	s.sliceStart = s.engine.Now()
-	s.sliceLen = sliceTime
-	s.sliceEv = s.engine.ScheduleAfter(sliceTime, s.endSliceFn)
+	s.sliceEv = s.engine.ScheduleAfter(s.sliceLen, s.endSliceFn)
 }
 
 // endSlice charges the elapsed slice to the head job, then either
 // completes it or rotates it to the tail.
 func (s *RRServer) endSlice() {
-	sliceTime := s.sliceLen
 	s.sliceEv = Event{}
 	head := s.queue[0]
-	head.attained -= sliceTime * s.speed
-	if head.attained <= 1e-12 {
+	head.attained -= s.sliceLen * s.speed
+	if s.lastSlice || head.attained <= 1e-12 {
 		s.queue = s.queue[1:]
 		head.Completion = s.engine.Now()
 		if len(s.queue) == 0 {
@@ -101,81 +107,4 @@ func (s *RRServer) endSlice() {
 		s.queue[len(s.queue)-1] = head
 	}
 	s.startSlice()
-}
-
-// FCFSServer serves jobs one at a time in arrival order. It is not the
-// paper's discipline but provides a contrast for heavy-tailed workloads
-// (PS is robust to job-size variability; FCFS is not).
-type FCFSServer struct {
-	engine   *Engine
-	speed    float64
-	onDepart func(*Job)
-
-	queue     []*Job
-	headEv    Event
-	headStart float64 // engine time the head job began service
-	// finishFn is the finishHead method value, bound once so each service
-	// completion does not allocate a fresh closure.
-	finishFn func()
-
-	busyTime  float64
-	busySince float64
-}
-
-// NewFCFSServer creates a first-come-first-served server.
-func NewFCFSServer(en *Engine, speed float64, onDepart func(*Job)) *FCFSServer {
-	if !(speed > 0) {
-		panic(fmt.Sprintf("sim: FCFS server speed must be positive, got %v", speed))
-	}
-	s := &FCFSServer{engine: en, speed: speed, onDepart: onDepart}
-	s.finishFn = s.finishHead
-	return s
-}
-
-// InService returns queued plus running jobs.
-func (s *FCFSServer) InService() int { return len(s.queue) }
-
-// BusyTime returns cumulative non-idle time up to the engine's clock.
-func (s *FCFSServer) BusyTime() float64 {
-	if len(s.queue) > 0 {
-		return s.busyTime + (s.engine.Now() - s.busySince)
-	}
-	return s.busyTime
-}
-
-// Arrive enqueues a job, starting it immediately if the server is idle.
-func (s *FCFSServer) Arrive(j *Job) {
-	if !(j.Size > 0) {
-		panic(fmt.Sprintf("sim: job %d has non-positive size %v", j.ID, j.Size))
-	}
-	j.attained = j.Size // remaining work at speed 1
-	s.queue = append(s.queue, j)
-	if len(s.queue) == 1 {
-		s.busySince = s.engine.Now()
-		s.startHead()
-	}
-}
-
-func (s *FCFSServer) startHead() {
-	head := s.queue[0]
-	s.headStart = s.engine.Now()
-	s.headEv = s.engine.ScheduleAfter(head.attained/s.speed, s.finishFn)
-}
-
-// finishHead completes the running head job. The head cannot have changed
-// since startHead: Remove and Evict cancel the pending event before
-// touching the queue.
-func (s *FCFSServer) finishHead() {
-	s.headEv = Event{}
-	head := s.queue[0]
-	s.queue = s.queue[1:]
-	head.Completion = s.engine.Now()
-	if len(s.queue) == 0 {
-		s.busyTime += s.engine.Now() - s.busySince
-	} else {
-		s.startHead()
-	}
-	if s.onDepart != nil {
-		s.onDepart(head)
-	}
 }

@@ -399,10 +399,12 @@ func TestRRServerConvergesToPS(t *testing.T) {
 	}
 }
 
+// TestFCFSServerSequential: round-robin with an infinite quantum serves
+// jobs one at a time in arrival order.
 func TestFCFSServerSequential(t *testing.T) {
 	var en Engine
 	byID := map[int64]float64{}
-	s := NewFCFSServer(&en, 1.0, func(j *Job) { byID[j.ID] = j.Completion })
+	s := NewRRServer(&en, 1.0, math.Inf(1), func(j *Job) { byID[j.ID] = j.Completion })
 	s.Arrive(&Job{ID: 1, Size: 3})
 	s.Arrive(&Job{ID: 2, Size: 2})
 	en.RunUntil(100)
@@ -416,7 +418,7 @@ func TestFCFSMatchesMM1(t *testing.T) {
 	// sizes.
 	var en Engine
 	var resp stats.Accumulator
-	s := NewFCFSServer(&en, 1.0, func(j *Job) { resp.Add(j.ResponseTime()) })
+	s := NewRRServer(&en, 1.0, math.Inf(1), func(j *Job) { resp.Add(j.ResponseTime()) })
 	arr := rng.New(3).Derive("a")
 	sz := rng.New(3).Derive("s")
 	var id int64
@@ -443,7 +445,6 @@ func TestServerInterfaceCompliance(t *testing.T) {
 	var en Engine
 	var _ Server = NewPSServer(&en, 1, nil)
 	var _ Server = NewRRServer(&en, 1, 0.1, nil)
-	var _ Server = NewFCFSServer(&en, 1, nil)
 }
 
 func TestJobMetrics(t *testing.T) {

@@ -21,22 +21,14 @@ type Accumulator struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
 	max  float64
 }
 
 // Add incorporates one observation.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
+	if a.n == 1 || x > a.max {
+		a.max = x
 	}
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
@@ -89,12 +81,6 @@ func (a *Accumulator) CV() float64 {
 
 // Max returns the largest observation, or 0 if empty.
 func (a *Accumulator) Max() float64 { return a.max }
-
-// String summarizes the accumulator for debugging.
-func (a *Accumulator) String() string {
-	return fmt.Sprintf("n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g",
-		a.n, a.Mean(), a.StdDev(), a.min, a.max)
-}
 
 // Sample holds a small set of values (typically one summary statistic per
 // replication) and reports mean and confidence intervals.

@@ -211,12 +211,12 @@ func TestTraceMatchesClusterMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	cfg := cluster.Config{
-		Speeds:              []float64{1, 2},
-		Utilization:         0.5,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            20000,
-		Seed:                4,
+		Speeds:      []float64{1, 2},
+		Utilization: 0.5,
+		JobSize:     dist.NewExponential(1.0),
+		ArrivalCV:   1,
+		Duration:    20000,
+		Seed:        4,
 		OnFinal: func(j *sim.Job, o cluster.Outcome) {
 			if o.Completed() {
 				_ = w.Record(j)
@@ -251,14 +251,14 @@ func TestOnFinalTraceCoversAllFates(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	cfg := cluster.Config{
-		Speeds:              []float64{1, 1},
-		Utilization:         1.5, // overloaded: bounded queues must shed
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            5000,
-		WarmupFraction:      -1,
-		Seed:                9,
-		Overload:            &cluster.OverloadConfig{QueueCap: 3},
+		Speeds:         []float64{1, 1},
+		Utilization:    1.5, // overloaded: bounded queues must shed
+		JobSize:        dist.NewExponential(1.0),
+		ArrivalCV:      1,
+		Duration:       5000,
+		WarmupFraction: -1,
+		Seed:           9,
+		Overload:       &cluster.OverloadConfig{QueueCap: 3},
 		OnFinal: func(j *sim.Job, o cluster.Outcome) {
 			if err := w.RecordFinal(j, o); err != nil {
 				t.Fatal(err)
@@ -316,13 +316,13 @@ func TestReplayRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	cfg := cluster.Config{
-		Speeds:              []float64{1, 2},
-		Utilization:         0.5,
-		JobSize:             dist.NewExponential(1.0),
-		ExponentialArrivals: true,
-		Duration:            10000,
-		WarmupFraction:      -1,
-		Seed:                6,
+		Speeds:         []float64{1, 2},
+		Utilization:    0.5,
+		JobSize:        dist.NewExponential(1.0),
+		ArrivalCV:      1,
+		Duration:       10000,
+		WarmupFraction: -1,
+		Seed:           6,
 		OnFinal: func(j *sim.Job, o cluster.Outcome) {
 			if o.Completed() {
 				_ = w.Record(j)
